@@ -1,11 +1,13 @@
 """Flat key-value run configuration.
 
 Grammar: one ``section.key = value`` per line, UTF-8, ``#`` starts a
-comment.  Unknown keys are an error, never silently ignored.  Exactly one
-of ``model.gamma`` and ``sweep.gammas`` must be present.
+comment.  Unknown keys are an error, never silently ignored.  Numbers
+must be finite.  Exactly one of ``model.gamma`` and ``sweep.gammas`` must
+be present.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -16,9 +18,14 @@ from .solver import SchemeConfig
 
 def _parse_bool_free_float(text: str, key: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ConfigError(f"{key}: expected a number, got {text!r}") from exc
+    # nan passes every later range check (all comparisons are false) and
+    # inf makes a run loop forever, so neither reaches the solver
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_int(text: str, key: str) -> int:

@@ -51,14 +51,50 @@ def as_field(f, g: Grid) -> Field:
     return arr
 
 
+# Periodic neighbour differences and sums built from slices (np.roll
+# copies through a generic path that costs more than the arithmetic on
+# mesh-sized arrays).  They take an already validated 1D float array.
+
+def forward_difference(f: Field) -> Field:
+    """f[i+1] - f[i] with periodic wrap."""
+    out = np.empty_like(f)
+    np.subtract(f[1:], f[:-1], out=out[:-1])
+    out[-1] = f[0] - f[-1]
+    return out
+
+
+def backward_difference(f: Field) -> Field:
+    """f[i] - f[i-1] with periodic wrap."""
+    out = np.empty_like(f)
+    np.subtract(f[1:], f[:-1], out=out[1:])
+    out[0] = f[0] - f[-1]
+    return out
+
+
+def central_difference(f: Field) -> Field:
+    """f[i+1] - f[i-1] with periodic wrap."""
+    out = np.empty_like(f)
+    np.subtract(f[2:], f[:-2], out=out[1:-1])
+    out[0] = f[1] - f[-1]
+    out[-1] = f[0] - f[-2]
+    return out
+
+
+def face_sum(f: Field) -> Field:
+    """f[i] + f[i+1] with periodic wrap: twice the mean at face i+1/2."""
+    out = np.empty_like(f)
+    np.add(f[:-1], f[1:], out=out[:-1])
+    out[-1] = f[-1] + f[0]
+    return out
+
+
 def ddx_central(f: Field, g: Grid) -> Field:
     """Second-order central derivative with periodic wrap.
 
     A non-periodic input (e.g. a sawtooth f_i = x_i) produces an O(1/dx)
     spike at the wrap; that is a property of the stencil, not an error.
     """
-    arr = as_field(f, g)
-    return (np.roll(arr, -1) - np.roll(arr, 1)) / (2.0 * g.dx)
+    return central_difference(as_field(f, g)) / (2.0 * g.dx)
 
 
 def integrate(f: Field, g: Grid) -> float:

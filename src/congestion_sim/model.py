@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SaturationError
-from .grid import Field, Grid, as_field, ddx_central
+from .grid import Field, Grid, as_field, central_difference, ddx_central
 
 # exp() overflows double precision just above this exponent
 OVERFLOW_EXPONENT = 700.0
@@ -158,17 +158,35 @@ def compute_V(rho: Field, u: Field, g: Grid, params: ModelParams) -> Field:
     return lambda_visc(as_field(rho, g), params) * ddx_central(u, g)
 
 
-def velocities(state: State, g: Grid, params: ModelParams) -> tuple[Field, Field]:
-    """Return (u, w) for a state in either formulation."""
+@dataclass(frozen=True)
+class StateFields:
+    """The offset, its gradient and both velocities of one state.
+
+    ``dxp`` is the central derivative of ``p``, and ``u = w - dxp``; the
+    carried velocity (``mom / rho``) is exact, the other one derived.
+    """
+
+    p: Field
+    dxp: Field
+    u: Field
+    w: Field
+
+
+def state_fields(state: State, g: Grid, params: ModelParams) -> StateFields:
+    """Evaluate the power law and both velocities of a state once."""
     rho = as_field(state.rho, g)
     carried = as_field(state.mom, g) / rho
+    p = pressure(rho, params)
+    dxp = central_difference(p) / (2.0 * g.dx)
     if state.formulation == U_FORM:
-        u = carried
-        w = u_to_w(rho, u, g, params)
-    else:
-        w = carried
-        u = w_to_u(rho, w, g, params)
-    return u, w
+        return StateFields(p, dxp, carried, carried + dxp)
+    return StateFields(p, dxp, carried - dxp, carried)
+
+
+def velocities(state: State, g: Grid, params: ModelParams) -> tuple[Field, Field]:
+    """Return (u, w) for a state in either formulation."""
+    fields = state_fields(state, g, params)
+    return fields.u, fields.w
 
 
 def derived_fields(state: State, g: Grid, params: ModelParams) -> DerivedFields:

@@ -6,6 +6,17 @@ backward-Euler treatment of the degenerate diffusion with the
 coefficient lagged at the previous density, which yields one periodic
 tridiagonal solve per step.  Positivity failures are rescued by halving
 dt before a vacuum error is declared.
+
+Both formulations, forced or not, go through one step path.  The run
+loop evaluates the per-state fields (the carried velocity, p(rho), its
+central derivative and the other velocity) once per state and hands
+them to ``compute_dt``, the step and the running time integrals; pi'
+is gamma * p and lambda is evaluated once per step, on the old density.
+The step builds each face quantity (donor-cell flux, face velocity,
+diffusive face flux, face viscosity) once and hands the ones the time
+integrals need to them, which only reduce them.  Neighbour shifts are
+slices, and the periodic tridiagonal system goes straight to LAPACK
+``gtsv``, the routine ``solve_banded((1, 1), ...)`` dispatches to.
 """
 from __future__ import annotations
 
@@ -13,7 +24,7 @@ import time as _time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .diagnostics import (
     Accumulators,
@@ -23,17 +34,25 @@ from .diagnostics import (
     summarize_initial_data,
 )
 from .errors import CflError, LinearSolveError, SaturationError, VacuumError
-from .grid import Field, Grid, as_field, ddx_central, integrate
+from .grid import (
+    Field,
+    Grid,
+    as_field,
+    backward_difference,
+    central_difference,
+    face_sum,
+    forward_difference,
+    integrate,
+)
 from .model import (
     U_FORM,
     W_FORM,
     FORMULATIONS,
     ModelParams,
     State,
+    StateFields,
     lambda_visc,
-    pi_prime,
-    pressure,
-    velocities,
+    state_fields,
 )
 
 # guards the CFL formula in a quiescent fluid
@@ -109,11 +128,31 @@ class _PositivityFailure(Exception):
         self.cell = cell
 
 
+@dataclass
+class StepFaces:
+    """Face quantities of one accepted step, for the running time integrals.
+
+    Entry i belongs to face i+1/2, except ``lam``, which holds the cell
+    values lambda(rho_old) that ``lam_face`` averages.  ``mass_flux`` is
+    the step's total mass flux: the donor-cell flux of rho, minus the
+    implicit diffusive flux in the w-formulation.
+    """
+
+    mass_flux: Field | None = None
+    lam: Field | None = None
+    lam_face: Field | None = None
+
+
 def compute_dt(state: State, g: Grid, params: ModelParams,
-               config: SchemeConfig) -> float:
-    """Advective CFL time step; the implicit diffusion imposes no limit."""
-    u, w = velocities(state, g, params)
-    speed = max(VELOCITY_FLOOR, float(np.max(np.abs(u))), float(np.max(np.abs(w))))
+               config: SchemeConfig, fields: StateFields | None = None) -> float:
+    """Advective CFL time step; the implicit diffusion imposes no limit.
+
+    ``fields`` are the state's precomputed fields; evaluated when absent.
+    """
+    if fields is None:
+        fields = state_fields(state, g, params)
+    speed = max(VELOCITY_FLOOR, float(np.max(np.abs(fields.u))),
+                float(np.max(np.abs(fields.w))))
     return min(config.dt_max, config.cfl * g.dx / speed)
 
 
@@ -124,10 +163,11 @@ def solve_cyclic_tridiagonal(sub, diag, sup, corner_lo: float, corner_hi: float,
     A[i][i] = diag[i], A[i][i-1] = sub[i], A[i][i+1] = sup[i], with the
     wrap entries A[0][n-1] = corner_lo and A[n-1][0] = corner_hi given
     separately (sub[0] and sup[-1] are ignored).  Uses a rank-one
-    correction of two non-periodic banded solves; valid for the strictly
+    correction of two non-periodic tridiagonal solves, made as one LAPACK
+    ``gtsv`` call on a two-column right-hand side; valid for the strictly
     diagonally dominant systems produced by backward-Euler diffusion.
-    Raises LinearSolveError if the factorization breaks down or the
-    residual exceeds tol * (1 + max|rhs|).
+    Raises ValueError on non-finite input, and LinearSolveError if the
+    factorization breaks down or the residual exceeds tol * (1 + max|rhs|).
     """
     diag = np.asarray(diag, dtype=float)
     sub = np.asarray(sub, dtype=float)
@@ -143,20 +183,19 @@ def solve_cyclic_tridiagonal(sub, diag, sup, corner_lo: float, corner_hi: float,
     b = diag.copy()
     b[0] -= gamma_p
     b[-1] -= corner_lo * corner_hi / gamma_p
+    lower, upper = sub[1:], sup[:-1]
 
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup[:-1]
-    ab[1, :] = b
-    ab[2, :-1] = sub[1:]
+    # columns: rhs, then the spike gamma_p e_0 + corner_hi e_{n-1}
+    cols = np.zeros((n, 2), order="F")
+    cols[:, 0] = rhs
+    cols[0, 1] = gamma_p
+    cols[-1, 1] = corner_hi
+    if not all(np.all(np.isfinite(a)) for a in (lower, b, upper, cols)):
+        raise ValueError("array must not contain infs or NaNs")
 
-    spike = np.zeros(n)
-    spike[0] = gamma_p
-    spike[-1] = corner_hi
-
-    try:
-        sol = solve_banded((1, 1), ab, np.column_stack([rhs, spike]))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise LinearSolveError(f"banded factorization failed: {exc}") from exc
+    _, _, _, sol, info = dgtsv(lower, b, upper, cols, overwrite_d=1, overwrite_b=1)
+    if info != 0:  # pragma: no cover - defensive
+        raise LinearSolveError(f"banded factorization failed: gtsv info {info}")
     y, z = sol[:, 0], sol[:, 1]
 
     frac = corner_lo / gamma_p
@@ -165,11 +204,13 @@ def solve_cyclic_tridiagonal(sub, diag, sup, corner_lo: float, corner_hi: float,
         raise LinearSolveError("rank-one correction denominator vanished")
     x = y - z * ((y[0] + frac * y[-1]) / denom)
 
-    sub_eff = sub.copy()
-    sub_eff[0] = corner_lo
-    sup_eff = sup.copy()
-    sup_eff[-1] = corner_hi
-    residual = diag * x + sub_eff * np.roll(x, 1) + sup_eff * np.roll(x, -1) - rhs
+    # diag*x + sub*x[i-1] + sup*x[i+1] - rhs, the wrap terms on the corners
+    residual = diag * x
+    residual[1:] += lower * x[:-1]
+    residual[0] += corner_lo * x[-1]
+    residual[:-1] += upper * x[1:]
+    residual[-1] += corner_hi * x[0]
+    residual -= rhs
     bound = tol * (1.0 + float(np.max(np.abs(rhs))))
     if not np.all(np.isfinite(x)) or float(np.max(np.abs(residual))) > bound:
         raise LinearSolveError(
@@ -181,37 +222,42 @@ def solve_cyclic_tridiagonal(sub, diag, sup, corner_lo: float, corner_hi: float,
 
 def _face_mean(cells: Field) -> Field:
     # value at face i+1/2 as the arithmetic mean of cells i and i+1
-    return 0.5 * (cells + np.roll(cells, -1))
+    return 0.5 * face_sum(cells)
 
 
-def _advective_flux(q: Field, v_cells: Field) -> Field:
-    """Donor-cell flux of q at faces i+1/2, upwinded on the face velocity.
+def _upwind_faces(v_cells: Field) -> tuple[Field, Field]:
+    """Face velocity and donor-cell dissipation coefficient at faces i+1/2.
 
-    Written in viscosity form with coefficient a = |v_face|, which is
+    The coefficient a = |v_face| makes the viscosity-form flux below
     algebraically the donor-cell flux; at expansion faces (diverging cell
-    velocities) the coefficient is floored at the velocity spread so the
-    dissipation cannot vanish at a stagnation face, which would otherwise
-    pin a persistent kink there.  The face factor 0.5*(a + |v_face|)
-    never exceeds max|v|, so monotonicity and positivity hold under the
-    same CFL bound as plain donor cell.
+    velocities) it is floored at the velocity spread so the dissipation
+    cannot vanish at a stagnation face, which would otherwise pin a
+    persistent kink there.  The face factor 0.5*(a + |v_face|) never
+    exceeds max|v|, so monotonicity and positivity hold under the same
+    CFL bound as plain donor cell.
     """
-    q_right = np.roll(q, -1)
-    v_face = 0.5 * (v_cells + np.roll(v_cells, -1))
-    spread = np.roll(v_cells, -1) - v_cells
-    a = np.maximum(np.abs(v_face), np.maximum(spread, 0.0))
-    return 0.5 * (v_face * (q + q_right) - a * (q_right - q))
+    v_face = _face_mean(v_cells)
+    spread = forward_difference(v_cells)
+    return v_face, np.maximum(np.abs(v_face), np.maximum(spread, 0.0))
+
+
+def _advective_flux(q: Field, v_face: Field, a: Field) -> Field:
+    """Donor-cell flux of q at faces i+1/2, in viscosity form."""
+    return 0.5 * (v_face * face_sum(q) - a * forward_difference(q))
 
 
 def _flux_divergence(face_flux: Field, g: Grid) -> Field:
-    return (face_flux - np.roll(face_flux, 1)) / g.dx
+    return backward_difference(face_flux) / g.dx
 
 
-def _implicit_diffusion_solve(mass_diag: Field, coeff_face: Field, rhs: Field,
-                              g: Grid, dt: float, tol: float) -> Field:
+def _implicit_diffusion_solve(mass_diag: Field | float, coeff_face: Field,
+                              rhs: Field, g: Grid, dt: float, tol: float) -> Field:
     """One backward-Euler solve of mass_diag*x - dt*d/dx(coeff dx x) = rhs."""
     r = dt / (g.dx * g.dx)
     lam_hi = r * coeff_face                 # couples cell i to i+1
-    lam_lo = np.roll(lam_hi, 1)             # couples cell i to i-1
+    lam_lo = np.empty_like(lam_hi)          # couples cell i to i-1
+    lam_lo[1:] = lam_hi[:-1]
+    lam_lo[0] = lam_hi[-1]
     diag = mass_diag + lam_hi + lam_lo
     return solve_cyclic_tridiagonal(
         -lam_lo, diag, -lam_hi,
@@ -220,62 +266,86 @@ def _implicit_diffusion_solve(mass_diag: Field, coeff_face: Field, rhs: Field,
     )
 
 
-def _attempt_u_step(state: State, g: Grid, params: ModelParams,
-                    config: SchemeConfig, dt: float, sources) -> State:
-    rho = state.rho
-    mom = state.mom
-    u = mom / rho
-
-    rho_new = rho - dt * _flux_divergence(_advective_flux(rho, u), g)
-    mom_star = mom - dt * _flux_divergence(_advective_flux(mom, u), g)
-    if sources is not None:
-        s_rho, s_mom = sources(g.x, state.t)
-        rho_new = rho_new + dt * s_rho
-        mom_star = mom_star + dt * s_mom
+def _check_positive(rho_new: Field) -> None:
     if np.min(rho_new) <= 0.0:
         raise _PositivityFailure(int(np.argmin(rho_new)))
 
-    lam_face = _face_mean(lambda_visc(rho, params))
+
+def _implicit_u_update(t: float, rho_new: Field, mom_star: Field,
+                       lam_face: Field, g: Grid, config: SchemeConfig,
+                       dt: float) -> State:
+    """Velocity solve of the u-formulation, whose density is final already."""
+    _check_positive(rho_new)
     u_new = _implicit_diffusion_solve(rho_new, lam_face, mom_star, g, dt,
                                       config.newton_tol)
-    return State(state.t + dt, rho_new, rho_new * u_new, U_FORM)
+    return State(t + dt, rho_new, rho_new * u_new, U_FORM)
 
 
-def _attempt_w_step(state: State, g: Grid, params: ModelParams,
-                    config: SchemeConfig, dt: float, sources) -> State:
-    rho = state.rho
-    mom = state.mom
-    w = mom / rho
+def _implicit_w_update(t: float, rho_star: Field, mom_star: Field,
+                       diff_face: Field, v_face: Field, g: Grid,
+                       config: SchemeConfig, dt: float) -> tuple[State, Field]:
+    """Density solve of the w-formulation, then the momentum cross flux.
 
-    rho_star = rho - dt * _flux_divergence(_advective_flux(rho, w), g)
-    mom_star = mom - dt * _flux_divergence(_advective_flux(mom, w), g)
-    if sources is not None:
-        s_rho, s_mom = sources(g.x, state.t)
-        rho_star = rho_star + dt * s_rho
-        mom_star = mom_star + dt * s_mom
-
-    diff_face = _face_mean(pi_prime(rho, params))
-    rho_new = _implicit_diffusion_solve(np.ones_like(rho), diff_face, rho_star,
-                                        g, dt, config.newton_tol)
-    if np.min(rho_new) <= 0.0:
-        raise _PositivityFailure(int(np.argmin(rho_new)))
-
-    # cross flux w * dx(pi) at faces, with the same discrete diffusive flux
-    # that the implicit mass solve just applied
-    dpi_face = diff_face * (np.roll(rho_new, -1) - rho_new) / g.dx
-    mom_new = mom_star + dt * _flux_divergence(_face_mean(w) * dpi_face, g)
-    return State(state.t + dt, rho_new, mom_new, W_FORM)
+    The cross flux w * dx(pi) at faces uses the same discrete diffusive
+    flux ``dpi_face`` that the implicit mass solve just applied, which is
+    returned with the new state.
+    """
+    rho_new = _implicit_diffusion_solve(1.0, diff_face, rho_star, g, dt,
+                                        config.newton_tol)
+    _check_positive(rho_new)
+    dpi_face = diff_face * forward_difference(rho_new) / g.dx
+    mom_new = mom_star + dt * _flux_divergence(v_face * dpi_face, g)
+    return State(t + dt, rho_new, mom_new, W_FORM), dpi_face
 
 
-def _step_with_rescue(attempt, state: State, g: Grid, params: ModelParams,
-                      config: SchemeConfig, dt: float, sources) -> State:
+def _step(state: State, g: Grid, params: ModelParams, config: SchemeConfig,
+          dt: float, sources, fields: StateFields | None,
+          faces: StepFaces | None) -> State:
+    """The one step path of both formulations, forced or not.
+
+    Everything before the dt-scaled update depends on the old state only,
+    so it is built once; a positivity rescue halves dt and repeats only
+    the update and the implicit solve.
+    """
+    if fields is None:
+        fields = state_fields(state, g, params)
+    u_form = state.formulation == U_FORM
+    rho, mom = as_field(state.rho, g), as_field(state.mom, g)
+    v_face, a = _upwind_faces(fields.u if u_form else fields.w)
+    flux_rho = _advective_flux(rho, v_face, a)
+    div_rho = _flux_divergence(flux_rho, g)
+    div_mom = _flux_divergence(_advective_flux(mom, v_face, a), g)
+    forcing = None if sources is None else sources(g.x, state.t)
+    # lambda(rho_old): the u-formulation's lagged viscosity, and the
+    # weight of the dissipation integrals in both formulations
+    lam = lambda_visc(rho, params)
+    lam_face = _face_mean(lam)
+    # the w-formulation's lagged diffusion coefficient pi'(rho) = gamma p(rho)
+    diff_face = None if u_form else _face_mean(params.gamma * fields.p)
+
     dt_try = dt
     for _ in range(config.max_halvings + 1):
+        rho_star = rho - dt_try * div_rho
+        mom_star = mom - dt_try * div_mom
+        if forcing is not None:
+            rho_star = rho_star + dt_try * forcing[0]
+            mom_star = mom_star + dt_try * forcing[1]
         try:
-            return attempt(state, g, params, config, dt_try, sources)
+            if u_form:
+                new = _implicit_u_update(state.t, rho_star, mom_star, lam_face,
+                                         g, config, dt_try)
+            else:
+                new, dpi_face = _implicit_w_update(state.t, rho_star, mom_star,
+                                                   diff_face, v_face, g, config,
+                                                   dt_try)
         except _PositivityFailure as fail:
             last_cell = fail.cell
             dt_try *= 0.5
+            continue
+        if faces is not None:
+            faces.mass_flux = flux_rho if u_form else flux_rho - dpi_face
+            faces.lam, faces.lam_face = lam, lam_face
+        return new
     raise VacuumError(
         f"density reached zero at t={state.t:.6g}, cell {last_cell}; "
         f"{config.max_halvings} dt halvings exhausted",
@@ -284,21 +354,28 @@ def _step_with_rescue(attempt, state: State, g: Grid, params: ModelParams,
 
 
 def step_u_form(state: State, g: Grid, params: ModelParams,
-                config: SchemeConfig, dt: float, sources=None) -> State:
+                config: SchemeConfig, dt: float, sources=None,
+                fields: StateFields | None = None,
+                faces: StepFaces | None = None) -> State:
     """One IMEX step of the velocity formulation.
 
     Explicit donor-cell advection of rho and rho*u on the face-averaged
     velocity, then backward-Euler diffusion with the viscosity lagged at
     the old density, solved as one periodic tridiagonal system in the new
     velocity.  Mass is conserved exactly by the conservative fluxes.
+
+    ``fields`` are the state's precomputed fields (evaluated when absent);
+    a given ``faces`` receives the step's face quantities.
     """
     if state.formulation != U_FORM:
         raise ValueError("step_u_form requires a u-formulation state")
-    return _step_with_rescue(_attempt_u_step, state, g, params, config, dt, sources)
+    return _step(state, g, params, config, dt, sources, fields, faces)
 
 
 def step_w_form(state: State, g: Grid, params: ModelParams,
-                config: SchemeConfig, dt: float, sources=None) -> State:
+                config: SchemeConfig, dt: float, sources=None,
+                fields: StateFields | None = None,
+                faces: StepFaces | None = None) -> State:
     """One IMEX step of the desired-velocity formulation.
 
     The advective fluxes rho*w and rho*w^2 are upwinded on w; the
@@ -306,10 +383,13 @@ def step_w_form(state: State, g: Grid, params: ModelParams,
     coefficient pi'(rho) lagged at the old density; the momentum cross
     flux reuses the exact discrete diffusive flux of the mass solve so a
     uniform desired velocity is preserved identically.
+
+    ``fields`` are the state's precomputed fields (evaluated when absent);
+    a given ``faces`` receives the step's face quantities.
     """
     if state.formulation != W_FORM:
         raise ValueError("step_w_form requires a w-formulation state")
-    return _step_with_rescue(_attempt_w_step, state, g, params, config, dt, sources)
+    return _step(state, g, params, config, dt, sources, fields, faces)
 
 
 def step_W_transport(W: Field, u: Field, g: Grid, dt: float) -> Field:
@@ -326,28 +406,13 @@ def step_W_transport(W: Field, u: Field, g: Grid, dt: float) -> Field:
         raise CflError(f"transport step violates CFL: dt*max|u|/dx = {courant:.4g}")
     u_pos = np.maximum(u, 0.0)
     u_neg = np.minimum(u, 0.0)
-    return W - (dt / g.dx) * (u_pos * (W - np.roll(W, 1))
-                              + u_neg * (np.roll(W, -1) - W))
+    return W - (dt / g.dx) * (u_pos * backward_difference(W)
+                              + u_neg * forward_difference(W))
 
 
-def _total_mass_face_flux(old: State, new: State, g: Grid,
-                          params: ModelParams) -> Field:
-    """Reproduce the step's total mass flux through each face i+1/2.
-
-    For the u-formulation this is the upwind flux of rho on u; the
-    w-formulation adds the implicit diffusive flux, evaluated exactly as
-    the solve applied it (lagged coefficient, new density gradient).
-    Either way it discretizes rho*u at the face.
-    """
-    if old.formulation == U_FORM:
-        return _advective_flux(old.rho, old.mom / old.rho)
-    flux = _advective_flux(old.rho, old.mom / old.rho)
-    diff_face = _face_mean(pi_prime(old.rho, params))
-    return flux - diff_face * (np.roll(new.rho, -1) - new.rho) / g.dx
-
-
-def _accumulate(accums: Accumulators, old: State, new: State, g: Grid,
-                params: ModelParams, mean_rho: float, dt: float) -> None:
+def _accumulate(accums: Accumulators, old: State, fields: StateFields,
+                new_fields: StateFields, faces: StepFaces, g: Grid,
+                mean_rho: float, dt: float) -> None:
     """Advance all running time integrals over one step.
 
     Rectangle rule in time with the integrand at the step start, except
@@ -355,20 +420,18 @@ def _accumulate(accums: Accumulators, old: State, new: State, g: Grid,
     backward-Euler level (face differences of the new velocity against
     the lagged viscosity) so it accounts exactly for what the implicit
     solve removed; this keeps the discrete energy balance one-sided.
+    The fields of both states and the step's face quantities are
+    evaluated once elsewhere; this only reduces them.
     """
     rho_old = old.rho
-    u_old, w_old = velocities(old, g, params)
-    u_new, _ = velocities(new, g, params)
+    du_face = forward_difference(new_fields.u) / g.dx
+    accums.diss_visc += dt * g.dx * float(np.sum(faces.lam_face * du_face * du_face))
 
-    lam_face = _face_mean(lambda_visc(rho_old, params))
-    du_face = (np.roll(u_new, -1) - u_new) / g.dx
-    accums.diss_visc += dt * g.dx * float(np.sum(lam_face * du_face * du_face))
-
-    dxp = ddx_central(pressure(rho_old, params), g)
+    dxp = fields.dxp
     accums.diss_offset += dt * integrate(rho_old * dxp * dxp, g)
-    accums.work_offset += dt * integrate(dxp * rho_old * w_old, g)
+    accums.work_offset += dt * integrate(dxp * rho_old * fields.w, g)
 
-    lam_dxu = lambda_visc(rho_old, params) * ddx_central(u_old, g)
+    lam_dxu = faces.lam * (central_difference(fields.u) / (2.0 * g.dx))
     accums.diss_plain += dt * integrate(lam_dxu, g)
     accums.diss_weighted += dt * integrate((rho_old - mean_rho) * lam_dxu, g)
     s_mid = 0.5 * (1.0 + mean_rho)
@@ -376,7 +439,9 @@ def _accumulate(accums: Accumulators, old: State, new: State, g: Grid,
     accums.diss_plain_low += dt * integrate(np.where(low, lam_dxu, 0.0), g)
     accums.diss_plain_high += dt * integrate(np.where(low, 0.0, lam_dxu), g)
 
-    accums.int_mass_flux += dt * _total_mass_face_flux(old, new, g, params)
+    # the step's total mass flux per face: rho*u there, telescoping
+    # exactly against the density update
+    accums.int_mass_flux += dt * faces.mass_flux
 
 
 def run_simulation(init: State, g: Grid, params: ModelParams,
@@ -418,26 +483,35 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
 
     n_steps = 0
     next_snap = init.t + config.snapshot_every
+    # each state's fields are evaluated once, then serve compute_dt, the
+    # step and the time integrals of the step that starts from it
+    fields = None
+    faces = StepFaces()
     while state.t < t_end:
         try:
-            dt = compute_dt(state, g, params, config)
+            if fields is None:
+                fields = state_fields(state, g, params)
+            dt = compute_dt(state, g, params, config, fields)
             if n_steps == 0:
                 dt = min(dt, config.dt_init)
             final_step = state.t + dt >= t_end
             if final_step:
                 dt = t_end - state.t
-            new_state = step(state, g, params, config, dt, sources)
+            new_state = step(state, g, params, config, dt, sources,
+                             fields=fields, faces=faces)
+            new_fields = state_fields(new_state, g, params)
         except SaturationError as err:
             if err.t is None:
                 err.t = state.t
             raise
         dt_actual = new_state.t - state.t
-        _accumulate(accums, state, new_state, g, params, mean_rho, dt_actual)
+        _accumulate(accums, state, fields, new_fields, faces, g, mean_rho,
+                    dt_actual)
         if final_step and dt_actual > 0.6 * dt:
             # the step was not halved by the positivity rescue: land exactly
             new_state = State(t_end, new_state.rho, new_state.mom,
                               new_state.formulation)
-        state = new_state
+        state, fields = new_state, new_fields
         n_steps += 1
         if state.t >= t_end:
             take_snapshot(state)

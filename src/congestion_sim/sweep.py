@@ -11,10 +11,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import linregress
 
 from .diagnostics import InitialDataSummary
-from .errors import ConfigError, SaturationError, VacuumError
+from .errors import ConfigError, LinearSolveError, SaturationError, VacuumError
 from .grid import Grid, norm
 from .initial_data import InitRecipe, build_profiles, make_initial_data, validate_profiles
 from .model import ModelParams, velocities
@@ -120,7 +119,7 @@ def _run_one(gamma: float, config: SweepConfig, g: Grid):
                                     config.scheme.formulation,
                                     gammas=config.gammas)
         traj = run_simulation(init, g, params, config.scheme, config.t_end)
-    except (VacuumError, SaturationError) as exc:
+    except (VacuumError, SaturationError, LinearSolveError) as exc:
         return GammaRow(gamma=gamma, failed=True, failure=str(exc),
                         runtime=_time.perf_counter() - started), None
     runtime = _time.perf_counter() - started
@@ -130,8 +129,8 @@ def _run_one(gamma: float, config: SweepConfig, g: Grid):
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Execute one run per gamma and assemble the report in gamma order.
 
-    Failed runs (vacuum or saturation) are reported as failed rows; the
-    remaining rows are still emitted.
+    Failed runs (vacuum, saturation or a failed linear solve) are
+    reported as failed rows; the remaining rows are still emitted.
     """
     g = Grid(config.n_cells)
     validate_recipe(config.recipe, config.gammas, g)
@@ -174,6 +173,29 @@ def fit_congestion_rate(rows) -> CongestionFit:
         return CongestionFit(verdict="insufficient data", n_points=len(usable))
     x = np.array([np.log(gm) / gm for gm, _ in usable])
     y = np.array([excess for _, excess in usable])
-    fit = linregress(x, y)
-    return CongestionFit(verdict="fit", slope=float(fit.slope),
-                         r2=float(fit.rvalue ** 2), n_points=len(usable))
+    slope, r = _least_squares_line(x, y)
+    return CongestionFit(verdict="fit", slope=float(slope),
+                         r2=float(r ** 2), n_points=len(usable))
+
+
+def _least_squares_line(x: np.ndarray, y: np.ndarray):
+    """Slope and correlation coefficient of the least-squares line of y on x.
+
+    The same operations as ``scipy.stats.linregress``, so the results
+    agree bit for bit, without importing ``scipy.stats`` (most of the
+    start-up time of the command line otherwise).
+    """
+    if np.amax(x) == np.amin(x) and len(x) > 1:
+        raise ValueError("Cannot calculate a linear regression "
+                         "if all x values are identical")
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=True).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.float64(np.nan if ssxym == 0 else 0.0)
+    else:
+        r = ssxym / np.sqrt(ssxm * ssym)
+        # rounding can push |r| past 1
+        if r > 1.0:
+            r = 1.0
+        elif r < -1.0:
+            r = -1.0
+    return ssxym / ssxm, r

@@ -187,6 +187,33 @@ def test_summary_byte_stable(tmp_path):
     assert texts[0] == texts[1]
 
 
+# sha256 of summary.json for the shipped standard_smooth config (n = 256)
+# in each formulation, fixed when the step kernel was rewritten to use
+# slice shifts and a direct gtsv call; a change that moves these bits
+# must say so and show the acceptance verdicts unchanged
+SHIPPED_SUMMARY_SHA256 = {
+    W_FORM: "82e1c20cb0294588db462b72eff790b0d7ff082457645171c78aab409a3b7012",
+    U_FORM: "2a27a2fbd0f9f9e2dc4c7a717ec18fd5675b6d30b477b6f8b30523e9d2a8b2df",
+}
+
+
+@pytest.mark.parametrize("formulation", [W_FORM, U_FORM])
+def test_shipped_summary_bits_unchanged(tmp_path, formulation):
+    import hashlib
+
+    shipped = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "standard_smooth.cfg")
+    with open(shipped, encoding="utf-8") as fh:
+        lines = [line for line in fh.read().splitlines()
+                 if not line.startswith(("output.dir", "scheme.formulation"))]
+    out_dir = tmp_path / "out"
+    lines += [f"output.dir = {out_dir}", f"scheme.formulation = {formulation}"]
+    cfg = write_config(tmp_path, "\n".join(lines) + "\n")
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    digest = hashlib.sha256((out_dir / "summary.json").read_bytes()).hexdigest()
+    assert digest == SHIPPED_SUMMARY_SHA256[formulation]
+
+
 def test_simulate_with_jsonl_format(tmp_path):
     out_dir = tmp_path / "out"
     cfg = write_config(tmp_path, BASE_CONFIG
@@ -273,8 +300,28 @@ def test_missing_config_file_is_config_error():
     assert cli.main(["simulate", "--config", "/nonexistent/nope.cfg"]) == 2
 
 
+@pytest.mark.parametrize("key,value", [
+    ("time.t_end", "nan"),          # ran 0 steps and exited 0
+    ("scheme.dt_max", "nan"),       # ended in a ValueError traceback
+    ("diagnostics.every", "nan"),   # silently dropped the snapshots
+    ("time.t_end", "inf"),          # never terminated
+])
+def test_non_finite_value_is_config_error(tmp_path, capsys, key, value):
+    text = BASE_CONFIG.replace("time.t_end = 0.05\n", "").replace(
+        "diagnostics.every = 0.01\n", "")
+    defaults = {"time.t_end": "0.05", "diagnostics.every": "0.01"}
+    defaults[key] = value
+    text += "".join(f"{k} = {v}\n" for k, v in defaults.items())
+    text += f"output.dir = {tmp_path / 'out'}\n"
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_runtime_failure_exit_code(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, BASE_CONFIG)
+    cfg = write_config(tmp_path, BASE_CONFIG + f"output.dir = {tmp_path / 'out'}\n")
 
     def explode(*args, **kwargs):
         raise VacuumError("synthetic", t=0.25, cell=7, gamma=10.0)

@@ -5,7 +5,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from congestion_sim.errors import DimensionError
-from congestion_sim.grid import Grid, ddx_central, integrate, norm
+from congestion_sim.grid import (
+    Grid,
+    backward_difference,
+    central_difference,
+    ddx_central,
+    face_sum,
+    forward_difference,
+    integrate,
+    norm,
+)
 
 
 def test_grid_geometry():
@@ -55,6 +64,17 @@ def test_ddx_convergence_order(k):
         errs.append(np.max(np.abs(ddx_central(f, g) - exact)))
     for coarse, fine in zip(errs, errs[1:]):
         assert np.log2(coarse / fine) >= 1.95
+
+
+@settings(max_examples=50, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(4, 40),
+                  elements=st.floats(-1e6, 1e6, allow_nan=False)))
+def test_slice_shifts_match_roll_bit_for_bit(f):
+    # the np.roll forms are the reference: same operands, same bits
+    assert np.array_equal(forward_difference(f), np.roll(f, -1) - f)
+    assert np.array_equal(backward_difference(f), f - np.roll(f, 1))
+    assert np.array_equal(central_difference(f), np.roll(f, -1) - np.roll(f, 1))
+    assert np.array_equal(face_sum(f), f + np.roll(f, -1))
 
 
 def test_integrate_constant_exact():

@@ -121,6 +121,45 @@ def test_positivity_rescue_halves_dt():
     assert np.min(out.rho) > 0.0
 
 
+@pytest.mark.parametrize("formulation,forced", [(W_FORM, False), (U_FORM, False),
+                                                (W_FORM, True), (U_FORM, True)])
+def test_standalone_step_matches_run_loop_step(monkeypatch, formulation, forced):
+    # the run loop hands each step precomputed fields and collects its face
+    # quantities; a bare call must return the same bits on the same state
+    import congestion_sim.solver as solver_mod
+    from congestion_sim.verify import CASES
+
+    name = "step_u_form" if formulation == U_FORM else "step_w_form"
+    bare = getattr(solver_mod, name)
+    seen = []
+
+    def recording(state, g, params, config, dt, sources=None, **kw):
+        assert kw["fields"] is not None and kw["faces"] is not None
+        new = bare(state, g, params, config, dt, sources, **kw)
+        seen.append((state, dt, sources, new))
+        return new
+
+    monkeypatch.setattr(solver_mod, name, recording)
+    g = Grid(64)
+    if forced:
+        case = CASES["travelling_wave"]
+        params = case.params()
+        init = case.exact_state(g, 0.0, formulation)
+        sources = case.sources(formulation)
+    else:
+        params = ModelParams(10.0)
+        init, _ = make_initial_data(STANDARD_RECIPE, g, params, formulation)
+        sources = None
+    cfg = SchemeConfig(formulation=formulation, cfl=0.45, dt_max=0.01, dt_init=0.005)
+    traj = run_simulation(init, g, params, cfg, 0.05, sources=sources)
+    assert len(seen) == traj.n_steps > 1
+    for state, dt, src, new in seen:
+        alone = bare(state, g, params, cfg, dt, src)
+        assert alone.t == new.t
+        assert np.array_equal(alone.rho, new.rho)
+        assert np.array_equal(alone.mom, new.mom)
+
+
 # --------------------------------------------------------------- W transport
 
 def test_w_transport_trivial_cases():

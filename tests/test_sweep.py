@@ -177,3 +177,59 @@ def test_failed_rows_are_reported_not_fatal(monkeypatch):
     assert "vacuum" in by_gamma[10.0].failure
     # the cross pair spanning the failed run is skipped
     assert all({c.gamma_lo, c.gamma_hi}.isdisjoint({10.0}) for c in report.cross)
+
+
+def test_fit_matches_linregress_bit_for_bit():
+    from scipy.stats import linregress
+
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        n = int(rng.integers(3, 12))
+        gammas = np.sort(rng.uniform(1.5, 200.0, size=n))
+        rows = [GammaRow(gamma=float(g), max_rho=1.0 + float(rng.uniform(1e-4, 0.2)))
+                for g in gammas]
+        fit = fit_congestion_rate(rows)
+        x = np.array([np.log(g) / g for g in gammas])
+        y = np.array([r.max_rho - 1.0 for r in rows])
+        want = linregress(x, y)
+        assert fit.verdict == "fit" and fit.n_points == n
+        assert fit.slope == float(want.slope)
+        assert fit.r2 == float(want.rvalue ** 2)
+
+
+def test_fit_degenerate_branches_match_linregress():
+    from scipy.stats import linregress
+
+    from congestion_sim.sweep import _least_squares_line
+
+    x = np.array([0.25, 0.5, 1.0])
+    flat = np.full(3, 0.5)             # exact mean, so ssym == ssxym == 0
+    slope, r = _least_squares_line(x, flat)
+    want = linregress(x, flat)
+    assert slope == want.slope == 0.0
+    assert np.isnan(r) and np.isnan(want.rvalue)
+    with pytest.raises(ValueError, match="identical"):
+        _least_squares_line(np.full(3, 0.2), np.array([0.1, 0.2, 0.3]))
+    with pytest.raises(ValueError, match="identical"):
+        linregress(np.full(3, 0.2), np.array([0.1, 0.2, 0.3]))
+
+
+def test_linear_solve_failure_is_a_failed_row(monkeypatch):
+    import congestion_sim.sweep as sweep_mod
+    from congestion_sim.errors import LinearSolveError
+
+    real = sweep_mod.run_simulation
+
+    def failing(init, g, params, scheme, t_end, **kw):
+        if params.gamma == 10.0:
+            raise LinearSolveError("synthetic residual 1e-3 exceeds 1e-10")
+        return real(init, g, params, scheme, t_end, **kw)
+
+    monkeypatch.setattr(sweep_mod, "run_simulation", failing)
+    report = run_sweep(sweep_config((5.0, 10.0, 20.0), t_end=0.05))
+    by_gamma = {row.gamma: row for row in report.rows}
+    assert [row.gamma for row in report.rows] == [5.0, 10.0, 20.0]
+    assert not by_gamma[5.0].failed and not by_gamma[20.0].failed
+    assert by_gamma[10.0].failed
+    assert "residual" in by_gamma[10.0].failure
+    assert np.isfinite(by_gamma[5.0].max_rho) and np.isfinite(by_gamma[20.0].max_rho)
