@@ -31,8 +31,6 @@ from .solver import SchemeConfig, Trajectory, run_simulation, solve_cyclic_tridi
 from .sweep import SweepConfig, SweepReport, run_sweep
 from .verify import CASES, ConvergenceStudy, convergence_study, dense_step_oracle
 
-THREADS_ENV = "CONGESTION_SIM_THREADS"
-
 EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_CONFIG = 2
@@ -167,7 +165,12 @@ def cmd_simulate(args) -> int:
     with open(log_path, "w", encoding="utf-8") as log:
         log.write(f"started {_time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
         log.write(f"config {os.path.abspath(args.config)}\n")
-        traj = run_simulation(init, g, params, cfg.scheme, cfg.t_end)
+        try:
+            traj = run_simulation(init, g, params, cfg.scheme, cfg.t_end)
+        except (VacuumError, SaturationError, LinearSolveError) as exc:
+            log.write(f"failed {exc} [t={getattr(exc, 't', None)}, "
+                      f"cell={getattr(exc, 'cell', None)}, gamma={cfg.gamma}]\n")
+            raise
         log.write(f"steps {traj.n_steps}\n")
         log.write(f"wall_seconds {traj.wall_seconds:.3f}\n")
 
@@ -191,17 +194,9 @@ def cmd_sweep(args) -> int:
     cfg = load_run_config(args.config)
     if cfg.gammas is None:
         raise ConfigError("sweep needs sweep.gammas")
-    parallel = cfg.parallel_runs
-    env_threads = os.environ.get(THREADS_ENV)
-    if env_threads:
-        try:
-            parallel = max(1, int(env_threads))
-        except ValueError as exc:
-            raise ConfigError(f"{THREADS_ENV} must be an integer") from exc
-
     sweep_cfg = SweepConfig(
         gammas=tuple(cfg.gammas), recipe=cfg.recipe, n_cells=cfg.n_cells,
-        t_end=cfg.t_end, scheme=cfg.scheme, parallel_runs=parallel,
+        t_end=cfg.t_end, scheme=cfg.scheme,
     )
     report = run_sweep(sweep_cfg)
 

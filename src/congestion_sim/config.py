@@ -58,8 +58,6 @@ CONFIG_KEYS = {
     "model.gamma": (float, None, "offset exponent for a single run"),
     "sweep.gammas": ("float_list", None,
                      "comma-separated increasing exponents for a sweep"),
-    "sweep.parallel_runs": (int, 1,
-                            "max concurrent sweep runs (env CONGESTION_SIM_THREADS overrides)"),
     "init.kind": (str, "cosine", f"initial-data family, one of {INIT_KINDS}"),
     "init.rho_mean": (float, 0.8, "mean initial density (must exceed rho_amp)"),
     "init.rho_amp": (float, 0.1, "density perturbation amplitude (>= 0)"),
@@ -117,7 +115,6 @@ class RunConfig:
     n_cells: int
     gamma: float | None
     gammas: tuple[float, ...] | None
-    parallel_runs: int
     recipe: InitRecipe
     t_end: float
     out_dir: str
@@ -170,15 +167,12 @@ def resolve_run_config(values: dict) -> RunConfig:
         raise ConfigError("grid.n_cells must be at least 4")
     if resolved["time.t_end"] <= 0.0:
         raise ConfigError("time.t_end must be positive")
-    if resolved["sweep.parallel_runs"] < 1:
-        raise ConfigError("sweep.parallel_runs must be at least 1")
 
     return RunConfig(
         scheme=scheme,
         n_cells=resolved["grid.n_cells"],
         gamma=resolved["model.gamma"],
         gammas=resolved["sweep.gammas"],
-        parallel_runs=resolved["sweep.parallel_runs"],
         recipe=recipe,
         t_end=resolved["time.t_end"],
         out_dir=resolved["output.dir"],

@@ -55,7 +55,9 @@ class Accumulators:
     ``int_mass_flux[i]`` is the rectangle sum over time of the scheme's
     total mass flux through face i+1/2 (the discrete counterpart of rho*u
     there); its face differences telescope exactly against the density
-    update, which is what :func:`psi_test_function` relies on.
+    update, which is what :func:`psi_test_function` relies on.  A batch of
+    runs holds one entry per row in each integral and one row per run in
+    ``int_mass_flux``.
     """
 
     diss_visc: float = 0.0        # int int lambda (dx u)^2
@@ -67,13 +69,18 @@ class Accumulators:
     diss_plain_high: float = 0.0  # region rho > s_mid
     int_mass_flux: np.ndarray | None = None
 
-    def copy(self) -> "Accumulators":
-        out = Accumulators(**{
-            f.name: getattr(self, f.name) for f in dc_fields(self)
-            if f.name != "int_mass_flux"
-        })
-        out.int_mass_flux = (None if self.int_mass_flux is None
-                             else self.int_mass_flux.copy())
+    @classmethod
+    def zeros(cls, shape) -> "Accumulators":
+        """Zero integrals for fields of ``shape``: one run, or a batch."""
+        out = cls(**{f.name: np.zeros(shape[:-1])[()] for f in dc_fields(cls)})
+        out.int_mass_flux = np.zeros(shape)
+        return out
+
+    def select(self, rows) -> "Accumulators":
+        """A copy holding only ``rows`` of a batch (an index or a mask)."""
+        out = Accumulators(**{f.name: getattr(self, f.name)[rows]
+                              for f in dc_fields(self)})
+        out.int_mass_flux = out.int_mass_flux.copy()
         return out
 
 
@@ -133,14 +140,18 @@ class DiagnosticsRecord:
     rho_p_balance_residual: float
 
 
-def switching_residual(rho: Field, params: ModelParams, g: Grid) -> float:
+def switching_residual(rho: Field, params: ModelParams, g: Grid,
+                       pi: Field | None = None) -> float:
     """L2 norm of (1 - rho) * pi(rho); vanishes at full congestion.
 
     rho is not clamped: pre-limit densities may exceed 1 slightly and the
-    excess must show up in the residual.
+    excess must show up in the residual.  ``pi`` is pi(rho) when the
+    caller has it already.
     """
     arr = as_field(rho, g)
-    return norm((1.0 - arr) * potential_pi(arr, params), g, "l2")
+    if pi is None:
+        pi = potential_pi(arr, params)
+    return norm((1.0 - arr) * pi, g, "l2")
 
 
 def lower_bound_margin(t: float, rho_min: float, summary: InitialDataSummary) -> float:
@@ -189,13 +200,15 @@ def record(state: State, g: Grid, params: ModelParams,
     """Evaluate every monitored functional on one state.
 
     Pure function of its inputs: identical state and accumulators give an
-    identical record.
+    identical record.  rho^(gamma+1) is evaluated once, as H; pi is
+    gamma * H, as in ``potential_pi``.
     """
     rho = as_field(state.rho, g)
     u, w = velocities(state, g, params)
     W = compute_W(rho, w, g)
-    pi = potential_pi(rho, params)
-    H_total = integrate(enthalpy_H(rho, params), g)
+    H = enthalpy_H(rho, params)
+    pi = params.gamma * H
+    H_total = integrate(H, g)
     ke_u = integrate(rho * u * u, g)
     rho_min = float(np.min(rho))
     return DiagnosticsRecord(
@@ -211,7 +224,7 @@ def record(state: State, g: Grid, params: ModelParams,
         rhoW2=integrate(rho * W * W, g),
         pi_l1=norm(pi, g, "l1"),
         dpi_l2=norm(ddx_central(pi, g), g, "l2"),
-        switching_residual=switching_residual(rho, params, g),
+        switching_residual=switching_residual(rho, params, g, pi),
         lower_bound_margin=lower_bound_margin(state.t, rho_min, summary),
         energy_residual=basic_energy_residual(ke_u, accums.diss_visc, summary.E1),
         H_balance_residual=H_balance_residual(H_total, accums, summary),

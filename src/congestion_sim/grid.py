@@ -1,7 +1,9 @@
 """Uniform periodic mesh on the unit torus and its discrete calculus.
 
-Fields are plain 1D float arrays of cell-centre samples; every public
-operation validates the field length against the grid.
+Fields are plain 1D float arrays of cell-centre samples; a batch of runs
+on one grid stacks them as rows of a 2D array.  Every operation acts on
+the last axis, and every public one validates its length against the
+grid.
 """
 from __future__ import annotations
 
@@ -41,9 +43,12 @@ class Grid:
 
 
 def as_field(f, g: Grid) -> Field:
-    """Validate f against g and return it as a float array."""
+    """Validate f (one field, or a batch of them as rows) against g.
+
+    Returns it as a float array.
+    """
     arr = np.asarray(f, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] != g.n_cells:
+    if arr.ndim not in (1, 2) or arr.shape[-1] != g.n_cells:
         raise DimensionError(
             f"field of shape {arr.shape} does not match grid with "
             f"{g.n_cells} cells"
@@ -53,38 +58,45 @@ def as_field(f, g: Grid) -> Field:
 
 # Periodic neighbour differences and sums built from slices (np.roll
 # copies through a generic path that costs more than the arithmetic on
-# mesh-sized arrays).  They take an already validated 1D float array.
+# mesh-sized arrays).  They take an already validated float array and
+# act on its last axis, which the transpose of a batch puts first: plain
+# slices and integers index it there, cheaper than an Ellipsis index on
+# small arrays.
 
 def forward_difference(f: Field) -> Field:
     """f[i+1] - f[i] with periodic wrap."""
     out = np.empty_like(f)
-    np.subtract(f[1:], f[:-1], out=out[:-1])
-    out[-1] = f[0] - f[-1]
+    c, o = (f, out) if f.ndim == 1 else (f.T, out.T)
+    np.subtract(c[1:], c[:-1], out=o[:-1])
+    o[-1] = c[0] - c[-1]
     return out
 
 
 def backward_difference(f: Field) -> Field:
     """f[i] - f[i-1] with periodic wrap."""
     out = np.empty_like(f)
-    np.subtract(f[1:], f[:-1], out=out[1:])
-    out[0] = f[0] - f[-1]
+    c, o = (f, out) if f.ndim == 1 else (f.T, out.T)
+    np.subtract(c[1:], c[:-1], out=o[1:])
+    o[0] = c[0] - c[-1]
     return out
 
 
 def central_difference(f: Field) -> Field:
     """f[i+1] - f[i-1] with periodic wrap."""
     out = np.empty_like(f)
-    np.subtract(f[2:], f[:-2], out=out[1:-1])
-    out[0] = f[1] - f[-1]
-    out[-1] = f[0] - f[-2]
+    c, o = (f, out) if f.ndim == 1 else (f.T, out.T)
+    np.subtract(c[2:], c[:-2], out=o[1:-1])
+    o[0] = c[1] - c[-1]
+    o[-1] = c[0] - c[-2]
     return out
 
 
 def face_sum(f: Field) -> Field:
     """f[i] + f[i+1] with periodic wrap: twice the mean at face i+1/2."""
     out = np.empty_like(f)
-    np.add(f[:-1], f[1:], out=out[:-1])
-    out[-1] = f[-1] + f[0]
+    c, o = (f, out) if f.ndim == 1 else (f.T, out.T)
+    np.add(c[:-1], c[1:], out=o[:-1])
+    o[-1] = c[-1] + c[0]
     return out
 
 
@@ -97,19 +109,24 @@ def ddx_central(f: Field, g: Grid) -> Field:
     return central_difference(as_field(f, g)) / (2.0 * g.dx)
 
 
-def integrate(f: Field, g: Grid) -> float:
+def _per_field(total):
+    # a float for one field, an array with one entry per row for a batch
+    return float(total) if np.ndim(total) == 0 else total
+
+
+def integrate(f: Field, g: Grid):
     """Midpoint-rule integral over the torus: dx * sum(f)."""
     arr = as_field(f, g)
-    return g.dx * float(np.sum(arr))
+    return _per_field(g.dx * np.sum(arr, axis=-1))
 
 
-def norm(f: Field, g: Grid, kind: str) -> float:
+def norm(f: Field, g: Grid, kind: str):
     """Discrete L1, L2 or Linf norm of a cell field."""
     arr = as_field(f, g)
     if kind == "l1":
-        return g.dx * float(np.sum(np.abs(arr)))
+        return _per_field(g.dx * np.sum(np.abs(arr), axis=-1))
     if kind == "l2":
-        return float(np.sqrt(g.dx * np.sum(arr * arr)))
+        return _per_field(np.sqrt(g.dx * np.sum(arr * arr, axis=-1)))
     if kind == "linf":
-        return float(np.max(np.abs(arr)))
+        return _per_field(np.max(np.abs(arr), axis=-1))
     raise ValueError(f"unknown norm kind {kind!r}; expected l1, l2 or linf")

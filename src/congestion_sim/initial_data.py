@@ -8,6 +8,7 @@ below 1, finite initial potential.
 """
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +51,19 @@ class InitRecipe:
 
 
 def _read_profile_csv(path: str):
-    rows = np.genfromtxt(path, delimiter=",", names=True)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read custom_csv file {path}: {exc}") from exc
+    if not text.strip():
+        raise ConfigError(f"custom_csv file {path} is empty")
+    rows = np.genfromtxt(io.StringIO(text), delimiter=",", names=True)
     for col in ("x", "rho", "w"):
         if col not in (rows.dtype.names or ()):
             raise ConfigError(f"custom_csv file {path} lacks column {col!r}")
+    if rows.size == 0:
+        raise ConfigError(f"custom_csv file {path} has no data rows")
     return np.atleast_1d(rows["x"]), np.atleast_1d(rows["rho"]), np.atleast_1d(rows["w"])
 
 

@@ -9,6 +9,10 @@ overflow guard is explicit.  Derived from it:
     H(rho)      = rho^(gamma+1)/(gamma+1)                 (entropy-like density)
 
 so that pi = gamma * H holds exactly and H'(rho) = p(rho).
+
+A batch of runs that differ only in gamma stacks its fields as rows of a
+2D array and carries gamma as a column of shape (rows, 1), so every
+function here serves one run and a batch alike by broadcasting.
 """
 from __future__ import annotations
 
@@ -29,13 +33,22 @@ FORMULATIONS = (U_FORM, W_FORM)
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Model parameter: the offset exponent gamma > 0."""
+    """Model parameter: the offset exponent gamma > 0.
+
+    A float for one run; a (rows, 1) column for a batch.
+    """
 
     gamma: float
 
     def __post_init__(self) -> None:
-        if not (self.gamma > 0.0 and np.isfinite(self.gamma)):
+        if not (np.all(np.greater(self.gamma, 0.0))
+                and np.all(np.isfinite(self.gamma))):
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+
+    def row(self, i: int) -> "ModelParams":
+        """The parameters of row i of a batch."""
+        gammas = np.ravel(self.gamma)
+        return ModelParams(float(gammas[i] if gammas.size > 1 else gammas[0]))
 
 
 @dataclass(frozen=True)
@@ -43,6 +56,7 @@ class State:
     """Cell-sampled state at time t.
 
     ``mom`` is rho*u in the u-formulation and rho*w in the w-formulation.
+    A batch holds (rows, n_cells) arrays and one time per row in ``t``.
     """
 
     t: float
@@ -55,7 +69,7 @@ class State:
             raise ValueError(f"formulation must be one of {FORMULATIONS}")
         if np.shape(self.rho) != np.shape(self.mom):
             raise ValueError("rho and mom must have identical shapes")
-        if self.t < 0.0:
+        if (self.t < 0.0).any() if np.ndim(self.t) else self.t < 0.0:
             raise ValueError("time must be nonnegative")
 
 
@@ -81,16 +95,30 @@ def _checked_log(rho, params: ModelParams):
 
 
 def _guarded_exp(exponent_arg, arr, params: ModelParams):
-    peak = float(np.max(exponent_arg))
-    if peak > OVERFLOW_EXPONENT:
-        cell = int(np.argmax(exponent_arg)) if np.ndim(exponent_arg) > 0 else None
-        rho_at = float(arr[cell]) if cell is not None else float(arr)
-        raise SaturationError(
-            f"power-law evaluation overflows: exponent {peak:.3g} exceeds "
-            f"{OVERFLOW_EXPONENT:g} (gamma={params.gamma:g}, rho={rho_at:.6g})",
-            gamma=params.gamma, rho=rho_at, cell=cell,
-        )
+    if np.max(exponent_arg) > OVERFLOW_EXPONENT:
+        raise _saturation(exponent_arg, arr, params)
     return np.exp(exponent_arg)
+
+
+def _saturation(exponent_arg, arr, params: ModelParams) -> SaturationError:
+    """The overflow error of the first overflowing row of a batch.
+
+    Its text is the one a run of that row alone raises; ``row`` is None
+    outside a batch.
+    """
+    row, gamma = None, params.gamma
+    if np.ndim(exponent_arg) > 1:
+        row = int(np.argmax(np.max(exponent_arg, axis=-1) > OVERFLOW_EXPONENT))
+        gamma = params.row(row).gamma
+        exponent_arg, arr = exponent_arg[row], arr[row]
+    peak = float(np.max(exponent_arg))
+    cell = int(np.argmax(exponent_arg)) if np.ndim(exponent_arg) > 0 else None
+    rho_at = float(arr[cell]) if cell is not None else float(arr)
+    return SaturationError(
+        f"power-law evaluation overflows: exponent {peak:.3g} exceeds "
+        f"{OVERFLOW_EXPONENT:g} (gamma={gamma:g}, rho={rho_at:.6g})",
+        gamma=gamma, rho=rho_at, cell=cell, row=row,
+    )
 
 
 def _scalar_like(result, template):
@@ -190,16 +218,22 @@ def velocities(state: State, g: Grid, params: ModelParams) -> tuple[Field, Field
 
 
 def derived_fields(state: State, g: Grid, params: ModelParams) -> DerivedFields:
-    """Evaluate every constitutive and diagnostic field on a state."""
+    """Evaluate every constitutive and diagnostic field on a state.
+
+    Each field is evaluated once: pi is gamma * H as in ``potential_pi``,
+    and V reuses lambda as in ``compute_V``.
+    """
     rho = as_field(state.rho, g)
-    u, w = velocities(state, g, params)
+    fields = state_fields(state, g, params)
+    lam = lambda_visc(rho, params)
+    H = enthalpy_H(rho, params)
     return DerivedFields(
-        p=pressure(rho, params),
-        lam=lambda_visc(rho, params),
-        pi=potential_pi(rho, params),
-        H=enthalpy_H(rho, params),
-        u=u,
-        w=w,
-        W=compute_W(rho, w, g),
-        V=compute_V(rho, u, g, params),
+        p=fields.p,
+        lam=lam,
+        pi=params.gamma * H,
+        H=H,
+        u=fields.u,
+        w=fields.w,
+        W=compute_W(rho, fields.w, g),
+        V=lam * ddx_central(fields.u, g),
     )

@@ -17,6 +17,11 @@ diffusive face flux, face viscosity) once and hands the ones the time
 integrals need to them, which only reduce them.  Neighbour shifts are
 slices, and the periodic tridiagonal system goes straight to LAPACK
 ``gtsv``, the routine ``solve_banded((1, 1), ...)`` dispatches to.
+
+Runs that differ only in gamma step as one batch: their fields are the
+rows of 2D arrays, gamma is a column and each per-row value (t, dt, the
+time integrals) has one entry per row.  The same functions serve a
+single run, whose fields stay 1D and whose per-row values are scalars.
 """
 from __future__ import annotations
 
@@ -120,14 +125,6 @@ class Trajectory:
         return np.array([getattr(s.rec, name) for s in self.snapshots])
 
 
-class _PositivityFailure(Exception):
-    """Internal signal: a trial step produced a nonpositive density."""
-
-    def __init__(self, cell: int):
-        super().__init__("nonpositive density")
-        self.cell = cell
-
-
 @dataclass
 class StepFaces:
     """Face quantities of one accepted step, for the running time integrals.
@@ -143,21 +140,44 @@ class StepFaces:
     lam_face: Field | None = None
 
 
+def _col(v):
+    """A per-row value as a column against stacked fields; a scalar as is."""
+    return v[..., None] if np.ndim(v) else v
+
+
+def _any(flags) -> bool:
+    """Whether any row is flagged; one run's flag is a numpy scalar."""
+    return flags.any() if flags.ndim else bool(flags)
+
+
+def _where(cond, a, b):
+    """np.where that keeps one run's per-row scalars numpy scalars."""
+    if np.ndim(cond):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def _rows_of(rows, sub):
+    """Batch indices of the entries ``sub`` of ``rows`` (Ellipsis: all rows)."""
+    return sub if rows is Ellipsis else rows[sub]
+
+
 def compute_dt(state: State, g: Grid, params: ModelParams,
-               config: SchemeConfig, fields: StateFields | None = None) -> float:
+               config: SchemeConfig, fields: StateFields | None = None):
     """Advective CFL time step; the implicit diffusion imposes no limit.
 
     ``fields`` are the state's precomputed fields; evaluated when absent.
+    A batch gets one time step per row.
     """
     if fields is None:
         fields = state_fields(state, g, params)
-    speed = max(VELOCITY_FLOOR, float(np.max(np.abs(fields.u))),
-                float(np.max(np.abs(fields.w))))
-    return min(config.dt_max, config.cfl * g.dx / speed)
+    speed = np.maximum(np.maximum(VELOCITY_FLOOR, np.abs(fields.u).max(axis=-1)),
+                       np.abs(fields.w).max(axis=-1))
+    return np.minimum(config.dt_max, config.cfl * g.dx / speed)
 
 
-def solve_cyclic_tridiagonal(sub, diag, sup, corner_lo: float, corner_hi: float,
-                             rhs, tol: float = 1e-10):
+def solve_cyclic_tridiagonal(sub, diag, sup, corner_lo, corner_hi, rhs,
+                             tol: float = 1e-10):
     """Solve the periodic tridiagonal system A x = rhs.
 
     A[i][i] = diag[i], A[i][i-1] = sub[i], A[i][i+1] = sup[i], with the
@@ -168,56 +188,90 @@ def solve_cyclic_tridiagonal(sub, diag, sup, corner_lo: float, corner_hi: float,
     diagonally dominant systems produced by backward-Euler diffusion.
     Raises ValueError on non-finite input, and LinearSolveError if the
     factorization breaks down or the residual exceeds tol * (1 + max|rhs|).
+
+    A batch passes (rows, n) arrays and one corner pair per row.  Its
+    systems go to the one ``gtsv`` call as a block-diagonal stack: the
+    couplings between blocks are zero, so each block is eliminated
+    exactly as it is alone.  Every check holds per row, and a failing
+    row is named in the error's ``row``.
     """
     diag = np.asarray(diag, dtype=float)
     sub = np.asarray(sub, dtype=float)
     sup = np.asarray(sup, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    n = diag.shape[0]
-    if not (sub.shape[0] == sup.shape[0] == rhs.shape[0] == n):
+    shape = diag.shape
+    n = shape[-1]
+    if not (sub.shape == sup.shape == rhs.shape == shape):
         raise ValueError("sub, diag, sup and rhs must share one length")
     if n < 3:
         raise ValueError("periodic tridiagonal solve needs at least 3 unknowns")
 
-    gamma_p = -diag[0] if diag[0] != 0.0 else 1.0
+    # the first and last cell of each row; plain integers index one
+    # system's elements more cheaply than a last-axis index
+    first, last = (0, -1) if diag.ndim == 1 else ((..., 0), (..., -1))
+    # -diag[0], or 1 where diag[0] vanishes
+    gamma_p = -diag[first] + (diag[first] == 0.0)
     b = diag.copy()
-    b[0] -= gamma_p
-    b[-1] -= corner_lo * corner_hi / gamma_p
-    lower, upper = sub[1:], sup[:-1]
+    b[first] -= gamma_p
+    b[last] -= corner_lo * corner_hi / gamma_p
+    # off-diagonals of the stack: sub[0] and sup[-1] of each block become
+    # the zero couplings to its neighbour blocks
+    lower, upper = sub.copy(), sup.copy()
+    lower[first] = 0.0
+    upper[last] = 0.0
+    lower, upper = lower.reshape(-1)[1:], upper.reshape(-1)[:-1]
 
-    # columns: rhs, then the spike gamma_p e_0 + corner_hi e_{n-1}
-    cols = np.zeros((n, 2), order="F")
-    cols[:, 0] = rhs
-    cols[0, 1] = gamma_p
-    cols[-1, 1] = corner_hi
+    # columns: rhs, then the spike gamma_p e_0 + corner_hi e_{n-1}; built
+    # as rows of a C-ordered array, so the transpose is Fortran-ordered
+    rows = np.zeros((2,) + shape)
+    rows[0] = rhs
+    rows[1][first] = gamma_p
+    rows[1][last] = corner_hi
+    cols = rows.reshape(2, -1).T
     if not all(np.all(np.isfinite(a)) for a in (lower, b, upper, cols)):
         raise ValueError("array must not contain infs or NaNs")
 
-    _, _, _, sol, info = dgtsv(lower, b, upper, cols, overwrite_d=1, overwrite_b=1)
+    _, _, _, sol, info = dgtsv(lower, b.reshape(-1), upper, cols, overwrite_dl=1,
+                               overwrite_d=1, overwrite_du=1, overwrite_b=1)
     if info != 0:  # pragma: no cover - defensive
-        raise LinearSolveError(f"banded factorization failed: gtsv info {info}")
-    y, z = sol[:, 0], sol[:, 1]
+        row = (info - 1) // n if info > 0 and len(shape) > 1 else None
+        raise LinearSolveError(
+            f"banded factorization failed: gtsv info {info - n * (row or 0)}",
+            row=row)
+    y, z = sol.T.reshape((2,) + shape)
 
     frac = corner_lo / gamma_p
-    denom = 1.0 + z[0] + frac * z[-1]
-    if denom == 0.0 or not np.isfinite(denom):
-        raise LinearSolveError("rank-one correction denominator vanished")
-    x = y - z * ((y[0] + frac * y[-1]) / denom)
+    denom = 1.0 + z[first] + frac * z[last]
+    bad = ~np.isfinite(denom) | (denom == 0.0)
+    if _any(bad):
+        raise LinearSolveError("rank-one correction denominator vanished",
+                               row=_first_row(bad)[1])
+    x = y - z * _col((y[first] + frac * y[last]) / denom)
 
     # diag*x + sub*x[i-1] + sup*x[i+1] - rhs, the wrap terms on the corners
     residual = diag * x
-    residual[1:] += lower * x[:-1]
-    residual[0] += corner_lo * x[-1]
-    residual[:-1] += upper * x[1:]
-    residual[-1] += corner_hi * x[0]
+    residual[..., 1:] += sub[..., 1:] * x[..., :-1]
+    residual[first] += corner_lo * x[last]
+    residual[..., :-1] += sup[..., :-1] * x[..., 1:]
+    residual[last] += corner_hi * x[first]
     residual -= rhs
-    bound = tol * (1.0 + float(np.max(np.abs(rhs))))
-    if not np.all(np.isfinite(x)) or float(np.max(np.abs(residual))) > bound:
+    worst = np.abs(residual).max(axis=-1)
+    bound = tol * (1.0 + np.abs(rhs).max(axis=-1))
+    bad = ~np.isfinite(x).all(axis=-1) | (worst > bound)
+    if _any(bad):
+        at, row = _first_row(bad)
         raise LinearSolveError(
-            f"periodic tridiagonal residual {np.max(np.abs(residual)):.3e} "
-            f"exceeds {bound:.3e}"
-        )
+            f"periodic tridiagonal residual {worst[at]:.3e} exceeds {bound[at]:.3e}",
+            row=row)
     return x
+
+
+def _first_row(flags):
+    """(index, row) of the first flagged row: ((), None) outside a batch."""
+    if np.ndim(flags) == 0:
+        return (), None
+    row = int(np.argmax(flags))
+    return row, row
 
 
 def _face_mean(cells: Field) -> Field:
@@ -250,62 +304,33 @@ def _flux_divergence(face_flux: Field, g: Grid) -> Field:
     return backward_difference(face_flux) / g.dx
 
 
-def _implicit_diffusion_solve(mass_diag: Field | float, coeff_face: Field,
-                              rhs: Field, g: Grid, dt: float, tol: float) -> Field:
+def _implicit_diffusion_solve(mass_diag, coeff_face: Field, rhs: Field,
+                              g: Grid, dt, tol: float) -> Field:
     """One backward-Euler solve of mass_diag*x - dt*d/dx(coeff dx x) = rhs."""
     r = dt / (g.dx * g.dx)
     lam_hi = r * coeff_face                 # couples cell i to i+1
     lam_lo = np.empty_like(lam_hi)          # couples cell i to i-1
-    lam_lo[1:] = lam_hi[:-1]
-    lam_lo[0] = lam_hi[-1]
+    hi, lo = lam_hi.T, lam_lo.T             # cells on the first axis
+    lo[1:] = hi[:-1]
+    lo[0] = hi[-1]
     diag = mass_diag + lam_hi + lam_lo
     return solve_cyclic_tridiagonal(
         -lam_lo, diag, -lam_hi,
-        corner_lo=-lam_lo[0], corner_hi=-lam_hi[-1],
+        corner_lo=-lo[0], corner_hi=-hi[-1],
         rhs=rhs, tol=tol,
     )
 
 
-def _check_positive(rho_new: Field) -> None:
-    if np.min(rho_new) <= 0.0:
-        raise _PositivityFailure(int(np.argmin(rho_new)))
-
-
-def _implicit_u_update(t: float, rho_new: Field, mom_star: Field,
-                       lam_face: Field, g: Grid, config: SchemeConfig,
-                       dt: float) -> State:
-    """Velocity solve of the u-formulation, whose density is final already."""
-    _check_positive(rho_new)
-    u_new = _implicit_diffusion_solve(rho_new, lam_face, mom_star, g, dt,
-                                      config.newton_tol)
-    return State(t + dt, rho_new, rho_new * u_new, U_FORM)
-
-
-def _implicit_w_update(t: float, rho_star: Field, mom_star: Field,
-                       diff_face: Field, v_face: Field, g: Grid,
-                       config: SchemeConfig, dt: float) -> tuple[State, Field]:
-    """Density solve of the w-formulation, then the momentum cross flux.
-
-    The cross flux w * dx(pi) at faces uses the same discrete diffusive
-    flux ``dpi_face`` that the implicit mass solve just applied, which is
-    returned with the new state.
-    """
-    rho_new = _implicit_diffusion_solve(1.0, diff_face, rho_star, g, dt,
-                                        config.newton_tol)
-    _check_positive(rho_new)
-    dpi_face = diff_face * forward_difference(rho_new) / g.dx
-    mom_new = mom_star + dt * _flux_divergence(v_face * dpi_face, g)
-    return State(t + dt, rho_new, mom_new, W_FORM), dpi_face
-
-
 def _step(state: State, g: Grid, params: ModelParams, config: SchemeConfig,
-          dt: float, sources, fields: StateFields | None,
+          dt, sources, fields: StateFields | None,
           faces: StepFaces | None) -> State:
     """The one step path of both formulations, forced or not.
 
     Everything before the dt-scaled update depends on the old state only,
     so it is built once; a positivity rescue halves dt and repeats only
-    the update and the implicit solve.
+    the update and the implicit solve.  In a batch, a row that loses
+    positivity halves only its own dt and only its own block is solved
+    again.
     """
     if fields is None:
         fields = state_fields(state, g, params)
@@ -323,34 +348,75 @@ def _step(state: State, g: Grid, params: ModelParams, config: SchemeConfig,
     # the w-formulation's lagged diffusion coefficient pi'(rho) = gamma p(rho)
     diff_face = None if u_form else _face_mean(params.gamma * fields.p)
 
-    dt_try = dt
-    for _ in range(config.max_halvings + 1):
-        rho_star = rho - dt_try * div_rho
-        mom_star = mom - dt_try * div_mom
-        if forcing is not None:
-            rho_star = rho_star + dt_try * forcing[0]
-            mom_star = mom_star + dt_try * forcing[1]
+    def solve(rows, mass_diag, coeff_face, rhs, d):
         try:
-            if u_form:
-                new = _implicit_u_update(state.t, rho_star, mom_star, lam_face,
-                                         g, config, dt_try)
+            return _implicit_diffusion_solve(mass_diag, coeff_face, rhs, g, d,
+                                             config.newton_tol)
+        except LinearSolveError as err:
+            if err.row is not None:
+                err.row = int(_rows_of(rows, err.row))
+            raise
+
+    def trial(rows, d):
+        """Update ``rows`` by the steps ``d``: rho, mom, the diffusive face
+        flux, and which of the rows lost positivity."""
+        rho_star = rho[rows] - d * div_rho[rows]
+        mom_star = mom[rows] - d * div_mom[rows]
+        if forcing is not None:
+            rho_star = rho_star + d * forcing[0]
+            mom_star = mom_star + d * forcing[1]
+        if u_form:
+            # the density is final already; the rows that lost positivity
+            # skip the velocity solve
+            bad = np.min(rho_star, axis=-1) <= 0.0
+            if not _any(bad):
+                u_new = solve(rows, rho_star, lam_face[rows], mom_star, d)
             else:
-                new, dpi_face = _implicit_w_update(state.t, rho_star, mom_star,
-                                                   diff_face, v_face, g, config,
-                                                   dt_try)
-        except _PositivityFailure as fail:
-            last_cell = fail.cell
-            dt_try *= 0.5
-            continue
-        if faces is not None:
-            faces.mass_flux = flux_rho if u_form else flux_rho - dpi_face
-            faces.lam, faces.lam_face = lam, lam_face
-        return new
-    raise VacuumError(
-        f"density reached zero at t={state.t:.6g}, cell {last_cell}; "
-        f"{config.max_halvings} dt halvings exhausted",
-        t=state.t, cell=last_cell, gamma=params.gamma,
-    )
+                u_new = np.zeros_like(rho_star)
+                ok = np.flatnonzero(~bad) if np.ndim(bad) else []
+                if len(ok):
+                    u_new[ok] = solve(_rows_of(rows, ok), rho_star[ok],
+                                      lam_face[rows][ok], mom_star[ok], d[ok])
+            return rho_star, rho_star * u_new, None, bad
+        coeff = diff_face[rows]
+        rho_new = solve(rows, 1.0, coeff, rho_star, d)
+        # the momentum cross flux w * dx(pi) at faces reuses the discrete
+        # diffusive flux the mass solve just applied
+        dpi_face = coeff * forward_difference(rho_new) / g.dx
+        mom_new = mom_star + d * _flux_divergence(v_face[rows] * dpi_face, g)
+        return rho_new, mom_new, dpi_face, np.min(rho_new, axis=-1) <= 0.0
+
+    rho_new, mom_new, dpi_face, bad = trial(..., _col(dt))
+    dt_try = dt
+    if _any(bad):
+        # the rescue: the failing rows halve their dt and are solved again
+        rows, dt_try = ..., np.array(dt, dtype=float)
+        for _ in range(config.max_halvings):
+            if np.ndim(bad):
+                rows = _rows_of(rows, np.flatnonzero(bad))
+            dt_try[rows] *= 0.5
+            rho_try, mom_try, dpi_try, bad = trial(rows, _col(dt_try[rows]))
+            rho_new[rows], mom_new[rows] = rho_try, mom_try
+            if dpi_face is not None:
+                dpi_face[rows] = dpi_try
+            if not _any(bad):
+                break
+        else:
+            at, row = _first_row(bad)
+            if row is not None:
+                row = int(_rows_of(rows, row))
+            t = float(np.asarray(state.t)[() if row is None else row])
+            cell = int(np.argmin(rho_new[rows][at]))
+            gamma = params.gamma if row is None else params.row(row).gamma
+            raise VacuumError(
+                f"density reached zero at t={t:.6g}, cell {cell}; "
+                f"{config.max_halvings} dt halvings exhausted",
+                t=t, cell=cell, gamma=gamma, row=row,
+            )
+    if faces is not None:
+        faces.mass_flux = flux_rho if u_form else flux_rho - dpi_face
+        faces.lam, faces.lam_face = lam, lam_face
+    return State(state.t + dt_try, rho_new, mom_new, state.formulation)
 
 
 def step_u_form(state: State, g: Grid, params: ModelParams,
@@ -412,7 +478,7 @@ def step_W_transport(W: Field, u: Field, g: Grid, dt: float) -> Field:
 
 def _accumulate(accums: Accumulators, old: State, fields: StateFields,
                 new_fields: StateFields, faces: StepFaces, g: Grid,
-                mean_rho: float, dt: float) -> None:
+                mean_rho, dt) -> None:
     """Advance all running time integrals over one step.
 
     Rectangle rule in time with the integrand at the step start, except
@@ -421,108 +487,208 @@ def _accumulate(accums: Accumulators, old: State, fields: StateFields,
     the lagged viscosity) so it accounts exactly for what the implicit
     solve removed; this keeps the discrete energy balance one-sided.
     The fields of both states and the step's face quantities are
-    evaluated once elsewhere; this only reduces them.
+    evaluated once elsewhere; this only reduces them, per row in a batch.
     """
+    def integral(f):
+        # grid.integrate per row, on fields the step has validated
+        return g.dx * f.sum(axis=-1)
+
     rho_old = old.rho
     du_face = forward_difference(new_fields.u) / g.dx
-    accums.diss_visc += dt * g.dx * float(np.sum(faces.lam_face * du_face * du_face))
+    accums.diss_visc += dt * g.dx * (faces.lam_face * du_face * du_face).sum(axis=-1)
 
     dxp = fields.dxp
-    accums.diss_offset += dt * integrate(rho_old * dxp * dxp, g)
-    accums.work_offset += dt * integrate(dxp * rho_old * fields.w, g)
+    accums.diss_offset += dt * integral(rho_old * dxp * dxp)
+    accums.work_offset += dt * integral(dxp * rho_old * fields.w)
 
     lam_dxu = faces.lam * (central_difference(fields.u) / (2.0 * g.dx))
-    accums.diss_plain += dt * integrate(lam_dxu, g)
-    accums.diss_weighted += dt * integrate((rho_old - mean_rho) * lam_dxu, g)
+    mean_rho = _col(mean_rho)
+    accums.diss_plain += dt * integral(lam_dxu)
+    accums.diss_weighted += dt * integral((rho_old - mean_rho) * lam_dxu)
     s_mid = 0.5 * (1.0 + mean_rho)
     low = rho_old <= s_mid
-    accums.diss_plain_low += dt * integrate(np.where(low, lam_dxu, 0.0), g)
-    accums.diss_plain_high += dt * integrate(np.where(low, 0.0, lam_dxu), g)
+    accums.diss_plain_low += dt * integral(np.where(low, lam_dxu, 0.0))
+    accums.diss_plain_high += dt * integral(np.where(low, 0.0, lam_dxu))
 
     # the step's total mass flux per face: rho*u there, telescoping
     # exactly against the density update
-    accums.int_mass_flux += dt * faces.mass_flux
+    accums.int_mass_flux += _col(dt) * faces.mass_flux
+
+
+@dataclass(frozen=True)
+class FailedRun:
+    """A row of a batched run that ended in a runtime failure.
+
+    ``error`` is the exception the row's run alone raises; ``wall_seconds``
+    runs from the start of the batch to the failure.
+    """
+
+    error: Exception
+    wall_seconds: float
+
+
+@dataclass
+class _Row:
+    """What a run keeps outside the stacked arrays of its batch."""
+
+    index: int
+    params: ModelParams
+    summary: InitialDataSummary
+    mean_rho: float
+    snapshots: list
 
 
 def run_simulation(init: State, g: Grid, params: ModelParams,
                    config: SchemeConfig, t_end: float,
-                   hooks=None, sources=None) -> Trajectory:
+                   hooks=None, sources=None):
     """Advance the state to t_end, recording diagnostics along the way.
 
     The final step is clipped to land exactly on t_end so runs at
     different resolutions are comparable at identical times.  The whole
     loop is deterministic: identical inputs give bit-identical output.
+
+    Runs that differ only in gamma step together as one batch: ``init``
+    holds (rows, n_cells) arrays and ``params.gamma`` is a (rows, 1)
+    column.  Each row keeps its own dt (with the first-step cap and the
+    landing on t_end), positivity rescue, snapshots and time integrals, so
+    it gives bit for bit the Trajectory of its run alone; a row leaves the
+    batch when it reaches t_end or fails.  A batch returns one entry per
+    row: its Trajectory, or the FailedRun holding the VacuumError,
+    SaturationError or LinearSolveError that its run alone raises.
+    ``hooks`` see every row's snapshots; ``sources`` serve single runs.
     """
     if t_end < init.t:
         raise ValueError("t_end must not precede the initial time")
     rho0 = as_field(init.rho, g)
     if not np.all(rho0 > 0.0):
         raise ValueError("initial density must be strictly positive")
+    mom0 = as_field(init.mom, g)
 
     started = _time.perf_counter()
-    try:
-        summary = summarize_initial_data(init, g, params)
-    except SaturationError as err:
-        if err.t is None:
-            err.t = init.t
-        raise
-    mean_rho = integrate(rho0, g) / g.length
-    accums = Accumulators(int_mass_flux=np.zeros(g.n_cells))
-    step = step_u_form if config.formulation == U_FORM else step_w_form
+    batched = rho0.ndim > 1
+    results = [None] * (len(rho0) if batched else 1)
+    rows = []   # per stacked row; None for a row that failed at once
+    for index, pos in enumerate(np.ndindex(rho0.shape[:-1])):
+        row_params = params.row(index) if batched else params
+        try:
+            summary = summarize_initial_data(
+                State(init.t, rho0[pos], mom0[pos], init.formulation), g, row_params)
+        except SaturationError as err:
+            if err.t is None:
+                err.t = init.t
+            if not batched:
+                raise
+            err.row = index
+            results[index] = FailedRun(err, _time.perf_counter() - started)
+            rows.append(None)
+            continue
+        rows.append(_Row(index, row_params, summary,
+                         integrate(rho0[pos], g) / g.length, []))
 
-    def take_snapshot(state: State) -> None:
-        rec = record(state, g, params, accums, summary)
-        snapshots.append(Snapshot(state, rec, accums.int_mass_flux.copy()))
+    # the stacked arrays of the rows still stepping; per-row values are
+    # numpy scalars for a single run and have the shape (rows,) in a batch
+    t_end = np.float64(t_end)
+    state = State(np.full(rho0.shape[:-1], init.t)[()], rho0, mom0, init.formulation)
+    accums = Accumulators.zeros(rho0.shape)
+    next_snap = np.full(rho0.shape[:-1], init.t + config.snapshot_every)
+    step = step_u_form if config.formulation == U_FORM else step_w_form
+    every = config.snapshot_every
+    fields = None
+
+    def restack(keep):
+        """The batch arrays of the rows flagged in ``keep``."""
+        nonlocal rows, state, accums, next_snap, fields, params, mean_rho
+        rows = [row for row, k in zip(rows, keep) if k]
+        state = State(state.t[keep], state.rho[keep], state.mom[keep],
+                      state.formulation)
+        accums = accums.select(keep)
+        next_snap = next_snap[keep]
+        fields = None if fields is None else StateFields(
+            fields.p[keep], fields.dxp[keep], fields.u[keep], fields.w[keep])
+        params = ModelParams(np.array([[row.params.gamma] for row in rows]))
+        mean_rho = np.array([row.mean_rho for row in rows])
+
+    def row_state(pos) -> State:
+        rho, mom = state.rho[pos], state.mom[pos]
+        if batched:
+            rho, mom = rho.copy(), mom.copy()
+        return State(float(state.t[pos]), rho, mom, state.formulation)
+
+    def take_snapshot(pos, row: _Row) -> None:
+        snap_state, row_accums = row_state(pos), accums.select(pos)
+        rec = record(snap_state, g, row.params, row_accums, row.summary)
+        row.snapshots.append(Snapshot(snap_state, rec, row_accums.int_mass_flux))
         if hooks:
             for hook in hooks:
-                hook(state, rec)
+                hook(snap_state, rec)
 
-    snapshots: list[Snapshot] = []
-    state = init
-    take_snapshot(state)
+    def finish(done) -> None:
+        for pos, row in zip(np.ndindex(np.shape(done)), rows):
+            if done[pos]:
+                results[row.index] = Trajectory(
+                    grid=g, params=row.params, config=config,
+                    init_summary=row.summary, mean_rho=row.mean_rho,
+                    snapshots=row.snapshots, final_state=row.snapshots[-1].state,
+                    accums=accums.select(pos), n_steps=n_steps,
+                    wall_seconds=_time.perf_counter() - started,
+                )
+
+    if batched:
+        restack(np.array([row is not None for row in rows], dtype=bool))
+    else:
+        mean_rho = rows[0].mean_rho
+    for pos, row in zip(np.ndindex(state.t.shape), rows):
+        take_snapshot(pos, row)
 
     n_steps = 0
-    next_snap = init.t + config.snapshot_every
-    # each state's fields are evaluated once, then serve compute_dt, the
-    # step and the time integrals of the step that starts from it
-    fields = None
+    done = state.t >= t_end
     faces = StepFaces()
-    while state.t < t_end:
+    while rows and _any(~done):
+        # each state's fields are evaluated once, then serve compute_dt,
+        # the step and the time integrals of the step that starts from it
         try:
             if fields is None:
                 fields = state_fields(state, g, params)
             dt = compute_dt(state, g, params, config, fields)
             if n_steps == 0:
-                dt = min(dt, config.dt_init)
+                dt = np.minimum(dt, config.dt_init)
             final_step = state.t + dt >= t_end
-            if final_step:
-                dt = t_end - state.t
+            dt = _where(final_step, t_end - state.t, dt)
             new_state = step(state, g, params, config, dt, sources,
                              fields=fields, faces=faces)
             new_fields = state_fields(new_state, g, params)
-        except SaturationError as err:
-            if err.t is None:
-                err.t = state.t
-            raise
+        except (VacuumError, SaturationError, LinearSolveError) as err:
+            at = err.row if batched else ()
+            if isinstance(err, SaturationError) and err.t is None:
+                err.t = float(state.t[at])
+            if not batched:
+                raise
+            # the row leaves the batch and the others retake the step
+            err.row = rows[at].index
+            results[err.row] = FailedRun(err, _time.perf_counter() - started)
+            restack(np.arange(len(rows)) != at)
+            continue
         dt_actual = new_state.t - state.t
         _accumulate(accums, state, fields, new_fields, faces, g, mean_rho,
                     dt_actual)
-        if final_step and dt_actual > 0.6 * dt:
-            # the step was not halved by the positivity rescue: land exactly
-            new_state = State(t_end, new_state.rho, new_state.mom,
-                              new_state.formulation)
+        # land exactly on t_end unless the positivity rescue halved the step
+        land = final_step & (dt_actual > 0.6 * dt)
+        if _any(land):
+            new_state = State(_where(land, t_end, new_state.t), new_state.rho,
+                              new_state.mom, new_state.formulation)
         state, fields = new_state, new_fields
         n_steps += 1
-        if state.t >= t_end:
-            take_snapshot(state)
-        elif state.t + 1e-14 >= next_snap:
-            take_snapshot(state)
-            while next_snap <= state.t + 1e-14:
-                next_snap += config.snapshot_every
-
-    return Trajectory(
-        grid=g, params=params, config=config, init_summary=summary,
-        mean_rho=mean_rho, snapshots=snapshots, final_state=state,
-        accums=accums, n_steps=n_steps,
-        wall_seconds=_time.perf_counter() - started,
-    )
+        done = state.t >= t_end
+        due = done | (state.t + 1e-14 >= next_snap)
+        if _any(due):
+            for pos, row in zip(np.ndindex(due.shape), rows):
+                if due[pos]:
+                    take_snapshot(pos, row)
+                    while next_snap[pos] <= state.t[pos] + 1e-14:
+                        next_snap[pos] += every
+        if batched and _any(done):
+            finish(done)
+            restack(~done)
+    # the single run, or rows that started at t_end
+    finish(done)
+    return results if batched else results[0]

@@ -1,23 +1,23 @@
 """Matched simulations across a gamma sequence and congestion-limit fits.
 
 All runs share one grid, one time horizon and one initial-data recipe,
-so final fields subtract cell-wise.  Rows are a deterministic function of
-the configuration no matter how many workers execute the runs.
+so final fields subtract cell-wise.  They step together as one batch of
+``run_simulation``, one row per gamma, and each row equals the run of
+its gamma alone bit for bit.
 """
 from __future__ import annotations
 
 import time as _time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diagnostics import InitialDataSummary
-from .errors import ConfigError, LinearSolveError, SaturationError, VacuumError
+from .errors import ConfigError
 from .grid import Grid, norm
 from .initial_data import InitRecipe, build_profiles, make_initial_data, validate_profiles
-from .model import ModelParams, velocities
-from .solver import SchemeConfig, Trajectory, run_simulation
+from .model import ModelParams, State, velocities
+from .solver import FailedRun, SchemeConfig, Trajectory, run_simulation
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,6 @@ class SweepConfig:
     n_cells: int
     t_end: float
     scheme: SchemeConfig
-    parallel_runs: int = 1
 
     def __post_init__(self) -> None:
         if len(self.gammas) == 0:
@@ -36,8 +35,6 @@ class SweepConfig:
             raise ConfigError("gammas must be strictly increasing")
         if any(gamma <= 0 for gamma in self.gammas):
             raise ConfigError("gammas must be positive")
-        if self.parallel_runs < 1:
-            raise ConfigError("parallel_runs must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -105,45 +102,42 @@ def _row_from_trajectory(gamma: float, traj: Trajectory, runtime: float) -> Gamm
         switching_residual_max=float(np.max(traj.series("switching_residual"))),
         pi_l1_max=float(np.max(traj.series("pi_l1"))),
         dpi_l2_max=float(np.max(traj.series("dpi_l2"))),
-        I_plain_abs=abs(traj.accums.diss_plain),
+        I_plain_abs=float(abs(traj.accums.diss_plain)),
         W_max_drift=float(np.max(w_max - w_max[0])),
         runtime=runtime,
     )
 
 
-def _run_one(gamma: float, config: SweepConfig, g: Grid):
-    params = ModelParams(gamma=gamma)
-    started = _time.perf_counter()
-    try:
-        init, _ = make_initial_data(config.recipe, g, params,
-                                    config.scheme.formulation,
-                                    gammas=config.gammas)
-        traj = run_simulation(init, g, params, config.scheme, config.t_end)
-    except (VacuumError, SaturationError, LinearSolveError) as exc:
-        return GammaRow(gamma=gamma, failed=True, failure=str(exc),
-                        runtime=_time.perf_counter() - started), None
-    runtime = _time.perf_counter() - started
-    return _row_from_trajectory(gamma, traj, runtime), traj
-
-
 def run_sweep(config: SweepConfig) -> SweepReport:
-    """Execute one run per gamma and assemble the report in gamma order.
+    """Run every gamma as one batch and assemble the report in gamma order.
 
     Failed runs (vacuum, saturation or a failed linear solve) are
-    reported as failed rows; the remaining rows are still emitted.
+    reported as failed rows; the remaining rows are still emitted.  A
+    row's runtime is the wall time from the start of the sweep until the
+    row finished or failed.
     """
     g = Grid(config.n_cells)
     validate_recipe(config.recipe, config.gammas, g)
 
-    if config.parallel_runs > 1:
-        with ThreadPoolExecutor(max_workers=config.parallel_runs) as pool:
-            results = list(pool.map(lambda gm: _run_one(gm, config, g),
-                                    config.gammas))
-    else:
-        results = [_run_one(gamma, config, g) for gamma in config.gammas]
+    started = _time.perf_counter()
+    inits = [make_initial_data(config.recipe, g, ModelParams(gamma=gamma),
+                               config.scheme.formulation, gammas=config.gammas)[0]
+             for gamma in config.gammas]
+    batch = State(0.0, np.stack([init.rho for init in inits]),
+                  np.stack([init.mom for init in inits]), config.scheme.formulation)
+    params = ModelParams(gamma=np.array(config.gammas)[:, None])
+    offset = _time.perf_counter() - started
+    results = run_simulation(batch, g, params, config.scheme, config.t_end)
 
-    rows = tuple(row for row, _ in results)
-    finals = {row.gamma: traj for (row, traj) in results if traj is not None}
+    rows, finals = [], {}
+    for gamma, result in zip(config.gammas, results):
+        runtime = offset + result.wall_seconds
+        if isinstance(result, FailedRun):
+            rows.append(GammaRow(gamma=gamma, failed=True, failure=str(result.error),
+                                 runtime=runtime))
+        else:
+            rows.append(_row_from_trajectory(gamma, result, runtime))
+            finals[gamma] = result
 
     cross = []
     for lo, hi in zip(config.gammas, config.gammas[1:]):
@@ -155,7 +149,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         _, wb = velocities(tb.final_state, g, tb.params)
         cross.append(CrossRow(lo, hi, norm(drho, g, "l1"), norm(wa - wb, g, "linf")))
 
-    return SweepReport(rows=rows, cross=tuple(cross), fit=fit_congestion_rate(rows))
+    return SweepReport(rows=tuple(rows), cross=tuple(cross), fit=fit_congestion_rate(rows))
 
 
 def fit_congestion_rate(rows) -> CongestionFit:

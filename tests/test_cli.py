@@ -8,6 +8,7 @@ import congestion_sim.cli as cli
 from congestion_sim.config import (
     CONFIG_KEYS,
     config_key_help,
+    load_run_config,
     parse_config_text,
     resolve_run_config,
 )
@@ -258,7 +259,7 @@ time.t_end = 0.05
     assert cli.main(["sweep", "--config", cfg]) == 2
 
 
-def test_sweep_writes_report(tmp_path, monkeypatch):
+def test_sweep_writes_report(tmp_path):
     out_dir = tmp_path / "out"
     text = f"""
 scheme.formulation = w_form
@@ -272,7 +273,6 @@ init.w_amp = 0.1
 time.t_end = 0.05
 output.dir = {out_dir}
 """
-    monkeypatch.setenv(cli.THREADS_ENV, "2")
     cfg = write_config(tmp_path, text)
     assert cli.main(["sweep", "--config", cfg]) == 0
     report_lines = (out_dir / "sweep_report.csv").read_text().splitlines()
@@ -282,22 +282,34 @@ output.dir = {out_dir}
     assert {"fit", "cross", "rows"} <= set(summary)
 
 
-def test_threads_env_must_be_integer(tmp_path, monkeypatch):
-    out_dir = tmp_path / "out"
-    text = f"""
-scheme.formulation = w_form
-grid.n_cells = 64
-sweep.gammas = 5, 10
-time.t_end = 0.01
-output.dir = {out_dir}
-"""
-    monkeypatch.setenv(cli.THREADS_ENV, "many")
-    cfg = write_config(tmp_path, text)
-    assert cli.main(["sweep", "--config", cfg]) == 2
-
-
 def test_missing_config_file_is_config_error():
     assert cli.main(["simulate", "--config", "/nonexistent/nope.cfg"]) == 2
+
+
+@pytest.mark.parametrize("profile", ["missing", "directory", "empty", "header_only"])
+def test_unreadable_custom_csv_is_config_error(tmp_path, capsys, profile):
+    path = tmp_path / "profile.csv"
+    if profile == "directory":
+        path.mkdir()
+    elif profile == "empty":
+        path.write_text("", encoding="utf-8")
+    elif profile == "header_only":
+        path.write_text("x,rho,w\n", encoding="utf-8")
+    text = BASE_CONFIG.replace("init.kind = cosine",
+                               f"init.kind = custom_csv\ninit.csv_path = {path}")
+    cfg = write_config(tmp_path, text + f"output.dir = {tmp_path / 'out'}\n")
+    assert cli.main(["simulate", "--config", cfg]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name in os.listdir(CONFIGS) if name.endswith(".cfg")))
+def test_shipped_configs_load(name):
+    cfg = load_run_config(os.path.join(CONFIGS, name))
+    assert (cfg.gamma is None) != (cfg.gammas is None)
 
 
 @pytest.mark.parametrize("key,value", [
@@ -328,6 +340,9 @@ def test_runtime_failure_exit_code(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_simulation", explode)
     assert cli.main(["simulate", "--config", cfg]) == 3
+    log = (tmp_path / "out" / "run.log").read_text().splitlines()
+    assert log[0].startswith("started ") and log[1].startswith("config ")
+    assert log[2] == "failed synthetic [t=0.25, cell=7, gamma=10.0]"
 
 
 def test_mms_subcommand():

@@ -69,6 +69,19 @@ def test_saturation_error_carries_context():
     assert err.value.gamma == 1000.0
 
 
+def test_saturation_error_names_the_batch_row():
+    rho = np.ones((3, 8))
+    rho[1, 3] = 2.5
+    gammas = np.array([[10.0], [1000.0], [20.0]])
+    with pytest.raises(SaturationError) as batch:
+        pressure(rho, ModelParams(gammas))
+    with pytest.raises(SaturationError) as alone:
+        pressure(rho[1], ModelParams(1000.0))
+    assert str(batch.value) == str(alone.value)
+    assert (batch.value.row, batch.value.cell, batch.value.gamma) == (1, 3, 1000.0)
+    assert alone.value.row is None
+
+
 def test_lambda_visc_values():
     assert lambda_visc(1.0, ModelParams(7.0)) == pytest.approx(7.0, rel=1e-14)
     assert lambda_visc(0.5, ModelParams(1.0)) == pytest.approx(0.25, rel=1e-14)

@@ -371,6 +371,52 @@ def test_formulations_converge_together(standard_u_256, standard_w_256):
     assert diff <= 0.02
 
 
+def test_batched_solve_matches_each_system():
+    rng = np.random.default_rng(11)
+    k, n = 4, 24
+    sub, sup = rng.normal(size=(k, n)), rng.normal(size=(k, n))
+    clo, chi = rng.normal(size=k), rng.normal(size=k)
+    diag = np.abs(sub) + np.abs(sup) + 3.0 + rng.random(size=(k, n))
+    rhs = rng.normal(size=(k, n))
+    x = solve_cyclic_tridiagonal(sub, diag, sup, clo, chi, rhs)
+    for i in range(k):
+        alone = solve_cyclic_tridiagonal(sub[i], diag[i], sup[i], clo[i], chi[i], rhs[i])
+        assert np.array_equal(x[i], alone)
+
+    # row 1 becomes the singular periodic Laplacian: only that row fails
+    sub[1], sup[1], diag[1] = -1.0, -1.0, 2.0
+    clo[1] = chi[1] = -1.0
+    with pytest.raises(LinearSolveError) as batch:
+        solve_cyclic_tridiagonal(sub, diag, sup, clo, chi, rhs)
+    with pytest.raises(LinearSolveError) as alone:
+        solve_cyclic_tridiagonal(sub[1], diag[1], sup[1], clo[1], chi[1], rhs[1])
+    assert batch.value.row == 1 and alone.value.row is None
+    assert str(batch.value) == str(alone.value)
+
+
+def test_batch_row_saturating_at_start_fails_alone():
+    from congestion_sim.errors import SaturationError
+    from congestion_sim.solver import FailedRun
+
+    g = Grid(32)
+    cfg = SchemeConfig(formulation=U_FORM)
+    rho = np.full(32, 2.2)  # 900 * ln 2.2 > 700, 4 * ln 2.2 is not
+    batch = State(0.0, np.stack([rho, rho]), np.zeros((2, 32)), U_FORM)
+    first, second = run_simulation(batch, g, ModelParams(np.array([[4.0], [900.0]])),
+                                   cfg, 0.01)
+    want = run_simulation(State(0.0, rho, np.zeros(32), U_FORM), g, ModelParams(4.0),
+                          cfg, 0.01)
+    assert np.array_equal(first.final_state.rho, want.final_state.rho)
+    assert first.records == want.records
+    with pytest.raises(SaturationError) as alone:
+        run_simulation(State(0.0, rho, np.zeros(32), U_FORM), g, ModelParams(900.0),
+                       cfg, 0.01)
+    assert isinstance(second, FailedRun)
+    assert str(second.error) == str(alone.value)
+    assert second.error.t == alone.value.t == 0.0
+    assert second.error.row == 1
+
+
 def test_run_saturation_aborts_with_context():
     from congestion_sim.errors import SaturationError
     g = Grid(32)

@@ -4,27 +4,82 @@ import mpmath
 import numpy as np
 import pytest
 
+import congestion_sim.solver as solver_mod
 from conftest import SHIPPED_SCHEME, STANDARD_RECIPE
 from congestion_sim.errors import ConfigError
 from congestion_sim.grid import Grid
-from congestion_sim.initial_data import InitRecipe
-from congestion_sim.model import W_FORM
-from congestion_sim.solver import SchemeConfig
+from congestion_sim.initial_data import InitRecipe, make_initial_data
+from congestion_sim.model import U_FORM, W_FORM, ModelParams, State
+from congestion_sim.solver import FailedRun, SchemeConfig, run_simulation
 from congestion_sim.sweep import (
     GammaRow,
     SweepConfig,
+    _row_from_trajectory,
     fit_congestion_rate,
     run_sweep,
     validate_recipe,
 )
 
 SCHEME = SchemeConfig(formulation=W_FORM, **SHIPPED_SCHEME)
+SHIPPED_GAMMAS = (5.0, 10.0, 20.0, 40.0, 80.0)
+ACCUMULATORS = ("diss_visc", "diss_offset", "work_offset", "diss_weighted",
+                "diss_plain", "diss_plain_low", "diss_plain_high")
 
 
 def sweep_config(gammas, recipe=STANDARD_RECIPE, n_cells=128, t_end=0.2,
-                 parallel_runs=1):
+                 scheme=SCHEME):
     return SweepConfig(gammas=tuple(gammas), recipe=recipe, n_cells=n_cells,
-                       t_end=t_end, scheme=SCHEME, parallel_runs=parallel_runs)
+                       t_end=t_end, scheme=scheme)
+
+
+def initial_states(config):
+    g = Grid(config.n_cells)
+    return g, [make_initial_data(config.recipe, g, ModelParams(gamma),
+                                 config.scheme.formulation, gammas=config.gammas)[0]
+               for gamma in config.gammas]
+
+
+def plain_runs(config):
+    """Each gamma's run alone, or the exception that ended it."""
+    g, inits = initial_states(config)
+    out = {}
+    for gamma, init in zip(config.gammas, inits):
+        try:
+            out[gamma] = run_simulation(init, g, ModelParams(gamma), config.scheme,
+                                        config.t_end)
+        except RuntimeError as exc:
+            out[gamma] = exc
+    return out
+
+
+def batched_runs(config):
+    """Every gamma stepped as one batch, the way the sweep runs them."""
+    g, inits = initial_states(config)
+    batch = State(0.0, np.stack([i.rho for i in inits]),
+                  np.stack([i.mom for i in inits]), config.scheme.formulation)
+    params = ModelParams(np.array(config.gammas)[:, None])
+    return dict(zip(config.gammas,
+                    run_simulation(batch, g, params, config.scheme, config.t_end)))
+
+
+def assert_rows_match_plain_runs(report, plain, gammas):
+    by_gamma = {row.gamma: row for row in report.rows}
+    for gamma in gammas:
+        want = _row_from_trajectory(gamma, plain[gamma], runtime=0.0)
+        assert dataclasses.replace(by_gamma[gamma], runtime=0.0) == want
+
+
+def assert_same_trajectory(got, want):
+    assert got.n_steps == want.n_steps
+    assert got.final_state.t == want.final_state.t
+    assert np.array_equal(got.final_state.rho, want.final_state.rho)
+    assert np.array_equal(got.final_state.mom, want.final_state.mom)
+    assert got.records == want.records
+    for name in ACCUMULATORS:
+        assert getattr(got.accums, name) == getattr(want.accums, name), name
+    assert np.array_equal(got.accums.int_mass_flux, want.accums.int_mass_flux)
+    for a, b in zip(got.snapshots, want.snapshots):
+        assert np.array_equal(a.int_mass_flux, b.int_mass_flux)
 
 
 def closed_form_switching(rho, gamma):
@@ -40,8 +95,6 @@ def test_sweep_config_validation():
         sweep_config((5.0, 5.0))
     with pytest.raises(ConfigError):
         sweep_config((10.0, 5.0))
-    with pytest.raises(ConfigError):
-        sweep_config((5.0, 10.0), parallel_runs=0)
 
 
 def test_validate_recipe_accepts_constant():
@@ -98,24 +151,85 @@ def test_constant_state_sweep_matches_closed_form():
 
 
 def test_single_gamma_sweep_matches_plain_run():
-    from conftest import run_case
-    report = run_sweep(sweep_config((10.0,), n_cells=128, t_end=0.2))
-    traj, _, _ = run_case(STANDARD_RECIPE, W_FORM, 128, t_end=0.2)
-    row = report.rows[0]
-    assert row.max_rho == pytest.approx(np.max(traj.series("rho_max")), abs=0.0)
-    assert row.switching_residual_max == pytest.approx(
-        np.max(traj.series("switching_residual")), abs=0.0)
-    assert row.I_plain_abs == pytest.approx(abs(traj.accums.diss_plain), abs=0.0)
-    assert report.cross == ()
+    # a one-gamma sweep, then every gamma of the shipped ladder
+    for gammas in ((10.0,), SHIPPED_GAMMAS):
+        config = sweep_config(gammas, n_cells=128, t_end=0.2)
+        report = run_sweep(config)
+        plain = plain_runs(config)
+        assert [row.gamma for row in report.rows] == list(gammas)
+        for row in report.rows:
+            traj = plain[row.gamma]
+            assert row.max_rho == pytest.approx(np.max(traj.series("rho_max")), abs=0.0)
+            assert row.switching_residual_max == pytest.approx(
+                np.max(traj.series("switching_residual")), abs=0.0)
+            assert row.I_plain_abs == pytest.approx(abs(traj.accums.diss_plain), abs=0.0)
+        assert_rows_match_plain_runs(report, plain, gammas)
+        assert len(report.cross) == len(gammas) - 1
 
 
-def test_sweep_rows_deterministic_under_parallelism():
-    serial = run_sweep(sweep_config((5.0, 10.0, 20.0), parallel_runs=1))
-    threaded = run_sweep(sweep_config((5.0, 10.0, 20.0), parallel_runs=3))
-    for a, b in zip(serial.rows, threaded.rows):
-        assert dataclasses.replace(a, runtime=0.0) == dataclasses.replace(b, runtime=0.0)
-    assert serial.cross == threaded.cross
-    assert serial.fit == threaded.fit
+@pytest.mark.parametrize("config", [
+    # the shipped sweep: its rows take 293, 290, 276, 258 and 256 steps
+    sweep_config(SHIPPED_GAMMAS, n_cells=256, t_end=0.5),
+    sweep_config((2.0, 7.0, 33.0), n_cells=64, t_end=0.3),
+    sweep_config((5.0, 10.0, 20.0), n_cells=64, t_end=0.2,
+                 scheme=SchemeConfig(formulation=U_FORM, **SHIPPED_SCHEME)),
+], ids=["shipped", "uneven", "u_form"])
+def test_batched_rows_equal_their_plain_runs(config):
+    plain = plain_runs(config)
+    batched = batched_runs(config)
+    assert len({traj.n_steps for traj in plain.values()}) > 1
+    for gamma in config.gammas:
+        assert_same_trajectory(batched[gamma], plain[gamma])
+    assert_rows_match_plain_runs(run_sweep(config), plain, config.gammas)
+
+
+def stiffness_limited_solve(limit):
+    """The real solve, except that a row whose diagonal exceeds ``limit``
+    comes back negative, which forces the positivity rescue on that row;
+    what a row gets depends on that row alone."""
+    real = solver_mod.solve_cyclic_tridiagonal
+
+    def solve(sub, diag, sup, corner_lo, corner_hi, rhs, tol=1e-10):
+        x = real(sub, diag, sup, corner_lo, corner_hi, rhs, tol)
+        return np.where(np.max(diag, axis=-1, keepdims=True) > limit, -x, x)
+
+    return ("solve_cyclic_tridiagonal", solve)
+
+
+def density_sink(rate):
+    """Every flux divergence plus ``rate``: a uniform sink that the
+    u-formulation's explicit density update must resolve row by row."""
+    real = solver_mod._flux_divergence
+    return ("_flux_divergence", lambda face_flux, g: real(face_flux, g) + rate)
+
+
+@pytest.mark.parametrize("formulation,patch,max_halvings,t_end,survivors", [
+    # rows halve their own dt, none fails
+    (W_FORM, stiffness_limited_solve(20.0), 20, 0.1, (2.0, 5.0, 20.0)),
+    # two rows exhaust their halvings
+    (W_FORM, stiffness_limited_solve(15.0), 1, 0.1, (2.0,)),
+    # rows whose density the sink empties skip the velocity solve
+    (U_FORM, density_sink(600.0), 3, 0.00117, (2.0, 5.0)),
+], ids=["w_form-rescued", "w_form-exhausted", "u_form-sink"])
+def test_positivity_rescue_is_per_row(monkeypatch, formulation, patch, max_halvings,
+                                      t_end, survivors):
+    scheme = SchemeConfig(formulation=formulation, **SHIPPED_SCHEME,
+                          max_halvings=max_halvings)
+    config = sweep_config((2.0, 5.0, 20.0), n_cells=64, t_end=t_end, scheme=scheme)
+    monkeypatch.setattr(solver_mod, *patch)
+    plain = plain_runs(config)
+    batched = batched_runs(config)
+    for gamma in config.gammas:
+        if gamma in survivors:
+            assert_same_trajectory(batched[gamma], plain[gamma])
+        else:
+            failed = batched[gamma]
+            assert isinstance(failed, FailedRun)
+            assert type(failed.error) is type(plain[gamma])
+            assert str(failed.error) == str(plain[gamma])
+            assert "halvings exhausted" in str(failed.error)
+            assert failed.error.gamma == gamma
+            assert failed.error.row == config.gammas.index(gamma)
 
 
 def test_sweep_switching_monotone_on_shipped_recipe():
@@ -159,24 +273,30 @@ def test_fit_congestion_rate_exact_synthetic():
 
 
 def test_failed_rows_are_reported_not_fatal(monkeypatch):
-    import congestion_sim.sweep as sweep_mod
     from congestion_sim.errors import VacuumError
 
-    real = sweep_mod.run_simulation
+    config = sweep_config((5.0, 10.0, 20.0))
+    plain = plain_runs(config)
+    real = solver_mod.lambda_visc
 
-    def flaky(init, g, params, scheme, t_end, **kw):
-        if params.gamma == 10.0:
-            raise VacuumError("synthetic vacuum", t=0.1, cell=3, gamma=10.0)
-        return real(init, g, params, scheme, t_end, **kw)
+    def flaky(rho, params):
+        # the step's viscosity sees the whole batch; gamma 10's row fails
+        gammas = list(np.ravel(params.gamma))
+        if np.ndim(rho) == 2 and 10.0 in gammas:
+            raise VacuumError("synthetic vacuum", t=0.1, cell=3, gamma=10.0,
+                              row=gammas.index(10.0))
+        return real(rho, params)
 
-    monkeypatch.setattr(sweep_mod, "run_simulation", flaky)
-    report = run_sweep(sweep_config((5.0, 10.0, 20.0)))
+    monkeypatch.setattr(solver_mod, "lambda_visc", flaky)
+    report = run_sweep(config)
     by_gamma = {row.gamma: row for row in report.rows}
     assert not by_gamma[5.0].failed and not by_gamma[20.0].failed
     assert by_gamma[10.0].failed
     assert "vacuum" in by_gamma[10.0].failure
     # the cross pair spanning the failed run is skipped
     assert all({c.gamma_lo, c.gamma_hi}.isdisjoint({10.0}) for c in report.cross)
+    # one row's failure leaves the others exactly as they run alone
+    assert_rows_match_plain_runs(report, plain, (5.0, 20.0))
 
 
 def test_fit_matches_linregress_bit_for_bit():
@@ -215,21 +335,25 @@ def test_fit_degenerate_branches_match_linregress():
 
 
 def test_linear_solve_failure_is_a_failed_row(monkeypatch):
-    import congestion_sim.sweep as sweep_mod
     from congestion_sim.errors import LinearSolveError
 
-    real = sweep_mod.run_simulation
+    config = sweep_config((5.0, 10.0, 20.0), t_end=0.05)
+    plain = plain_runs(config)
+    real = solver_mod.solve_cyclic_tridiagonal
 
-    def failing(init, g, params, scheme, t_end, **kw):
-        if params.gamma == 10.0:
-            raise LinearSolveError("synthetic residual 1e-3 exceeds 1e-10")
-        return real(init, g, params, scheme, t_end, **kw)
+    def failing(sub, diag, sup, corner_lo, corner_hi, rhs, tol=1e-10):
+        x = real(sub, diag, sup, corner_lo, corner_hi, rhs, tol)
+        if np.ndim(diag) == 2 and len(diag) == 3:
+            # row 1 of the full batch is gamma 10
+            raise LinearSolveError("synthetic residual 1e-3 exceeds 1e-10", row=1)
+        return x
 
-    monkeypatch.setattr(sweep_mod, "run_simulation", failing)
-    report = run_sweep(sweep_config((5.0, 10.0, 20.0), t_end=0.05))
+    monkeypatch.setattr(solver_mod, "solve_cyclic_tridiagonal", failing)
+    report = run_sweep(config)
     by_gamma = {row.gamma: row for row in report.rows}
     assert [row.gamma for row in report.rows] == [5.0, 10.0, 20.0]
     assert not by_gamma[5.0].failed and not by_gamma[20.0].failed
     assert by_gamma[10.0].failed
     assert "residual" in by_gamma[10.0].failure
     assert np.isfinite(by_gamma[5.0].max_rho) and np.isfinite(by_gamma[20.0].max_rho)
+    assert_rows_match_plain_runs(report, plain, (5.0, 20.0))
