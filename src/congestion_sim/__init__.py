@@ -3,43 +3,4 @@
 Density and desired velocity evolve with a power-law offset p(rho) =
 rho**gamma; sweeps over growing gamma expose the hard-congestion limit.
 """
-from .grid import Field, Grid, ddx_central, integrate, norm
-from .model import (
-    ModelParams,
-    State,
-    U_FORM,
-    W_FORM,
-    compute_V,
-    compute_W,
-    derived_fields,
-    enthalpy_H,
-    lambda_visc,
-    potential_pi,
-    pressure,
-    u_to_w,
-    velocities,
-    w_to_u,
-)
-from .solver import (
-    SchemeConfig,
-    Trajectory,
-    compute_dt,
-    run_simulation,
-    solve_cyclic_tridiagonal,
-    step_u_form,
-    step_w_form,
-    step_W_transport,
-)
-from .diagnostics import (
-    TOL,
-    DiagnosticsRecord,
-    InitialDataSummary,
-    record,
-    summarize_initial_data,
-    switching_residual,
-)
-from .initial_data import InitRecipe, make_initial_data
-from .sweep import SweepConfig, SweepReport, fit_congestion_rate, run_sweep, validate_recipe
-from .verify import CASES, ManufacturedCase, convergence_study, dense_step_oracle, mms_sources
-
 __version__ = "0.1.0"

@@ -6,6 +6,10 @@ study).  Exit codes: 0 success, 1 verdict failure, 2 configuration
 error, 3 runtime failure (vacuum/saturation), with the offending time,
 cell and gamma printed.
 
+The ``invariants`` suite of ``verify`` runs every single-gamma config
+(``model.gamma`` set) in ``CONFIG_DIR``, the ``configs/`` directory of
+the source tree, so adding a config there adds a verified case.
+
 Data files are deterministic: no timestamps inside them (timestamps go
 to the run log), floats serialized with 17 significant digits.
 """
@@ -17,19 +21,26 @@ import json
 import os
 import sys
 import time as _time
-from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import diagnostics as diag
-from .config import config_key_help, load_run_config
+from .config import RunConfig, config_key_help, load_run_config
 from .errors import ConfigError, LinearSolveError, SaturationError, VacuumError
 from .grid import Grid
-from .initial_data import InitRecipe, make_initial_data
+from .initial_data import build_profiles, make_initial_data
 from .model import ModelParams, U_FORM, W_FORM, derived_fields
-from .solver import SchemeConfig, Trajectory, run_simulation, solve_cyclic_tridiagonal
-from .sweep import SweepConfig, SweepReport, run_sweep
-from .verify import CASES, ConvergenceStudy, convergence_study, dense_step_oracle
+from .solver import Trajectory, run_simulation
+from .sweep import GammaRow, SweepConfig, SweepReport, run_sweep
+from .verify import (
+    CASES,
+    convergence_study,
+    dense_oracle_checks,
+    doubling_resolutions,
+    mms_order_checks,
+    random_cyclic_systems_check,
+)
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -43,11 +54,18 @@ def fmt17(x) -> str:
 
 # ----------------------------------------------------------------- output --
 
-def write_snapshot_csv(path: str, g: Grid, state, params: ModelParams) -> None:
+SNAPSHOT_COLUMNS = ("x", "rho", "u", "w", "pi", "W", "V")
+
+
+def _snapshot_columns(g: Grid, state, params: ModelParams) -> list:
     f = derived_fields(state, g, params)
-    cols = [g.x, state.rho, f.u, f.w, f.pi, f.W, f.V]
+    return [g.x, state.rho, f.u, f.w, f.pi, f.W, f.V]
+
+
+def write_snapshot_csv(path: str, g: Grid, state, params: ModelParams) -> None:
+    cols = _snapshot_columns(g, state, params)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,rho,u,w,pi,W,V\n")
+        fh.write(",".join(SNAPSHOT_COLUMNS) + "\n")
         for row in zip(*cols):
             fh.write(",".join(fmt17(v) for v in row) + "\n")
 
@@ -55,17 +73,10 @@ def write_snapshot_csv(path: str, g: Grid, state, params: ModelParams) -> None:
 def write_snapshots_jsonl(path: str, g: Grid, traj: Trajectory) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for snap in traj.snapshots:
-            f = derived_fields(snap.state, g, traj.params)
-            rec = {
-                "t": snap.state.t,
-                "x": [float(v) for v in g.x],
-                "rho": [float(v) for v in snap.state.rho],
-                "u": [float(v) for v in f.u],
-                "w": [float(v) for v in f.w],
-                "pi": [float(v) for v in f.pi],
-                "W": [float(v) for v in f.W],
-                "V": [float(v) for v in f.V],
-            }
+            cols = _snapshot_columns(g, snap.state, traj.params)
+            rec = {"t": snap.state.t}
+            rec.update((name, [float(v) for v in col])
+                       for name, col in zip(SNAPSHOT_COLUMNS, cols))
             fh.write(json.dumps(rec) + "\n")
 
 
@@ -82,7 +93,6 @@ def _trajectory_summary(traj: Trajectory) -> dict:
     w_max = traj.series("W_max")
     rho_w2 = traj.series("rhoW2")
     _, checks = diag.psi_test_function(traj, traj.grid)
-    i_mean, i_plain, (i_low, i_high) = diag.weighted_dissipation_report(traj)
     return {
         "initial": dataclasses.asdict(traj.init_summary),
         "final": dataclasses.asdict(records[-1]),
@@ -98,9 +108,9 @@ def _trajectory_summary(traj: Trajectory) -> dict:
         "switching_residual_max": float(np.max(traj.series("switching_residual"))),
         "psi_periodicity_defect": checks["periodicity"].worst,
         "psi_gradient_defect": checks["gradient"].worst,
-        "I_mean": i_mean,
-        "I_plain": i_plain,
-        "I_plain_split": [i_low, i_high],
+        "I_mean": traj.accums.diss_weighted,
+        "I_plain": traj.accums.diss_plain,
+        "I_plain_split": [traj.accums.diss_plain_low, traj.accums.diss_plain_high],
         "dissipation_visc": traj.accums.diss_visc,
     }
 
@@ -111,9 +121,7 @@ def write_summary_json(path: str, traj: Trajectory) -> None:
         fh.write("\n")
 
 
-SWEEP_COLUMNS = ("gamma", "max_rho", "min_rho", "switching_residual_max",
-                 "pi_l1_max", "dpi_l2_max", "I_plain_abs", "W_max_drift",
-                 "runtime", "failed", "failure")
+SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(GammaRow))
 
 
 def write_sweep_report(out_dir: str, report: SweepReport) -> None:
@@ -214,161 +222,93 @@ def cmd_sweep(args) -> int:
 
 # ------------------------------------------------------- verification suites
 
-@dataclass(frozen=True)
-class ShippedCase:
-    name: str
-    recipe: InitRecipe
-    gamma: float
-    n_cells: int
-    t_end: float
-    formulation: str
-    # the reconstructed-W checks assume the desired velocity has no slow
-    # stagnation points, where first-order upwinding leaves a local kink
-    # in dx(w) that does not vanish under refinement
-    check_w_reconstruction: bool = True
+CONFIG_DIR = Path(__file__).resolve().parents[2] / "configs"
 
 
-SHIPPED_CASES = (
-    ShippedCase("constant_state",
-                InitRecipe(kind="cosine", rho_mean=0.8, rho_amp=0.0, w_amp=0.0),
-                gamma=10.0, n_cells=256, t_end=0.5, formulation=U_FORM),
-    ShippedCase("standard_smooth",
-                InitRecipe(kind="cosine", rho_mean=0.8, rho_amp=0.1, w_amp=0.2),
-                gamma=10.0, n_cells=256, t_end=0.5, formulation=W_FORM,
-                check_w_reconstruction=False),
-    ShippedCase("travelling_smooth",
-                InitRecipe(kind="cosine", rho_mean=0.8, rho_amp=0.1,
-                           w_amp=0.2, w_mean=0.3),
-                gamma=10.0, n_cells=256, t_end=0.5, formulation=W_FORM),
-)
-
-SHIPPED_SCHEME = dict(cfl=0.1, dt_max=2e-3, dt_init=5e-4, snapshot_every=0.05)
+def shipped_cases() -> list[tuple[str, RunConfig]]:
+    """Every single-gamma config in ``CONFIG_DIR``, named by file, in file order."""
+    cases = []
+    for path in sorted(CONFIG_DIR.glob("*.cfg")):
+        cfg = load_run_config(str(path))
+        if cfg.gamma is not None:
+            cases.append((path.stem, cfg))
+    if not cases:
+        raise ConfigError(f"no single-gamma config (model.gamma) to verify in {CONFIG_DIR}")
+    return cases
 
 
-def run_shipped_case(case: ShippedCase) -> Trajectory:
-    g = Grid(case.n_cells)
-    params = ModelParams(gamma=case.gamma)
-    scheme = SchemeConfig(formulation=case.formulation, **SHIPPED_SCHEME)
-    init, _ = make_initial_data(case.recipe, g, params, case.formulation)
-    return run_simulation(init, g, params, scheme, case.t_end)
-
-
-def _invariant_checks(case: ShippedCase, traj: Trajectory) -> list[tuple[str, bool, str]]:
+def _invariant_checks(name: str, traj: Trajectory,
+                      check_w_reconstruction: bool) -> list[tuple[str, bool, str]]:
     tol = diag.TOL
     out = []
     mass = traj.series("mass")
     drift = float(np.max(np.abs(mass - mass[0])) / mass[0])
-    out.append((f"{case.name}: mass conservation", drift <= tol.exact,
+    out.append((f"{name}: mass conservation", drift <= tol.exact,
                 f"rel drift {drift:.3e}"))
 
     ke_w = traj.series("ke_w")
     rise = float(np.max(np.diff(ke_w), initial=0.0))
     ke_tol = tol.ke_w_rel * (1.0 + ke_w[0])
-    out.append((f"{case.name}: ke_w non-increasing", rise <= ke_tol,
+    out.append((f"{name}: ke_w non-increasing", rise <= ke_tol,
                 f"max rise {rise:.3e}"))
 
     res = traj.series("energy_residual")
     e1 = traj.init_summary.E1
     ok = bool(np.all(res <= tol.energy_abs)
               and np.all(res >= -tol.energy_frac * e1 - tol.energy_abs))
-    out.append((f"{case.name}: energy residual band", ok,
+    out.append((f"{name}: energy residual band", ok,
                 f"range [{np.min(res):.3e}, {np.max(res):.3e}], E1 {e1:.3e}"))
 
-    if case.check_w_reconstruction:
+    if check_w_reconstruction:
         wcheck = diag.W_max_principle_check(traj.series("W_max"), reconstructed=True)
-        out.append((f"{case.name}: W max principle", wcheck.passed,
+        out.append((f"{name}: W max principle", wcheck.passed,
                     f"drift {wcheck.worst:.3e} tol {wcheck.tol:.3e}"))
 
     rcheck = diag.rhoW2_conservation_check(traj.series("rhoW2"))
-    out.append((f"{case.name}: rhoW2 conservation", rcheck.passed,
+    out.append((f"{name}: rhoW2 conservation", rcheck.passed,
                 f"drift {rcheck.worst:.3e} tol {rcheck.tol:.3e}"))
 
     margin = float(np.min(traj.series("lower_bound_margin")))
     lb_tol = tol.lower_bound_frac * traj.init_summary.rho0_min
-    out.append((f"{case.name}: density lower bound", margin >= -lb_tol,
+    out.append((f"{name}: density lower bound", margin >= -lb_tol,
                 f"min margin {margin:.3e}"))
 
     _, checks = diag.psi_test_function(traj, traj.grid)
     for check in checks.values():
-        out.append((f"{case.name}: {check.name}", check.passed,
+        out.append((f"{name}: {check.name}", check.passed,
                     f"defect {check.worst:.3e} tol {check.tol:.3e}"))
 
     rho_min = float(np.min(traj.series("rho_min")))
-    out.append((f"{case.name}: positivity", rho_min > 0.0,
+    out.append((f"{name}: positivity", rho_min > 0.0,
                 f"min rho {rho_min:.6g}"))
     return out
 
 
 def _suite_invariants() -> list[tuple[str, bool, str]]:
     results = []
-    for case in SHIPPED_CASES:
-        traj = run_shipped_case(case)
-        results.extend(_invariant_checks(case, traj))
+    for name, cfg in shipped_cases():
+        g = Grid(cfg.n_cells)
+        params = ModelParams(gamma=cfg.gamma)
+        init, _ = make_initial_data(cfg.recipe, g, params, cfg.scheme.formulation)
+        traj = run_simulation(init, g, params, cfg.scheme, cfg.t_end)
+        # the reconstructed-W checks assume the desired velocity has no
+        # slow stagnation points, where first-order upwinding leaves a
+        # local kink in dx(w) that does not vanish under refinement
+        _, w0 = build_profiles(cfg.recipe, g)
+        results.extend(_invariant_checks(name, traj, np.min(w0) * np.max(w0) >= 0.0))
     return results
 
 
 def _suite_oracle() -> list[tuple[str, bool, str]]:
-    from .model import State, u_to_w
-
-    results = []
-    g = Grid(8)
-    params = ModelParams(gamma=2.0)
-    rho = 1.0 + 0.1 * np.cos(2.0 * np.pi * g.x)
-    for formulation in (U_FORM, W_FORM):
-        scheme = SchemeConfig(formulation=formulation)
-        if formulation == U_FORM:
-            state = State(0.0, rho, np.zeros_like(rho), U_FORM)
-            from .solver import step_u_form as step
-        else:
-            w0 = u_to_w(rho, np.zeros_like(rho), g, params)
-            state = State(0.0, rho, rho * w0, W_FORM)
-            from .solver import step_w_form as step
-        got = step(state, g, params, scheme, 1e-4)
-        want = dense_step_oracle(state, g, params, scheme, 1e-4)
-        err = max(float(np.max(np.abs(got.rho - want.rho))),
-                  float(np.max(np.abs(got.mom - want.mom))))
-        results.append((f"dense oracle agreement ({formulation})", err <= 1e-12,
-                        f"max err {err:.3e}"))
-
-    rng = np.random.default_rng(20260810)
-    worst = 0.0
-    for _ in range(100):
-        n = int(rng.integers(4, 40))
-        sub = rng.normal(size=n)
-        sup = rng.normal(size=n)
-        clo, chi = rng.normal(size=2)
-        diag_v = (np.abs(sub) + np.abs(sup) + np.abs(clo) + np.abs(chi)
-                  + 1.0 + rng.random(size=n))
-        rhs = rng.normal(size=n)
-        x = solve_cyclic_tridiagonal(sub, diag_v, sup, clo, chi, rhs)
-        a_mat = np.zeros((n, n))
-        for i in range(n):
-            a_mat[i, i] = diag_v[i]
-            if i > 0:
-                a_mat[i, i - 1] = sub[i]
-            if i < n - 1:
-                a_mat[i, i + 1] = sup[i]
-        a_mat[0, n - 1] += clo
-        a_mat[n - 1, 0] += chi
-        dense = np.linalg.solve(a_mat, rhs)
-        worst = max(worst, float(np.max(np.abs(x - dense))))
-    results.append(("cyclic tridiagonal vs dense (100 systems)", worst <= 1e-12,
-                    f"max err {worst:.3e}"))
-    return results
-
-
-MMS_ORDER_BAND = (0.8, 1.3)
+    checks = dense_oracle_checks() + [random_cyclic_systems_check(20260810, 40)]
+    return [(c.name, c.passed, f"max err {c.worst:.3e}") for c in checks]
 
 
 def _suite_mms() -> list[tuple[str, bool, str]]:
     results = []
     for formulation in (U_FORM, W_FORM):
-        study = convergence_study(CASES["travelling_wave"], (64, 128, 256),
-                                  formulation=formulation)
-        order = study.orders_rho_l1[-1]
-        ok = MMS_ORDER_BAND[0] <= order <= MMS_ORDER_BAND[1]
-        results.append((f"mms travelling_wave order ({formulation})", ok,
-                        f"observed order {order:.3f}"))
+        order, _ = mms_order_checks(formulation)
+        results.append((order.name, order.passed, f"observed order {order.worst:.3f}"))
     study = convergence_study(CASES["constant"], (16, 32, 64))
     results.append(("mms constant case exact", study.exact,
                     f"max rho_L1 err {max(study.rho_l1):.3e}"))
@@ -396,9 +336,11 @@ def cmd_mms(args) -> int:
     if args.case not in CASES:
         raise ConfigError(f"unknown case {args.case!r}; "
                           f"available: {', '.join(sorted(CASES))}")
-    resolutions = tuple(int(v) for v in args.resolutions.split(","))
-    study: ConvergenceStudy = convergence_study(
-        CASES[args.case], resolutions, formulation=args.formulation)
+    try:
+        resolutions = doubling_resolutions(args.resolutions.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"--resolutions {args.resolutions!r}: {exc}") from exc
+    study = convergence_study(CASES[args.case], resolutions, formulation=args.formulation)
     print(study.table())
     return EXIT_OK
 

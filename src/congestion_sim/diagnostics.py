@@ -308,12 +308,3 @@ def psi_test_function(trajectory, g: Grid):
     }
     return psi_series, checks
 
-
-def weighted_dissipation_report(trajectory):
-    """Accumulated mean-weighted and plain viscous-flux integrals.
-
-    Returns (I_mean, I_plain, (low, high)) where the split partitions
-    I_plain across the density threshold s_mid = (1 + <rho>)/2.
-    """
-    a = trajectory.accums
-    return a.diss_weighted, a.diss_plain, (a.diss_plain_low, a.diss_plain_high)

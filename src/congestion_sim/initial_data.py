@@ -124,11 +124,16 @@ def make_initial_data(recipe: InitRecipe, g: Grid, params: ModelParams,
     """
     rho0, w0 = build_profiles(recipe, g)
     validate_profiles(rho0, w0, gammas if gammas else [params.gamma], g)
+    state = initial_state(rho0, w0, g, params, formulation)
+    return state, summarize_initial_data(state, g, params)
+
+
+def initial_state(rho0, w0, g: Grid, params: ModelParams, formulation: str) -> State:
+    """The state at t = 0 of the profiles (rho0, w0) in ``formulation``."""
     if formulation == U_FORM:
         mom = rho0 * w_to_u(rho0, w0, g, params)
     elif formulation == W_FORM:
         mom = rho0 * w0
     else:
         raise ConfigError(f"unknown formulation {formulation!r}")
-    state = State(0.0, rho0, mom, formulation)
-    return state, summarize_initial_data(state, g, params)
+    return State(0.0, rho0, mom, formulation)

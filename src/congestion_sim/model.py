@@ -121,31 +121,22 @@ def _saturation(exponent_arg, arr, params: ModelParams) -> SaturationError:
     )
 
 
-def _scalar_like(result, template):
-    if np.ndim(template) == 0:
-        return float(result)
-    return result
-
-
 def pressure(rho, params: ModelParams):
     """Offset p(rho) = rho**gamma, monotone increasing on (0, inf)."""
     arr, log_rho = _checked_log(rho, params)
-    out = _guarded_exp(params.gamma * log_rho, arr, params)
-    return _scalar_like(out, rho)
+    return _guarded_exp(params.gamma * log_rho, arr, params)
 
 
 def lambda_visc(rho, params: ModelParams):
     """Viscosity lambda(rho) = gamma * rho**(gamma+1)."""
     arr, log_rho = _checked_log(rho, params)
-    out = params.gamma * _guarded_exp((params.gamma + 1.0) * log_rho, arr, params)
-    return _scalar_like(out, rho)
+    return params.gamma * _guarded_exp((params.gamma + 1.0) * log_rho, arr, params)
 
 
 def enthalpy_H(rho, params: ModelParams):
     """Entropy-like density H(rho) = rho**(gamma+1)/(gamma+1); H' = p."""
     arr, log_rho = _checked_log(rho, params)
-    out = _guarded_exp((params.gamma + 1.0) * log_rho, arr, params) / (params.gamma + 1.0)
-    return _scalar_like(out, rho)
+    return _guarded_exp((params.gamma + 1.0) * log_rho, arr, params) / (params.gamma + 1.0)
 
 
 def potential_pi(rho, params: ModelParams):
@@ -153,14 +144,12 @@ def potential_pi(rho, params: ModelParams):
 
     Computed as gamma * H(rho) so the identity pi = gamma * H is exact.
     """
-    out = params.gamma * np.asarray(enthalpy_H(rho, params))
-    return _scalar_like(out, rho)
+    return params.gamma * enthalpy_H(rho, params)
 
 
 def pi_prime(rho, params: ModelParams):
     """Derivative pi'(rho) = rho p'(rho) = gamma * rho**gamma."""
-    out = params.gamma * np.asarray(pressure(rho, params))
-    return _scalar_like(out, rho)
+    return params.gamma * pressure(rho, params)
 
 
 def u_to_w(rho: Field, u: Field, g: Grid, params: ModelParams) -> Field:

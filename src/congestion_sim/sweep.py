@@ -15,7 +15,13 @@ import numpy as np
 from .diagnostics import InitialDataSummary
 from .errors import ConfigError
 from .grid import Grid, norm
-from .initial_data import InitRecipe, build_profiles, make_initial_data, validate_profiles
+from .initial_data import (
+    InitRecipe,
+    build_profiles,
+    initial_state,
+    make_initial_data,
+    validate_profiles,
+)
 from .model import ModelParams, State, velocities
 from .solver import FailedRun, SchemeConfig, Trajectory, run_simulation
 
@@ -86,8 +92,6 @@ def validate_recipe(recipe: InitRecipe, gammas, g: Grid) -> InitialDataSummary:
 
     Returns the initial-data summary evaluated at the largest gamma.
     """
-    rho0, w0 = build_profiles(recipe, g)
-    validate_profiles(rho0, w0, gammas, g)
     params = ModelParams(gamma=max(gammas))
     _, summary = make_initial_data(recipe, g, params, "w_form", gammas=gammas)
     return summary
@@ -117,11 +121,11 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     row finished or failed.
     """
     g = Grid(config.n_cells)
-    validate_recipe(config.recipe, config.gammas, g)
+    rho0, w0 = build_profiles(config.recipe, g)
+    validate_profiles(rho0, w0, config.gammas, g)
 
     started = _time.perf_counter()
-    inits = [make_initial_data(config.recipe, g, ModelParams(gamma=gamma),
-                               config.scheme.formulation, gammas=config.gammas)[0]
+    inits = [initial_state(rho0, w0, g, ModelParams(gamma=gamma), config.scheme.formulation)
              for gamma in config.gammas]
     batch = State(0.0, np.stack([init.rho for init in inits]),
                   np.stack([init.mom for init in inits]), config.scheme.formulation)

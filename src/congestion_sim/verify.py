@@ -4,6 +4,8 @@ Three layers: manufactured solutions with hand-derived source terms,
 grid-convergence studies (manufactured or fine-grid self-reference), and
 a dense single-step oracle that re-implements one IMEX step with loop
 arithmetic and a dense linear solve, sharing no code with the solver.
+The checks that both ``congestion-sim verify`` and the tests run are
+defined here once, each returning ``diagnostics.CheckResult``s.
 """
 from __future__ import annotations
 
@@ -12,9 +14,16 @@ from typing import Callable
 
 import numpy as np
 
+from .diagnostics import CheckResult
 from .grid import Grid, norm
-from .model import ModelParams, State, U_FORM, W_FORM
-from .solver import SchemeConfig, run_simulation
+from .model import ModelParams, State, U_FORM, W_FORM, u_to_w
+from .solver import (
+    SchemeConfig,
+    run_simulation,
+    solve_cyclic_tridiagonal,
+    step_u_form,
+    step_w_form,
+)
 
 Profile = Callable[[np.ndarray, float], np.ndarray]
 
@@ -101,13 +110,7 @@ class ManufacturedCase:
         return s_rho, s_mom
 
     def sources(self, formulation: str):
-        fn = self.sources_u if formulation == U_FORM else self.sources_w
-        return lambda x, t: fn(x, t)
-
-
-def mms_sources(case: ManufacturedCase, x, t):
-    """Source pair of the velocity formulation at (x, t)."""
-    return case.sources_u(np.asarray(x, dtype=float), t)
+        return self.sources_u if formulation == U_FORM else self.sources_w
 
 
 def _constant(value: float) -> Profile:
@@ -212,12 +215,6 @@ def _observed_orders(errors) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _base_config(formulation: str) -> SchemeConfig:
-    # dt_max is a loose ceiling; _scaled_dt ties the actual step to dx
-    return SchemeConfig(formulation=formulation, cfl=0.45,
-                        dt_max=0.1, dt_init=0.1, snapshot_every=1.0)
-
-
 def _scaled_dt(cfg: SchemeConfig, g: Grid) -> SchemeConfig:
     # cap dt at one cell width per unit time so the time step shrinks
     # with the mesh even for slow cases; keeps observed orders meaningful
@@ -226,45 +223,63 @@ def _scaled_dt(cfg: SchemeConfig, g: Grid) -> SchemeConfig:
     return replace(cfg, dt_max=cap, dt_init=min(cfg.dt_init, cap))
 
 
-def convergence_study(case: ManufacturedCase, resolutions,
-                      formulation: str = U_FORM,
-                      config: SchemeConfig | None = None) -> ConvergenceStudy:
-    """Forced-solver errors against the manufactured solution.
+def doubling_resolutions(values) -> tuple[int, ...]:
+    """``values`` as the cell counts of a convergence study.
 
-    Runs each resolution to case.t_end and measures the L1/Linf errors of
-    density and momentum against the exact fields.
+    Raises ValueError unless there are at least 3, each doubles the one
+    before (observed orders are log2 ratios) and the coarsest is a grid.
     """
-    resolutions = tuple(int(n) for n in resolutions)
+    resolutions = tuple(int(n) for n in values)
     if len(resolutions) < 3:
         raise ValueError("a convergence study needs at least 3 resolutions")
     if any(b != 2 * a for a, b in zip(resolutions, resolutions[1:])):
         raise ValueError("resolutions must double")
-    cfg = config or _base_config(formulation)
-    params = case.params()
+    Grid(resolutions[0])  # ValueError below 4 cells
+    return resolutions
 
+
+def _study(resolutions, errors) -> ConvergenceStudy:
+    """Norms and observed orders of ``errors(g)``, the (density, momentum)
+    errors on the grid of each resolution."""
     rho_l1, rho_linf, mom_l1, mom_linf = [], [], [], []
     for n in resolutions:
         g = Grid(n)
-        init = case.exact_state(g, 0.0, formulation)
-        traj = run_simulation(init, g, params, _scaled_dt(cfg, g), case.t_end,
-                              sources=case.sources(formulation))
-        exact = case.exact_state(g, case.t_end, formulation)
-        drho = traj.final_state.rho - exact.rho
-        dmom = traj.final_state.mom - exact.mom
+        drho, dmom = errors(g)
         rho_l1.append(norm(drho, g, "l1"))
         rho_linf.append(norm(drho, g, "linf"))
         mom_l1.append(norm(dmom, g, "l1"))
         mom_linf.append(norm(dmom, g, "linf"))
-
-    exact_flag = max(rho_l1 + mom_l1) < MACHINE_NOISE
     return ConvergenceStudy(
         resolutions=resolutions,
         rho_l1=tuple(rho_l1), rho_linf=tuple(rho_linf),
         mom_l1=tuple(mom_l1), mom_linf=tuple(mom_linf),
         orders_rho_l1=_observed_orders(rho_l1),
         orders_mom_l1=_observed_orders(mom_l1),
-        exact=exact_flag,
+        exact=max(rho_l1 + mom_l1) < MACHINE_NOISE,
     )
+
+
+def convergence_study(case: ManufacturedCase, resolutions,
+                      formulation: str = U_FORM) -> ConvergenceStudy:
+    """Forced-solver errors against the manufactured solution.
+
+    Runs each resolution to case.t_end and measures the L1/Linf errors of
+    density and momentum against the exact fields.
+    """
+    resolutions = doubling_resolutions(resolutions)
+    # dt_max is a loose ceiling; _scaled_dt ties the actual step to dx
+    cfg = SchemeConfig(formulation=formulation, cfl=0.45,
+                       dt_max=0.1, dt_init=0.1, snapshot_every=1.0)
+    params = case.params()
+
+    def errors(g):
+        init = case.exact_state(g, 0.0, formulation)
+        traj = run_simulation(init, g, params, _scaled_dt(cfg, g), case.t_end,
+                              sources=case.sources(formulation))
+        exact = case.exact_state(g, case.t_end, formulation)
+        return traj.final_state.rho - exact.rho, traj.final_state.mom - exact.mom
+
+    return _study(resolutions, errors)
 
 
 def average_down(fine: np.ndarray, factor: int) -> np.ndarray:
@@ -283,34 +298,92 @@ def self_convergence_study(make_init, params: ModelParams, resolutions,
     ``make_init`` maps a Grid to the initial State; the reference run is
     injected onto each coarse grid by exact block averaging.
     """
-    resolutions = tuple(int(n) for n in resolutions)
-    if len(resolutions) < 3:
-        raise ValueError("a convergence study needs at least 3 resolutions")
+    resolutions = doubling_resolutions(resolutions)
     g_ref = Grid(resolutions[-1] * refine)
     ref = run_simulation(make_init(g_ref), g_ref, params, _scaled_dt(config, g_ref),
-                         t_end)
+                         t_end).final_state
 
-    rho_l1, rho_linf, mom_l1, mom_linf = [], [], [], []
-    for n in resolutions:
-        g = Grid(n)
+    def errors(g):
         traj = run_simulation(make_init(g), g, params, _scaled_dt(config, g), t_end)
-        factor = g_ref.n_cells // n
-        drho = traj.final_state.rho - average_down(ref.final_state.rho, factor)
-        dmom = traj.final_state.mom - average_down(ref.final_state.mom, factor)
-        rho_l1.append(norm(drho, g, "l1"))
-        rho_linf.append(norm(drho, g, "linf"))
-        mom_l1.append(norm(dmom, g, "l1"))
-        mom_linf.append(norm(dmom, g, "linf"))
+        factor = g_ref.n_cells // g.n_cells
+        return (traj.final_state.rho - average_down(ref.rho, factor),
+                traj.final_state.mom - average_down(ref.mom, factor))
 
-    exact_flag = max(rho_l1 + mom_l1) < MACHINE_NOISE
-    return ConvergenceStudy(
-        resolutions=resolutions,
-        rho_l1=tuple(rho_l1), rho_linf=tuple(rho_linf),
-        mom_l1=tuple(mom_l1), mom_linf=tuple(mom_linf),
-        orders_rho_l1=_observed_orders(rho_l1),
-        orders_mom_l1=_observed_orders(mom_l1),
-        exact=exact_flag,
+    return _study(resolutions, errors)
+
+
+# ---------------------------------------------------- shared verification --
+# checks run by both ``congestion-sim verify`` and the test suite
+
+MMS_ORDER_BAND = (0.8, 1.3)
+
+
+def mms_order_checks(formulation: str) -> tuple[CheckResult, CheckResult]:
+    """Observed L1 orders of density and of momentum on the travelling
+    wave from 128 to 256 cells, each inside ``MMS_ORDER_BAND``.
+
+    ``worst`` is the observed order and ``tol`` the top of the band.
+    """
+    study = convergence_study(CASES["travelling_wave"], (64, 128, 256),
+                              formulation=formulation)
+    lo, hi = MMS_ORDER_BAND
+    rho_order, mom_order = study.orders_rho_l1[-1], study.orders_mom_l1[-1]
+    return (CheckResult(f"mms travelling_wave order ({formulation})",
+                        lo <= rho_order <= hi, rho_order, hi),
+            CheckResult(f"mms travelling_wave momentum order ({formulation})",
+                        lo <= mom_order <= hi, mom_order, hi))
+
+
+def dense_oracle_checks() -> list[CheckResult]:
+    """One solver step of each formulation against ``dense_step_oracle``.
+
+    A smooth density bump at rest on 8 cells, gamma = 2, dt = 1e-4;
+    density and momentum must agree to ``MACHINE_NOISE``.
+    """
+    g = Grid(8)
+    params = ModelParams(gamma=2.0)
+    rho = 1.0 + 0.1 * np.cos(2.0 * np.pi * g.x)
+    at_rest = np.zeros_like(rho)
+    runs = (
+        (State(0.0, rho, at_rest, U_FORM), step_u_form),
+        (State(0.0, rho, rho * u_to_w(rho, at_rest, g, params), W_FORM), step_w_form),
     )
+    out = []
+    for state, step in runs:
+        scheme = SchemeConfig(formulation=state.formulation)
+        got = step(state, g, params, scheme, 1e-4)
+        want = dense_step_oracle(state, g, params, scheme, 1e-4)
+        err = max(float(np.max(np.abs(got.rho - want.rho))),
+                  float(np.max(np.abs(got.mom - want.mom))))
+        out.append(CheckResult(f"dense oracle agreement ({state.formulation})",
+                               err <= MACHINE_NOISE, err, MACHINE_NOISE))
+    return out
+
+
+def random_cyclic_systems_check(seed: int, n_max: int, signed: bool = False) -> CheckResult:
+    """``solve_cyclic_tridiagonal`` against a dense solve on 100 random
+    diagonally dominant periodic systems of 4 <= n < ``n_max``.
+
+    ``signed`` flips the sign of each diagonal entry at random.  The
+    solutions must agree to ``MACHINE_NOISE``.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(100):
+        n = int(rng.integers(4, n_max))
+        sub, sup = rng.normal(size=n), rng.normal(size=n)
+        clo, chi = rng.normal(size=2)
+        diag = np.abs(sub) + np.abs(sup) + abs(clo) + abs(chi) + 1.0 + rng.random(n)
+        if signed:
+            diag = diag * rng.choice([-1.0, 1.0], size=n)
+        rhs = rng.normal(size=n)
+        x = solve_cyclic_tridiagonal(sub, diag, sup, clo, chi, rhs)
+        dense = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+        dense[0, n - 1] += clo
+        dense[n - 1, 0] += chi
+        worst = max(worst, float(np.max(np.abs(x - np.linalg.solve(dense, rhs)))))
+    return CheckResult("cyclic tridiagonal vs dense (100 systems)",
+                       worst <= MACHINE_NOISE, worst, MACHINE_NOISE)
 
 
 def dense_step_oracle(state: State, g: Grid, params: ModelParams,

@@ -1,66 +1,87 @@
-"""Shared fixtures: the shipped cases, run once per session."""
+"""Shared fixtures: the shipped cases, loaded from configs/ and run once per session."""
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from congestion_sim.cli import CONFIG_DIR
+from congestion_sim.config import RunConfig, load_run_config
 from congestion_sim.grid import Grid
-from congestion_sim.initial_data import InitRecipe, make_initial_data
+from congestion_sim.initial_data import make_initial_data
 from congestion_sim.model import ModelParams, U_FORM, W_FORM
-from congestion_sim.solver import SchemeConfig, run_simulation
-
-SHIPPED_SCHEME = dict(cfl=0.1, dt_max=2e-3, dt_init=5e-4, snapshot_every=0.05)
-
-STANDARD_RECIPE = InitRecipe(kind="cosine", rho_mean=0.8, rho_amp=0.1, w_amp=0.2)
-TRAVELLING_RECIPE = InitRecipe(kind="cosine", rho_mean=0.8, rho_amp=0.1,
-                               w_amp=0.2, w_mean=0.3)
-CONSTANT_RECIPE = InitRecipe(kind="cosine", rho_mean=0.8, rho_amp=0.0, w_amp=0.0)
+from congestion_sim.solver import run_simulation
+from congestion_sim.verify import self_convergence_study
 
 
-def run_case(recipe: InitRecipe, formulation: str, n_cells: int,
-             t_end: float = 0.5, gamma: float = 10.0, **overrides):
-    scheme_args = {**SHIPPED_SCHEME, **overrides}
+def shipped(name: str) -> RunConfig:
+    return load_run_config(str(CONFIG_DIR / f"{name}.cfg"))
+
+
+STANDARD = shipped("standard_smooth")
+TRAVELLING = shipped("travelling_smooth")
+CONSTANT = shipped("constant_state")
+SWEEP = shipped("standard_sweep")
+
+
+def run_case(case: RunConfig, formulation: str, n_cells: int, t_end: float | None = None,
+             gamma: float | None = None, recipe=None):
+    """Run a shipped case, overriding only what the caller names."""
     g = Grid(n_cells)
-    params = ModelParams(gamma=gamma)
-    scheme = SchemeConfig(formulation=formulation, **scheme_args)
-    init, summary = make_initial_data(recipe, g, params, formulation)
-    traj = run_simulation(init, g, params, scheme, t_end)
+    params = ModelParams(gamma=case.gamma if gamma is None else gamma)
+    scheme = dataclasses.replace(case.scheme, formulation=formulation)
+    init, summary = make_initial_data(recipe or case.recipe, g, params, formulation)
+    traj = run_simulation(init, g, params, scheme, case.t_end if t_end is None else t_end)
     return traj, summary, g
+
+
+def standard_self_convergence(resolutions, t_end: float):
+    """The standard case in w_form against a 4x finer run of itself, with
+    the time-step settings of the manufactured-solution studies."""
+    params = ModelParams(STANDARD.gamma)
+    scheme = dataclasses.replace(STANDARD.scheme, cfl=0.45, dt_max=0.1, dt_init=0.1)
+
+    def make_init(g):
+        init, _ = make_initial_data(STANDARD.recipe, g, params, W_FORM)
+        return init
+
+    return self_convergence_study(make_init, params, resolutions, t_end, scheme)
 
 
 @pytest.fixture(scope="session")
 def standard_w_256():
-    return run_case(STANDARD_RECIPE, W_FORM, 256)
+    return run_case(STANDARD, W_FORM, 256)
 
 
 @pytest.fixture(scope="session")
 def standard_w_512():
-    return run_case(STANDARD_RECIPE, W_FORM, 512)
+    return run_case(STANDARD, W_FORM, 512)
 
 
 @pytest.fixture(scope="session")
 def standard_u_256():
-    return run_case(STANDARD_RECIPE, U_FORM, 256)
+    return run_case(STANDARD, U_FORM, 256)
 
 
 @pytest.fixture(scope="session")
 def standard_u_512():
-    return run_case(STANDARD_RECIPE, U_FORM, 512)
+    return run_case(STANDARD, U_FORM, 512)
 
 
 @pytest.fixture(scope="session")
 def travelling_w_256():
-    return run_case(TRAVELLING_RECIPE, W_FORM, 256)
+    return run_case(TRAVELLING, W_FORM, 256)
 
 
 @pytest.fixture(scope="session")
 def travelling_w_512():
-    return run_case(TRAVELLING_RECIPE, W_FORM, 512)
+    return run_case(TRAVELLING, W_FORM, 512)
 
 
 @pytest.fixture(scope="session")
 def constant_u_256():
-    return run_case(CONSTANT_RECIPE, U_FORM, 256)
+    return run_case(CONSTANT, U_FORM, 256)
 
 
 def observed_order(coarse: float, fine: float) -> float:

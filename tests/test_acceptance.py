@@ -9,16 +9,18 @@ import time
 import numpy as np
 import pytest
 
-from conftest import SHIPPED_SCHEME, STANDARD_RECIPE, observed_order, run_case
+from conftest import STANDARD, SWEEP, observed_order, run_case
 import congestion_sim.diagnostics as diag
 from congestion_sim.diagnostics import TOL
 from congestion_sim.grid import Grid, norm
-from congestion_sim.model import ModelParams, U_FORM, W_FORM
-from congestion_sim.solver import SchemeConfig, step_W_transport
+from congestion_sim.model import U_FORM, W_FORM
+from congestion_sim.solver import step_W_transport
 from congestion_sim.sweep import SweepConfig, run_sweep
-from congestion_sim.verify import CASES, convergence_study, dense_step_oracle
-
-GAMMAS = (5.0, 10.0, 20.0, 40.0, 80.0)
+from congestion_sim.verify import (
+    dense_oracle_checks,
+    mms_order_checks,
+    random_cyclic_systems_check,
+)
 
 
 def verdict(label: str, ok: bool, detail: str) -> None:
@@ -28,9 +30,8 @@ def verdict(label: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def standard_sweep_report():
-    scheme = SchemeConfig(formulation=W_FORM, **SHIPPED_SCHEME)
-    config = SweepConfig(gammas=GAMMAS, recipe=STANDARD_RECIPE, n_cells=256,
-                         t_end=0.5, scheme=scheme)
+    config = SweepConfig(gammas=SWEEP.gammas, recipe=SWEEP.recipe, n_cells=SWEEP.n_cells,
+                         t_end=SWEEP.t_end, scheme=SWEEP.scheme)
     started = time.perf_counter()
     report = run_sweep(config)
     return report, time.perf_counter() - started
@@ -123,12 +124,11 @@ def test_c04_w_maximum_principle(travelling_w_256, travelling_w_512):
 
 def test_c05_quantitative_lower_bound():
     worst = np.inf
-    for gamma in GAMMAS:
-        traj, _, _ = run_case(STANDARD_RECIPE, W_FORM, 256, t_end=1.0,
-                              gamma=gamma)
+    for gamma in SWEEP.gammas:
+        traj, _, _ = run_case(STANDARD, W_FORM, 256, t_end=1.0, gamma=gamma)
         worst = min(worst, float(np.min(traj.series("lower_bound_margin"))))
     verdict("C5 quantitative lower bound", worst >= -TOL.lower_bound_abs,
-            f"min margin {worst:+.3e} over gammas {GAMMAS}")
+            f"min margin {worst:+.3e} over gammas {SWEEP.gammas}")
 
 
 def test_c06_rhoW2_conservation(standard_w_256, standard_w_512):
@@ -178,55 +178,15 @@ def test_c09_scheme_verification():
     ok = True
     details = []
     for formulation in (U_FORM, W_FORM):
-        study = convergence_study(CASES["travelling_wave"], (64, 128, 256),
-                                  formulation=formulation)
-        order = study.orders_rho_l1[-1]
-        ok = ok and 0.8 <= order <= 1.3
-        ok = ok and 0.8 <= study.orders_mom_l1[-1] <= 1.3
-        details.append(f"mms {formulation} order {order:.2f}")
+        rho_order, mom_order = mms_order_checks(formulation)
+        ok = ok and rho_order.passed and mom_order.passed
+        details.append(f"mms {formulation} order {rho_order.worst:.2f}")
 
-    from congestion_sim.model import State, u_to_w
-    from congestion_sim.solver import (
-        solve_cyclic_tridiagonal, step_u_form, step_w_form,
-    )
-    g = Grid(8)
-    params = ModelParams(2.0)
-    rho = 1.0 + 0.1 * np.cos(2.0 * np.pi * g.x)
-    pairs = [
-        (State(0.0, rho, np.zeros(8), U_FORM), step_u_form,
-         SchemeConfig(formulation=U_FORM)),
-        (State(0.0, rho, rho * u_to_w(rho, np.zeros(8), g, params), W_FORM),
-         step_w_form, SchemeConfig(formulation=W_FORM)),
-    ]
-    worst_oracle = 0.0
-    for state, step, cfg in pairs:
-        got = step(state, g, params, cfg, 1e-4)
-        want = dense_step_oracle(state, g, params, cfg, 1e-4)
-        worst_oracle = max(worst_oracle,
-                           float(np.max(np.abs(got.rho - want.rho))),
-                           float(np.max(np.abs(got.mom - want.mom))))
+    worst_oracle = max(check.worst for check in dense_oracle_checks())
     ok = ok and worst_oracle <= 1e-12
     details.append(f"oracle err {worst_oracle:.1e}")
 
-    rng = np.random.default_rng(7)
-    worst_tri = 0.0
-    for _ in range(100):
-        n = int(rng.integers(4, 32))
-        sub, sup = rng.normal(size=n), rng.normal(size=n)
-        clo, chi = rng.normal(size=2)
-        diag_v = np.abs(sub) + np.abs(sup) + abs(clo) + abs(chi) + 1.0 + rng.random(n)
-        rhs = rng.normal(size=n)
-        x = solve_cyclic_tridiagonal(sub, diag_v, sup, clo, chi, rhs)
-        a = np.zeros((n, n))
-        for i in range(n):
-            a[i, i] = diag_v[i]
-            if i > 0:
-                a[i, i - 1] = sub[i]
-            if i < n - 1:
-                a[i, i + 1] = sup[i]
-        a[0, n - 1] += clo
-        a[n - 1, 0] += chi
-        worst_tri = max(worst_tri, float(np.max(np.abs(x - np.linalg.solve(a, rhs)))))
+    worst_tri = random_cyclic_systems_check(seed=7, n_max=32).worst
     ok = ok and worst_tri <= 1e-12
     details.append(f"tridiag err {worst_tri:.1e}")
     verdict("C9 scheme verification", ok, "; ".join(details))
@@ -235,8 +195,8 @@ def test_c09_scheme_verification():
 def test_c10_formulation_equivalence():
     diffs = []
     for n in (256, 512, 1024):
-        tu, _, g = run_case(STANDARD_RECIPE, U_FORM, n, t_end=0.25)
-        tw, _, _ = run_case(STANDARD_RECIPE, W_FORM, n, t_end=0.25)
+        tu, _, g = run_case(STANDARD, U_FORM, n, t_end=0.25)
+        tw, _, _ = run_case(STANDARD, W_FORM, n, t_end=0.25)
         diffs.append(norm(tu.final_state.rho - tw.final_state.rho, g, "l1"))
     orders = [observed_order(a, b) for a, b in zip(diffs, diffs[1:])]
     ok = all(order >= TOL.min_order for order in orders)

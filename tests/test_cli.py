@@ -1,10 +1,10 @@
 import json
-import os
 
 import numpy as np
 import pytest
 
 import congestion_sim.cli as cli
+from conftest import CONSTANT, STANDARD
 from congestion_sim.config import (
     CONFIG_KEYS,
     config_key_help,
@@ -97,8 +97,7 @@ def test_every_config_key_documented_in_help():
 
 def test_make_initial_data_constant():
     g = Grid(64)
-    recipe = InitRecipe(kind="cosine", rho_mean=0.8, rho_amp=0.0, w_amp=0.0)
-    state, summary = make_initial_data(recipe, g, ModelParams(10.0), U_FORM)
+    state, summary = make_initial_data(CONSTANT.recipe, g, ModelParams(CONSTANT.gamma), U_FORM)
     assert np.all(state.rho == 0.8)
     assert summary.mean_rho0 == pytest.approx(0.8, abs=1e-15)
 
@@ -134,12 +133,12 @@ def test_recipe_validation_errors():
 
 def test_formulations_share_initial_data():
     g = Grid(64)
-    recipe = InitRecipe(kind="cosine", rho_mean=0.8, rho_amp=0.1, w_amp=0.2)
-    su, _ = make_initial_data(recipe, g, ModelParams(10.0), U_FORM)
-    sw, _ = make_initial_data(recipe, g, ModelParams(10.0), W_FORM)
+    params = ModelParams(STANDARD.gamma)
+    su, _ = make_initial_data(STANDARD.recipe, g, params, U_FORM)
+    sw, _ = make_initial_data(STANDARD.recipe, g, params, W_FORM)
     assert np.array_equal(su.rho, sw.rho)
     from congestion_sim.model import u_to_w
-    w_from_u = u_to_w(su.rho, su.mom / su.rho, g, ModelParams(10.0))
+    w_from_u = u_to_w(su.rho, su.mom / su.rho, g, params)
     assert np.allclose(w_from_u, sw.mom / sw.rho, atol=1e-14)
 
 
@@ -202,11 +201,9 @@ SHIPPED_SUMMARY_SHA256 = {
 def test_shipped_summary_bits_unchanged(tmp_path, formulation):
     import hashlib
 
-    shipped = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
-                           "standard_smooth.cfg")
-    with open(shipped, encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines()
-                 if not line.startswith(("output.dir", "scheme.formulation"))]
+    shipped = cli.CONFIG_DIR / "standard_smooth.cfg"
+    lines = [line for line in shipped.read_text(encoding="utf-8").splitlines()
+             if not line.startswith(("output.dir", "scheme.formulation"))]
     out_dir = tmp_path / "out"
     lines += [f"output.dir = {out_dir}", f"scheme.formulation = {formulation}"]
     cfg = write_config(tmp_path, "\n".join(lines) + "\n")
@@ -302,13 +299,9 @@ def test_unreadable_custom_csv_is_config_error(tmp_path, capsys, profile):
     assert str(path) in capsys.readouterr().err
 
 
-CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
-
-
-@pytest.mark.parametrize("name", sorted(
-    name for name in os.listdir(CONFIGS) if name.endswith(".cfg")))
+@pytest.mark.parametrize("name", sorted(path.name for path in cli.CONFIG_DIR.glob("*.cfg")))
 def test_shipped_configs_load(name):
-    cfg = load_run_config(os.path.join(CONFIGS, name))
+    cfg = load_run_config(str(cli.CONFIG_DIR / name))
     assert (cfg.gamma is None) != (cfg.gammas is None)
 
 
@@ -348,6 +341,41 @@ def test_runtime_failure_exit_code(tmp_path, monkeypatch):
 def test_mms_subcommand():
     assert cli.main(["mms", "--case", "constant", "--resolutions", "16,32,64"]) == 0
     assert cli.main(["mms", "--case", "nope"]) == 2
+
+
+@pytest.mark.parametrize("resolutions", ["64,abc", "64,128", "64,100,200", "", "2,4,8"])
+def test_mms_bad_resolutions_are_config_errors(capsys, resolutions):
+    # each ended in a ValueError traceback with exit 1, the verdict code
+    assert cli.main(["mms", "--case", "constant", "--resolutions", resolutions]) == 2
+    assert "--resolutions" in capsys.readouterr().err
+
+
+def test_verify_runs_every_single_gamma_config(tmp_path, monkeypatch, capsys):
+    for name in ("constant_state.cfg", "standard_sweep.cfg"):
+        (tmp_path / name).write_bytes((cli.CONFIG_DIR / name).read_bytes())
+    monkeypatch.setattr(cli, "CONFIG_DIR", tmp_path)
+    assert cli.main(["verify", "--suite", "invariants"]) == 0
+    labels = [line.rsplit(": ", 1)[0] for line in capsys.readouterr().out.splitlines()]
+    # w0 = 0 never changes sign, so the W maximum principle is checked
+    assert labels == [f"[PASS] constant_state: {check}" for check in (
+        "mass conservation", "ke_w non-increasing", "energy residual band",
+        "W max principle", "rhoW2 conservation", "density lower bound",
+        "psi_periodicity", "psi_gradient", "positivity")]
+
+
+@pytest.mark.parametrize("contents", ["missing", "sweep_only"])
+def test_verify_without_single_gamma_config_is_config_error(tmp_path, monkeypatch,
+                                                            capsys, contents):
+    config_dir = tmp_path / "configs"
+    if contents == "sweep_only":
+        config_dir.mkdir()
+        (config_dir / "standard_sweep.cfg").write_bytes(
+            (cli.CONFIG_DIR / "standard_sweep.cfg").read_bytes())
+    monkeypatch.setattr(cli, "CONFIG_DIR", config_dir)
+    assert cli.main(["verify", "--suite", "invariants"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(config_dir) in captured.err
 
 
 def test_verify_oracle_suite():

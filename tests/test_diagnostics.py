@@ -4,8 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import STANDARD_RECIPE, observed_order, run_case
-from congestion_sim.initial_data import InitRecipe
+from conftest import CONSTANT, STANDARD, observed_order, run_case
 import congestion_sim.diagnostics as diag
 from congestion_sim.grid import Grid, ddx_central, integrate
 from congestion_sim.initial_data import make_initial_data
@@ -88,7 +87,7 @@ def test_pi_l1_equals_gamma_H_total(standard_w_256):
 def test_initial_summary_values():
     g = Grid(256)
     params = ModelParams(10.0)
-    state, summary = make_initial_data(STANDARD_RECIPE, g, params, W_FORM)
+    state, summary = make_initial_data(STANDARD.recipe, g, params, W_FORM)
     # cell centres sit half a cell away from the analytic extrema
     assert summary.rho0_min == pytest.approx(0.7, abs=1e-4)
     assert summary.rho0_max == pytest.approx(0.9, abs=1e-4)
@@ -174,10 +173,8 @@ def test_rhoW2_static_velocity_frozen_transport():
 
 
 def test_psi_constant_state_is_uniform():
-    traj, _, g = run_case(
-        InitRecipe(kind="cosine", rho_mean=0.8, rho_amp=0.0,
-                              w_amp=0.0, w_mean=0.5),
-        U_FORM, 64, t_end=0.2)
+    traj, _, g = run_case(CONSTANT, U_FORM, 64, t_end=0.2,
+                          recipe=dataclasses.replace(CONSTANT.recipe, w_mean=0.5))
     psi_series, checks = diag.psi_test_function(traj, g)
     assert checks["periodicity"].passed
     assert checks["gradient"].passed
@@ -204,20 +201,18 @@ def test_psi_gradient_decays_under_refinement(standard_w_256, standard_w_512):
 
 
 def test_weighted_dissipation_zero_cases():
-    traj, _, g = run_case(
-        InitRecipe(kind="cosine", rho_mean=0.8, rho_amp=0.0,
-                              w_amp=0.0, w_mean=0.3),
-        W_FORM, 64, t_end=0.2)
-    i_mean, i_plain, (low, high) = diag.weighted_dissipation_report(traj)
-    assert abs(i_mean) <= 1e-13
-    assert abs(i_plain) <= 1e-13
-    assert abs(low) <= 1e-13 and abs(high) <= 1e-13
+    traj, _, g = run_case(CONSTANT, W_FORM, 64, t_end=0.2,
+                          recipe=dataclasses.replace(CONSTANT.recipe, w_mean=0.3))
+    a = traj.accums
+    assert abs(a.diss_weighted) <= 1e-13
+    assert abs(a.diss_plain) <= 1e-13
+    assert abs(a.diss_plain_low) <= 1e-13 and abs(a.diss_plain_high) <= 1e-13
 
 
 def test_weighted_dissipation_split_sums(standard_w_256):
     traj, _, _ = standard_w_256
-    i_mean, i_plain, (low, high) = diag.weighted_dissipation_report(traj)
-    assert i_plain == pytest.approx(low + high, abs=1e-14)
+    a = traj.accums
+    assert a.diss_plain == pytest.approx(a.diss_plain_low + a.diss_plain_high, abs=1e-14)
 
 
 def test_balance_residuals_decay(standard_w_256, standard_w_512):

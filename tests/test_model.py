@@ -1,5 +1,3 @@
-import math
-
 import mpmath
 import numpy as np
 import pytest

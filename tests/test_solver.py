@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import STANDARD_RECIPE, run_case
-from congestion_sim.initial_data import InitRecipe
+from conftest import CONSTANT, STANDARD, run_case, standard_self_convergence
 from congestion_sim.errors import CflError, LinearSolveError, VacuumError
 from congestion_sim.grid import Grid, integrate
 from congestion_sim.initial_data import make_initial_data
@@ -19,6 +18,7 @@ from congestion_sim.solver import (
     step_w_form,
     step_W_transport,
 )
+from congestion_sim.verify import random_cyclic_systems_check
 
 
 def quiescent_state(n, rho0=0.8, formulation=U_FORM):
@@ -148,7 +148,7 @@ def test_standalone_step_matches_run_loop_step(monkeypatch, formulation, forced)
         sources = case.sources(formulation)
     else:
         params = ModelParams(10.0)
-        init, _ = make_initial_data(STANDARD_RECIPE, g, params, formulation)
+        init, _ = make_initial_data(STANDARD.recipe, g, params, formulation)
         sources = None
     cfg = SchemeConfig(formulation=formulation, cfl=0.45, dt_max=0.01, dt_init=0.005)
     traj = run_simulation(init, g, params, cfg, 0.05, sources=sources)
@@ -225,30 +225,8 @@ def test_cyclic_tridiagonal_circulant_eigenvector():
 
 
 def test_cyclic_tridiagonal_matches_dense_on_random_systems():
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(100):
-        n = int(rng.integers(4, 40))
-        sub = rng.normal(size=n)
-        sup = rng.normal(size=n)
-        clo, chi = rng.normal(size=2)
-        diag = (np.abs(sub) + np.abs(sup) + abs(clo) + abs(chi)
-                + 1.0 + rng.random(n))
-        sign = rng.choice([-1.0, 1.0], size=n)
-        diag = diag * sign
-        rhs = rng.normal(size=n)
-        x = solve_cyclic_tridiagonal(sub, diag, sup, clo, chi, rhs)
-        a = np.zeros((n, n))
-        for i in range(n):
-            a[i, i] = diag[i]
-            if i > 0:
-                a[i, i - 1] = sub[i]
-            if i < n - 1:
-                a[i, i + 1] = sup[i]
-        a[0, n - 1] += clo
-        a[n - 1, 0] += chi
-        worst = max(worst, float(np.max(np.abs(x - np.linalg.solve(a, rhs)))))
-    assert worst <= 1e-12
+    check = random_cyclic_systems_check(seed=42, n_max=40, signed=True)
+    assert check.worst <= 1e-12
 
 
 def test_cyclic_tridiagonal_linearity():
@@ -286,9 +264,7 @@ def test_run_zero_duration():
 
 
 def test_run_constant_state_stays_put():
-    traj, _, _ = run_case(
-        InitRecipe(kind="cosine", rho_mean=0.8, rho_amp=0.0, w_amp=0.0),
-        U_FORM, 64, t_end=1.0)
+    traj, _, _ = run_case(CONSTANT, U_FORM, 64, t_end=1.0)
     final = traj.final_state
     assert np.max(np.abs(final.rho - 0.8)) <= 1e-13
     assert np.max(np.abs(final.mom)) <= 1e-13
@@ -316,8 +292,8 @@ def test_run_rejects_bad_inputs():
 
 
 def test_run_is_deterministic():
-    a, _, _ = run_case(STANDARD_RECIPE, W_FORM, 64, t_end=0.1)
-    b, _, _ = run_case(STANDARD_RECIPE, W_FORM, 64, t_end=0.1)
+    a, _, _ = run_case(STANDARD, W_FORM, 64, t_end=0.1)
+    b, _, _ = run_case(STANDARD, W_FORM, 64, t_end=0.1)
     assert np.array_equal(a.final_state.rho, b.final_state.rho)
     assert np.array_equal(a.final_state.mom, b.final_state.mom)
     assert a.records == b.records
@@ -433,18 +409,5 @@ def test_run_saturation_aborts_with_context():
 def test_standard_case_self_refinement_order():
     # half-resolution comparison against a 4x reference on the shipped
     # smooth case: first-order convergence of the density in L1
-    from conftest import SHIPPED_SCHEME, STANDARD_RECIPE
-    from congestion_sim.initial_data import make_initial_data as _mk
-    from congestion_sim.verify import self_convergence_study
-
-    params = ModelParams(10.0)
-    cfg = SchemeConfig(formulation=W_FORM,
-                       **{**SHIPPED_SCHEME, "cfl": 0.45, "dt_max": 0.1,
-                          "dt_init": 0.1})
-
-    def make_init(g):
-        init, _ = _mk(STANDARD_RECIPE, g, params, W_FORM)
-        return init
-
-    study = self_convergence_study(make_init, params, (64, 128, 256), 0.5, cfg)
+    study = standard_self_convergence((64, 128, 256), t_end=0.5)
     assert study.orders_rho_l1[-1] >= 0.9

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 import congestion_sim.solver as solver_mod
-from conftest import SHIPPED_SCHEME, STANDARD_RECIPE
+from conftest import CONSTANT, SWEEP
 from congestion_sim.errors import ConfigError
 from congestion_sim.grid import Grid
 from congestion_sim.initial_data import InitRecipe, make_initial_data
 from congestion_sim.model import U_FORM, W_FORM, ModelParams, State
-from congestion_sim.solver import FailedRun, SchemeConfig, run_simulation
+from congestion_sim.solver import FailedRun, run_simulation
 from congestion_sim.sweep import (
     GammaRow,
     SweepConfig,
@@ -20,14 +20,12 @@ from congestion_sim.sweep import (
     validate_recipe,
 )
 
-SCHEME = SchemeConfig(formulation=W_FORM, **SHIPPED_SCHEME)
-SHIPPED_GAMMAS = (5.0, 10.0, 20.0, 40.0, 80.0)
 ACCUMULATORS = ("diss_visc", "diss_offset", "work_offset", "diss_weighted",
                 "diss_plain", "diss_plain_low", "diss_plain_high")
 
 
-def sweep_config(gammas, recipe=STANDARD_RECIPE, n_cells=128, t_end=0.2,
-                 scheme=SCHEME):
+def sweep_config(gammas, recipe=SWEEP.recipe, n_cells=128, t_end=0.2,
+                 scheme=SWEEP.scheme):
     return SweepConfig(gammas=tuple(gammas), recipe=recipe, n_cells=n_cells,
                        t_end=t_end, scheme=scheme)
 
@@ -132,8 +130,7 @@ def test_validate_recipe_analytic_extrema():
 
 
 def test_constant_state_sweep_matches_closed_form():
-    recipe = InitRecipe(kind="cosine", rho_mean=0.8, rho_amp=0.0, w_amp=0.0)
-    report = run_sweep(sweep_config((5.0, 80.0), recipe=recipe, t_end=0.5))
+    report = run_sweep(sweep_config((5.0, 80.0), recipe=CONSTANT.recipe, t_end=0.5))
     want5 = closed_form_switching(0.8, 5.0)
     want80 = closed_form_switching(0.8, 80.0)
     assert want5 == pytest.approx(4.3690666666666667e-2, rel=1e-12)
@@ -152,7 +149,7 @@ def test_constant_state_sweep_matches_closed_form():
 
 def test_single_gamma_sweep_matches_plain_run():
     # a one-gamma sweep, then every gamma of the shipped ladder
-    for gammas in ((10.0,), SHIPPED_GAMMAS):
+    for gammas in ((10.0,), SWEEP.gammas):
         config = sweep_config(gammas, n_cells=128, t_end=0.2)
         report = run_sweep(config)
         plain = plain_runs(config)
@@ -169,10 +166,10 @@ def test_single_gamma_sweep_matches_plain_run():
 
 @pytest.mark.parametrize("config", [
     # the shipped sweep: its rows take 293, 290, 276, 258 and 256 steps
-    sweep_config(SHIPPED_GAMMAS, n_cells=256, t_end=0.5),
+    sweep_config(SWEEP.gammas, n_cells=SWEEP.n_cells, t_end=SWEEP.t_end),
     sweep_config((2.0, 7.0, 33.0), n_cells=64, t_end=0.3),
     sweep_config((5.0, 10.0, 20.0), n_cells=64, t_end=0.2,
-                 scheme=SchemeConfig(formulation=U_FORM, **SHIPPED_SCHEME)),
+                 scheme=dataclasses.replace(SWEEP.scheme, formulation=U_FORM)),
 ], ids=["shipped", "uneven", "u_form"])
 def test_batched_rows_equal_their_plain_runs(config):
     plain = plain_runs(config)
@@ -213,8 +210,8 @@ def density_sink(rate):
 ], ids=["w_form-rescued", "w_form-exhausted", "u_form-sink"])
 def test_positivity_rescue_is_per_row(monkeypatch, formulation, patch, max_halvings,
                                       t_end, survivors):
-    scheme = SchemeConfig(formulation=formulation, **SHIPPED_SCHEME,
-                          max_halvings=max_halvings)
+    scheme = dataclasses.replace(SWEEP.scheme, formulation=formulation,
+                                 max_halvings=max_halvings)
     config = sweep_config((2.0, 5.0, 20.0), n_cells=64, t_end=t_end, scheme=scheme)
     monkeypatch.setattr(solver_mod, *patch)
     plain = plain_runs(config)
@@ -233,8 +230,7 @@ def test_positivity_rescue_is_per_row(monkeypatch, formulation, patch, max_halvi
 
 
 def test_sweep_switching_monotone_on_shipped_recipe():
-    report = run_sweep(sweep_config((5.0, 10.0, 20.0, 40.0, 80.0),
-                                    n_cells=128, t_end=0.2))
+    report = run_sweep(sweep_config(SWEEP.gammas, n_cells=128, t_end=0.2))
     values = [r.switching_residual_max for r in report.rows]
     assert all(b < a for a, b in zip(values, values[1:]))
 

@@ -2,28 +2,22 @@ import numpy as np
 import pytest
 
 from congestion_sim.grid import Grid
-from congestion_sim.model import ModelParams, State, U_FORM, W_FORM, u_to_w
-from congestion_sim.solver import (
-    SchemeConfig,
-    run_simulation,
-    step_u_form,
-    step_w_form,
-    step_W_transport,
-)
+from congestion_sim.model import ModelParams, State, U_FORM, W_FORM
+from congestion_sim.solver import SchemeConfig, run_simulation, step_W_transport
 from congestion_sim.verify import (
     CASES,
     average_down,
     convergence_study,
+    dense_oracle_checks,
     dense_step_oracle,
-    mms_sources,
-    self_convergence_study,
+    mms_order_checks,
 )
 
 
 def test_constant_case_has_zero_sources():
     case = CASES["constant"]
     x = np.linspace(0.0, 1.0, 17)
-    s_rho, s_mom = mms_sources(case, x, 0.3)
+    s_rho, s_mom = case.sources_u(x, 0.3)
     assert np.all(s_rho == 0.0)
     assert np.all(s_mom == 0.0)
     s_rho_w, s_mom_w = case.sources_w(x, 0.3)
@@ -36,7 +30,7 @@ def test_travelling_velocity_source_closed_form():
     case = CASES["travelling_velocity"]
     x = np.array([0.0, 0.13, 0.5, 0.77])
     t = 0.31
-    s_rho, _ = mms_sources(case, x, t)
+    s_rho, _ = case.sources_u(x, t)
     want = 0.8 * 0.2 * np.pi * np.cos(2.0 * np.pi * (x - t))
     assert np.allclose(s_rho, want, rtol=1e-13)
 
@@ -80,7 +74,7 @@ def test_sources_cross_checked_by_high_order_differences(name, formulation):
             return (case.rho(za, t) * case.u(za, t))[0]
 
         s_rho_fd = d4(rho_t, t, ht) + d4(mass_flux_x, x, hx)
-        s_rho, s_mom = mms_sources(case, xa, t)
+        s_rho, s_mom = case.sources_u(xa, t)
         assert s_rho_fd == pytest.approx(s_rho[0], rel=1e-7, abs=1e-7)
 
         if formulation == U_FORM:
@@ -124,21 +118,8 @@ def test_dense_oracle_constant_fixed_point():
 
 @pytest.mark.parametrize("formulation", [U_FORM, W_FORM])
 def test_dense_oracle_matches_solver_step(formulation):
-    g = Grid(8)
-    params = ModelParams(2.0)
-    rho = 1.0 + 0.1 * np.cos(2.0 * np.pi * g.x)
-    if formulation == U_FORM:
-        state = State(0.0, rho, np.zeros(8), U_FORM)
-        step = step_u_form
-    else:
-        w0 = u_to_w(rho, np.zeros(8), g, params)
-        state = State(0.0, rho, rho * w0, W_FORM)
-        step = step_w_form
-    cfg = SchemeConfig(formulation=formulation)
-    got = step(state, g, params, cfg, 1e-4)
-    want = dense_step_oracle(state, g, params, cfg, 1e-4)
-    assert np.max(np.abs(got.rho - want.rho)) <= 1e-12
-    assert np.max(np.abs(got.mom - want.mom)) <= 1e-12
+    u_check, w_check = dense_oracle_checks()
+    assert (u_check if formulation == U_FORM else w_check).worst <= 1e-12
 
 
 def test_dense_oracle_rejects_large_grids():
@@ -164,10 +145,8 @@ def test_convergence_study_validates_resolutions():
 
 @pytest.mark.parametrize("formulation", [U_FORM, W_FORM])
 def test_mms_orders_first_order_band(formulation):
-    study = convergence_study(CASES["travelling_wave"], (64, 128, 256),
-                              formulation=formulation)
-    assert 0.8 <= study.orders_rho_l1[-1] <= 1.3
-    assert 0.8 <= study.orders_mom_l1[-1] <= 1.3
+    rho_order, mom_order = mms_order_checks(formulation)
+    assert rho_order.passed and mom_order.passed
 
 
 def test_sources_disabled_reproduces_plain_trajectory():
@@ -203,16 +182,7 @@ def test_average_down_block_means():
 
 
 def test_self_convergence_study_on_smooth_case():
-    from conftest import SHIPPED_SCHEME, STANDARD_RECIPE
-    from congestion_sim.initial_data import make_initial_data
+    from conftest import standard_self_convergence
 
-    params = ModelParams(10.0)
-    cfg = SchemeConfig(formulation=W_FORM, **{**SHIPPED_SCHEME, "dt_max": 0.1,
-                                              "dt_init": 0.1, "cfl": 0.45})
-
-    def make_init(g):
-        init, _ = make_initial_data(STANDARD_RECIPE, g, params, W_FORM)
-        return init
-
-    study = self_convergence_study(make_init, params, (32, 64, 128), 0.2, cfg)
+    study = standard_self_convergence((32, 64, 128), t_end=0.2)
     assert study.orders_rho_l1[-1] >= 0.8
