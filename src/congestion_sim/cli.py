@@ -87,27 +87,22 @@ def write_diagnostics_jsonl(path: str, records) -> None:
 
 
 def _trajectory_summary(traj: Trajectory) -> dict:
-    records = traj.records
-    mass = traj.series("mass")
-    ke_w = traj.series("ke_w")
-    w_max = traj.series("W_max")
-    rho_w2 = traj.series("rhoW2")
-    _, checks = diag.psi_test_function(traj, traj.grid)
+    checks = diag.trajectory_checks(traj)
     return {
         "initial": dataclasses.asdict(traj.init_summary),
-        "final": dataclasses.asdict(records[-1]),
-        "mean_rho": traj.mean_rho,
+        "final": dataclasses.asdict(traj.records[-1]),
+        "mean_rho": traj.init_summary.mean_rho0,
         "n_steps": traj.n_steps,
-        "mass_drift_rel": float(np.max(np.abs(mass - mass[0])) / mass[0]),
-        "ke_w_max_increase": float(np.max(np.diff(ke_w), initial=0.0)),
-        "energy_residual_max": float(np.max(traj.series("energy_residual"))),
-        "energy_residual_min": float(np.min(traj.series("energy_residual"))),
-        "W_max_drift": float(np.max(w_max - w_max[0])),
-        "rhoW2_drift": float(np.max(np.abs(rho_w2 - rho_w2[0]))),
-        "lower_bound_margin_min": float(np.min(traj.series("lower_bound_margin"))),
+        "mass_drift_rel": checks["mass_conservation"].worst,
+        "ke_w_max_increase": checks["ke_w_non_increasing"].worst,
+        "energy_residual_max": checks["energy_residual_max"].worst,
+        "energy_residual_min": checks["energy_residual_min"].worst,
+        "W_max_drift": checks["W_max_principle"].worst,
+        "rhoW2_drift": checks["rhoW2_conservation"].worst,
+        "lower_bound_margin_min": checks["lower_bound_margin"].worst,
         "switching_residual_max": float(np.max(traj.series("switching_residual"))),
-        "psi_periodicity_defect": checks["periodicity"].worst,
-        "psi_gradient_defect": checks["gradient"].worst,
+        "psi_periodicity_defect": checks["psi_periodicity"].worst,
+        "psi_gradient_defect": checks["psi_gradient"].worst,
         "I_mean": traj.accums.diss_weighted,
         "I_plain": traj.accums.diss_plain,
         "I_plain_split": [traj.accums.diss_plain_low, traj.accums.diss_plain_high],
@@ -239,48 +234,30 @@ def shipped_cases() -> list[tuple[str, RunConfig]]:
 
 def _invariant_checks(name: str, traj: Trajectory,
                       check_w_reconstruction: bool) -> list[tuple[str, bool, str]]:
-    tol = diag.TOL
-    out = []
-    mass = traj.series("mass")
-    drift = float(np.max(np.abs(mass - mass[0])) / mass[0])
-    out.append((f"{name}: mass conservation", drift <= tol.exact,
-                f"rel drift {drift:.3e}"))
+    """The ``verify`` lines of one case's trajectory checks."""
+    checks = diag.trajectory_checks(traj)
 
-    ke_w = traj.series("ke_w")
-    rise = float(np.max(np.diff(ke_w), initial=0.0))
-    ke_tol = tol.ke_w_rel * (1.0 + ke_w[0])
-    out.append((f"{name}: ke_w non-increasing", rise <= ke_tol,
-                f"max rise {rise:.3e}"))
+    def line(label, key, detail):
+        return (f"{name}: {label}", checks[key].passed, detail.format(checks[key]))
 
-    res = traj.series("energy_residual")
-    e1 = traj.init_summary.E1
-    ok = bool(np.all(res <= tol.energy_abs)
-              and np.all(res >= -tol.energy_frac * e1 - tol.energy_abs))
-    out.append((f"{name}: energy residual band", ok,
-                f"range [{np.min(res):.3e}, {np.max(res):.3e}], E1 {e1:.3e}"))
-
+    low, high = checks["energy_residual_min"], checks["energy_residual_max"]
+    drift = "drift {0.worst:.3e} tol {0.tol:.3e}"
+    defect = "defect {0.worst:.3e} tol {0.tol:.3e}"
+    out = [
+        line("mass conservation", "mass_conservation", "rel drift {0.worst:.3e}"),
+        line("ke_w non-increasing", "ke_w_non_increasing", "max rise {0.worst:.3e}"),
+        (f"{name}: energy residual band", low.passed and high.passed,
+         f"range [{low.worst:.3e}, {high.worst:.3e}], E1 {traj.init_summary.E1:.3e}"),
+    ]
     if check_w_reconstruction:
-        wcheck = diag.W_max_principle_check(traj.series("W_max"), reconstructed=True)
-        out.append((f"{name}: W max principle", wcheck.passed,
-                    f"drift {wcheck.worst:.3e} tol {wcheck.tol:.3e}"))
-
-    rcheck = diag.rhoW2_conservation_check(traj.series("rhoW2"))
-    out.append((f"{name}: rhoW2 conservation", rcheck.passed,
-                f"drift {rcheck.worst:.3e} tol {rcheck.tol:.3e}"))
-
-    margin = float(np.min(traj.series("lower_bound_margin")))
-    lb_tol = tol.lower_bound_frac * traj.init_summary.rho0_min
-    out.append((f"{name}: density lower bound", margin >= -lb_tol,
-                f"min margin {margin:.3e}"))
-
-    _, checks = diag.psi_test_function(traj, traj.grid)
-    for check in checks.values():
-        out.append((f"{name}: {check.name}", check.passed,
-                    f"defect {check.worst:.3e} tol {check.tol:.3e}"))
-
-    rho_min = float(np.min(traj.series("rho_min")))
-    out.append((f"{name}: positivity", rho_min > 0.0,
-                f"min rho {rho_min:.6g}"))
+        out.append(line("W max principle", "W_max_principle", drift))
+    out += [
+        line("rhoW2 conservation", "rhoW2_conservation", drift),
+        line("density lower bound", "lower_bound_margin", "min margin {0.worst:.3e}"),
+        line("psi_periodicity", "psi_periodicity", defect),
+        line("psi_gradient", "psi_gradient", defect),
+        line("positivity", "positivity", "min rho {0.worst:.6g}"),
+    ]
     return out
 
 

@@ -8,7 +8,7 @@ be present.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .initial_data import INIT_KINDS, InitRecipe
@@ -43,32 +43,39 @@ def _parse_float_list(text: str, key: str) -> tuple[float, ...]:
 
 
 # key -> (parser, default-or-None, help text); None default means optional
-# presence handled downstream, REQUIRED means the key must appear.
+# presence handled downstream, REQUIRED means the key must appear.  The
+# scheme and init defaults are those of SchemeConfig and InitRecipe (a
+# dataclass field's default is also its class attribute).
 REQUIRED = object()
 
 CONFIG_KEYS = {
     "scheme.formulation": (str, "w_form",
                            f"state formulation, one of {FORMULATIONS}"),
-    "scheme.cfl": (float, 0.45, "advective CFL number in (0, 1]"),
-    "scheme.dt_max": (float, 1e-2, "upper bound on the time step"),
-    "scheme.dt_init": (float, 1e-3, "time step cap for the very first step"),
-    "scheme.newton_tol": (float, 1e-10, "residual tolerance of the implicit solve"),
-    "scheme.max_halvings": (int, 20, "dt halvings tried before a vacuum error"),
+    "scheme.cfl": (float, SchemeConfig.cfl, "advective CFL number in (0, 1]"),
+    "scheme.dt_max": (float, SchemeConfig.dt_max, "upper bound on the time step"),
+    "scheme.dt_init": (float, SchemeConfig.dt_init,
+                       "time step cap for the very first step"),
+    "scheme.newton_tol": (float, SchemeConfig.newton_tol,
+                          "residual tolerance of the implicit solve"),
+    "scheme.max_halvings": (int, SchemeConfig.max_halvings,
+                            "dt halvings tried before a vacuum error"),
     "grid.n_cells": (int, REQUIRED, "number of cells of the periodic mesh (>= 4)"),
     "model.gamma": (float, None, "offset exponent for a single run"),
     "sweep.gammas": ("float_list", None,
                      "comma-separated increasing exponents for a sweep"),
-    "init.kind": (str, "cosine", f"initial-data family, one of {INIT_KINDS}"),
-    "init.rho_mean": (float, 0.8, "mean initial density (must exceed rho_amp)"),
-    "init.rho_amp": (float, 0.1, "density perturbation amplitude (>= 0)"),
-    "init.w_amp": (float, 0.2, "desired-velocity amplitude"),
-    "init.w_mean": (float, 0.0, "mean desired velocity"),
-    "init.phase": (float, 0.0, "phase shift of the density perturbation"),
-    "init.csv_path": (str, None, "profile file for init.kind = custom_csv"),
+    "init.kind": (str, InitRecipe.kind, f"initial-data family, one of {INIT_KINDS}"),
+    "init.rho_mean": (float, InitRecipe.rho_mean,
+                      "mean initial density (must exceed rho_amp)"),
+    "init.rho_amp": (float, InitRecipe.rho_amp, "density perturbation amplitude (>= 0)"),
+    "init.w_amp": (float, InitRecipe.w_amp, "desired-velocity amplitude"),
+    "init.w_mean": (float, InitRecipe.w_mean, "mean desired velocity"),
+    "init.phase": (float, InitRecipe.phase, "phase shift of the density perturbation"),
+    "init.csv_path": (str, InitRecipe.csv_path, "profile file for init.kind = custom_csv"),
     "time.t_end": (float, REQUIRED, "final time of the run"),
     "output.dir": (str, "out", "output directory"),
     "output.format": (str, "csv", "snapshot serialization: csv or jsonl"),
-    "diagnostics.every": (float, 0.05, "snapshot/diagnostics cadence in time"),
+    "diagnostics.every": (float, SchemeConfig.snapshot_every,
+                          "snapshot/diagnostics cadence in time"),
 }
 
 
@@ -151,15 +158,8 @@ def resolve_run_config(values: dict) -> RunConfig:
             max_halvings=resolved["scheme.max_halvings"],
             snapshot_every=resolved["diagnostics.every"],
         )
-        recipe = InitRecipe(
-            kind=resolved["init.kind"],
-            rho_mean=resolved["init.rho_mean"],
-            rho_amp=resolved["init.rho_amp"],
-            w_amp=resolved["init.w_amp"],
-            w_mean=resolved["init.w_mean"],
-            phase=resolved["init.phase"],
-            csv_path=resolved["init.csv_path"],
-        )
+        recipe = InitRecipe(**{f.name: resolved[f"init.{f.name}"]
+                               for f in fields(InitRecipe)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

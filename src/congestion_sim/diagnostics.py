@@ -33,8 +33,8 @@ class Tolerances:
     exact: float = 1e-12                 # conservation identities, relative
     exact_abs: float = 1e-13             # quadrature identities, absolute
     ke_w_rel: float = 1e-8               # slack for non-increasing rho*w^2
-    energy_frac: float = 0.05            # lower band of the energy residual, x E1
-    energy_abs: float = 1e-8             # upper band of the energy residual
+    energy_frac: float = 0.05            # lower edge of the energy band, x -E1
+    energy_abs: float = 1e-8             # upper edge of the energy band, absolute
     reconstruction: float = 5e-2         # W-max / rho*W^2 drift, reconstructed
     w_transport: float = 1e-10           # W-max drift when W is evolved directly
     w_transport_step: float = 1e-14      # per-step slack of the monotone update
@@ -109,7 +109,7 @@ def summarize_initial_data(state: State, g: Grid, params: ModelParams) -> Initia
         M0=float(np.max(W0)),
         rho0_min=float(np.min(rho)),
         rho0_max=float(np.max(rho)),
-        mean_rho0=integrate(rho, g) / g.length,
+        mean_rho0=integrate(rho, g),
         E0=norm(rho, g, "l1"),
         E1=integrate(rho * u * u, g),
         E2=integrate(rho * w * w, g) + h0,
@@ -234,7 +234,7 @@ def record(state: State, g: Grid, params: ModelParams,
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of an end-of-run verdict."""
+    """Outcome of an end-of-run verdict; ``passed`` is a Python bool."""
 
     name: str
     passed: bool
@@ -254,7 +254,7 @@ def W_max_principle_check(w_max_series, *, reconstructed: bool = True) -> CheckR
     """
     series = np.asarray(w_max_series, dtype=float)
     rel = TOL.reconstruction if reconstructed else TOL.w_transport
-    tol = rel * (1.0 + abs(series[0]))
+    tol = rel * (1.0 + abs(float(series[0])))
     worst = float(np.max(series - series[0]))
     return CheckResult("W_max_principle", worst <= tol, worst, tol)
 
@@ -262,7 +262,7 @@ def W_max_principle_check(w_max_series, *, reconstructed: bool = True) -> CheckR
 def rhoW2_conservation_check(rhoW2_series) -> CheckResult:
     """Verdict on |int rho W^2 (t) - int rho W^2 (0)| staying small."""
     series = np.asarray(rhoW2_series, dtype=float)
-    tol = TOL.reconstruction * (1.0 + series[0])
+    tol = TOL.reconstruction * (1.0 + float(series[0]))
     worst = float(np.max(np.abs(series - series[0])))
     return CheckResult("rhoW2_conservation", worst <= tol, worst, tol)
 
@@ -276,7 +276,7 @@ def psi_test_function(trajectory, g: Grid):
     checks verify periodicity of Psi and ddx(Psi) = rho - <rho> up to
     first-order prefix error.
     """
-    mean_rho = trajectory.mean_rho
+    mean_rho = trajectory.init_summary.mean_rho0
     rho0 = as_field(trajectory.snapshots[0].state.rho, g)
     centred = rho0 - mean_rho
     # prefix[i] approximates the integral from 0 to the left edge of cell i
@@ -308,3 +308,39 @@ def psi_test_function(trajectory, g: Grid):
     }
     return psi_series, checks
 
+
+def trajectory_checks(trajectory) -> dict[str, CheckResult]:
+    """Every end-of-run verdict on a trajectory, keyed by check name.
+
+    ``worst`` is the reduction of the trajectory that ``summary.json``
+    reports.  The energy band is -energy_frac * E1 <= residual <=
+    energy_abs, one check per edge; its lower edge and the density
+    lower-bound margin pass when ``worst >= tol``, positivity when
+    ``worst > tol``, every other check when ``worst <= tol``.
+    """
+    summary = trajectory.init_summary
+    mass = trajectory.series("mass")
+    ke_w = trajectory.series("ke_w")
+    residual = trajectory.series("energy_residual")
+    drift = float(np.max(np.abs(mass - mass[0])) / mass[0])
+    rise = float(np.max(np.diff(ke_w), initial=0.0))
+    rise_tol = TOL.ke_w_rel * (1.0 + float(ke_w[0]))
+    top, bottom = float(np.max(residual)), float(np.min(residual))
+    bottom_edge = -TOL.energy_frac * summary.E1
+    margin = float(np.min(trajectory.series("lower_bound_margin")))
+    margin_tol = -TOL.lower_bound_frac * summary.rho0_min
+    rho_min = float(np.min(trajectory.series("rho_min")))
+    _, psi = psi_test_function(trajectory, trajectory.grid)
+    checks = (
+        CheckResult("mass_conservation", drift <= TOL.exact, drift, TOL.exact),
+        CheckResult("ke_w_non_increasing", rise <= rise_tol, rise, rise_tol),
+        CheckResult("energy_residual_max", top <= TOL.energy_abs, top, TOL.energy_abs),
+        CheckResult("energy_residual_min", bottom >= bottom_edge, bottom, bottom_edge),
+        W_max_principle_check(trajectory.series("W_max")),
+        rhoW2_conservation_check(trajectory.series("rhoW2")),
+        CheckResult("lower_bound_margin", margin >= margin_tol, margin, margin_tol),
+        psi["periodicity"],
+        psi["gradient"],
+        CheckResult("positivity", rho_min > 0.0, rho_min, 0.0),
+    )
+    return {check.name: check for check in checks}

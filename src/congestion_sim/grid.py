@@ -25,17 +25,14 @@ class Grid:
     """
 
     n_cells: int
-    length: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n_cells < 4:
             raise ValueError(f"n_cells must be at least 4, got {self.n_cells}")
-        if self.length != 1.0:
-            raise ValueError("domain is the unit torus; length is fixed to 1.0")
 
     @property
     def dx(self) -> float:
-        return self.length / self.n_cells
+        return 1.0 / self.n_cells
 
     @property
     def x(self) -> np.ndarray:

@@ -84,7 +84,7 @@ def build_profiles(recipe: InitRecipe, g: Grid):
         xs, rhos, ws = _read_profile_csv(recipe.csv_path)
         # nearest-cell resampling with periodic distance
         dist = np.abs(x[:, None] - xs[None, :])
-        dist = np.minimum(dist, g.length - dist)
+        dist = np.minimum(dist, 1.0 - dist)
         idx = np.argmin(dist, axis=1)
         rho, w = rhos[idx], ws[idx]
     return rho, w
@@ -107,7 +107,7 @@ def validate_profiles(rho0, w0, gammas, g: Grid) -> None:
             f"initial density upper bound violated: max rho0 = {rho_max:.6g} "
             f"> 1 + 1/gamma = {cap:.6g} at gamma = {gamma_max:g}"
         )
-    mean = integrate(np.asarray(rho0, dtype=float), g) / g.length
+    mean = integrate(np.asarray(rho0, dtype=float), g)
     if mean >= 1.0:
         raise ConfigError(
             f"initial mean-density bound violated: <rho0> = {mean:.6g} >= 1"
@@ -115,15 +115,11 @@ def validate_profiles(rho0, w0, gammas, g: Grid) -> None:
 
 
 def make_initial_data(recipe: InitRecipe, g: Grid, params: ModelParams,
-                      formulation: str,
-                      gammas=None) -> tuple[State, InitialDataSummary]:
-    """Build the initial state of a recipe plus its summary.
-
-    ``gammas`` widens the admissibility check to a whole sweep; a single
-    run is checked against its own gamma.
-    """
+                      formulation: str) -> tuple[State, InitialDataSummary]:
+    """Build the initial state of a recipe, checked against its own gamma,
+    plus its summary."""
     rho0, w0 = build_profiles(recipe, g)
-    validate_profiles(rho0, w0, gammas if gammas else [params.gamma], g)
+    validate_profiles(rho0, w0, [params.gamma], g)
     state = initial_state(rho0, w0, g, params, formulation)
     return state, summarize_initial_data(state, g, params)
 

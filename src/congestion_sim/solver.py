@@ -47,7 +47,6 @@ from .grid import (
     central_difference,
     face_sum,
     forward_difference,
-    integrate,
 )
 from .model import (
     U_FORM,
@@ -104,18 +103,20 @@ class Snapshot:
 
 @dataclass
 class Trajectory:
-    """Ordered snapshots, final state and the running time integrals."""
+    """Ordered snapshots, the last of them the final state, and the running
+    time integrals."""
 
     grid: Grid
     params: ModelParams
-    config: SchemeConfig
     init_summary: InitialDataSummary
-    mean_rho: float
     snapshots: list[Snapshot]
-    final_state: State
     accums: Accumulators
     n_steps: int
     wall_seconds: float
+
+    @property
+    def final_state(self) -> State:
+        return self.snapshots[-1].state
 
     @property
     def records(self) -> list[DiagnosticsRecord]:
@@ -534,13 +535,11 @@ class _Row:
     index: int
     params: ModelParams
     summary: InitialDataSummary
-    mean_rho: float
     snapshots: list
 
 
 def run_simulation(init: State, g: Grid, params: ModelParams,
-                   config: SchemeConfig, t_end: float,
-                   hooks=None, sources=None):
+                   config: SchemeConfig, t_end: float, sources=None):
     """Advance the state to t_end, recording diagnostics along the way.
 
     The final step is clipped to land exactly on t_end so runs at
@@ -555,7 +554,12 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
     batch when it reaches t_end or fails.  A batch returns one entry per
     row: its Trajectory, or the FailedRun holding the VacuumError,
     SaturationError or LinearSolveError that its run alone raises.
-    ``hooks`` see every row's snapshots; ``sources`` serve single runs.
+    ``sources`` serve single runs.
+
+    A snapshot is taken at the first step that reaches each multiple of
+    ``config.snapshot_every``; a step that crosses several of them takes
+    one and restarts the cadence from its own time, so a cadence shorter
+    than a step takes a snapshot every step.
     """
     if t_end < init.t:
         raise ValueError("t_end must not precede the initial time")
@@ -582,8 +586,7 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
             results[index] = FailedRun(err, _time.perf_counter() - started)
             rows.append(None)
             continue
-        rows.append(_Row(index, row_params, summary,
-                         integrate(rho0[pos], g) / g.length, []))
+        rows.append(_Row(index, row_params, summary, []))
 
     # the stacked arrays of the rows still stepping; per-row values are
     # numpy scalars for a single run and have the shape (rows,) in a batch
@@ -606,7 +609,7 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
         fields = None if fields is None else StateFields(
             fields.p[keep], fields.dxp[keep], fields.u[keep], fields.w[keep])
         params = ModelParams(np.array([[row.params.gamma] for row in rows]))
-        mean_rho = np.array([row.mean_rho for row in rows])
+        mean_rho = np.array([row.summary.mean_rho0 for row in rows])
 
     def row_state(pos) -> State:
         rho, mom = state.rho[pos], state.mom[pos]
@@ -618,25 +621,20 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
         snap_state, row_accums = row_state(pos), accums.select(pos)
         rec = record(snap_state, g, row.params, row_accums, row.summary)
         row.snapshots.append(Snapshot(snap_state, rec, row_accums.int_mass_flux))
-        if hooks:
-            for hook in hooks:
-                hook(snap_state, rec)
 
     def finish(done) -> None:
         for pos, row in zip(np.ndindex(np.shape(done)), rows):
             if done[pos]:
                 results[row.index] = Trajectory(
-                    grid=g, params=row.params, config=config,
-                    init_summary=row.summary, mean_rho=row.mean_rho,
-                    snapshots=row.snapshots, final_state=row.snapshots[-1].state,
-                    accums=accums.select(pos), n_steps=n_steps,
+                    grid=g, params=row.params, init_summary=row.summary,
+                    snapshots=row.snapshots, accums=accums.select(pos), n_steps=n_steps,
                     wall_seconds=_time.perf_counter() - started,
                 )
 
     if batched:
         restack(np.array([row is not None for row in rows], dtype=bool))
     else:
-        mean_rho = rows[0].mean_rho
+        mean_rho = rows[0].summary.mean_rho0
     for pos, row in zip(np.ndindex(state.t.shape), rows):
         take_snapshot(pos, row)
 
@@ -684,8 +682,9 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
             for pos, row in zip(np.ndindex(due.shape), rows):
                 if due[pos]:
                     take_snapshot(pos, row)
-                    while next_snap[pos] <= state.t[pos] + 1e-14:
-                        next_snap[pos] += every
+                    next_snap[pos] += every
+                    if next_snap[pos] <= state.t[pos] + 1e-14:
+                        next_snap[pos] = state.t[pos] + every
         if batched and _any(done):
             finish(done)
             restack(~done)

@@ -12,16 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import InitialDataSummary
+from .diagnostics import W_max_principle_check
 from .errors import ConfigError
 from .grid import Grid, norm
-from .initial_data import (
-    InitRecipe,
-    build_profiles,
-    initial_state,
-    make_initial_data,
-    validate_profiles,
-)
+from .initial_data import InitRecipe, build_profiles, initial_state, validate_profiles
 from .model import ModelParams, State, velocities
 from .solver import FailedRun, SchemeConfig, Trajectory, run_simulation
 
@@ -87,18 +81,7 @@ class SweepReport:
     fit: CongestionFit
 
 
-def validate_recipe(recipe: InitRecipe, gammas, g: Grid) -> InitialDataSummary:
-    """Check the recipe against the tightest (largest-gamma) hypotheses.
-
-    Returns the initial-data summary evaluated at the largest gamma.
-    """
-    params = ModelParams(gamma=max(gammas))
-    _, summary = make_initial_data(recipe, g, params, "w_form", gammas=gammas)
-    return summary
-
-
 def _row_from_trajectory(gamma: float, traj: Trajectory, runtime: float) -> GammaRow:
-    w_max = traj.series("W_max")
     return GammaRow(
         gamma=gamma,
         max_rho=float(np.max(traj.series("rho_max"))),
@@ -107,7 +90,7 @@ def _row_from_trajectory(gamma: float, traj: Trajectory, runtime: float) -> Gamm
         pi_l1_max=float(np.max(traj.series("pi_l1"))),
         dpi_l2_max=float(np.max(traj.series("dpi_l2"))),
         I_plain_abs=float(abs(traj.accums.diss_plain)),
-        W_max_drift=float(np.max(w_max - w_max[0])),
+        W_max_drift=W_max_principle_check(traj.series("W_max")).worst,
         runtime=runtime,
     )
 

@@ -327,7 +327,7 @@ def mms_order_checks(formulation: str) -> tuple[CheckResult, CheckResult]:
     study = convergence_study(CASES["travelling_wave"], (64, 128, 256),
                               formulation=formulation)
     lo, hi = MMS_ORDER_BAND
-    rho_order, mom_order = study.orders_rho_l1[-1], study.orders_mom_l1[-1]
+    rho_order, mom_order = float(study.orders_rho_l1[-1]), float(study.orders_mom_l1[-1])
     return (CheckResult(f"mms travelling_wave order ({formulation})",
                         lo <= rho_order <= hi, rho_order, hi),
             CheckResult(f"mms travelling_wave momentum order ({formulation})",

@@ -43,8 +43,7 @@ def test_c01_mass_conservation(standard_w_256, standard_u_256,
     slowest = 0.0
     for traj, _, _ in (standard_w_256, standard_u_256, travelling_w_256,
                        constant_u_256):
-        mass = traj.series("mass")
-        worst = max(worst, float(np.max(np.abs(mass - mass[0])) / mass[0]))
+        worst = max(worst, diag.trajectory_checks(traj)["mass_conservation"].worst)
         slowest = max(slowest, traj.wall_seconds)
     verdict("C1 mass conservation", worst <= TOL.exact and slowest <= 60.0,
             f"max rel drift {worst:.3e}, slowest run {slowest:.1f}s")
@@ -57,12 +56,11 @@ def test_c02_basic_energy_band_and_decay(standard_u_256, standard_u_512,
     for name, coarse, fine in (("u_form", standard_u_256, standard_u_512),
                                ("w_form", standard_w_256, standard_w_512)):
         magnitudes = []
-        for traj, summary, _ in (coarse, fine):
-            res = traj.series("energy_residual")
-            in_band = bool(np.all(res <= TOL.energy_abs)
-                           and np.all(res >= -TOL.energy_frac * summary.E1))
-            ok = ok and in_band
-            magnitudes.append(float(np.max(np.abs(res))))
+        for traj, _, _ in (coarse, fine):
+            checks = diag.trajectory_checks(traj)
+            ok = (ok and checks["energy_residual_max"].passed
+                  and checks["energy_residual_min"].passed)
+            magnitudes.append(float(np.max(np.abs(traj.series("energy_residual")))))
         order = observed_order(magnitudes[0], magnitudes[1])
         ok = ok and order >= TOL.min_order
         details.append(f"{name}: |res|={magnitudes[0]:.3e} order={order:.2f}")
@@ -74,10 +72,9 @@ def test_c03_additional_energy(standard_w_256, standard_w_512,
     ok = True
     rises = []
     for traj, _, _ in (standard_w_256, travelling_w_256, constant_u_256):
-        ke_w = traj.series("ke_w")
-        rise = float(np.max(np.diff(ke_w), initial=0.0))
-        rises.append(rise)
-        ok = ok and rise <= TOL.ke_w_rel * (1.0 + ke_w[0])
+        rise = diag.trajectory_checks(traj)["ke_w_non_increasing"]
+        rises.append(rise.worst)
+        ok = ok and rise.passed
     defects = [float(np.max(np.abs(traj.series("H_balance_residual"))))
                for traj, _, _ in (standard_w_256, standard_w_512)]
     order = observed_order(defects[0], defects[1])
@@ -126,7 +123,7 @@ def test_c05_quantitative_lower_bound():
     worst = np.inf
     for gamma in SWEEP.gammas:
         traj, _, _ = run_case(STANDARD, W_FORM, 256, t_end=1.0, gamma=gamma)
-        worst = min(worst, float(np.min(traj.series("lower_bound_margin"))))
+        worst = min(worst, diag.trajectory_checks(traj)["lower_bound_margin"].worst)
     verdict("C5 quantitative lower bound", worst >= -TOL.lower_bound_abs,
             f"min margin {worst:+.3e} over gammas {SWEEP.gammas}")
 
@@ -161,16 +158,16 @@ def test_c07_hard_congestion_trend(standard_sweep_report):
 
 
 def test_c08_potential_estimate_machinery(standard_w_256, standard_sweep_report):
-    traj, _, g = standard_w_256
-    _, checks = diag.psi_test_function(traj, g)
-    ok = checks["periodicity"].worst <= TOL.psi_periodic
-    ok = ok and checks["gradient"].worst <= TOL.psi_gradient_dx * g.dx
+    traj, _, _ = standard_w_256
+    checks = diag.trajectory_checks(traj)
+    wrap, gradient = checks["psi_periodicity"], checks["psi_gradient"]
+    ok = wrap.passed and gradient.passed
     report, _ = standard_sweep_report
     plains = [r.I_plain_abs for r in report.rows]
     ok = ok and all(v <= 2.0 * plains[0] for v in plains)
     verdict("C8 potential-estimate machinery", ok,
-            f"psi wrap {checks['periodicity'].worst:.1e}, "
-            f"psi gradient {checks['gradient'].worst:.3e} (tol {TOL.psi_gradient_dx * g.dx:.3e}), "
+            f"psi wrap {wrap.worst:.1e}, "
+            f"psi gradient {gradient.worst:.3e} (tol {gradient.tol:.3e}), "
             f"I_plain max/first {max(plains)/plains[0]:.2f}")
 
 

@@ -212,6 +212,25 @@ def test_shipped_summary_bits_unchanged(tmp_path, formulation):
     assert digest == SHIPPED_SUMMARY_SHA256[formulation]
 
 
+@pytest.mark.parametrize("every", ["1e-20", "1e-300"])
+def test_cadence_shorter_than_a_step_snapshots_every_step(tmp_path, every):
+    # below the float spacing of t, adding the cadence to the next
+    # snapshot time leaves it where it is
+    shipped = cli.CONFIG_DIR / "standard_smooth.cfg"
+    lines = [line for line in shipped.read_text(encoding="utf-8").splitlines()
+             if not line.startswith(("output.dir", "time.t_end", "diagnostics.every"))]
+    out_dir = tmp_path / "out"
+    lines += [f"output.dir = {out_dir}", "time.t_end = 0.01", f"diagnostics.every = {every}"]
+    cfg = write_config(tmp_path, "\n".join(lines) + "\n")
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    n_steps = json.loads((out_dir / "summary.json").read_text())["n_steps"]
+    times = [json.loads(line)["t"]
+             for line in (out_dir / "diagnostics.jsonl").read_text().splitlines()]
+    assert n_steps > 1
+    assert len(times) == len(list(out_dir.glob("snapshot_*.csv"))) == n_steps + 1
+    assert times[-1] == 0.01 and all(np.diff(times) > 0.0)
+
+
 def test_simulate_with_jsonl_format(tmp_path):
     out_dir = tmp_path / "out"
     cfg = write_config(tmp_path, BASE_CONFIG

@@ -159,6 +159,30 @@ def test_rhoW2_conservation_check(standard_w_256):
     assert not diag.rhoW2_conservation_check([1.0, 1.2]).passed
 
 
+@pytest.mark.parametrize("fixture", ["standard_w_256", "constant_u_256"])
+def test_every_check_passed_is_a_python_bool(fixture, request):
+    traj, _, _ = request.getfixturevalue(fixture)
+    checks = list(diag.trajectory_checks(traj).values()) + [
+        diag.W_max_principle_check([1.0, 1.01]),
+        diag.rhoW2_conservation_check([1.0, 1.01]),
+    ]
+    for check in checks:
+        assert type(check.passed) is bool, check.name
+        assert bool(check) is check.passed
+
+
+def test_energy_band_edges(standard_u_256, constant_u_256):
+    # -0.05 * E1 <= residual <= 1e-8, with no absolute slack at the bottom,
+    # where the constant state (E1 = 0, residual exactly 0) sits
+    for traj, summary, _ in (standard_u_256, constant_u_256):
+        checks = diag.trajectory_checks(traj)
+        low, high = checks["energy_residual_min"], checks["energy_residual_max"]
+        assert low.tol == -0.05 * summary.E1 and high.tol == 1e-8
+        assert low.passed and high.passed
+    constant = diag.trajectory_checks(constant_u_256[0])["energy_residual_min"]
+    assert constant.worst == constant.tol == 0.0
+
+
 def test_rhoW2_static_velocity_frozen_transport():
     # u = 0 and static rho: the transported potential never changes
     from congestion_sim.solver import step_W_transport

@@ -27,8 +27,6 @@ def test_grid_geometry():
 def test_grid_rejects_tiny_and_stretched():
     with pytest.raises(ValueError):
         Grid(3)
-    with pytest.raises(ValueError):
-        Grid(16, length=2.0)
 
 
 def test_ddx_constant_is_exactly_zero():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import CONSTANT, STANDARD, run_case, standard_self_convergence
+from congestion_sim.diagnostics import trajectory_checks
 from congestion_sim.errors import CflError, LinearSolveError, VacuumError
 from congestion_sim.grid import Grid, integrate
 from congestion_sim.initial_data import make_initial_data
@@ -303,9 +304,8 @@ def test_hooks_receive_snapshots():
     g = Grid(32)
     params = ModelParams(4.0)
     cfg = SchemeConfig(formulation=U_FORM, snapshot_every=0.01)
-    seen = []
-    run_simulation(quiescent_state(32), g, params, cfg, 0.05,
-                   hooks=[lambda state, rec: seen.append(rec.t)])
+    traj = run_simulation(quiescent_state(32), g, params, cfg, 0.05)
+    seen = traj.series("t")
     assert len(seen) >= 3
     assert seen[0] == 0.0 and seen[-1] == 0.05
 
@@ -314,28 +314,27 @@ def test_hooks_receive_snapshots():
                                      "travelling_w_256"])
 def test_mass_conserved_along_trajectory(fixture, request):
     traj, _, _ = request.getfixturevalue(fixture)
-    mass = traj.series("mass")
-    assert np.max(np.abs(mass - mass[0])) / mass[0] <= 1e-12
+    assert trajectory_checks(traj)["mass_conservation"].worst <= 1e-12
 
 
 @pytest.mark.parametrize("fixture", ["standard_w_256", "travelling_w_256"])
 def test_ke_w_non_increasing(fixture, request):
     traj, _, _ = request.getfixturevalue(fixture)
-    ke_w = traj.series("ke_w")
-    assert np.max(np.diff(ke_w), initial=0.0) <= 1e-8 * (1.0 + ke_w[0])
+    rise = trajectory_checks(traj)["ke_w_non_increasing"].worst
+    assert rise <= 1e-8 * (1.0 + traj.records[0].ke_w)
 
 
 @pytest.mark.parametrize("fixture", ["standard_w_256", "standard_u_256"])
 def test_energy_residual_band(fixture, request):
     traj, summary, _ = request.getfixturevalue(fixture)
-    res = traj.series("energy_residual")
-    assert np.max(res) <= 1e-8
-    assert np.min(res) >= -0.05 * summary.E1
+    checks = trajectory_checks(traj)
+    assert checks["energy_residual_max"].worst <= 1e-8
+    assert checks["energy_residual_min"].worst >= -0.05 * summary.E1
 
 
 def test_positivity_along_trajectory(standard_w_256):
     traj, _, _ = standard_w_256
-    assert np.min(traj.series("rho_min")) > 0.0
+    assert trajectory_checks(traj)["positivity"].worst > 0.0
 
 
 def test_formulations_converge_together(standard_u_256, standard_w_256):

@@ -6,9 +6,16 @@ import pytest
 
 import congestion_sim.solver as solver_mod
 from conftest import CONSTANT, SWEEP
+from congestion_sim.diagnostics import summarize_initial_data
 from congestion_sim.errors import ConfigError
 from congestion_sim.grid import Grid
-from congestion_sim.initial_data import InitRecipe, make_initial_data
+from congestion_sim.initial_data import (
+    InitRecipe,
+    build_profiles,
+    initial_state,
+    make_initial_data,
+    validate_profiles,
+)
 from congestion_sim.model import U_FORM, W_FORM, ModelParams, State
 from congestion_sim.solver import FailedRun, run_simulation
 from congestion_sim.sweep import (
@@ -17,7 +24,6 @@ from congestion_sim.sweep import (
     _row_from_trajectory,
     fit_congestion_rate,
     run_sweep,
-    validate_recipe,
 )
 
 ACCUMULATORS = ("diss_visc", "diss_offset", "work_offset", "diss_weighted",
@@ -33,7 +39,7 @@ def sweep_config(gammas, recipe=SWEEP.recipe, n_cells=128, t_end=0.2,
 def initial_states(config):
     g = Grid(config.n_cells)
     return g, [make_initial_data(config.recipe, g, ModelParams(gamma),
-                                 config.scheme.formulation, gammas=config.gammas)[0]
+                                 config.scheme.formulation)[0]
                for gamma in config.gammas]
 
 
@@ -80,6 +86,15 @@ def assert_same_trajectory(got, want):
         assert np.array_equal(a.int_mass_flux, b.int_mass_flux)
 
 
+def largest_gamma_summary(recipe, gammas, g):
+    """A sweep's admissibility check of its recipe against every gamma,
+    then the initial-data summary at the largest."""
+    rho0, w0 = build_profiles(recipe, g)
+    validate_profiles(rho0, w0, gammas, g)
+    params = ModelParams(max(gammas))
+    return summarize_initial_data(initial_state(rho0, w0, g, params, W_FORM), g, params)
+
+
 def closed_form_switching(rho, gamma):
     with mpmath.workdps(40):
         r, gm = mpmath.mpf(rho), mpmath.mpf(gamma)
@@ -98,7 +113,7 @@ def test_sweep_config_validation():
 def test_validate_recipe_accepts_constant():
     g = Grid(64)
     recipe = InitRecipe(kind="cosine", rho_mean=0.9, rho_amp=0.0, w_amp=0.0)
-    summary = validate_recipe(recipe, (5.0, 80.0), g)
+    summary = largest_gamma_summary(recipe, (5.0, 80.0), g)
     assert summary.rho0_min == pytest.approx(0.9)
     assert summary.M0 == 0.0
 
@@ -107,7 +122,7 @@ def test_validate_recipe_rejects_cap_violation():
     g = Grid(64)
     recipe = InitRecipe(kind="cosine", rho_mean=1.05, rho_amp=0.0, w_amp=0.0)
     with pytest.raises(ConfigError) as err:
-        validate_recipe(recipe, (5.0, 80.0), g)
+        largest_gamma_summary(recipe, (5.0, 80.0), g)
     assert "1 + 1/gamma" in str(err.value)
     assert "1.0125" in str(err.value)
 
@@ -116,14 +131,14 @@ def test_validate_recipe_rejects_mean_at_one():
     g = Grid(64)
     recipe = InitRecipe(kind="cosine", rho_mean=1.0, rho_amp=0.0, w_amp=0.0)
     with pytest.raises(ConfigError) as err:
-        validate_recipe(recipe, (1000.0,), g)
+        largest_gamma_summary(recipe, (1000.0,), g)
     assert "mean" in str(err.value)
 
 
 def test_validate_recipe_analytic_extrema():
     g = Grid(256)
     recipe = InitRecipe(kind="cosine", rho_mean=0.85, rho_amp=0.1, w_amp=0.0)
-    summary = validate_recipe(recipe, (5.0, 80.0), g)
+    summary = largest_gamma_summary(recipe, (5.0, 80.0), g)
     assert summary.mean_rho0 == pytest.approx(0.85, abs=1e-12)
     assert summary.rho0_max == pytest.approx(0.95, abs=1e-4)
     assert summary.rho0_min == pytest.approx(0.75, abs=1e-4)
