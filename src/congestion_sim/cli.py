@@ -3,8 +3,8 @@
 Subcommands: ``simulate`` (single run), ``sweep`` (gamma sweep),
 ``verify`` (verification suites), ``mms`` (one manufactured-solution
 study).  Exit codes: 0 success, 1 verdict failure, 2 configuration
-error, 3 runtime failure (vacuum/saturation), with the offending time,
-cell and gamma printed.
+error, 3 runtime failure (vacuum, saturation or a failed linear solve),
+with the offending time, cell and gamma printed.
 
 The ``invariants`` suite of ``verify`` runs every single-gamma config
 (``model.gamma`` set) in ``CONFIG_DIR``, the ``configs/`` directory of
@@ -27,12 +27,12 @@ import numpy as np
 
 from . import diagnostics as diag
 from .config import RunConfig, config_key_help, load_run_config
-from .errors import ConfigError, LinearSolveError, SaturationError, VacuumError
+from .errors import ConfigError, RunFailure
 from .grid import Grid
-from .initial_data import build_profiles, make_initial_data
+from .initial_data import build_profiles
 from .model import ModelParams, U_FORM, W_FORM, derived_fields
-from .solver import Trajectory, run_simulation
-from .sweep import GammaRow, SweepConfig, SweepReport, run_sweep
+from .solver import Trajectory
+from .sweep import GammaRow, SweepReport, run_config, run_sweep
 from .verify import (
     CASES,
     convergence_study,
@@ -55,6 +55,9 @@ def fmt17(x) -> str:
 # ----------------------------------------------------------------- output --
 
 SNAPSHOT_COLUMNS = ("x", "rho", "u", "w", "pi", "W", "V")
+# one snapshot row; "%.17g" % v is format(v, ".17g"), the same float
+# formatting for every finite and non-finite value
+_SNAPSHOT_ROW = ",".join(["%.17g"] * len(SNAPSHOT_COLUMNS)) + "\n"
 
 
 def _snapshot_columns(g: Grid, state, params: ModelParams) -> list:
@@ -66,8 +69,7 @@ def write_snapshot_csv(path: str, g: Grid, state, params: ModelParams) -> None:
     cols = _snapshot_columns(g, state, params)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(SNAPSHOT_COLUMNS) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(fmt17(v) for v in row) + "\n")
+        fh.writelines(_SNAPSHOT_ROW % row for row in zip(*(col.tolist() for col in cols)))
 
 
 def write_snapshots_jsonl(path: str, g: Grid, traj: Trajectory) -> None:
@@ -75,8 +77,7 @@ def write_snapshots_jsonl(path: str, g: Grid, traj: Trajectory) -> None:
         for snap in traj.snapshots:
             cols = _snapshot_columns(g, snap.state, traj.params)
             rec = {"t": snap.state.t}
-            rec.update((name, [float(v) for v in col])
-                       for name, col in zip(SNAPSHOT_COLUMNS, cols))
+            rec.update((name, col.tolist()) for name, col in zip(SNAPSHOT_COLUMNS, cols))
             fh.write(json.dumps(rec) + "\n")
 
 
@@ -151,7 +152,10 @@ def write_sweep_report(out_dir: str, report: SweepReport) -> None:
 # ------------------------------------------------------------ subcommands --
 
 def _ensure_dir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output.dir {path}: cannot create it: {exc.strerror}") from exc
 
 
 def cmd_simulate(args) -> int:
@@ -159,20 +163,15 @@ def cmd_simulate(args) -> int:
     if cfg.gamma is None:
         raise ConfigError("simulate needs model.gamma (use the sweep subcommand "
                           "for sweep.gammas)")
-    g = Grid(cfg.n_cells)
-    params = ModelParams(gamma=cfg.gamma)
-    init, _ = make_initial_data(cfg.recipe, g, params, cfg.scheme.formulation)
-
     _ensure_dir(cfg.out_dir)
     log_path = os.path.join(cfg.out_dir, "run.log")
     with open(log_path, "w", encoding="utf-8") as log:
         log.write(f"started {_time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
         log.write(f"config {os.path.abspath(args.config)}\n")
         try:
-            traj = run_simulation(init, g, params, cfg.scheme, cfg.t_end)
-        except (VacuumError, SaturationError, LinearSolveError) as exc:
-            log.write(f"failed {exc} [t={getattr(exc, 't', None)}, "
-                      f"cell={getattr(exc, 'cell', None)}, gamma={cfg.gamma}]\n")
+            traj = run_config(cfg)
+        except RunFailure as exc:
+            log.write(f"failed {exc} {exc.context()}\n")
             raise
         log.write(f"steps {traj.n_steps}\n")
         log.write(f"wall_seconds {traj.wall_seconds:.3f}\n")
@@ -181,10 +180,10 @@ def cmd_simulate(args) -> int:
         for i, snap in enumerate(traj.snapshots):
             write_snapshot_csv(
                 os.path.join(cfg.out_dir, f"snapshot_{i:04d}.csv"),
-                g, snap.state, params,
+                traj.grid, snap.state, traj.params,
             )
     else:
-        write_snapshots_jsonl(os.path.join(cfg.out_dir, "snapshots.jsonl"), g, traj)
+        write_snapshots_jsonl(os.path.join(cfg.out_dir, "snapshots.jsonl"), traj.grid, traj)
     write_diagnostics_jsonl(os.path.join(cfg.out_dir, "diagnostics.jsonl"),
                             traj.records)
     write_summary_json(os.path.join(cfg.out_dir, "summary.json"), traj)
@@ -197,13 +196,9 @@ def cmd_sweep(args) -> int:
     cfg = load_run_config(args.config)
     if cfg.gammas is None:
         raise ConfigError("sweep needs sweep.gammas")
-    sweep_cfg = SweepConfig(
-        gammas=tuple(cfg.gammas), recipe=cfg.recipe, n_cells=cfg.n_cells,
-        t_end=cfg.t_end, scheme=cfg.scheme,
-    )
-    report = run_sweep(sweep_cfg)
-
     _ensure_dir(cfg.out_dir)
+    report = run_sweep(cfg)
+
     with open(os.path.join(cfg.out_dir, "run.log"), "w", encoding="utf-8") as log:
         log.write(f"started {_time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
         log.write(f"gammas {','.join(str(gm) for gm in cfg.gammas)}\n")
@@ -264,14 +259,11 @@ def _invariant_checks(name: str, traj: Trajectory,
 def _suite_invariants() -> list[tuple[str, bool, str]]:
     results = []
     for name, cfg in shipped_cases():
-        g = Grid(cfg.n_cells)
-        params = ModelParams(gamma=cfg.gamma)
-        init, _ = make_initial_data(cfg.recipe, g, params, cfg.scheme.formulation)
-        traj = run_simulation(init, g, params, cfg.scheme, cfg.t_end)
+        traj = run_config(cfg)
         # the reconstructed-W checks assume the desired velocity has no
         # slow stagnation points, where first-order upwinding leaves a
         # local kink in dx(w) that does not vanish under refinement
-        _, w0 = build_profiles(cfg.recipe, g)
+        _, w0 = build_profiles(cfg.recipe, traj.grid)
         results.extend(_invariant_checks(name, traj, np.min(w0) * np.max(w0) >= 0.0))
     return results
 
@@ -364,16 +356,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except VacuumError as exc:
-        print(f"runtime failure (vacuum): {exc} "
-              f"[t={exc.t}, cell={exc.cell}, gamma={exc.gamma}]", file=sys.stderr)
-        return EXIT_RUNTIME
-    except SaturationError as exc:
-        print(f"runtime failure (saturation): {exc} "
-              f"[t={exc.t}, cell={exc.cell}, gamma={exc.gamma}]", file=sys.stderr)
-        return EXIT_RUNTIME
-    except LinearSolveError as exc:
-        print(f"runtime failure (linear solve): {exc}", file=sys.stderr)
+    except RunFailure as exc:
+        print(f"runtime failure ({exc.kind}): {exc} {exc.context()}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

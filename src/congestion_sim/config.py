@@ -3,7 +3,7 @@
 Grammar: one ``section.key = value`` per line, UTF-8, ``#`` starts a
 comment.  Unknown keys are an error, never silently ignored.  Numbers
 must be finite.  Exactly one of ``model.gamma`` and ``sweep.gammas`` must
-be present.
+be present: a positive gamma, or a positive, strictly increasing ladder.
 """
 from __future__ import annotations
 
@@ -139,12 +139,17 @@ def resolve_run_config(values: dict) -> RunConfig:
         else:
             resolved[key] = default
 
-    has_gamma = resolved["model.gamma"] is not None
-    has_gammas = resolved["sweep.gammas"] is not None
-    if has_gamma == has_gammas:
+    gamma, gammas = resolved["model.gamma"], resolved["sweep.gammas"]
+    if (gamma is None) == (gammas is None):
         raise ConfigError(
             "exactly one of model.gamma and sweep.gammas must be present"
         )
+    if gamma is not None and gamma <= 0.0:
+        raise ConfigError(f"model.gamma must be positive, got {gamma:g}")
+    if gammas is not None and (not gammas or gammas[0] <= 0.0 or any(
+            b <= a for a, b in zip(gammas, gammas[1:]))):
+        raise ConfigError("sweep.gammas must be positive and strictly increasing, "
+                          f"got {', '.join(f'{v:g}' for v in gammas)}")
     if resolved["output.format"] not in ("csv", "jsonl"):
         raise ConfigError("output.format must be csv or jsonl")
 
@@ -171,8 +176,8 @@ def resolve_run_config(values: dict) -> RunConfig:
     return RunConfig(
         scheme=scheme,
         n_cells=resolved["grid.n_cells"],
-        gamma=resolved["model.gamma"],
-        gammas=resolved["sweep.gammas"],
+        gamma=gamma,
+        gammas=gammas,
         recipe=recipe,
         t_end=resolved["time.t_end"],
         out_dir=resolved["output.dir"],

@@ -31,7 +31,6 @@ class Tolerances:
     """Single source of truth for diagnostic tolerances."""
 
     exact: float = 1e-12                 # conservation identities, relative
-    exact_abs: float = 1e-13             # quadrature identities, absolute
     ke_w_rel: float = 1e-8               # slack for non-increasing rho*w^2
     energy_frac: float = 0.05            # lower edge of the energy band, x -E1
     energy_abs: float = 1e-8             # upper edge of the energy band, absolute

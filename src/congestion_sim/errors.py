@@ -2,8 +2,7 @@
 
 The CLI maps these onto its exit-code contract: configuration problems
 exit with 2, runtime failures (vacuum, saturation, a failed solve) with 3.
-In a batch of runs, a runtime failure names the failing ``row``, which
-ends that row only; ``row`` is None outside a batch.
+Every runtime failure is a ``RunFailure`` and carries where it happened.
 """
 from __future__ import annotations
 
@@ -24,34 +23,15 @@ class CflError(ValueError):
     """Explicit transport step requested with dt above the CFL limit."""
 
 
-class LinearSolveError(RuntimeError):
-    """Implicit solve broke down (zero pivot or residual above tolerance)."""
+class RunFailure(RuntimeError):
+    """A run that cannot go on, and where it stopped.
 
-    def __init__(self, message: str, *, row: int | None = None):
-        super().__init__(message)
-        self.row = row
-
-
-class SaturationError(RuntimeError):
-    """Power-law evaluation would overflow double precision.
-
-    Raised when gamma * log(rho) exceeds the exp() overflow threshold;
-    the run must abort rather than propagate Inf into the implicit solve.
+    ``t``, ``cell`` and ``gamma`` are None where unknown; the run loop
+    fills in ``t`` and ``gamma``.  In a batch of runs, ``row`` names the
+    failing row, which ends that row only; it is None outside a batch.
     """
 
-    def __init__(self, message: str, *, gamma: float | None = None,
-                 rho: float | None = None, cell: int | None = None,
-                 t: float | None = None, row: int | None = None):
-        super().__init__(message)
-        self.gamma = gamma
-        self.rho = rho
-        self.cell = cell
-        self.t = t
-        self.row = row
-
-
-class VacuumError(RuntimeError):
-    """Density reached zero and dt halving could not rescue the step."""
+    kind = "runtime"
 
     def __init__(self, message: str, *, t: float | None = None,
                  cell: int | None = None, gamma: float | None = None,
@@ -61,3 +41,28 @@ class VacuumError(RuntimeError):
         self.cell = cell
         self.gamma = gamma
         self.row = row
+
+    def context(self) -> str:
+        return f"[t={self.t}, cell={self.cell}, gamma={self.gamma}]"
+
+
+class LinearSolveError(RunFailure):
+    """Implicit solve broke down (zero pivot or residual above tolerance)."""
+
+    kind = "linear solve"
+
+
+class SaturationError(RunFailure):
+    """Power-law evaluation would overflow double precision.
+
+    Raised when gamma * log(rho) exceeds the exp() overflow threshold;
+    the run must abort rather than propagate Inf into the implicit solve.
+    """
+
+    kind = "saturation"
+
+
+class VacuumError(RunFailure):
+    """Density reached zero and dt halving could not rescue the step."""
+
+    kind = "vacuum"

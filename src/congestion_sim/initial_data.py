@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import InitialDataSummary, summarize_initial_data
 from .errors import ConfigError
 from .grid import Grid, integrate
 from .model import ModelParams, State, U_FORM, W_FORM, w_to_u
@@ -115,21 +114,21 @@ def validate_profiles(rho0, w0, gammas, g: Grid) -> None:
 
 
 def make_initial_data(recipe: InitRecipe, g: Grid, params: ModelParams,
-                      formulation: str) -> tuple[State, InitialDataSummary]:
-    """Build the initial state of a recipe, checked against its own gamma,
-    plus its summary."""
+                      formulation: str) -> State:
+    """The state at t = 0 of a recipe in ``formulation``, checked against
+    its gamma.
+
+    A (rows, 1) gamma column gives a batch with one row per gamma, checked
+    against the largest; each row holds the bits of its gamma's own state.
+    """
     rho0, w0 = build_profiles(recipe, g)
-    validate_profiles(rho0, w0, [params.gamma], g)
-    state = initial_state(rho0, w0, g, params, formulation)
-    return state, summarize_initial_data(state, g, params)
-
-
-def initial_state(rho0, w0, g: Grid, params: ModelParams, formulation: str) -> State:
-    """The state at t = 0 of the profiles (rho0, w0) in ``formulation``."""
+    validate_profiles(rho0, w0, np.ravel(params.gamma), g)
     if formulation == U_FORM:
         mom = rho0 * w_to_u(rho0, w0, g, params)
     elif formulation == W_FORM:
         mom = rho0 * w0
     else:
         raise ConfigError(f"unknown formulation {formulation!r}")
-    return State(0.0, rho0, mom, formulation)
+    shape = np.shape(params.gamma)[:-1] + rho0.shape
+    return State(0.0, np.broadcast_to(rho0, shape).copy(),
+                 np.broadcast_to(mom, shape).copy(), formulation)

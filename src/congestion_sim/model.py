@@ -117,7 +117,7 @@ def _saturation(exponent_arg, arr, params: ModelParams) -> SaturationError:
     return SaturationError(
         f"power-law evaluation overflows: exponent {peak:.3g} exceeds "
         f"{OVERFLOW_EXPONENT:g} (gamma={gamma:g}, rho={rho_at:.6g})",
-        gamma=gamma, rho=rho_at, cell=cell, row=row,
+        gamma=gamma, cell=cell, row=row,
     )
 
 

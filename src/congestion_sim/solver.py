@@ -38,7 +38,7 @@ from .diagnostics import (
     record,
     summarize_initial_data,
 )
-from .errors import CflError, LinearSolveError, SaturationError, VacuumError
+from .errors import CflError, LinearSolveError, RunFailure, SaturationError, VacuumError
 from .grid import (
     Field,
     Grid,
@@ -524,7 +524,7 @@ class FailedRun:
     runs from the start of the batch to the failure.
     """
 
-    error: Exception
+    error: RunFailure
     wall_seconds: float
 
 
@@ -552,9 +552,9 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
     landing on t_end), positivity rescue, snapshots and time integrals, so
     it gives bit for bit the Trajectory of its run alone; a row leaves the
     batch when it reaches t_end or fails.  A batch returns one entry per
-    row: its Trajectory, or the FailedRun holding the VacuumError,
-    SaturationError or LinearSolveError that its run alone raises.
-    ``sources`` serve single runs.
+    row: its Trajectory, or the FailedRun holding the RunFailure that its
+    run alone raises.  A RunFailure carries the time of the step that
+    failed and the run's gamma.  ``sources`` serve single runs.
 
     A snapshot is taken at the first step that reaches each multiple of
     ``config.snapshot_every``; a step that crosses several of them takes
@@ -655,14 +655,17 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
             new_state = step(state, g, params, config, dt, sources,
                              fields=fields, faces=faces)
             new_fields = state_fields(new_state, g, params)
-        except (VacuumError, SaturationError, LinearSolveError) as err:
+        except RunFailure as err:
             at = err.row if batched else ()
-            if isinstance(err, SaturationError) and err.t is None:
+            row = rows[err.row if batched else 0]
+            if err.t is None:
                 err.t = float(state.t[at])
+            if err.gamma is None:
+                err.gamma = row.params.gamma
             if not batched:
                 raise
             # the row leaves the batch and the others retake the step
-            err.row = rows[at].index
+            err.row = row.index
             results[err.row] = FailedRun(err, _time.perf_counter() - started)
             restack(np.arange(len(rows)) != at)
             continue

@@ -4,37 +4,22 @@ All runs share one grid, one time horizon and one initial-data recipe,
 so final fields subtract cell-wise.  They step together as one batch of
 ``run_simulation``, one row per gamma, and each row equals the run of
 its gamma alone bit for bit.
+
+``run_config`` is the one start of every run a config describes: a
+``simulate`` run, the cases of ``verify`` and the sweep's batch.
 """
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .diagnostics import W_max_principle_check
-from .errors import ConfigError
 from .grid import Grid, norm
-from .initial_data import InitRecipe, build_profiles, initial_state, validate_profiles
-from .model import ModelParams, State, velocities
-from .solver import FailedRun, SchemeConfig, Trajectory, run_simulation
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    gammas: tuple[float, ...]
-    recipe: InitRecipe
-    n_cells: int
-    t_end: float
-    scheme: SchemeConfig
-
-    def __post_init__(self) -> None:
-        if len(self.gammas) == 0:
-            raise ConfigError("sweep needs at least one gamma")
-        if any(b <= a for a, b in zip(self.gammas, self.gammas[1:])):
-            raise ConfigError("gammas must be strictly increasing")
-        if any(gamma <= 0 for gamma in self.gammas):
-            raise ConfigError("gammas must be positive")
+from .initial_data import make_initial_data
+from .model import ModelParams, velocities
+from .solver import FailedRun, Trajectory, run_simulation
 
 
 @dataclass(frozen=True)
@@ -81,7 +66,7 @@ class SweepReport:
     fit: CongestionFit
 
 
-def _row_from_trajectory(gamma: float, traj: Trajectory, runtime: float) -> GammaRow:
+def _row_from_trajectory(gamma: float, traj: Trajectory) -> GammaRow:
     return GammaRow(
         gamma=gamma,
         max_rho=float(np.max(traj.series("rho_max"))),
@@ -91,46 +76,45 @@ def _row_from_trajectory(gamma: float, traj: Trajectory, runtime: float) -> Gamm
         dpi_l2_max=float(np.max(traj.series("dpi_l2"))),
         I_plain_abs=float(abs(traj.accums.diss_plain)),
         W_max_drift=W_max_principle_check(traj.series("W_max")).worst,
-        runtime=runtime,
+        runtime=traj.wall_seconds,
     )
 
 
-def run_sweep(config: SweepConfig) -> SweepReport:
-    """Run every gamma as one batch and assemble the report in gamma order.
+def run_config(cfg: RunConfig):
+    """The runs a config describes: a Trajectory for ``model.gamma``; for
+    ``sweep.gammas``, one batch and a Trajectory or FailedRun per gamma."""
+    g = Grid(cfg.n_cells)
+    gamma = cfg.gamma if cfg.gammas is None else np.array(cfg.gammas)[:, None]
+    params = ModelParams(gamma=gamma)
+    init = make_initial_data(cfg.recipe, g, params, cfg.scheme.formulation)
+    return run_simulation(init, g, params, cfg.scheme, cfg.t_end)
+
+
+def run_sweep(cfg: RunConfig) -> SweepReport:
+    """Run every gamma of ``sweep.gammas`` as one batch and assemble the
+    report in gamma order.
 
     Failed runs (vacuum, saturation or a failed linear solve) are
-    reported as failed rows; the remaining rows are still emitted.  A
-    row's runtime is the wall time from the start of the sweep until the
-    row finished or failed.
+    reported as failed rows with the failure's (t, cell, gamma); the
+    remaining rows are still emitted.  A row's runtime is the wall time
+    from the start of the batch until the row finished or failed.
     """
-    g = Grid(config.n_cells)
-    rho0, w0 = build_profiles(config.recipe, g)
-    validate_profiles(rho0, w0, config.gammas, g)
-
-    started = _time.perf_counter()
-    inits = [initial_state(rho0, w0, g, ModelParams(gamma=gamma), config.scheme.formulation)
-             for gamma in config.gammas]
-    batch = State(0.0, np.stack([init.rho for init in inits]),
-                  np.stack([init.mom for init in inits]), config.scheme.formulation)
-    params = ModelParams(gamma=np.array(config.gammas)[:, None])
-    offset = _time.perf_counter() - started
-    results = run_simulation(batch, g, params, config.scheme, config.t_end)
-
     rows, finals = [], {}
-    for gamma, result in zip(config.gammas, results):
-        runtime = offset + result.wall_seconds
+    for gamma, result in zip(cfg.gammas, run_config(cfg)):
         if isinstance(result, FailedRun):
-            rows.append(GammaRow(gamma=gamma, failed=True, failure=str(result.error),
-                                 runtime=runtime))
+            rows.append(GammaRow(gamma=gamma, failed=True,
+                                 failure=f"{result.error} {result.error.context()}",
+                                 runtime=result.wall_seconds))
         else:
-            rows.append(_row_from_trajectory(gamma, result, runtime))
+            rows.append(_row_from_trajectory(gamma, result))
             finals[gamma] = result
 
     cross = []
-    for lo, hi in zip(config.gammas, config.gammas[1:]):
+    for lo, hi in zip(cfg.gammas, cfg.gammas[1:]):
         if lo not in finals or hi not in finals:
             continue
         ta, tb = finals[lo], finals[hi]
+        g = ta.grid
         drho = ta.final_state.rho - tb.final_state.rho
         _, wa = velocities(ta.final_state, g, ta.params)
         _, wb = velocities(tb.final_state, g, tb.params)

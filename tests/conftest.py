@@ -8,10 +8,9 @@ import pytest
 
 from congestion_sim.cli import CONFIG_DIR
 from congestion_sim.config import RunConfig, load_run_config
-from congestion_sim.grid import Grid
 from congestion_sim.initial_data import make_initial_data
 from congestion_sim.model import ModelParams, U_FORM, W_FORM
-from congestion_sim.solver import run_simulation
+from congestion_sim.sweep import run_config
 from congestion_sim.verify import self_convergence_study
 
 
@@ -28,12 +27,12 @@ SWEEP = shipped("standard_sweep")
 def run_case(case: RunConfig, formulation: str, n_cells: int, t_end: float | None = None,
              gamma: float | None = None, recipe=None):
     """Run a shipped case, overriding only what the caller names."""
-    g = Grid(n_cells)
-    params = ModelParams(gamma=case.gamma if gamma is None else gamma)
-    scheme = dataclasses.replace(case.scheme, formulation=formulation)
-    init, summary = make_initial_data(recipe or case.recipe, g, params, formulation)
-    traj = run_simulation(init, g, params, scheme, case.t_end if t_end is None else t_end)
-    return traj, summary, g
+    traj = run_config(dataclasses.replace(
+        case, n_cells=n_cells, recipe=recipe or case.recipe,
+        scheme=dataclasses.replace(case.scheme, formulation=formulation),
+        gamma=case.gamma if gamma is None else gamma,
+        t_end=case.t_end if t_end is None else t_end))
+    return traj, traj.init_summary, traj.grid
 
 
 def standard_self_convergence(resolutions, t_end: float):
@@ -43,8 +42,7 @@ def standard_self_convergence(resolutions, t_end: float):
     scheme = dataclasses.replace(STANDARD.scheme, cfl=0.45, dt_max=0.1, dt_init=0.1)
 
     def make_init(g):
-        init, _ = make_initial_data(STANDARD.recipe, g, params, W_FORM)
-        return init
+        return make_initial_data(STANDARD.recipe, g, params, W_FORM)
 
     return self_convergence_study(make_init, params, resolutions, t_end, scheme)
 

@@ -15,7 +15,7 @@ from congestion_sim.diagnostics import TOL
 from congestion_sim.grid import Grid, norm
 from congestion_sim.model import U_FORM, W_FORM
 from congestion_sim.solver import step_W_transport
-from congestion_sim.sweep import SweepConfig, run_sweep
+from congestion_sim.sweep import run_sweep
 from congestion_sim.verify import (
     dense_oracle_checks,
     mms_order_checks,
@@ -30,10 +30,8 @@ def verdict(label: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def standard_sweep_report():
-    config = SweepConfig(gammas=SWEEP.gammas, recipe=SWEEP.recipe, n_cells=SWEEP.n_cells,
-                         t_end=SWEEP.t_end, scheme=SWEEP.scheme)
     started = time.perf_counter()
-    report = run_sweep(config)
+    report = run_sweep(SWEEP)
     return report, time.perf_counter() - started
 
 

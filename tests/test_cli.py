@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import congestion_sim.cli as cli
+import congestion_sim.sweep as sweep_mod
 from conftest import CONSTANT, STANDARD
 from congestion_sim.config import (
     CONFIG_KEYS,
@@ -12,7 +13,8 @@ from congestion_sim.config import (
     parse_config_text,
     resolve_run_config,
 )
-from congestion_sim.errors import ConfigError, VacuumError
+from congestion_sim.diagnostics import summarize_initial_data
+from congestion_sim.errors import ConfigError, LinearSolveError, SaturationError, VacuumError
 from congestion_sim.grid import Grid
 from congestion_sim.initial_data import InitRecipe, build_profiles, make_initial_data
 from congestion_sim.model import ModelParams, U_FORM, W_FORM
@@ -97,7 +99,9 @@ def test_every_config_key_documented_in_help():
 
 def test_make_initial_data_constant():
     g = Grid(64)
-    state, summary = make_initial_data(CONSTANT.recipe, g, ModelParams(CONSTANT.gamma), U_FORM)
+    params = ModelParams(CONSTANT.gamma)
+    state = make_initial_data(CONSTANT.recipe, g, params, U_FORM)
+    summary = summarize_initial_data(state, g, params)
     assert np.all(state.rho == 0.8)
     assert summary.mean_rho0 == pytest.approx(0.8, abs=1e-15)
 
@@ -105,7 +109,8 @@ def test_make_initial_data_constant():
 def test_make_initial_data_cosine_extrema():
     g = Grid(512)
     recipe = InitRecipe(kind="cosine", rho_mean=0.85, rho_amp=0.1, w_amp=0.0)
-    _, summary = make_initial_data(recipe, g, ModelParams(5.0), W_FORM)
+    params = ModelParams(5.0)
+    summary = summarize_initial_data(make_initial_data(recipe, g, params, W_FORM), g, params)
     assert summary.rho0_min == pytest.approx(0.75, abs=1e-4)
     assert summary.rho0_max == pytest.approx(0.95, abs=1e-4)
     assert summary.mean_rho0 == pytest.approx(0.85, abs=1e-12)
@@ -134,12 +139,25 @@ def test_recipe_validation_errors():
 def test_formulations_share_initial_data():
     g = Grid(64)
     params = ModelParams(STANDARD.gamma)
-    su, _ = make_initial_data(STANDARD.recipe, g, params, U_FORM)
-    sw, _ = make_initial_data(STANDARD.recipe, g, params, W_FORM)
+    su = make_initial_data(STANDARD.recipe, g, params, U_FORM)
+    sw = make_initial_data(STANDARD.recipe, g, params, W_FORM)
     assert np.array_equal(su.rho, sw.rho)
     from congestion_sim.model import u_to_w
     w_from_u = u_to_w(su.rho, su.mom / su.rho, g, params)
     assert np.allclose(w_from_u, sw.mom / sw.rho, atol=1e-14)
+
+
+def test_gamma_column_rows_equal_their_own_initial_data():
+    g = Grid(64)
+    gammas = (5.0, 20.0, 80.0)
+    for formulation in (U_FORM, W_FORM):
+        batch = make_initial_data(STANDARD.recipe, g,
+                                  ModelParams(np.array(gammas)[:, None]), formulation)
+        assert batch.rho.shape == batch.mom.shape == (3, 64)
+        for i, gamma in enumerate(gammas):
+            alone = make_initial_data(STANDARD.recipe, g, ModelParams(gamma), formulation)
+            assert np.array_equal(batch.rho[i], alone.rho)
+            assert np.array_equal(batch.mom[i], alone.mom)
 
 
 # ------------------------------------------------------------- CLI commands
@@ -344,17 +362,69 @@ def test_non_finite_value_is_config_error(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
-def test_runtime_failure_exit_code(tmp_path, monkeypatch):
+@pytest.mark.parametrize("error", [VacuumError, SaturationError, LinearSolveError],
+                         ids=["vacuum", "saturation", "linear_solve"])
+def test_runtime_failure_exit_code(tmp_path, monkeypatch, capsys, error):
     cfg = write_config(tmp_path, BASE_CONFIG + f"output.dir = {tmp_path / 'out'}\n")
 
-    def explode(*args, **kwargs):
-        raise VacuumError("synthetic", t=0.25, cell=7, gamma=10.0)
+    def explode(cfg):
+        raise error("synthetic", t=0.25, cell=7, gamma=10.0)
 
-    monkeypatch.setattr(cli, "run_simulation", explode)
+    monkeypatch.setattr(cli, "run_config", explode)
     assert cli.main(["simulate", "--config", cfg]) == 3
+    context = "[t=0.25, cell=7, gamma=10.0]"
+    assert capsys.readouterr().err == f"runtime failure ({error.kind}): synthetic {context}\n"
     log = (tmp_path / "out" / "run.log").read_text().splitlines()
     assert log[0].startswith("started ") and log[1].startswith("config ")
-    assert log[2] == "failed synthetic [t=0.25, cell=7, gamma=10.0]"
+    assert log[2] == f"failed synthetic {context}"
+
+
+@pytest.mark.parametrize("key,value", [
+    ("model.gamma", "0"),           # both ended in a ValueError traceback,
+    ("model.gamma", "-1"),          # exit 1
+    ("sweep.gammas", "5, 5"),
+    ("sweep.gammas", "10, 5"),
+    ("sweep.gammas", "0, 5"),
+])
+def test_gamma_rules_are_config_errors(tmp_path, capsys, key, value):
+    command = "simulate" if key == "model.gamma" else "sweep"
+    text = BASE_CONFIG.replace("model.gamma = 10.0", f"{key} = {value}")
+    cfg = write_config(tmp_path, text + f"output.dir = {tmp_path / 'out'}\n")
+    assert cli.main([command, "--config", cfg]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_unwritable_output_dir_is_config_error(tmp_path, monkeypatch, capsys, command):
+    # ended in a NotADirectoryError traceback, exit 1; the sweep ran its
+    # whole batch first
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    out_dir = blocker / "out"
+    text = BASE_CONFIG if command == "simulate" else BASE_CONFIG.replace(
+        "model.gamma = 10.0", "sweep.gammas = 5, 10")
+    cfg = write_config(tmp_path, text + f"output.dir = {out_dir}\n")
+    started = []
+    monkeypatch.setattr(sweep_mod, "run_simulation", lambda *args: started.append(args))
+    assert cli.main([command, "--config", cfg]) == 2
+    assert str(out_dir) in capsys.readouterr().err
+    assert started == []
+
+
+def test_snapshot_csv_matches_per_value_format(tmp_path, monkeypatch):
+    edge = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.2250738585072014e-308,
+            1.7976931348623157e308, 0.1, 1.0 / 3.0]
+    rng = np.random.default_rng(5)
+    values = np.concatenate([edge, rng.standard_normal(500)
+                             * 10.0 ** rng.integers(-300, 300, size=500)])
+    cols = [np.roll(values, k) for k in range(len(cli.SNAPSHOT_COLUMNS))]
+    monkeypatch.setattr(cli, "_snapshot_columns", lambda g, state, params: cols)
+    path = tmp_path / "snapshot.csv"
+    cli.write_snapshot_csv(str(path), None, None, None)
+    want = "x,rho,u,w,pi,W,V\n" + "".join(
+        ",".join(format(float(v), ".17g") for v in row) + "\n" for row in zip(*cols))
+    assert path.read_text(encoding="utf-8") == want
 
 
 def test_mms_subcommand():

@@ -87,7 +87,8 @@ def test_pi_l1_equals_gamma_H_total(standard_w_256):
 def test_initial_summary_values():
     g = Grid(256)
     params = ModelParams(10.0)
-    state, summary = make_initial_data(STANDARD.recipe, g, params, W_FORM)
+    state = make_initial_data(STANDARD.recipe, g, params, W_FORM)
+    summary = diag.summarize_initial_data(state, g, params)
     # cell centres sit half a cell away from the analytic extrema
     assert summary.rho0_min == pytest.approx(0.7, abs=1e-4)
     assert summary.rho0_max == pytest.approx(0.9, abs=1e-4)

@@ -149,7 +149,7 @@ def test_standalone_step_matches_run_loop_step(monkeypatch, formulation, forced)
         sources = case.sources(formulation)
     else:
         params = ModelParams(10.0)
-        init, _ = make_initial_data(STANDARD.recipe, g, params, formulation)
+        init = make_initial_data(STANDARD.recipe, g, params, formulation)
         sources = None
     cfg = SchemeConfig(formulation=formulation, cfl=0.45, dt_max=0.01, dt_init=0.005)
     traj = run_simulation(init, g, params, cfg, 0.05, sources=sources)
@@ -403,6 +403,34 @@ def test_run_saturation_aborts_with_context():
         run_simulation(state, g, params, cfg, 0.1)
     assert err.value.t is not None
     assert err.value.gamma == 900.0
+
+
+def test_run_linear_solve_failure_carries_step_time_and_gamma(monkeypatch):
+    # the solve names no time or gamma; the run loop adds those of the
+    # step that failed
+    import congestion_sim.solver as solver_mod
+
+    starts = []
+    bare = solver_mod.step_w_form
+
+    def recording(state, *args, **kwargs):
+        starts.append(state.t)
+        return bare(state, *args, **kwargs)
+
+    def failing(*args, **kwargs):
+        if len(starts) == 4:
+            raise LinearSolveError("synthetic residual")
+        return solve_cyclic_tridiagonal(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "step_w_form", recording)
+    monkeypatch.setattr(solver_mod, "solve_cyclic_tridiagonal", failing)
+    g = Grid(64)
+    params = ModelParams(10.0)
+    init = make_initial_data(STANDARD.recipe, g, params, W_FORM)
+    with pytest.raises(LinearSolveError) as err:
+        run_simulation(init, g, params, STANDARD.scheme, 0.1)
+    assert len(starts) == 4 and starts[-1] > 0.0
+    assert (err.value.t, err.value.cell, err.value.gamma) == (starts[-1], None, 10.0)
 
 
 def test_standard_case_self_refinement_order():

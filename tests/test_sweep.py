@@ -6,21 +6,15 @@ import pytest
 
 import congestion_sim.solver as solver_mod
 from conftest import CONSTANT, SWEEP
+from congestion_sim.config import parse_config_text, resolve_run_config
 from congestion_sim.diagnostics import summarize_initial_data
-from congestion_sim.errors import ConfigError
+from congestion_sim.errors import ConfigError, RunFailure
 from congestion_sim.grid import Grid
-from congestion_sim.initial_data import (
-    InitRecipe,
-    build_profiles,
-    initial_state,
-    make_initial_data,
-    validate_profiles,
-)
+from congestion_sim.initial_data import InitRecipe, make_initial_data
 from congestion_sim.model import U_FORM, W_FORM, ModelParams, State
 from congestion_sim.solver import FailedRun, run_simulation
 from congestion_sim.sweep import (
     GammaRow,
-    SweepConfig,
     _row_from_trajectory,
     fit_congestion_rate,
     run_sweep,
@@ -32,33 +26,33 @@ ACCUMULATORS = ("diss_visc", "diss_offset", "work_offset", "diss_weighted",
 
 def sweep_config(gammas, recipe=SWEEP.recipe, n_cells=128, t_end=0.2,
                  scheme=SWEEP.scheme):
-    return SweepConfig(gammas=tuple(gammas), recipe=recipe, n_cells=n_cells,
-                       t_end=t_end, scheme=scheme)
+    return dataclasses.replace(SWEEP, gammas=tuple(gammas), recipe=recipe,
+                               n_cells=n_cells, t_end=t_end, scheme=scheme)
 
 
-def initial_states(config):
+def plain_inits(config):
     g = Grid(config.n_cells)
     return g, [make_initial_data(config.recipe, g, ModelParams(gamma),
-                                 config.scheme.formulation)[0]
+                                 config.scheme.formulation)
                for gamma in config.gammas]
 
 
 def plain_runs(config):
     """Each gamma's run alone, or the exception that ended it."""
-    g, inits = initial_states(config)
+    g, inits = plain_inits(config)
     out = {}
     for gamma, init in zip(config.gammas, inits):
         try:
             out[gamma] = run_simulation(init, g, ModelParams(gamma), config.scheme,
                                         config.t_end)
-        except RuntimeError as exc:
+        except RunFailure as exc:
             out[gamma] = exc
     return out
 
 
 def batched_runs(config):
     """Every gamma stepped as one batch, the way the sweep runs them."""
-    g, inits = initial_states(config)
+    g, inits = plain_inits(config)
     batch = State(0.0, np.stack([i.rho for i in inits]),
                   np.stack([i.mom for i in inits]), config.scheme.formulation)
     params = ModelParams(np.array(config.gammas)[:, None])
@@ -69,7 +63,7 @@ def batched_runs(config):
 def assert_rows_match_plain_runs(report, plain, gammas):
     by_gamma = {row.gamma: row for row in report.rows}
     for gamma in gammas:
-        want = _row_from_trajectory(gamma, plain[gamma], runtime=0.0)
+        want = dataclasses.replace(_row_from_trajectory(gamma, plain[gamma]), runtime=0.0)
         assert dataclasses.replace(by_gamma[gamma], runtime=0.0) == want
 
 
@@ -87,12 +81,10 @@ def assert_same_trajectory(got, want):
 
 
 def largest_gamma_summary(recipe, gammas, g):
-    """A sweep's admissibility check of its recipe against every gamma,
-    then the initial-data summary at the largest."""
-    rho0, w0 = build_profiles(recipe, g)
-    validate_profiles(rho0, w0, gammas, g)
+    """A sweep's admissibility check of its recipe, which is against the
+    largest gamma, then the initial-data summary at that gamma."""
     params = ModelParams(max(gammas))
-    return summarize_initial_data(initial_state(rho0, w0, g, params, W_FORM), g, params)
+    return summarize_initial_data(make_initial_data(recipe, g, params, W_FORM), g, params)
 
 
 def closed_form_switching(rho, gamma):
@@ -102,12 +94,11 @@ def closed_form_switching(rho, gamma):
 
 
 def test_sweep_config_validation():
-    with pytest.raises(ConfigError):
-        sweep_config(())
-    with pytest.raises(ConfigError):
-        sweep_config((5.0, 5.0))
-    with pytest.raises(ConfigError):
-        sweep_config((10.0, 5.0))
+    for ladder in ("", "5, 5", "10, 5", "0, 5"):
+        with pytest.raises(ConfigError) as err:
+            resolve_run_config(parse_config_text(
+                f"grid.n_cells = 128\ntime.t_end = 0.2\nsweep.gammas = {ladder}"))
+        assert "sweep.gammas" in str(err.value)
 
 
 def test_validate_recipe_accepts_constant():
@@ -304,6 +295,7 @@ def test_failed_rows_are_reported_not_fatal(monkeypatch):
     assert not by_gamma[5.0].failed and not by_gamma[20.0].failed
     assert by_gamma[10.0].failed
     assert "vacuum" in by_gamma[10.0].failure
+    assert by_gamma[10.0].failure.endswith("[t=0.1, cell=3, gamma=10.0]")
     # the cross pair spanning the failed run is skipped
     assert all({c.gamma_lo, c.gamma_hi}.isdisjoint({10.0}) for c in report.cross)
     # one row's failure leaves the others exactly as they run alone
@@ -366,5 +358,8 @@ def test_linear_solve_failure_is_a_failed_row(monkeypatch):
     assert not by_gamma[5.0].failed and not by_gamma[20.0].failed
     assert by_gamma[10.0].failed
     assert "residual" in by_gamma[10.0].failure
+    # the first batched solve fails: the run loop adds the step's time and
+    # the row's gamma
+    assert by_gamma[10.0].failure.endswith("[t=0.0, cell=None, gamma=10.0]")
     assert np.isfinite(by_gamma[5.0].max_rho) and np.isfinite(by_gamma[20.0].max_rho)
     assert_rows_match_plain_runs(report, plain, (5.0, 20.0))
