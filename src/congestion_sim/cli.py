@@ -3,8 +3,9 @@
 Subcommands: ``simulate`` (single run), ``sweep`` (gamma sweep),
 ``verify`` (verification suites), ``mms`` (one manufactured-solution
 study).  Exit codes: 0 success, 1 verdict failure, 2 configuration
-error, 3 runtime failure (vacuum, saturation or a failed linear solve),
-with the offending time, cell and gamma printed.
+error, 3 runtime failure (vacuum, saturation, a failed linear solve or a
+non-finite state), with the offending time, cell and gamma printed.
+``run.log`` names the LAPACK path the solves took (``lapack <source>``).
 
 The ``invariants`` suite of ``verify`` runs every single-gamma config
 (``model.gamma`` set) in ``CONFIG_DIR``, the ``configs/`` directory of
@@ -26,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics as diag
+from ._lapack import SOURCE as LAPACK_SOURCE
 from .config import RunConfig, config_key_help, load_run_config
 from .errors import ConfigError, RunFailure
 from .grid import Grid
@@ -168,8 +170,13 @@ def cmd_simulate(args) -> int:
     with open(log_path, "w", encoding="utf-8") as log:
         log.write(f"started {_time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
         log.write(f"config {os.path.abspath(args.config)}\n")
+        log.write(f"lapack {LAPACK_SOURCE}\n")
         try:
             traj = run_config(cfg)
+        except ConfigError as exc:
+            # found while building the initial data
+            log.write(f"failed {exc}\n")
+            raise
         except RunFailure as exc:
             log.write(f"failed {exc} {exc.context()}\n")
             raise
@@ -202,6 +209,7 @@ def cmd_sweep(args) -> int:
     with open(os.path.join(cfg.out_dir, "run.log"), "w", encoding="utf-8") as log:
         log.write(f"started {_time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
         log.write(f"gammas {','.join(str(gm) for gm in cfg.gammas)}\n")
+        log.write(f"lapack {LAPACK_SOURCE}\n")
     write_sweep_report(cfg.out_dir, report)
 
     failed = [r for r in report.rows if r.failed]

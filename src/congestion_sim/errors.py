@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit-code contract: configuration problems
-exit with 2, runtime failures (vacuum, saturation, a failed solve) with 3.
+exit with 2, runtime failures (vacuum, saturation, a failed solve, a
+non-finite state) with 3.
 Every runtime failure is a ``RunFailure`` and carries where it happened.
 """
 from __future__ import annotations
@@ -50,6 +51,16 @@ class LinearSolveError(RunFailure):
     """Implicit solve broke down (zero pivot or residual above tolerance)."""
 
     kind = "linear solve"
+
+
+class NonFiniteError(RunFailure, ValueError):
+    """Infs or NaNs in the operands of the implicit solve.
+
+    Also a ValueError, which direct callers of the solve catch; the first
+    non-finite entry names ``cell`` (and ``row`` in a batch).
+    """
+
+    kind = "non-finite"
 
 
 class SaturationError(RunFailure):

@@ -16,7 +16,10 @@ The step builds each face quantity (donor-cell flux, face velocity,
 diffusive face flux, face viscosity) once and hands the ones the time
 integrals need to them, which only reduce them.  Neighbour shifts are
 slices, and the periodic tridiagonal system goes straight to LAPACK
-``gtsv``, the routine ``solve_banded((1, 1), ...)`` dispatches to.
+``gtsv``, the routine ``solve_banded((1, 1), ...)`` dispatches to.  It is
+called from the OpenBLAS that numpy bundles (``_lapack``), so a run never
+imports scipy; scipy's ``dgtsv`` serves only where numpy exports no such
+routine (``_lapack.SOURCE`` says which).
 
 Runs that differ only in gamma step as one batch: their fields are the
 rows of 2D arrays, gamma is a column and each per-row value (t, dt, the
@@ -29,8 +32,8 @@ import time as _time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
+from . import _lapack
 from .diagnostics import (
     Accumulators,
     DiagnosticsRecord,
@@ -38,7 +41,14 @@ from .diagnostics import (
     record,
     summarize_initial_data,
 )
-from .errors import CflError, LinearSolveError, RunFailure, SaturationError, VacuumError
+from .errors import (
+    CflError,
+    LinearSolveError,
+    NonFiniteError,
+    RunFailure,
+    SaturationError,
+    VacuumError,
+)
 from .grid import (
     Field,
     Grid,
@@ -187,8 +197,9 @@ def solve_cyclic_tridiagonal(sub, diag, sup, corner_lo, corner_hi, rhs,
     correction of two non-periodic tridiagonal solves, made as one LAPACK
     ``gtsv`` call on a two-column right-hand side; valid for the strictly
     diagonally dominant systems produced by backward-Euler diffusion.
-    Raises ValueError on non-finite input, and LinearSolveError if the
-    factorization breaks down or the residual exceeds tol * (1 + max|rhs|).
+    Raises NonFiniteError, a ValueError, on non-finite input, and
+    LinearSolveError if the factorization breaks down or the residual
+    exceeds tol * (1 + max|rhs|).
 
     A batch passes (rows, n) arrays and one corner pair per row.  Its
     systems go to the one ``gtsv`` call as a block-diagonal stack: the
@@ -212,34 +223,36 @@ def solve_cyclic_tridiagonal(sub, diag, sup, corner_lo, corner_hi, rhs,
     first, last = (0, -1) if diag.ndim == 1 else ((..., 0), (..., -1))
     # -diag[0], or 1 where diag[0] vanishes
     gamma_p = -diag[first] + (diag[first] == 0.0)
-    b = diag.copy()
+    # the packed bands of ``_lapack.gtsv``: the stack's three diagonals,
+    # then the columns rhs and the spike gamma_p e_0 + corner_hi e_{n-1};
+    # sub[0] and sup[-1] of each block become the zero couplings to its
+    # neighbour blocks
+    bands = np.empty((5,) + shape)
+    lower, b, upper, y, z = bands
+    lower[...] = sub
+    lower[first] = 0.0
+    b[...] = diag
     b[first] -= gamma_p
     b[last] -= corner_lo * corner_hi / gamma_p
-    # off-diagonals of the stack: sub[0] and sup[-1] of each block become
-    # the zero couplings to its neighbour blocks
-    lower, upper = sub.copy(), sup.copy()
-    lower[first] = 0.0
+    upper[...] = sup
     upper[last] = 0.0
-    lower, upper = lower.reshape(-1)[1:], upper.reshape(-1)[:-1]
+    y[...] = rhs
+    z.fill(0.0)
+    z[first] = gamma_p
+    z[last] = corner_hi
+    if not np.isfinite(bands).all():
+        # the first non-finite entry of the first row that has one
+        bad = ~np.isfinite(bands).all(axis=0)
+        at, row = _first_row(bad.any(axis=-1))
+        raise NonFiniteError("array must not contain infs or NaNs",
+                             cell=int(np.argmax(bad[at])), row=row)
 
-    # columns: rhs, then the spike gamma_p e_0 + corner_hi e_{n-1}; built
-    # as rows of a C-ordered array, so the transpose is Fortran-ordered
-    rows = np.zeros((2,) + shape)
-    rows[0] = rhs
-    rows[1][first] = gamma_p
-    rows[1][last] = corner_hi
-    cols = rows.reshape(2, -1).T
-    if not all(np.all(np.isfinite(a)) for a in (lower, b, upper, cols)):
-        raise ValueError("array must not contain infs or NaNs")
-
-    _, _, _, sol, info = dgtsv(lower, b.reshape(-1), upper, cols, overwrite_dl=1,
-                               overwrite_d=1, overwrite_du=1, overwrite_b=1)
+    info = _lapack.gtsv(bands.reshape(5, -1))
     if info != 0:  # pragma: no cover - defensive
         row = (info - 1) // n if info > 0 and len(shape) > 1 else None
         raise LinearSolveError(
             f"banded factorization failed: gtsv info {info - n * (row or 0)}",
             row=row)
-    y, z = sol.T.reshape((2,) + shape)
 
     frac = corner_lo / gamma_p
     denom = 1.0 + z[first] + frac * z[last]
@@ -258,7 +271,9 @@ def solve_cyclic_tridiagonal(sub, diag, sup, corner_lo, corner_hi, rhs,
     residual -= rhs
     worst = np.abs(residual).max(axis=-1)
     bound = tol * (1.0 + np.abs(rhs).max(axis=-1))
-    bad = ~np.isfinite(x).all(axis=-1) | (worst > bound)
+    # a non-finite entry of x makes its row's residual, and so ``worst``,
+    # non-finite (0 * inf is nan; max keeps a nan)
+    bad = ~np.isfinite(worst) | (worst > bound)
     if _any(bad):
         at, row = _first_row(bad)
         raise LinearSolveError(
@@ -353,7 +368,7 @@ def _step(state: State, g: Grid, params: ModelParams, config: SchemeConfig,
         try:
             return _implicit_diffusion_solve(mass_diag, coeff_face, rhs, g, d,
                                              config.newton_tol)
-        except LinearSolveError as err:
+        except RunFailure as err:
             if err.row is not None:
                 err.row = int(_rows_of(rows, err.row))
             raise

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import congestion_sim._lapack as _lapack
 import congestion_sim.cli as cli
 import congestion_sim.sweep as sweep_mod
 from conftest import CONSTANT, STANDARD
@@ -215,8 +216,9 @@ SHIPPED_SUMMARY_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("formulation", [W_FORM, U_FORM])
-def test_shipped_summary_bits_unchanged(tmp_path, formulation):
+def shipped_summary_sha256(tmp_path, formulation):
+    """Simulate the shipped standard_smooth config in ``formulation``; the
+    sha256 of its summary.json."""
     import hashlib
 
     shipped = cli.CONFIG_DIR / "standard_smooth.cfg"
@@ -226,8 +228,46 @@ def test_shipped_summary_bits_unchanged(tmp_path, formulation):
     lines += [f"output.dir = {out_dir}", f"scheme.formulation = {formulation}"]
     cfg = write_config(tmp_path, "\n".join(lines) + "\n")
     assert cli.main(["simulate", "--config", cfg]) == 0
-    digest = hashlib.sha256((out_dir / "summary.json").read_bytes()).hexdigest()
-    assert digest == SHIPPED_SUMMARY_SHA256[formulation]
+    return hashlib.sha256((out_dir / "summary.json").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("formulation", [W_FORM, U_FORM])
+def test_shipped_summary_bits_unchanged(tmp_path, formulation):
+    assert shipped_summary_sha256(tmp_path, formulation) == SHIPPED_SUMMARY_SHA256[formulation]
+
+
+def test_scipy_fallback_gives_shipped_summary_bits(tmp_path, monkeypatch):
+    # the path of a numpy that exports no OpenBLAS dgtsv: every solve goes
+    # through scipy and the run keeps its bits
+    source, fallback = _lapack.select_gtsv("no_such_symbol_")
+    assert (source, fallback) == ("scipy", _lapack.scipy_gtsv)
+    calls = []
+
+    def counted(bands):
+        calls.append(bands.shape)
+        return fallback(bands)
+
+    monkeypatch.setattr(_lapack, "gtsv", counted)
+    assert shipped_summary_sha256(tmp_path, W_FORM) == SHIPPED_SUMMARY_SHA256[W_FORM]
+    n_steps = json.loads((tmp_path / "out" / "summary.json").read_text())["n_steps"]
+    assert len(calls) >= n_steps > 0
+
+
+def test_cli_import_loads_no_scipy():
+    # importing scipy took most of the command line's start-up time
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, congestion_sim.cli as cli; print(cli.__file__); "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout.splitlines()
+    assert out == [cli.__file__, "[]"]
 
 
 @pytest.mark.parametrize("every", ["1e-20", "1e-300"])
@@ -314,6 +354,7 @@ output.dir = {out_dir}
     assert len(report_lines) == 3
     summary = json.loads((out_dir / "sweep_summary.json").read_text())
     assert {"fit", "cross", "rows"} <= set(summary)
+    assert f"lapack {_lapack.SOURCE}" in (out_dir / "run.log").read_text().splitlines()
 
 
 def test_missing_config_file_is_config_error():
@@ -333,7 +374,11 @@ def test_unreadable_custom_csv_is_config_error(tmp_path, capsys, profile):
                                f"init.kind = custom_csv\ninit.csv_path = {path}")
     cfg = write_config(tmp_path, text + f"output.dir = {tmp_path / 'out'}\n")
     assert cli.main(["simulate", "--config", cfg]) == 2
-    assert str(path) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(path) in err
+    # found while building the initial data, after run.log was opened
+    log = (tmp_path / "out" / "run.log").read_text().splitlines()
+    assert log[-1] == "failed " + err.removeprefix("configuration error: ").strip()
 
 
 @pytest.mark.parametrize("name", sorted(path.name for path in cli.CONFIG_DIR.glob("*.cfg")))
@@ -376,7 +421,24 @@ def test_runtime_failure_exit_code(tmp_path, monkeypatch, capsys, error):
     assert capsys.readouterr().err == f"runtime failure ({error.kind}): synthetic {context}\n"
     log = (tmp_path / "out" / "run.log").read_text().splitlines()
     assert log[0].startswith("started ") and log[1].startswith("config ")
-    assert log[2] == f"failed synthetic {context}"
+    assert log[2] == f"lapack {_lapack.SOURCE}"
+    assert log[3] == f"failed synthetic {context}"
+
+
+def test_non_finite_state_is_runtime_failure(tmp_path, capsys):
+    # a desired velocity of 1e300 overflows the advective fluxes; this
+    # ended in a ValueError traceback from the solve, exit 1, and run.log
+    # had no failed line
+    text = BASE_CONFIG.replace("init.w_amp = 0.0", "init.w_amp = 1e300")
+    cfg = write_config(tmp_path, text + f"output.dir = {tmp_path / 'out'}\n")
+    with np.errstate(all="ignore"):
+        assert cli.main(["simulate", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure (non-finite): ")
+    context = err[err.index("[t="):].strip()
+    assert context.endswith(", gamma=10.0]") and "cell=None" not in context
+    log = (tmp_path / "out" / "run.log").read_text().splitlines()
+    assert log[-1].startswith("failed ") and log[-1].endswith(context)
 
 
 @pytest.mark.parametrize("key,value", [

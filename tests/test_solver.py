@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import congestion_sim._lapack as _lapack
 from conftest import CONSTANT, STANDARD, run_case, standard_self_convergence
 from congestion_sim.diagnostics import trajectory_checks
-from congestion_sim.errors import CflError, LinearSolveError, VacuumError
+from congestion_sim.errors import CflError, LinearSolveError, NonFiniteError, VacuumError
 from congestion_sim.grid import Grid, integrate
 from congestion_sim.initial_data import make_initial_data
 from congestion_sim.model import ModelParams, State, U_FORM, W_FORM
@@ -346,18 +347,46 @@ def test_formulations_converge_together(standard_u_256, standard_w_256):
     assert diff <= 0.02
 
 
-def test_batched_solve_matches_each_system():
-    rng = np.random.default_rng(11)
-    k, n = 4, 24
+LAPACK_PATHS = (_lapack.gtsv, _lapack.scipy_gtsv)
+
+
+def random_dominant_systems(rng, k, n):
+    """(sub, diag, sup, corner_lo, corner_hi, rhs) of k diagonally dominant
+    periodic systems of n unknowns, stacked."""
     sub, sup = rng.normal(size=(k, n)), rng.normal(size=(k, n))
     clo, chi = rng.normal(size=k), rng.normal(size=k)
     diag = np.abs(sub) + np.abs(sup) + 3.0 + rng.random(size=(k, n))
-    rhs = rng.normal(size=(k, n))
-    x = solve_cyclic_tridiagonal(sub, diag, sup, clo, chi, rhs)
-    for i in range(k):
-        alone = solve_cyclic_tridiagonal(sub[i], diag[i], sup[i], clo[i], chi[i], rhs[i])
-        assert np.array_equal(x[i], alone)
+    return sub, diag, sup, clo, chi, rng.normal(size=(k, n))
 
+
+def test_batched_solve_matches_each_system(monkeypatch):
+    # on both LAPACK paths, numpy's bundled OpenBLAS and the scipy
+    # fallback, which must give the same bits
+    rng = np.random.default_rng(11)
+    for k, n in ((4, 24), (1, 8), (3, 256), (2, 4096)):
+        systems = random_dominant_systems(rng, k, n)
+        solutions = []
+        for gtsv in LAPACK_PATHS:
+            monkeypatch.setattr(_lapack, "gtsv", gtsv)
+            x = solve_cyclic_tridiagonal(*systems)
+            for i in range(k):
+                assert np.array_equal(x[i], solve_cyclic_tridiagonal(*(a[i] for a in systems)))
+            solutions.append(x)
+        assert np.array_equal(*solutions)
+
+        # a nan in any operand: the same ValueError on both paths, naming its cell
+        for operand in (0, 1, 2, 5):   # sub, diag, sup, rhs
+            one = [a[0].copy() for a in systems]
+            one[operand][5] = np.nan
+            for gtsv in LAPACK_PATHS:
+                monkeypatch.setattr(_lapack, "gtsv", gtsv)
+                with pytest.raises(ValueError, match="must not contain infs or NaNs") as err:
+                    solve_cyclic_tridiagonal(*one)
+                assert isinstance(err.value, NonFiniteError)
+                assert (err.value.cell, err.value.row) == (5, None)
+    monkeypatch.undo()
+
+    sub, diag, sup, clo, chi, rhs = random_dominant_systems(np.random.default_rng(11), 4, 24)
     # row 1 becomes the singular periodic Laplacian: only that row fails
     sub[1], sup[1], diag[1] = -1.0, -1.0, 2.0
     clo[1] = chi[1] = -1.0

@@ -363,3 +363,25 @@ def test_linear_solve_failure_is_a_failed_row(monkeypatch):
     assert by_gamma[10.0].failure.endswith("[t=0.0, cell=None, gamma=10.0]")
     assert np.isfinite(by_gamma[5.0].max_rho) and np.isfinite(by_gamma[20.0].max_rho)
     assert_rows_match_plain_runs(report, plain, (5.0, 20.0))
+
+
+def test_non_finite_operands_are_a_failed_row(monkeypatch):
+    # a nan in one row's solve ended the whole sweep in a ValueError traceback
+    config = sweep_config((5.0, 10.0, 20.0), t_end=0.05)
+    plain = plain_runs(config)
+    real = solver_mod.solve_cyclic_tridiagonal
+
+    def poisoned(sub, diag, sup, corner_lo, corner_hi, rhs, tol=1e-10):
+        if np.ndim(rhs) == 2 and len(rhs) == 3:
+            # row 1 of the full batch is gamma 10
+            rhs = rhs.copy()
+            rhs[1, 7] = np.nan
+        return real(sub, diag, sup, corner_lo, corner_hi, rhs, tol)
+
+    monkeypatch.setattr(solver_mod, "solve_cyclic_tridiagonal", poisoned)
+    report = run_sweep(config)
+    by_gamma = {row.gamma: row for row in report.rows}
+    assert [row.failed for row in report.rows] == [False, True, False]
+    assert by_gamma[10.0].failure == ("array must not contain infs or NaNs "
+                                      "[t=0.0, cell=7, gamma=10.0]")
+    assert_rows_match_plain_runs(report, plain, (5.0, 20.0))
