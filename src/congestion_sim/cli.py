@@ -5,7 +5,8 @@ Subcommands: ``simulate`` (single run), ``sweep`` (gamma sweep),
 study).  Exit codes: 0 success, 1 verdict failure, 2 configuration
 error, 3 runtime failure (vacuum, saturation, a failed linear solve or a
 non-finite state), with the offending time, cell and gamma printed.
-``run.log`` names the LAPACK path the solves took (``lapack <source>``).
+``run.log`` is written before a run starts (``run_log``) and names the
+LAPACK path the solves took (``lapack <source>``).
 
 The ``invariants`` suite of ``verify`` runs every single-gamma config
 (``model.gamma`` set) in ``CONFIG_DIR``, the ``configs/`` directory of
@@ -17,6 +18,7 @@ to the run log), floats serialized with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -50,16 +52,14 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def fmt17(x) -> str:
-    return format(float(x), ".17g")
-
-
 # ----------------------------------------------------------------- output --
 
+# "%.17g" % v is format(v, ".17g"), the same float formatting for every
+# finite and non-finite value
+FLOAT_FORMAT = "%.17g"
+
 SNAPSHOT_COLUMNS = ("x", "rho", "u", "w", "pi", "W", "V")
-# one snapshot row; "%.17g" % v is format(v, ".17g"), the same float
-# formatting for every finite and non-finite value
-_SNAPSHOT_ROW = ",".join(["%.17g"] * len(SNAPSHOT_COLUMNS)) + "\n"
+_SNAPSHOT_ROW = ",".join([FLOAT_FORMAT] * len(SNAPSHOT_COLUMNS)) + "\n"
 
 
 def _snapshot_columns(g: Grid, state, params: ModelParams) -> list:
@@ -135,7 +135,7 @@ def write_sweep_report(out_dir: str, report: SweepReport) -> None:
                 elif isinstance(value, str):
                     cells.append(json.dumps(value))
                 else:
-                    cells.append(fmt17(value))
+                    cells.append(FLOAT_FORMAT % value)
             fh.write(",".join(cells) + "\n")
 
     summary = {
@@ -153,11 +153,31 @@ def write_sweep_report(out_dir: str, report: SweepReport) -> None:
 
 # ------------------------------------------------------------ subcommands --
 
-def _ensure_dir(path: str) -> None:
+@contextlib.contextmanager
+def run_log(out_dir: str, config_path: str, *header: str):
+    """Create ``out_dir`` (a ConfigError if it cannot be) and open its
+    ``run.log``, flushed with ``started``, ``config``, the ``header`` lines
+    and ``lapack`` before the run inside starts.  A ConfigError (found
+    while building the initial data) or RunFailure raised inside ends the
+    log with a ``failed`` line and propagates."""
     try:
-        os.makedirs(path, exist_ok=True)
+        os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"output.dir {path}: cannot create it: {exc.strerror}") from exc
+        raise ConfigError(f"output.dir {out_dir}: cannot create it: {exc.strerror}") from exc
+    with open(os.path.join(out_dir, "run.log"), "w", encoding="utf-8") as log:
+        log.write(f"started {_time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
+        log.write(f"config {os.path.abspath(config_path)}\n")
+        log.writelines(f"{line}\n" for line in header)
+        log.write(f"lapack {LAPACK_SOURCE}\n")
+        log.flush()
+        try:
+            yield log
+        except ConfigError as exc:
+            log.write(f"failed {exc}\n")
+            raise
+        except RunFailure as exc:
+            log.write(f"failed {exc} {exc.context()}\n")
+            raise
 
 
 def cmd_simulate(args) -> int:
@@ -165,21 +185,8 @@ def cmd_simulate(args) -> int:
     if cfg.gamma is None:
         raise ConfigError("simulate needs model.gamma (use the sweep subcommand "
                           "for sweep.gammas)")
-    _ensure_dir(cfg.out_dir)
-    log_path = os.path.join(cfg.out_dir, "run.log")
-    with open(log_path, "w", encoding="utf-8") as log:
-        log.write(f"started {_time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
-        log.write(f"config {os.path.abspath(args.config)}\n")
-        log.write(f"lapack {LAPACK_SOURCE}\n")
-        try:
-            traj = run_config(cfg)
-        except ConfigError as exc:
-            # found while building the initial data
-            log.write(f"failed {exc}\n")
-            raise
-        except RunFailure as exc:
-            log.write(f"failed {exc} {exc.context()}\n")
-            raise
+    with run_log(cfg.out_dir, args.config) as log:
+        traj = run_config(cfg)
         log.write(f"steps {traj.n_steps}\n")
         log.write(f"wall_seconds {traj.wall_seconds:.3f}\n")
 
@@ -203,16 +210,13 @@ def cmd_sweep(args) -> int:
     cfg = load_run_config(args.config)
     if cfg.gammas is None:
         raise ConfigError("sweep needs sweep.gammas")
-    _ensure_dir(cfg.out_dir)
-    report = run_sweep(cfg)
-
-    with open(os.path.join(cfg.out_dir, "run.log"), "w", encoding="utf-8") as log:
-        log.write(f"started {_time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
-        log.write(f"gammas {','.join(str(gm) for gm in cfg.gammas)}\n")
-        log.write(f"lapack {LAPACK_SOURCE}\n")
+    gammas = f"gammas {','.join(str(gm) for gm in cfg.gammas)}"
+    with run_log(cfg.out_dir, args.config, gammas) as log:
+        report = run_sweep(cfg)
+        failed = [r for r in report.rows if r.failed]
+        log.writelines(f"failed {r.failure}\n" for r in failed)
     write_sweep_report(cfg.out_dir, report)
 
-    failed = [r for r in report.rows if r.failed]
     print(f"sweep: {len(report.rows)} rows ({len(failed)} failed), "
           f"fit verdict: {report.fit.verdict}, outputs in {cfg.out_dir}")
     return EXIT_OK

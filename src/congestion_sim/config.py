@@ -8,12 +8,19 @@ be present: a positive gamma, or a positive, strictly increasing ladder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 from .initial_data import INIT_KINDS, InitRecipe
-from .model import FORMULATIONS
+from .model import FORMULATIONS, W_FORM
 from .solver import SchemeConfig
+
+# Caps that keep every accepted run finishable: a run holds about 300 bytes
+# per cell, a step at 2**20 cells takes about 0.16 s (2-core x86), and a run
+# needs at least t_end / dt_max steps.  The shipped configs take 256 cells
+# and 250 such steps, the benchmark up to 4096 cells.
+MAX_CELLS = 2 ** 20
+MAX_LEAST_STEPS = 10 ** 7
 
 
 def _parse_bool_free_float(text: str, key: str) -> float:
@@ -59,7 +66,8 @@ CONFIG_KEYS = {
                           "residual tolerance of the implicit solve"),
     "scheme.max_halvings": (int, SchemeConfig.max_halvings,
                             "dt halvings tried before a vacuum error"),
-    "grid.n_cells": (int, REQUIRED, "number of cells of the periodic mesh (>= 4)"),
+    "grid.n_cells": (int, REQUIRED,
+                     f"number of cells of the periodic mesh (4 to {MAX_CELLS})"),
     "model.gamma": (float, None, "offset exponent for a single run"),
     "sweep.gammas": ("float_list", None,
                      "comma-separated increasing exponents for a sweep"),
@@ -71,7 +79,8 @@ CONFIG_KEYS = {
     "init.w_mean": (float, InitRecipe.w_mean, "mean desired velocity"),
     "init.phase": (float, InitRecipe.phase, "phase shift of the density perturbation"),
     "init.csv_path": (str, InitRecipe.csv_path, "profile file for init.kind = custom_csv"),
-    "time.t_end": (float, REQUIRED, "final time of the run"),
+    "time.t_end": (float, REQUIRED, "final time of the run "
+                   f"(at most {MAX_LEAST_STEPS:.0e} * scheme.dt_max)"),
     "output.dir": (str, "out", "output directory"),
     "output.format": (str, "csv", "snapshot serialization: csv or jsonl"),
     "diagnostics.every": (float, SchemeConfig.snapshot_every,
@@ -153,33 +162,34 @@ def resolve_run_config(values: dict) -> RunConfig:
     if resolved["output.format"] not in ("csv", "jsonl"):
         raise ConfigError("output.format must be csv or jsonl")
 
-    try:
-        scheme = SchemeConfig(
-            formulation=resolved["scheme.formulation"],
-            cfl=resolved["scheme.cfl"],
-            dt_max=resolved["scheme.dt_max"],
-            dt_init=resolved["scheme.dt_init"],
-            newton_tol=resolved["scheme.newton_tol"],
-            max_halvings=resolved["scheme.max_halvings"],
-            snapshot_every=resolved["diagnostics.every"],
-        )
-        recipe = InitRecipe(**{f.name: resolved[f"init.{f.name}"]
-                               for f in fields(InitRecipe)})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    # one key at a time on an admissible scheme, so a rule the dataclass
+    # rejects is the rule of that key
+    scheme = SchemeConfig(formulation=W_FORM)
+    for f in fields(SchemeConfig):
+        key = "diagnostics.every" if f.name == "snapshot_every" else f"scheme.{f.name}"
+        try:
+            scheme = replace(scheme, **{f.name: resolved[key]})
+        except ValueError as exc:
+            raise ConfigError(f"{key} = {resolved[key]!r}: {exc}") from exc
+    recipe = InitRecipe(**{f.name: resolved[f"init.{f.name}"]
+                           for f in fields(InitRecipe)})
 
-    if resolved["grid.n_cells"] < 4:
-        raise ConfigError("grid.n_cells must be at least 4")
-    if resolved["time.t_end"] <= 0.0:
+    n_cells, t_end = resolved["grid.n_cells"], resolved["time.t_end"]
+    if not 4 <= n_cells <= MAX_CELLS:
+        raise ConfigError(f"grid.n_cells must lie in [4, {MAX_CELLS}], got {n_cells}")
+    if t_end <= 0.0:
         raise ConfigError("time.t_end must be positive")
+    if t_end / scheme.dt_max > MAX_LEAST_STEPS:
+        raise ConfigError(f"time.t_end / scheme.dt_max = {t_end / scheme.dt_max:.3g} "
+                          f"steps at least, above the cap of {MAX_LEAST_STEPS:.0e}")
 
     return RunConfig(
         scheme=scheme,
-        n_cells=resolved["grid.n_cells"],
+        n_cells=n_cells,
         gamma=gamma,
         gammas=gammas,
         recipe=recipe,
-        t_end=resolved["time.t_end"],
+        t_end=t_end,
         out_dir=resolved["output.dir"],
         out_format=resolved["output.format"],
     )

@@ -19,6 +19,9 @@ from .model import ModelParams, State, U_FORM, W_FORM, w_to_u
 
 INIT_KINDS = ("cosine", "two_mode", "custom_csv")
 
+# cells x profile rows of one block of the custom_csv distance matrix
+RESAMPLE_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class InitRecipe:
@@ -44,8 +47,8 @@ class InitRecipe:
         if self.kind != "custom_csv":
             if not (self.rho_mean > self.rho_amp >= 0.0):
                 raise ConfigError(
-                    "init parameters must satisfy rho_mean > rho_amp >= 0 "
-                    f"(got rho_mean={self.rho_mean}, rho_amp={self.rho_amp})"
+                    "init.rho_mean > init.rho_amp >= 0 must hold "
+                    f"(got init.rho_mean={self.rho_mean}, init.rho_amp={self.rho_amp})"
                 )
 
 
@@ -81,10 +84,13 @@ def build_profiles(recipe: InitRecipe, g: Grid):
             np.sin(2.0 * np.pi * x) + 0.5 * np.sin(4.0 * np.pi * x))
     else:
         xs, rhos, ws = _read_profile_csv(recipe.csv_path)
-        # nearest-cell resampling with periodic distance
-        dist = np.abs(x[:, None] - xs[None, :])
-        dist = np.minimum(dist, 1.0 - dist)
-        idx = np.argmin(dist, axis=1)
+        # nearest-row resampling with periodic distance, a block of cells at
+        # a time so memory stays bounded; ties go to the first row
+        idx = np.empty(g.n_cells, dtype=np.intp)
+        step = max(1, RESAMPLE_BLOCK // xs.size)
+        for lo in range(0, g.n_cells, step):
+            dist = np.abs(x[lo:lo + step, None] - xs[None, :])
+            idx[lo:lo + step] = np.argmin(np.minimum(dist, 1.0 - dist), axis=1)
         rho, w = rhos[idx], ws[idx]
     return rho, w
 

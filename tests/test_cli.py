@@ -5,6 +5,7 @@ import pytest
 
 import congestion_sim._lapack as _lapack
 import congestion_sim.cli as cli
+import congestion_sim.initial_data as initial_data_mod
 import congestion_sim.sweep as sweep_mod
 from conftest import CONSTANT, STANDARD
 from congestion_sim.config import (
@@ -195,6 +196,33 @@ def test_snapshot_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(w, data["w"])
 
 
+@pytest.mark.parametrize("profile", ["random", "tied", "out_of_range"])
+def test_custom_csv_picks_match_dense_rule(tmp_path, monkeypatch, profile):
+    # the blocked resampling picks what the whole cell x row distance
+    # matrix picks, the first row among tied ones included
+    g = Grid(64)
+    rng = np.random.default_rng(11)
+    if profile == "random":
+        xs = rng.uniform(0.0, 1.0, 50)
+    elif profile == "tied":
+        # every row twice, half of them on cell faces, equidistant from two
+        # cell centres
+        xs = rng.permutation(np.tile(np.concatenate(
+            [np.arange(g.n_cells) * g.dx, rng.uniform(0.0, 1.0, g.n_cells)]), 2))
+    else:
+        xs = rng.uniform(-1.5, 2.5, 50)
+    path = tmp_path / "profile.csv"
+    path.write_text("x,rho,w\n" + "".join(
+        f"{x!r},0.8,{i}\n" for i, x in enumerate(xs.tolist())),
+        encoding="utf-8")
+    dist = np.abs(g.x[:, None] - xs[None, :])
+    want = np.argmin(np.minimum(dist, 1.0 - dist), axis=1)
+    for block in (1, 7 * xs.size + 3):
+        monkeypatch.setattr(initial_data_mod, "RESAMPLE_BLOCK", block)
+        _, w = build_profiles(InitRecipe(kind="custom_csv", csv_path=str(path)), g)
+        assert np.array_equal(w, want)
+
+
 def test_summary_byte_stable(tmp_path):
     texts = []
     for attempt in ("a", "b"):
@@ -318,8 +346,10 @@ def test_simulate_requires_scalar_gamma(tmp_path):
     assert cli.main(["simulate", "--config", cfg]) == 2
 
 
-def test_sweep_rejects_overdense_recipe(tmp_path):
-    text = """
+def test_sweep_rejects_overdense_recipe(tmp_path, capsys):
+    # left an empty output.dir: run.log was written only after the batch
+    out_dir = tmp_path / "out"
+    text = f"""
 scheme.formulation = w_form
 grid.n_cells = 64
 sweep.gammas = 5, 80
@@ -328,12 +358,20 @@ init.rho_mean = 1.05
 init.rho_amp = 0.0
 init.w_amp = 0.0
 time.t_end = 0.05
+output.dir = {out_dir}
 """
     cfg = write_config(tmp_path, text)
     assert cli.main(["sweep", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "initial density upper bound violated" in err
+    log = (out_dir / "run.log").read_text().splitlines()
+    assert [line.split(" ", 1)[0] for line in log] == [
+        "started", "config", "gammas", "lapack", "failed"]
+    assert log[-1] == "failed " + err.removeprefix("configuration error: ").strip()
+    assert sorted(path.name for path in out_dir.iterdir()) == ["run.log"]
 
 
-def test_sweep_writes_report(tmp_path):
+def test_sweep_writes_report(tmp_path, monkeypatch):
     out_dir = tmp_path / "out"
     text = f"""
 scheme.formulation = w_form
@@ -348,13 +386,40 @@ time.t_end = 0.05
 output.dir = {out_dir}
 """
     cfg = write_config(tmp_path, text)
+    logged_before_batch = []
+
+    def run_sweep(config):
+        logged_before_batch.append((out_dir / "run.log").read_text())
+        return sweep_mod.run_sweep(config)
+
+    monkeypatch.setattr(cli, "run_sweep", run_sweep)
     assert cli.main(["sweep", "--config", cfg]) == 0
     report_lines = (out_dir / "sweep_report.csv").read_text().splitlines()
     assert report_lines[0].startswith("gamma,")
     assert len(report_lines) == 3
     summary = json.loads((out_dir / "sweep_summary.json").read_text())
     assert {"fit", "cross", "rows"} <= set(summary)
-    assert f"lapack {_lapack.SOURCE}" in (out_dir / "run.log").read_text().splitlines()
+    log = (out_dir / "run.log").read_text().splitlines()
+    assert log[0].startswith("started ")
+    assert log[1:] == [f"config {cfg}", "gammas 5.0,10.0", f"lapack {_lapack.SOURCE}"]
+    # the whole log was on disk before the batch started
+    assert logged_before_batch == ["\n".join(log) + "\n"]
+
+
+def test_failed_sweep_rows_reach_run_log(tmp_path):
+    # a desired velocity of 1e300 overflows the fluxes of every row
+    out_dir = tmp_path / "out"
+    text = BASE_CONFIG.replace("model.gamma = 10.0", "sweep.gammas = 5, 10").replace(
+        "init.w_amp = 0.0", "init.w_amp = 1e300")
+    cfg = write_config(tmp_path, text + f"output.dir = {out_dir}\n")
+    with np.errstate(all="ignore"):
+        assert cli.main(["sweep", "--config", cfg]) == 0
+    rows = json.loads((out_dir / "sweep_summary.json").read_text())["rows"]
+    failures = [row["failure"] for row in rows]
+    assert [row["failed"] for row in rows] == [True, True]
+    assert [f[f.index("gamma="):] for f in failures] == ["gamma=5.0]", "gamma=10.0]"]
+    log = (out_dir / "run.log").read_text().splitlines()
+    assert log[4:] == [f"failed {failure}" for failure in failures]
 
 
 def test_missing_config_file_is_config_error():
@@ -447,11 +512,26 @@ def test_non_finite_state_is_runtime_failure(tmp_path, capsys):
     ("sweep.gammas", "5, 5"),
     ("sweep.gammas", "10, 5"),
     ("sweep.gammas", "0, 5"),
+    ("time.t_end", "abc"),
+    ("grid.n_cells", "6.5"),
+    ("output.format", "xml"),
+    ("diagnostics.every", "-1"),    # named only snapshot_every
+    ("scheme.newton_tol", "0"),     # named only newton_tol
+    ("grid.n_cells", "3"),
+    ("time.t_end", "0"),
+    ("time.t_end", "1e12"),         # never finished
+    ("scheme.dt_max", "1e-300"),    # never finished
+    ("grid.n_cells", "2000000000"),  # ended in a memory-error traceback, exit 1
 ])
 def test_gamma_rules_are_config_errors(tmp_path, capsys, key, value):
-    command = "simulate" if key == "model.gamma" else "sweep"
-    text = BASE_CONFIG.replace("model.gamma = 10.0", f"{key} = {value}")
-    cfg = write_config(tmp_path, text + f"output.dir = {tmp_path / 'out'}\n")
+    # every config rule, not only the gamma ones: exit 2 naming the key,
+    # before anything is written
+    command = "sweep" if key == "sweep.gammas" else "simulate"
+    replaced = "model.gamma" if key == "sweep.gammas" else key
+    lines = [line for line in BASE_CONFIG.splitlines()
+             if not line.startswith(f"{replaced} =")]
+    lines += [f"{key} = {value}", f"output.dir = {tmp_path / 'out'}"]
+    cfg = write_config(tmp_path, "\n".join(lines) + "\n")
     assert cli.main([command, "--config", cfg]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
