@@ -3,8 +3,9 @@
 Subcommands: ``simulate`` (single run), ``sweep`` (gamma sweep),
 ``verify`` (verification suites), ``mms`` (one manufactured-solution
 study).  Exit codes: 0 success, 1 verdict failure, 2 configuration
-error, 3 runtime failure (vacuum, saturation, a failed linear solve or a
-non-finite state), with the offending time, cell and gamma printed.
+error, 3 runtime failure (vacuum, saturation, a failed linear solve, a
+non-finite state or a step budget overrun), with the offending time, cell
+and gamma printed.
 ``run.log`` is written before a run starts (``run_log``) and names the
 LAPACK path the solves took (``lapack <source>``).
 
@@ -34,7 +35,8 @@ from .config import RunConfig, config_key_help, load_run_config
 from .errors import ConfigError, RunFailure
 from .grid import Grid
 from .initial_data import build_profiles
-from .model import ModelParams, U_FORM, W_FORM, derived_fields
+from .model import (ModelParams, U_FORM, W_FORM, compute_V, compute_W, potential_pi,
+                    velocities)
 from .solver import Trajectory
 from .sweep import GammaRow, SweepReport, run_config, run_sweep
 from .verify import (
@@ -63,8 +65,9 @@ _SNAPSHOT_ROW = ",".join([FLOAT_FORMAT] * len(SNAPSHOT_COLUMNS)) + "\n"
 
 
 def _snapshot_columns(g: Grid, state, params: ModelParams) -> list:
-    f = derived_fields(state, g, params)
-    return [g.x, state.rho, f.u, f.w, f.pi, f.W, f.V]
+    u, w = velocities(state, g, params)
+    return [g.x, state.rho, u, w, potential_pi(state.rho, params),
+            compute_W(state.rho, w, g), compute_V(state.rho, u, g, params)]
 
 
 def write_snapshot_csv(path: str, g: Grid, state, params: ModelParams) -> None:

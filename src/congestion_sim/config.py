@@ -13,14 +13,15 @@ from dataclasses import dataclass, fields, replace
 from .errors import ConfigError
 from .initial_data import INIT_KINDS, InitRecipe
 from .model import FORMULATIONS, W_FORM
-from .solver import SchemeConfig
+from .solver import MAX_STEPS, SchemeConfig
 
 # Caps that keep every accepted run finishable: a run holds about 300 bytes
 # per cell, a step at 2**20 cells takes about 0.16 s (2-core x86), and a run
-# needs at least t_end / dt_max steps.  The shipped configs take 256 cells
-# and 250 such steps, the benchmark up to 4096 cells.
+# needs at least t_end / dt_max steps, which the run's step budget bounds.
+# The shipped configs take 256 cells and 250 such steps, the benchmark up
+# to 4096 cells.
 MAX_CELLS = 2 ** 20
-MAX_LEAST_STEPS = 10 ** 7
+MAX_LEAST_STEPS = MAX_STEPS
 
 
 def _parse_bool_free_float(text: str, key: str) -> float:
@@ -62,8 +63,6 @@ CONFIG_KEYS = {
     "scheme.dt_max": (float, SchemeConfig.dt_max, "upper bound on the time step"),
     "scheme.dt_init": (float, SchemeConfig.dt_init,
                        "time step cap for the very first step"),
-    "scheme.newton_tol": (float, SchemeConfig.newton_tol,
-                          "residual tolerance of the implicit solve"),
     "scheme.max_halvings": (int, SchemeConfig.max_halvings,
                             "dt halvings tried before a vacuum error"),
     "grid.n_cells": (int, REQUIRED,

@@ -15,6 +15,7 @@ from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
+from .errors import NonFiniteError
 from .grid import Field, Grid, as_field, ddx_central, integrate, norm
 from .model import (
     ModelParams,
@@ -98,20 +99,28 @@ class InitialDataSummary:
 
 
 def summarize_initial_data(state: State, g: Grid, params: ModelParams) -> InitialDataSummary:
+    """The initial-data functionals; NonFiniteError names the first cell
+    whose kinetic energy density, in u or in w, is not finite."""
     rho = as_field(state.rho, g)
     if not np.all(rho > 0.0):
         raise ValueError("initial density must be strictly positive")
     u, w = velocities(state, g, params)
     W0 = compute_W(rho, w, g)
     h0 = integrate(enthalpy_H(rho, params), g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ke_u, ke_w = rho * u * u, rho * w * w
+    bad = ~(np.isfinite(ke_u) & np.isfinite(ke_w))
+    if bad.any():
+        raise NonFiniteError("initial kinetic energy density is not finite",
+                             cell=int(np.argmax(bad)))
     return InitialDataSummary(
         M0=float(np.max(W0)),
         rho0_min=float(np.min(rho)),
         rho0_max=float(np.max(rho)),
         mean_rho0=integrate(rho, g),
         E0=norm(rho, g, "l1"),
-        E1=integrate(rho * u * u, g),
-        E2=integrate(rho * w * w, g) + h0,
+        E1=integrate(ke_u, g),
+        E2=integrate(ke_w, g) + h0,
         H0_total=h0,
     )
 

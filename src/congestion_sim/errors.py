@@ -2,7 +2,7 @@
 
 The CLI maps these onto its exit-code contract: configuration problems
 exit with 2, runtime failures (vacuum, saturation, a failed solve, a
-non-finite state) with 3.
+non-finite state, a step budget overrun) with 3.
 Every runtime failure is a ``RunFailure`` and carries where it happened.
 """
 from __future__ import annotations
@@ -71,6 +71,12 @@ class SaturationError(RunFailure):
     """
 
     kind = "saturation"
+
+
+class StepBudgetError(RunFailure):
+    """The CFL step is too small to reach t_end within the step budget."""
+
+    kind = "step budget"
 
 
 class VacuumError(RunFailure):

@@ -73,20 +73,6 @@ class State:
             raise ValueError("time must be nonnegative")
 
 
-@dataclass(frozen=True)
-class DerivedFields:
-    """All constitutive and diagnostic fields evaluated on one state."""
-
-    p: Field
-    lam: Field
-    pi: Field
-    H: Field
-    u: Field
-    w: Field
-    W: Field
-    V: Field
-
-
 def _checked_log(rho, params: ModelParams):
     arr = np.asarray(rho, dtype=float)
     if not np.all(arr > 0.0):
@@ -171,7 +157,7 @@ def compute_W(rho: Field, w: Field, g: Grid) -> Field:
 
 
 def compute_V(rho: Field, u: Field, g: Grid, params: ModelParams) -> Field:
-    """Monitored diffusion flux V = lambda(rho) * d/dx u (diagnostic only)."""
+    """Monitored diffusion flux V = lambda(rho) * d/dx u (the snapshot column)."""
     return lambda_visc(as_field(rho, g), params) * ddx_central(u, g)
 
 
@@ -205,24 +191,3 @@ def velocities(state: State, g: Grid, params: ModelParams) -> tuple[Field, Field
     fields = state_fields(state, g, params)
     return fields.u, fields.w
 
-
-def derived_fields(state: State, g: Grid, params: ModelParams) -> DerivedFields:
-    """Evaluate every constitutive and diagnostic field on a state.
-
-    Each field is evaluated once: pi is gamma * H as in ``potential_pi``,
-    and V reuses lambda as in ``compute_V``.
-    """
-    rho = as_field(state.rho, g)
-    fields = state_fields(state, g, params)
-    lam = lambda_visc(rho, params)
-    H = enthalpy_H(rho, params)
-    return DerivedFields(
-        p=fields.p,
-        lam=lam,
-        pi=params.gamma * H,
-        H=H,
-        u=fields.u,
-        w=fields.w,
-        W=compute_W(rho, fields.w, g),
-        V=lam * ddx_central(fields.u, g),
-    )

@@ -46,7 +46,7 @@ from .errors import (
     LinearSolveError,
     NonFiniteError,
     RunFailure,
-    SaturationError,
+    StepBudgetError,
     VacuumError,
 )
 from .grid import (
@@ -72,6 +72,10 @@ from .model import (
 # guards the CFL formula in a quiescent fluid
 VELOCITY_FLOOR = 1e-12
 
+# the step budget of a run: a row whose CFL step cannot reach t_end within
+# it fails at once instead of running for ever
+MAX_STEPS = 10 ** 7
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
@@ -81,7 +85,6 @@ class SchemeConfig:
     cfl: float = 0.45
     dt_max: float = 1e-2
     dt_init: float = 1e-3
-    newton_tol: float = 1e-10
     max_halvings: int = 20
     snapshot_every: float = 0.05
 
@@ -90,7 +93,7 @@ class SchemeConfig:
             raise ValueError(f"formulation must be one of {FORMULATIONS}")
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError("cfl must lie in (0, 1]")
-        for name in ("dt_max", "dt_init", "newton_tol", "snapshot_every"):
+        for name in ("dt_max", "dt_init", "snapshot_every"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.max_halvings < 0:
@@ -321,7 +324,7 @@ def _flux_divergence(face_flux: Field, g: Grid) -> Field:
 
 
 def _implicit_diffusion_solve(mass_diag, coeff_face: Field, rhs: Field,
-                              g: Grid, dt, tol: float) -> Field:
+                              g: Grid, dt) -> Field:
     """One backward-Euler solve of mass_diag*x - dt*d/dx(coeff dx x) = rhs."""
     r = dt / (g.dx * g.dx)
     lam_hi = r * coeff_face                 # couples cell i to i+1
@@ -333,7 +336,7 @@ def _implicit_diffusion_solve(mass_diag, coeff_face: Field, rhs: Field,
     return solve_cyclic_tridiagonal(
         -lam_lo, diag, -lam_hi,
         corner_lo=-lo[0], corner_hi=-hi[-1],
-        rhs=rhs, tol=tol,
+        rhs=rhs,
     )
 
 
@@ -343,10 +346,11 @@ def _step(state: State, g: Grid, params: ModelParams, config: SchemeConfig,
     """The one step path of both formulations, forced or not.
 
     Everything before the dt-scaled update depends on the old state only,
-    so it is built once; a positivity rescue halves dt and repeats only
-    the update and the implicit solve.  In a batch, a row that loses
-    positivity halves only its own dt and only its own block is solved
-    again.
+    so it is built once.  Only the density decides positivity, so a
+    positivity rescue halves dt and redoes only the density (and, in the
+    w-formulation, its mass solve); the momentum is then updated once, at
+    the accepted dt.  In a batch, a row that loses positivity halves only
+    its own dt and only its own block is solved again.
     """
     if fields is None:
         fields = state_fields(state, g, params)
@@ -366,55 +370,40 @@ def _step(state: State, g: Grid, params: ModelParams, config: SchemeConfig,
 
     def solve(rows, mass_diag, coeff_face, rhs, d):
         try:
-            return _implicit_diffusion_solve(mass_diag, coeff_face, rhs, g, d,
-                                             config.newton_tol)
+            return _implicit_diffusion_solve(mass_diag, coeff_face, rhs, g, d)
         except RunFailure as err:
             if err.row is not None:
                 err.row = int(_rows_of(rows, err.row))
             raise
 
-    def trial(rows, d):
-        """Update ``rows`` by the steps ``d``: rho, mom, the diffusive face
-        flux, and which of the rows lost positivity."""
+    def density(rows, d):
+        """The density of ``rows`` after the steps ``d`` and, in the
+        w-formulation, the diffusive face flux its mass solve applied."""
         rho_star = rho[rows] - d * div_rho[rows]
-        mom_star = mom[rows] - d * div_mom[rows]
         if forcing is not None:
             rho_star = rho_star + d * forcing[0]
-            mom_star = mom_star + d * forcing[1]
         if u_form:
-            # the density is final already; the rows that lost positivity
-            # skip the velocity solve
-            bad = np.min(rho_star, axis=-1) <= 0.0
-            if not _any(bad):
-                u_new = solve(rows, rho_star, lam_face[rows], mom_star, d)
-            else:
-                u_new = np.zeros_like(rho_star)
-                ok = np.flatnonzero(~bad) if np.ndim(bad) else []
-                if len(ok):
-                    u_new[ok] = solve(_rows_of(rows, ok), rho_star[ok],
-                                      lam_face[rows][ok], mom_star[ok], d[ok])
-            return rho_star, rho_star * u_new, None, bad
+            return rho_star, None
         coeff = diff_face[rows]
         rho_new = solve(rows, 1.0, coeff, rho_star, d)
-        # the momentum cross flux w * dx(pi) at faces reuses the discrete
-        # diffusive flux the mass solve just applied
-        dpi_face = coeff * forward_difference(rho_new) / g.dx
-        mom_new = mom_star + d * _flux_divergence(v_face[rows] * dpi_face, g)
-        return rho_new, mom_new, dpi_face, np.min(rho_new, axis=-1) <= 0.0
+        return rho_new, coeff * forward_difference(rho_new) / g.dx
 
-    rho_new, mom_new, dpi_face, bad = trial(..., _col(dt))
-    dt_try = dt
+    d = _col(dt)
+    rho_new, dpi_face = density(..., d)
+    bad = np.min(rho_new, axis=-1) <= 0.0
+    dt_new = dt
     if _any(bad):
-        # the rescue: the failing rows halve their dt and are solved again
-        rows, dt_try = ..., np.array(dt, dtype=float)
+        # the rescue: the failing rows halve their dt and redo their density
+        rows, dt_new = ..., np.array(dt, dtype=float)
         for _ in range(config.max_halvings):
             if np.ndim(bad):
                 rows = _rows_of(rows, np.flatnonzero(bad))
-            dt_try[rows] *= 0.5
-            rho_try, mom_try, dpi_try, bad = trial(rows, _col(dt_try[rows]))
-            rho_new[rows], mom_new[rows] = rho_try, mom_try
+            dt_new[rows] *= 0.5
+            rho_try, dpi_try = density(rows, _col(dt_new[rows]))
+            rho_new[rows] = rho_try
             if dpi_face is not None:
                 dpi_face[rows] = dpi_try
+            bad = np.min(rho_try, axis=-1) <= 0.0
             if not _any(bad):
                 break
         else:
@@ -429,10 +418,22 @@ def _step(state: State, g: Grid, params: ModelParams, config: SchemeConfig,
                 f"{config.max_halvings} dt halvings exhausted",
                 t=t, cell=cell, gamma=gamma, row=row,
             )
+        d = _col(dt_new)
+
+    # the momentum, once per row at its accepted dt
+    mom_star = mom - d * div_mom
+    if forcing is not None:
+        mom_star = mom_star + d * forcing[1]
+    if u_form:
+        mom_new = rho_new * solve(..., rho_new, lam_face, mom_star, d)
+    else:
+        # the momentum cross flux w * dx(pi) at faces reuses the discrete
+        # diffusive flux the mass solve applied
+        mom_new = mom_star + d * _flux_divergence(v_face * dpi_face, g)
     if faces is not None:
         faces.mass_flux = flux_rho if u_form else flux_rho - dpi_face
         faces.lam, faces.lam_face = lam, lam_face
-    return State(state.t + dt_try, rho_new, mom_new, state.formulation)
+    return State(state.t + dt_new, rho_new, mom_new, state.formulation)
 
 
 def step_u_form(state: State, g: Grid, params: ModelParams,
@@ -549,7 +550,7 @@ class _Row:
 
     index: int
     params: ModelParams
-    summary: InitialDataSummary
+    summary: InitialDataSummary | None   # set by the first snapshot
     snapshots: list
 
 
@@ -568,13 +569,15 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
     it gives bit for bit the Trajectory of its run alone; a row leaves the
     batch when it reaches t_end or fails.  A batch returns one entry per
     row: its Trajectory, or the FailedRun holding the RunFailure that its
-    run alone raises.  A RunFailure carries the time of the step that
-    failed and the run's gamma.  ``sources`` serve single runs.
+    run alone raises.  A RunFailure carries the time of the step or
+    snapshot that failed and the run's gamma.  ``sources`` serve single
+    runs.  A row that cannot reach t_end in ``MAX_STEPS`` steps fails.
 
-    A snapshot is taken at the first step that reaches each multiple of
-    ``config.snapshot_every``; a step that crosses several of them takes
-    one and restarts the cadence from its own time, so a cadence shorter
-    than a step takes a snapshot every step.
+    A snapshot is taken at the start, at the first step that reaches each
+    multiple of ``config.snapshot_every`` and at t_end; a step that crosses
+    several multiples takes one and restarts the cadence from its own time,
+    so a cadence shorter than a step takes a snapshot every step.  The
+    first snapshot also summarizes the initial data.
     """
     if t_end < init.t:
         raise ValueError("t_end must not precede the initial time")
@@ -585,33 +588,19 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
 
     started = _time.perf_counter()
     batched = rho0.ndim > 1
-    results = [None] * (len(rho0) if batched else 1)
-    rows = []   # per stacked row; None for a row that failed at once
-    for index, pos in enumerate(np.ndindex(rho0.shape[:-1])):
-        row_params = params.row(index) if batched else params
-        try:
-            summary = summarize_initial_data(
-                State(init.t, rho0[pos], mom0[pos], init.formulation), g, row_params)
-        except SaturationError as err:
-            if err.t is None:
-                err.t = init.t
-            if not batched:
-                raise
-            err.row = index
-            results[index] = FailedRun(err, _time.perf_counter() - started)
-            rows.append(None)
-            continue
-        rows.append(_Row(index, row_params, summary, []))
+    rows = [_Row(index, params.row(index) if batched else params, None, [])
+            for index in range(len(rho0) if batched else 1)]
+    results = [None] * len(rows)
 
     # the stacked arrays of the rows still stepping; per-row values are
     # numpy scalars for a single run and have the shape (rows,) in a batch
     t_end = np.float64(t_end)
     state = State(np.full(rho0.shape[:-1], init.t)[()], rho0, mom0, init.formulation)
     accums = Accumulators.zeros(rho0.shape)
-    next_snap = np.full(rho0.shape[:-1], init.t + config.snapshot_every)
+    next_snap = np.full(rho0.shape[:-1], init.t)
     step = step_u_form if config.formulation == U_FORM else step_w_form
     every = config.snapshot_every
-    fields = None
+    fields = mean_rho = None
 
     def restack(keep):
         """The batch arrays of the rows flagged in ``keep``."""
@@ -624,18 +613,47 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
         fields = None if fields is None else StateFields(
             fields.p[keep], fields.dxp[keep], fields.u[keep], fields.w[keep])
         params = ModelParams(np.array([[row.params.gamma] for row in rows]))
-        mean_rho = np.array([row.summary.mean_rho0 for row in rows])
+        mean_rho = None
 
-    def row_state(pos) -> State:
-        rho, mom = state.rho[pos], state.mom[pos]
-        if batched:
-            rho, mom = rho.copy(), mom.copy()
-        return State(float(state.t[pos]), rho, mom, state.formulation)
+    def end_row(err: RunFailure, i: int) -> None:
+        """The one way a failing row ends: stamp ``err``, raised at stacked
+        row ``i``'s current time, with that time and the row's gamma, then
+        raise it for a single run; in a batch, keep it as the row's
+        FailedRun and drop the row."""
+        row, at = rows[i], (i if batched else ())
+        if err.t is None:
+            err.t = float(state.t[at])
+        if err.gamma is None:
+            err.gamma = row.params.gamma
+        if not batched:
+            raise err
+        err.row = row.index
+        results[row.index] = FailedRun(err, _time.perf_counter() - started)
+        restack(np.arange(len(rows)) != i)
 
-    def take_snapshot(pos, row: _Row) -> None:
-        snap_state, row_accums = row_state(pos), accums.select(pos)
-        rec = record(snap_state, g, row.params, row_accums, row.summary)
-        row.snapshots.append(Snapshot(snap_state, rec, row_accums.int_mass_flux))
+    def take_snapshots(due) -> None:
+        """Snapshot the rows flagged in ``due``, last first, so a row whose
+        record fails leaves the batch without moving the rows to come."""
+        for i in reversed(range(len(rows))):
+            at, row = (i if batched else ()), rows[i]
+            if not due[at]:
+                continue
+            rho, mom = state.rho[at], state.mom[at]
+            if batched:
+                rho, mom = rho.copy(), mom.copy()
+            snap_state = State(float(state.t[at]), rho, mom, state.formulation)
+            row_accums = accums.select(at)
+            try:
+                if row.summary is None:
+                    row.summary = summarize_initial_data(snap_state, g, row.params)
+                rec = record(snap_state, g, row.params, row_accums, row.summary)
+            except RunFailure as err:
+                end_row(err, i)
+                continue
+            row.snapshots.append(Snapshot(snap_state, rec, row_accums.int_mass_flux))
+            next_snap[at] += every
+            if next_snap[at] <= state.t[at] + 1e-14:
+                next_snap[at] = state.t[at] + every
 
     def finish(done) -> None:
         for pos, row in zip(np.ndindex(np.shape(done)), rows):
@@ -646,23 +664,28 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
                     wall_seconds=_time.perf_counter() - started,
                 )
 
-    if batched:
-        restack(np.array([row is not None for row in rows], dtype=bool))
-    else:
-        mean_rho = rows[0].summary.mean_rho0
-    for pos, row in zip(np.ndindex(state.t.shape), rows):
-        take_snapshot(pos, row)
-
+    take_snapshots(np.full(state.t.shape, True))
     n_steps = 0
-    done = state.t >= t_end
     faces = StepFaces()
-    while rows and _any(~done):
+    while rows and _any(state.t < t_end):
         # each state's fields are evaluated once, then serve compute_dt,
         # the step and the time integrals of the step that starts from it
         try:
             if fields is None:
                 fields = state_fields(state, g, params)
+            if mean_rho is None:
+                mean_rho = np.reshape([row.summary.mean_rho0 for row in rows],
+                                      state.t.shape)[()]
             dt = compute_dt(state, g, params, config, fields)
+            over = t_end - state.t > (MAX_STEPS - n_steps) * dt
+            if _any(over):
+                # the fastest cell of the first such row sets its step
+                at, row = _first_row(over)
+                speed = np.maximum(np.abs(fields.u[at]), np.abs(fields.w[at]))
+                raise StepBudgetError(
+                    f"CFL step {float(dt[at]):.3g} cannot reach t_end within the "
+                    f"step budget of {MAX_STEPS:.0e} ({n_steps} steps taken)",
+                    cell=int(np.argmax(speed)), row=row)
             if n_steps == 0:
                 dt = np.minimum(dt, config.dt_init)
             final_step = state.t + dt >= t_end
@@ -671,18 +694,8 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
                              fields=fields, faces=faces)
             new_fields = state_fields(new_state, g, params)
         except RunFailure as err:
-            at = err.row if batched else ()
-            row = rows[err.row if batched else 0]
-            if err.t is None:
-                err.t = float(state.t[at])
-            if err.gamma is None:
-                err.gamma = row.params.gamma
-            if not batched:
-                raise
             # the row leaves the batch and the others retake the step
-            err.row = row.index
-            results[err.row] = FailedRun(err, _time.perf_counter() - started)
-            restack(np.arange(len(rows)) != at)
+            end_row(err, err.row if batched else 0)
             continue
         dt_actual = new_state.t - state.t
         _accumulate(accums, state, fields, new_fields, faces, g, mean_rho,
@@ -694,18 +707,14 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
                               new_state.mom, new_state.formulation)
         state, fields = new_state, new_fields
         n_steps += 1
-        done = state.t >= t_end
-        due = done | (state.t + 1e-14 >= next_snap)
+        due = (state.t >= t_end) | (state.t + 1e-14 >= next_snap)
         if _any(due):
-            for pos, row in zip(np.ndindex(due.shape), rows):
-                if due[pos]:
-                    take_snapshot(pos, row)
-                    next_snap[pos] += every
-                    if next_snap[pos] <= state.t[pos] + 1e-14:
-                        next_snap[pos] = state.t[pos] + every
+            take_snapshots(due)
+        done = state.t >= t_end
         if batched and _any(done):
             finish(done)
             restack(~done)
     # the single run, or rows that started at t_end
-    finish(done)
+    finish(state.t >= t_end)
     return results if batched else results[0]
+

@@ -1,11 +1,18 @@
+import dataclasses
 import json
+import tempfile
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import congestion_sim._lapack as _lapack
 import congestion_sim.cli as cli
 import congestion_sim.initial_data as initial_data_mod
+import congestion_sim.solver as solver_mod
 import congestion_sim.sweep as sweep_mod
 from conftest import CONSTANT, STANDARD
 from congestion_sim.config import (
@@ -39,6 +46,16 @@ def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def shipped_config(tmp_path, case, changes, out_dir, name="run.cfg"):
+    """The shipped config ``case`` with the keys of ``changes`` set and its
+    output in ``out_dir``, written to ``tmp_path / name``."""
+    changes = dict(changes, **{"output.dir": out_dir})
+    lines = [line for line in (cli.CONFIG_DIR / f"{case}.cfg").read_text(
+        encoding="utf-8").splitlines() if line.partition("=")[0].strip() not in changes]
+    lines += [f"{key} = {value}" for key, value in changes.items()]
+    return write_config(tmp_path, "\n".join(lines) + "\n", name=name)
 
 
 # ------------------------------------------------------------------ parsing
@@ -249,12 +266,9 @@ def shipped_summary_sha256(tmp_path, formulation):
     sha256 of its summary.json."""
     import hashlib
 
-    shipped = cli.CONFIG_DIR / "standard_smooth.cfg"
-    lines = [line for line in shipped.read_text(encoding="utf-8").splitlines()
-             if not line.startswith(("output.dir", "scheme.formulation"))]
     out_dir = tmp_path / "out"
-    lines += [f"output.dir = {out_dir}", f"scheme.formulation = {formulation}"]
-    cfg = write_config(tmp_path, "\n".join(lines) + "\n")
+    cfg = shipped_config(tmp_path, "standard_smooth",
+                         {"scheme.formulation": formulation}, out_dir)
     assert cli.main(["simulate", "--config", cfg]) == 0
     return hashlib.sha256((out_dir / "summary.json").read_bytes()).hexdigest()
 
@@ -302,12 +316,9 @@ def test_cli_import_loads_no_scipy():
 def test_cadence_shorter_than_a_step_snapshots_every_step(tmp_path, every):
     # below the float spacing of t, adding the cadence to the next
     # snapshot time leaves it where it is
-    shipped = cli.CONFIG_DIR / "standard_smooth.cfg"
-    lines = [line for line in shipped.read_text(encoding="utf-8").splitlines()
-             if not line.startswith(("output.dir", "time.t_end", "diagnostics.every"))]
     out_dir = tmp_path / "out"
-    lines += [f"output.dir = {out_dir}", "time.t_end = 0.01", f"diagnostics.every = {every}"]
-    cfg = write_config(tmp_path, "\n".join(lines) + "\n")
+    cfg = shipped_config(tmp_path, "standard_smooth",
+                         {"time.t_end": "0.01", "diagnostics.every": every}, out_dir)
     assert cli.main(["simulate", "--config", cfg]) == 0
     n_steps = json.loads((out_dir / "summary.json").read_text())["n_steps"]
     times = [json.loads(line)["t"]
@@ -406,20 +417,58 @@ output.dir = {out_dir}
     assert logged_before_batch == ["\n".join(log) + "\n"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_failed_sweep_rows_reach_run_log(tmp_path):
     # a desired velocity of 1e300 overflows the fluxes of every row
     out_dir = tmp_path / "out"
     text = BASE_CONFIG.replace("model.gamma = 10.0", "sweep.gammas = 5, 10").replace(
         "init.w_amp = 0.0", "init.w_amp = 1e300")
     cfg = write_config(tmp_path, text + f"output.dir = {out_dir}\n")
-    with np.errstate(all="ignore"):
-        assert cli.main(["sweep", "--config", cfg]) == 0
+    assert cli.main(["sweep", "--config", cfg]) == 0
     rows = json.loads((out_dir / "sweep_summary.json").read_text())["rows"]
     failures = [row["failure"] for row in rows]
     assert [row["failed"] for row in rows] == [True, True]
     assert [f[f.index("gamma="):] for f in failures] == ["gamma=5.0]", "gamma=10.0]"]
     log = (out_dir / "run.log").read_text().splitlines()
     assert log[4:] == [f"failed {failure}" for failure in failures]
+
+
+def test_failed_snapshot_record_fails_its_row_only(tmp_path, monkeypatch, capsys):
+    # a failure while a snapshot was recorded escaped the run loop with
+    # [t=None, cell=3, gamma=None] and ended the whole sweep, exit 3
+    sweep_cfg = shipped_config(tmp_path, "standard_sweep", {"grid.n_cells": "64"},
+                               tmp_path / "sweep", name="sweep.cfg")
+    cfg = load_run_config(sweep_cfg)
+    alone = {gamma: sweep_mod.run_config(dataclasses.replace(cfg, gamma=gamma, gammas=None))
+             for gamma in cfg.gammas}
+    t_fail = float(next(t for t in alone[20.0].series("t") if t > 0.1))
+    real = solver_mod.record
+
+    def record(state, g, params, accums, summary):
+        if params.gamma == 20.0 and state.t > 0.1:
+            raise SaturationError("synthetic overflow", cell=3)
+        return real(state, g, params, accums, summary)
+
+    monkeypatch.setattr(solver_mod, "record", record)
+    assert cli.main(["sweep", "--config", sweep_cfg]) == 0
+    rows = json.loads((tmp_path / "sweep" / "sweep_summary.json").read_text())["rows"]
+    context = f"[t={t_fail!r}, cell=3, gamma=20.0]"
+    assert [row["failed"] for row in rows] == [False, False, True, False, False]
+    assert rows[2]["failure"] == f"synthetic overflow {context}"
+    for row in rows[:2] + rows[3:]:
+        want = dataclasses.asdict(sweep_mod._row_from_trajectory(row["gamma"],
+                                                                 alone[row["gamma"]]))
+        del want["runtime"]
+        assert row == want
+    log = (tmp_path / "sweep" / "run.log").read_text().splitlines()
+    assert log[4:] == [f"failed synthetic overflow {context}"]
+
+    # standard_smooth is the sweep's case at one gamma
+    capsys.readouterr()
+    single = shipped_config(tmp_path, "standard_smooth",
+                            {"grid.n_cells": "64", "model.gamma": "20"}, tmp_path / "single")
+    assert cli.main(["simulate", "--config", single]) == 3
+    assert capsys.readouterr().err == f"runtime failure (saturation): synthetic overflow {context}\n"
 
 
 def test_missing_config_file_is_config_error():
@@ -490,20 +539,53 @@ def test_runtime_failure_exit_code(tmp_path, monkeypatch, capsys, error):
     assert log[3] == f"failed synthetic {context}"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_state_is_runtime_failure(tmp_path, capsys):
     # a desired velocity of 1e300 overflows the advective fluxes; this
     # ended in a ValueError traceback from the solve, exit 1, and run.log
     # had no failed line
     text = BASE_CONFIG.replace("init.w_amp = 0.0", "init.w_amp = 1e300")
     cfg = write_config(tmp_path, text + f"output.dir = {tmp_path / 'out'}\n")
-    with np.errstate(all="ignore"):
-        assert cli.main(["simulate", "--config", cfg]) == 3
+    # the initial summary finds the overflow without a numpy warning
+    assert cli.main(["simulate", "--config", cfg]) == 3
     err = capsys.readouterr().err
+    assert err.count("\n") == 1
     assert err.startswith("runtime failure (non-finite): ")
     context = err[err.index("[t="):].strip()
     assert context.endswith(", gamma=10.0]") and "cell=None" not in context
     log = (tmp_path / "out" / "run.log").read_text().splitlines()
     assert log[-1].startswith("failed ") and log[-1].endswith(context)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("scheme.cfl", "1e-300"),       # each hung: CFL steps of 2.7e-303,
+    ("init.w_amp", "1e150"),        # 3.9e-154
+    ("init.w_mean", "1e12"),        # and 3.9e-16
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_unfinishable_run_is_runtime_failure(tmp_path, capsys, key, value):
+    cfg = shipped_config(tmp_path, "standard_smooth", {key: value}, tmp_path / "out")
+    started = time.perf_counter()
+    assert cli.main(["simulate", "--config", cfg]) == 3
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure (step budget): CFL step ")
+    assert "[t=0.0, cell=" in err and err.endswith(", gamma=10.0]\n")
+
+
+def test_unfinishable_sweep_rows_fail_as_alone(tmp_path, capsys):
+    cfg = shipped_config(tmp_path, "standard_sweep",
+                         {"sweep.gammas": "5, 10", "init.w_mean": "1e12"}, tmp_path / "out")
+    assert cli.main(["sweep", "--config", cfg]) == 0
+    rows = json.loads((tmp_path / "out" / "sweep_summary.json").read_text())["rows"]
+    for row in rows:
+        single = shipped_config(tmp_path, "standard_smooth",
+                                {"init.w_mean": "1e12", "model.gamma": row["gamma"]},
+                                tmp_path / "single")
+        capsys.readouterr()
+        assert cli.main(["simulate", "--config", single]) == 3
+        assert row["failed"]
+        assert capsys.readouterr().err == f"runtime failure (step budget): {row['failure']}\n"
 
 
 @pytest.mark.parametrize("key,value", [
@@ -516,7 +598,7 @@ def test_non_finite_state_is_runtime_failure(tmp_path, capsys):
     ("grid.n_cells", "6.5"),
     ("output.format", "xml"),
     ("diagnostics.every", "-1"),    # named only snapshot_every
-    ("scheme.newton_tol", "0"),     # named only newton_tol
+    ("scheme.newton_tol", "0"),     # a retired key, now unknown
     ("grid.n_cells", "3"),
     ("time.t_end", "0"),
     ("time.t_end", "1e12"),         # never finished
@@ -535,6 +617,56 @@ def test_gamma_rules_are_config_errors(tmp_path, capsys, key, value):
     assert cli.main([command, "--config", cfg]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# a cheap run (16 cells, t_end 0.01) and the values one key is set to:
+# non-finite, huge, tiny, zero, negative, not a number and words of other
+# keys; none of them makes an accepted run costly
+GRAMMAR_BASE = {
+    "scheme.formulation": "w_form",
+    "grid.n_cells": "16",
+    "model.gamma": "10",
+    "init.kind": "cosine",
+    "init.rho_mean": "0.8",
+    "init.rho_amp": "0.1",
+    "init.w_amp": "0.2",
+    "time.t_end": "0.01",
+    "diagnostics.every": "0.005",
+}
+ODD_VALUES = ("nan", "inf", "-inf", "1e300", "-1e300", "1e12", "2147483648", "1e-300",
+              "5e-324", "0", "-1", "-0.5", "abc", "", "5, 10", "0x10", "u_form",
+              "two_mode", "custom_csv", "jsonl")
+ONE_KEY_EDITS = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(sorted(set(CONFIG_KEYS) - {"output.dir"})),
+              st.sampled_from(ODD_VALUES)),
+    st.tuples(st.just("unknown"), st.sampled_from(
+        ("grid.cells", "scheme.newton_tol", "sweep.threads", "model")), st.just("1")),
+    st.tuples(st.sampled_from(("missing", "duplicate")), st.sampled_from(sorted(GRAMMAR_BASE)),
+              st.just("")),
+    st.tuples(st.just("malformed"), st.sampled_from(("just words", "= 5", "grid.n_cells")),
+              st.just("")),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(["simulate", "sweep"]), edit=ONE_KEY_EDITS)
+def test_one_key_edits_end_in_an_exit_code(command, edit):
+    # every input ends in exit 0-3: no traceback and no hang
+    how, key, value = edit
+    values = dict(GRAMMAR_BASE)
+    if command == "sweep":
+        del values["model.gamma"]
+        values["sweep.gammas"] = "5, 10"
+    lines = [f"{k} = {v}" for k, v in values.items() if not (how == "missing" and k == key)]
+    if how == "set":
+        lines = [line for line in lines if not line.startswith(f"{key} =")]
+    if how in ("set", "unknown", "duplicate"):
+        lines.append(f"{key} = {value if how != 'duplicate' else values.get(key, '1')}")
+    if how == "malformed":
+        lines.append(key)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), "\n".join(lines) + f"\noutput.dir = {tmp}/out\n")
+        assert cli.main([command, "--config", cfg]) in (0, 1, 2, 3)
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

@@ -13,7 +13,6 @@ from congestion_sim.model import (
     W_FORM,
     compute_V,
     compute_W,
-    derived_fields,
     enthalpy_H,
     lambda_visc,
     potential_pi,
@@ -211,7 +210,7 @@ def test_state_validation():
         State(-1.0, np.ones(8), np.ones(8), U_FORM)
 
 
-def test_velocities_and_derived_fields():
+def test_velocities():
     g = Grid(64)
     params = ModelParams(3.0)
     rho = 0.8 + 0.1 * np.cos(2.0 * np.pi * g.x)
@@ -220,10 +219,3 @@ def test_velocities_and_derived_fields():
     u, w_back = velocities(state, g, params)
     assert np.allclose(w_back, w, atol=1e-15)
     assert np.allclose(u, w - ddx_central(pressure(rho, params), g), atol=1e-15)
-
-    fields = derived_fields(state, g, params)
-    assert np.allclose(fields.w - fields.u,
-                       ddx_central(fields.p, g), atol=1e-14)
-    assert np.all(fields.lam >= 0.0)
-    assert np.all(fields.pi >= 0.0)
-    assert np.all(fields.H >= 0.0)
