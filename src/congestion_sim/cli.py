@@ -158,16 +158,18 @@ def write_sweep_report(out_dir: str, report: SweepReport) -> None:
 
 @contextlib.contextmanager
 def run_log(out_dir: str, config_path: str, *header: str):
-    """Create ``out_dir`` (a ConfigError if it cannot be) and open its
-    ``run.log``, flushed with ``started``, ``config``, the ``header`` lines
-    and ``lapack`` before the run inside starts.  A ConfigError (found
-    while building the initial data) or RunFailure raised inside ends the
-    log with a ``failed`` line and propagates."""
+    """Create ``out_dir`` and open its ``run.log`` (a ConfigError naming the
+    path if either cannot be), flushed with ``started``, ``config``, the
+    ``header`` lines and ``lapack`` before the run inside starts.  A
+    ConfigError (found while building the initial data) or RunFailure
+    raised inside ends the log with a ``failed`` line and propagates."""
+    path = os.path.join(out_dir, "run.log")
     try:
         os.makedirs(out_dir, exist_ok=True)
+        log = open(path, "w", encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"output.dir {out_dir}: cannot create it: {exc.strerror}") from exc
-    with open(os.path.join(out_dir, "run.log"), "w", encoding="utf-8") as log:
+        raise ConfigError(f"output.dir {out_dir}: cannot write {path}: {exc.strerror}") from exc
+    with log:
         log.write(f"started {_time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
         log.write(f"config {os.path.abspath(config_path)}\n")
         log.writelines(f"{line}\n" for line in header)
@@ -222,6 +224,9 @@ def cmd_sweep(args) -> int:
 
     print(f"sweep: {len(report.rows)} rows ({len(failed)} failed), "
           f"fit verdict: {report.fit.verdict}, outputs in {cfg.out_dir}")
+    if len(failed) == len(report.rows):
+        # no trajectory exists: the sweep fails as its first row did
+        raise report.failures[0]
     return EXIT_OK
 
 

@@ -7,7 +7,7 @@ grid.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,14 +25,13 @@ class Grid:
     """
 
     n_cells: int
+    # the cell width 1 / n_cells, computed once: a step reads it often
+    dx: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_cells < 4:
             raise ValueError(f"n_cells must be at least 4, got {self.n_cells}")
-
-    @property
-    def dx(self) -> float:
-        return 1.0 / self.n_cells
+        object.__setattr__(self, "dx", 1.0 / self.n_cells)
 
     @property
     def x(self) -> np.ndarray:
@@ -56,44 +55,50 @@ def as_field(f, g: Grid) -> Field:
 # Periodic neighbour differences and sums built from slices (np.roll
 # copies through a generic path that costs more than the arithmetic on
 # mesh-sized arrays).  They take an already validated float array and
-# act on its last axis, which the transpose of a batch puts first: plain
-# slices and integers index it there, cheaper than an Ellipsis index on
-# small arrays.
+# act on its last axis.  A batch's rows run on in one flat array, so one
+# call on contiguous slices covers every row; the entries it computes
+# across a row end are then overwritten by the wrap, set on the transpose,
+# which puts the cells first.
+
+def _shift_views(f: Field):
+    """A new C-ordered output for f, then f and it flat, then f and it
+    with the cells on the first axis."""
+    out = np.empty_like(f, order="C")
+    if f.ndim == 1:
+        return out, f, out, f, out
+    return out, f.reshape(-1), out.reshape(-1), f.T, out.T
+
 
 def forward_difference(f: Field) -> Field:
     """f[i+1] - f[i] with periodic wrap."""
-    out = np.empty_like(f)
-    c, o = (f, out) if f.ndim == 1 else (f.T, out.T)
+    out, c, o, e, oe = _shift_views(f)
     np.subtract(c[1:], c[:-1], out=o[:-1])
-    o[-1] = c[0] - c[-1]
+    oe[-1] = e[0] - e[-1]
     return out
 
 
 def backward_difference(f: Field) -> Field:
     """f[i] - f[i-1] with periodic wrap."""
-    out = np.empty_like(f)
-    c, o = (f, out) if f.ndim == 1 else (f.T, out.T)
+    out, c, o, e, oe = _shift_views(f)
     np.subtract(c[1:], c[:-1], out=o[1:])
-    o[0] = c[0] - c[-1]
+    oe[0] = e[0] - e[-1]
     return out
 
 
 def central_difference(f: Field) -> Field:
     """f[i+1] - f[i-1] with periodic wrap."""
-    out = np.empty_like(f)
-    c, o = (f, out) if f.ndim == 1 else (f.T, out.T)
+    out, c, o, e, oe = _shift_views(f)
     np.subtract(c[2:], c[:-2], out=o[1:-1])
-    o[0] = c[1] - c[-1]
-    o[-1] = c[0] - c[-2]
+    oe[0] = e[1] - e[-1]
+    oe[-1] = e[0] - e[-2]
     return out
 
 
 def face_sum(f: Field) -> Field:
     """f[i] + f[i+1] with periodic wrap: twice the mean at face i+1/2."""
-    out = np.empty_like(f)
-    c, o = (f, out) if f.ndim == 1 else (f.T, out.T)
+    out, c, o, e, oe = _shift_views(f)
     np.add(c[:-1], c[1:], out=o[:-1])
-    o[-1] = c[-1] + c[0]
+    oe[-1] = e[-1] + e[0]
     return out
 
 

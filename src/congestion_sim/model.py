@@ -73,15 +73,17 @@ class State:
             raise ValueError("time must be nonnegative")
 
 
+# the guards reduce through ndarray methods, cheaper than np.all and np.max
+
 def _checked_log(rho, params: ModelParams):
     arr = np.asarray(rho, dtype=float)
-    if not np.all(arr > 0.0):
+    if not arr.min() > 0.0:
         raise DomainError("density must be strictly positive")
     return arr, np.log(arr)
 
 
 def _guarded_exp(exponent_arg, arr, params: ModelParams):
-    if np.max(exponent_arg) > OVERFLOW_EXPONENT:
+    if exponent_arg.max() > OVERFLOW_EXPONENT:
         raise _saturation(exponent_arg, arr, params)
     return np.exp(exponent_arg)
 

@@ -25,6 +25,12 @@ Runs that differ only in gamma step as one batch: their fields are the
 rows of 2D arrays, gamma is a column and each per-row value (t, dt, the
 time integrals) has one entry per row.  The same functions serve a
 single run, whose fields stay 1D and whose per-row values are scalars.
+
+A small batch step is bound by the count of numpy calls, so the step
+path keeps it low with the same bits: per-row flags are read as lists
+and reductions go through ndarray methods, ``compute_dt`` reduces once,
+the seven time integrands are summed as one buffer, and the loop clips
+and lands a step only when a row reaches t_end.
 """
 from __future__ import annotations
 
@@ -154,19 +160,22 @@ class StepFaces:
     lam_face: Field | None = None
 
 
+# per-row helpers: on a handful of values a numpy wrapper costs more than
+# the work, so they test ``.ndim`` and read flags as a list
+
 def _col(v):
     """A per-row value as a column against stacked fields; a scalar as is."""
-    return v[..., None] if np.ndim(v) else v
+    return v[..., None] if isinstance(v, np.ndarray) and v.ndim else v
 
 
 def _any(flags) -> bool:
     """Whether any row is flagged; one run's flag is a numpy scalar."""
-    return flags.any() if flags.ndim else bool(flags)
+    return any(flags.tolist()) if flags.ndim else bool(flags)
 
 
 def _where(cond, a, b):
     """np.where that keeps one run's per-row scalars numpy scalars."""
-    if np.ndim(cond):
+    if cond.ndim:
         return np.where(cond, a, b)
     return a if cond else b
 
@@ -185,9 +194,10 @@ def compute_dt(state: State, g: Grid, params: ModelParams,
     """
     if fields is None:
         fields = state_fields(state, g, params)
-    speed = np.maximum(np.maximum(VELOCITY_FLOOR, np.abs(fields.u).max(axis=-1)),
-                       np.abs(fields.w).max(axis=-1))
-    return np.minimum(config.dt_max, config.cfl * g.dx / speed)
+    # one reduction per row: max is exact, so the order of the maxima is free
+    speed = np.maximum(np.abs(fields.u), np.abs(fields.w)).max(axis=-1)
+    return np.minimum(config.dt_max,
+                      config.cfl * g.dx / np.maximum(VELOCITY_FLOOR, speed))
 
 
 def solve_cyclic_tridiagonal(sub, diag, sup, corner_lo, corner_hi, rhs,
@@ -287,15 +297,20 @@ def solve_cyclic_tridiagonal(sub, diag, sup, corner_lo, corner_hi, rhs,
 
 def _first_row(flags):
     """(index, row) of the first flagged row: ((), None) outside a batch."""
-    if np.ndim(flags) == 0:
+    if flags.ndim == 0:
         return (), None
     row = int(np.argmax(flags))
     return row, row
 
 
+# the face helpers scale the arrays they create in place: the same bits,
+# fewer arrays
+
 def _face_mean(cells: Field) -> Field:
     # value at face i+1/2 as the arithmetic mean of cells i and i+1
-    return 0.5 * face_sum(cells)
+    out = face_sum(cells)
+    out *= 0.5
+    return out
 
 
 def _upwind_faces(v_cells: Field) -> tuple[Field, Field]:
@@ -315,12 +330,19 @@ def _upwind_faces(v_cells: Field) -> tuple[Field, Field]:
 
 
 def _advective_flux(q: Field, v_face: Field, a: Field) -> Field:
-    """Donor-cell flux of q at faces i+1/2, in viscosity form."""
-    return 0.5 * (v_face * face_sum(q) - a * forward_difference(q))
+    """Donor-cell flux of q at faces i+1/2, in viscosity form:
+    0.5 * (v_face * face_sum(q) - a * forward_difference(q))."""
+    flux = face_sum(q)
+    flux *= v_face
+    flux -= a * forward_difference(q)
+    flux *= 0.5
+    return flux
 
 
 def _flux_divergence(face_flux: Field, g: Grid) -> Field:
-    return backward_difference(face_flux) / g.dx
+    out = backward_difference(face_flux)
+    out /= g.dx
+    return out
 
 
 def _implicit_diffusion_solve(mass_diag, coeff_face: Field, rhs: Field,
@@ -390,20 +412,20 @@ def _step(state: State, g: Grid, params: ModelParams, config: SchemeConfig,
 
     d = _col(dt)
     rho_new, dpi_face = density(..., d)
-    bad = np.min(rho_new, axis=-1) <= 0.0
+    bad = rho_new.min(axis=-1) <= 0.0
     dt_new = dt
     if _any(bad):
         # the rescue: the failing rows halve their dt and redo their density
         rows, dt_new = ..., np.array(dt, dtype=float)
         for _ in range(config.max_halvings):
-            if np.ndim(bad):
+            if bad.ndim:
                 rows = _rows_of(rows, np.flatnonzero(bad))
             dt_new[rows] *= 0.5
             rho_try, dpi_try = density(rows, _col(dt_new[rows]))
             rho_new[rows] = rho_try
             if dpi_face is not None:
                 dpi_face[rows] = dpi_try
-            bad = np.min(rho_try, axis=-1) <= 0.0
+            bad = rho_try.min(axis=-1) <= 0.0
             if not _any(bad):
                 break
         else:
@@ -506,26 +528,34 @@ def _accumulate(accums: Accumulators, old: State, fields: StateFields,
     The fields of both states and the step's face quantities are
     evaluated once elsewhere; this only reduces them, per row in a batch.
     """
-    def integral(f):
-        # grid.integrate per row, on fields the step has validated
-        return g.dx * f.sum(axis=-1)
-
-    rho_old = old.rho
+    rho_old, dxp, mean_rho = old.rho, fields.dxp, _col(mean_rho)
     du_face = forward_difference(new_fields.u) / g.dx
-    accums.diss_visc += dt * g.dx * (faces.lam_face * du_face * du_face).sum(axis=-1)
-
-    dxp = fields.dxp
-    accums.diss_offset += dt * integral(rho_old * dxp * dxp)
-    accums.work_offset += dt * integral(dxp * rho_old * fields.w)
-
-    lam_dxu = faces.lam * (central_difference(fields.u) / (2.0 * g.dx))
-    mean_rho = _col(mean_rho)
-    accums.diss_plain += dt * integral(lam_dxu)
-    accums.diss_weighted += dt * integral((rho_old - mean_rho) * lam_dxu)
-    s_mid = 0.5 * (1.0 + mean_rho)
-    low = rho_old <= s_mid
-    accums.diss_plain_low += dt * integral(np.where(low, lam_dxu, 0.0))
-    accums.diss_plain_high += dt * integral(np.where(low, 0.0, lam_dxu))
+    # the seven integrands, built in one buffer and reduced by one sum: each
+    # row's sum has the bits of that row summed alone
+    f = np.empty((7,) + rho_old.shape)
+    np.multiply(faces.lam_face, du_face, out=f[0])
+    f[0] *= du_face
+    np.multiply(rho_old, dxp, out=f[1])
+    f[1] *= dxp
+    np.multiply(dxp, rho_old, out=f[2])
+    f[2] *= fields.w
+    lam_dxu = np.multiply(faces.lam, central_difference(fields.u) / (2.0 * g.dx), out=f[3])
+    np.subtract(rho_old, mean_rho, out=f[4])
+    f[4] *= lam_dxu
+    low = rho_old <= 0.5 * (1.0 + mean_rho)
+    f[5] = np.where(low, lam_dxu, 0.0)
+    f[6] = np.where(low, 0.0, lam_dxu)
+    sums = f.sum(axis=-1)
+    # each integral keeps its own order of products, so its bits hold:
+    # dt * dx * sum for the viscous dissipation, dt * (dx * sum) otherwise
+    accums.diss_visc += dt * g.dx * sums[0]
+    offset, work, plain, weighted, plain_low, plain_high = dt * (g.dx * sums[1:])
+    accums.diss_offset += offset
+    accums.work_offset += work
+    accums.diss_plain += plain
+    accums.diss_weighted += weighted
+    accums.diss_plain_low += plain_low
+    accums.diss_plain_high += plain_high
 
     # the step's total mass flux per face: rho*u there, telescoping
     # exactly against the density update
@@ -677,7 +707,8 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
                 mean_rho = np.reshape([row.summary.mean_rho0 for row in rows],
                                       state.t.shape)[()]
             dt = compute_dt(state, g, params, config, fields)
-            over = t_end - state.t > (MAX_STEPS - n_steps) * dt
+            remaining = t_end - state.t
+            over = remaining > (MAX_STEPS - n_steps) * dt
             if _any(over):
                 # the fastest cell of the first such row sets its step
                 at, row = _first_row(over)
@@ -688,8 +719,10 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
                     cell=int(np.argmax(speed)), row=row)
             if n_steps == 0:
                 dt = np.minimum(dt, config.dt_init)
+            # only a step that reaches t_end is clipped and lands on it
             final_step = state.t + dt >= t_end
-            dt = _where(final_step, t_end - state.t, dt)
+            if landing := _any(final_step):
+                dt = _where(final_step, remaining, dt)
             new_state = step(state, g, params, config, dt, sources,
                              fields=fields, faces=faces)
             new_fields = state_fields(new_state, g, params)
@@ -701,8 +734,7 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
         _accumulate(accums, state, fields, new_fields, faces, g, mean_rho,
                     dt_actual)
         # land exactly on t_end unless the positivity rescue halved the step
-        land = final_step & (dt_actual > 0.6 * dt)
-        if _any(land):
+        if landing and _any(land := final_step & (dt_actual > 0.6 * dt)):
             new_state = State(_where(land, t_end, new_state.t), new_state.rho,
                               new_state.mom, new_state.formulation)
         state, fields = new_state, new_fields

@@ -16,6 +16,7 @@ import numpy as np
 
 from .config import RunConfig
 from .diagnostics import W_max_principle_check
+from .errors import RunFailure
 from .grid import Grid, norm
 from .initial_data import make_initial_data
 from .model import ModelParams, velocities
@@ -61,9 +62,12 @@ class CongestionFit:
 
 @dataclass(frozen=True)
 class SweepReport:
+    """``failures`` holds the RunFailure of each failed row, in gamma order."""
+
     rows: tuple[GammaRow, ...]
     cross: tuple[CrossRow, ...]
     fit: CongestionFit
+    failures: tuple[RunFailure, ...] = ()
 
 
 def _row_from_trajectory(gamma: float, traj: Trajectory) -> GammaRow:
@@ -99,12 +103,13 @@ def run_sweep(cfg: RunConfig) -> SweepReport:
     remaining rows are still emitted.  A row's runtime is the wall time
     from the start of the batch until the row finished or failed.
     """
-    rows, finals = [], {}
+    rows, finals, failures = [], {}, []
     for gamma, result in zip(cfg.gammas, run_config(cfg)):
         if isinstance(result, FailedRun):
             rows.append(GammaRow(gamma=gamma, failed=True,
                                  failure=f"{result.error} {result.error.context()}",
                                  runtime=result.wall_seconds))
+            failures.append(result.error)
         else:
             rows.append(_row_from_trajectory(gamma, result))
             finals[gamma] = result
@@ -120,7 +125,8 @@ def run_sweep(cfg: RunConfig) -> SweepReport:
         _, wb = velocities(tb.final_state, g, tb.params)
         cross.append(CrossRow(lo, hi, norm(drho, g, "l1"), norm(wa - wb, g, "linf")))
 
-    return SweepReport(rows=tuple(rows), cross=tuple(cross), fit=fit_congestion_rate(rows))
+    return SweepReport(rows=tuple(rows), cross=tuple(cross), fit=fit_congestion_rate(rows),
+                       failures=tuple(failures))
 
 
 def fit_congestion_rate(rows) -> CongestionFit:

@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import dataclasses
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from congestion_sim.cli import CONFIG_DIR
 from congestion_sim.config import RunConfig, load_run_config
@@ -12,6 +14,17 @@ from congestion_sim.initial_data import make_initial_data
 from congestion_sim.model import ModelParams, U_FORM, W_FORM
 from congestion_sim.sweep import run_config
 from congestion_sim.verify import self_convergence_study
+
+
+# hypothesis keeps its storage in a directory removed when the session
+# ends, not in the checkout (pyproject.toml turns off the plugins of pytest
+# that write there)
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+
+def pytest_sessionfinish(session, exitstatus):
+    _HYPOTHESIS_HOME.cleanup()
 
 
 def shipped(name: str) -> RunConfig:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import tempfile
 import time
@@ -264,8 +265,6 @@ SHIPPED_SUMMARY_SHA256 = {
 def shipped_summary_sha256(tmp_path, formulation):
     """Simulate the shipped standard_smooth config in ``formulation``; the
     sha256 of its summary.json."""
-    import hashlib
-
     out_dir = tmp_path / "out"
     cfg = shipped_config(tmp_path, "standard_smooth",
                          {"scheme.formulation": formulation}, out_dir)
@@ -276,6 +275,19 @@ def shipped_summary_sha256(tmp_path, formulation):
 @pytest.mark.parametrize("formulation", [W_FORM, U_FORM])
 def test_shipped_summary_bits_unchanged(tmp_path, formulation):
     assert shipped_summary_sha256(tmp_path, formulation) == SHIPPED_SUMMARY_SHA256[formulation]
+
+
+# sha256 of sweep_summary.json for the shipped standard_sweep config: the
+# bits of the batched path, where the five gammas step as one batch
+SHIPPED_SWEEP_SUMMARY_SHA256 = "90adaa0fbc90a02cadf2ffffa2b6d28f35cae1ccd1d8139c63aea936998212cf"
+
+
+def test_shipped_sweep_summary_bits_unchanged(tmp_path):
+    out_dir = tmp_path / "out"
+    cfg = shipped_config(tmp_path, "standard_sweep", {}, out_dir)
+    assert cli.main(["sweep", "--config", cfg]) == 0
+    digest = hashlib.sha256((out_dir / "sweep_summary.json").read_bytes()).hexdigest()
+    assert digest == SHIPPED_SWEEP_SUMMARY_SHA256
 
 
 def test_scipy_fallback_gives_shipped_summary_bits(tmp_path, monkeypatch):
@@ -424,7 +436,8 @@ def test_failed_sweep_rows_reach_run_log(tmp_path):
     text = BASE_CONFIG.replace("model.gamma = 10.0", "sweep.gammas = 5, 10").replace(
         "init.w_amp = 0.0", "init.w_amp = 1e300")
     cfg = write_config(tmp_path, text + f"output.dir = {out_dir}\n")
-    assert cli.main(["sweep", "--config", cfg]) == 0
+    # every row failed, so the sweep does
+    assert cli.main(["sweep", "--config", cfg]) == 3
     rows = json.loads((out_dir / "sweep_summary.json").read_text())["rows"]
     failures = [row["failure"] for row in rows]
     assert [row["failed"] for row in rows] == [True, True]
@@ -574,10 +587,12 @@ def test_unfinishable_run_is_runtime_failure(tmp_path, capsys, key, value):
 
 
 def test_unfinishable_sweep_rows_fail_as_alone(tmp_path, capsys):
+    # a sweep whose every row failed exited 0; it now fails as its first row
     cfg = shipped_config(tmp_path, "standard_sweep",
                          {"sweep.gammas": "5, 10", "init.w_mean": "1e12"}, tmp_path / "out")
-    assert cli.main(["sweep", "--config", cfg]) == 0
+    assert cli.main(["sweep", "--config", cfg]) == 3
     rows = json.loads((tmp_path / "out" / "sweep_summary.json").read_text())["rows"]
+    assert capsys.readouterr().err == f"runtime failure (step budget): {rows[0]['failure']}\n"
     for row in rows:
         single = shipped_config(tmp_path, "standard_smooth",
                                 {"init.w_mean": "1e12", "model.gamma": row["gamma"]},
@@ -669,13 +684,23 @@ def test_one_key_edits_end_in_an_exit_code(command, edit):
         assert cli.main([command, "--config", cfg]) in (0, 1, 2, 3)
 
 
-@pytest.mark.parametrize("command", ["simulate", "sweep"])
-def test_unwritable_output_dir_is_config_error(tmp_path, monkeypatch, capsys, command):
-    # ended in a NotADirectoryError traceback, exit 1; the sweep ran its
-    # whole batch first
-    blocker = tmp_path / "file"
-    blocker.write_text("", encoding="utf-8")
-    out_dir = blocker / "out"
+@pytest.mark.parametrize("command,blocked", [
+    ("simulate", "output.dir"), ("sweep", "output.dir"),
+    ("simulate", "run.log"), ("sweep", "run.log"),
+], ids=["simulate", "sweep", "simulate-run.log", "sweep-run.log"])
+def test_unwritable_output_dir_is_config_error(tmp_path, monkeypatch, capsys, command,
+                                               blocked):
+    # a file where output.dir should be ended in a NotADirectoryError
+    # traceback, exit 1, and the sweep ran its whole batch first; a
+    # directory where run.log should be (which denies root too, unlike a
+    # chmod) ended in an IsADirectoryError traceback
+    if blocked == "output.dir":
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        out_dir = blocker / "out"
+    else:
+        out_dir = tmp_path / "out"
+        (out_dir / "run.log").mkdir(parents=True)
     text = BASE_CONFIG if command == "simulate" else BASE_CONFIG.replace(
         "model.gamma = 10.0", "sweep.gammas = 5, 10")
     cfg = write_config(tmp_path, text + f"output.dir = {out_dir}\n")
