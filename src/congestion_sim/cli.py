@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -77,19 +78,31 @@ def write_snapshot_csv(path: str, g: Grid, state, params: ModelParams) -> None:
         fh.writelines(_SNAPSHOT_ROW % row for row in zip(*(col.tolist() for col in cols)))
 
 
-def write_snapshots_jsonl(path: str, g: Grid, traj: Trajectory) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for snap in traj.snapshots:
-            cols = _snapshot_columns(g, snap.state, traj.params)
-            rec = {"t": snap.state.t}
-            rec.update((name, col.tolist()) for name, col in zip(SNAPSHOT_COLUMNS, cols))
-            fh.write(json.dumps(rec) + "\n")
+@contextlib.contextmanager
+def snapshot_writer(out_dir: str, out_format: str):
+    """``simulate``'s sink: writes each snapshot as the run takes it, as its
+    ``snapshot_NNNN.csv`` (or ``snapshots.jsonl`` line) and ``diagnostics.jsonl`` line.
+    Files open once, at their first line, line-buffered: a failed or killed run keeps them."""
+    with contextlib.ExitStack() as stack:
+        files, index = {}, itertools.count()
 
+        def line(name: str, text: str) -> None:
+            if name not in files:
+                files[name] = stack.enter_context(
+                    open(os.path.join(out_dir, name), "w", buffering=1, encoding="utf-8"))
+            files[name].write(text + "\n")
 
-def write_diagnostics_jsonl(path: str, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(dataclasses.asdict(rec)) + "\n")
+        def sink(g: Grid, params: ModelParams, snap) -> None:
+            if out_format == "csv":
+                write_snapshot_csv(os.path.join(out_dir, f"snapshot_{next(index):04d}.csv"),
+                                   g, snap.state, params)
+            else:
+                cols = (col.tolist() for col in _snapshot_columns(g, snap.state, params))
+                line("snapshots.jsonl",
+                     json.dumps({"t": snap.state.t, **dict(zip(SNAPSHOT_COLUMNS, cols))}))
+            line("diagnostics.jsonl", json.dumps(dataclasses.asdict(snap.rec)))
+
+        yield sink
 
 
 def _trajectory_summary(traj: Trajectory) -> dict:
@@ -190,21 +203,11 @@ def cmd_simulate(args) -> int:
     if cfg.gamma is None:
         raise ConfigError("simulate needs model.gamma (use the sweep subcommand "
                           "for sweep.gammas)")
-    with run_log(cfg.out_dir, args.config) as log:
-        traj = run_config(cfg)
+    with run_log(cfg.out_dir, args.config) as log, \
+            snapshot_writer(cfg.out_dir, cfg.out_format) as sink:
+        traj = run_config(cfg, sink)
         log.write(f"steps {traj.n_steps}\n")
         log.write(f"wall_seconds {traj.wall_seconds:.3f}\n")
-
-    if cfg.out_format == "csv":
-        for i, snap in enumerate(traj.snapshots):
-            write_snapshot_csv(
-                os.path.join(cfg.out_dir, f"snapshot_{i:04d}.csv"),
-                traj.grid, snap.state, traj.params,
-            )
-    else:
-        write_snapshots_jsonl(os.path.join(cfg.out_dir, "snapshots.jsonl"), traj.grid, traj)
-    write_diagnostics_jsonl(os.path.join(cfg.out_dir, "diagnostics.jsonl"),
-                            traj.records)
     write_summary_json(os.path.join(cfg.out_dir, "summary.json"), traj)
     print(f"simulate: {traj.n_steps} steps to t={cfg.t_end:g}, "
           f"outputs in {cfg.out_dir}")

@@ -275,46 +275,37 @@ def rhoW2_conservation_check(rhoW2_series) -> CheckResult:
     return CheckResult("rhoW2_conservation", worst <= tol, worst, tol)
 
 
-def psi_test_function(trajectory, g: Grid):
-    """Cumulative test function Psi and its two structural identities.
+@dataclass
+class PsiDefects:
+    """The two structural defects of Psi, folded over a run's snapshots."""
 
-    Psi(x, t) = int_0^x (rho0 - <rho>) dy - int_0^t (rho u)(x, s) ds,
-    built from spatial prefix dx-sums and the per-step rectangle sums of
-    rho*u carried by the trajectory.  Returns (psi_series, checks) where
-    checks verify periodicity of Psi and ddx(Psi) = rho - <rho> up to
-    first-order prefix error.
+    prefix: np.ndarray      # Psi's spatial part, fixed by the first snapshot
+    wrap: float             # periodicity defect of Psi
+    gradient: float = 0.0   # max so far of |ddx(Psi) - (rho - <rho>)|
+
+
+def psi_test_function(defects: PsiDefects | None, snap, g: Grid, mean_rho: float):
+    """Cumulative test function Psi at one snapshot, folded into ``defects``.
+
+    Psi(x, t) = int_0^x (rho0 - <rho>) dy - int_0^t (rho u)(x, s) ds, built
+    from spatial prefix dx-sums of the first snapshot's density (``defects``
+    None) and the per-face rectangle sums of rho*u that ``snap`` carries.
+    Psi is periodic and ddx(Psi) = rho - <rho> up to first-order prefix
+    error; the latter's defect is a max over snapshots, so folding them in
+    one at a time is exact.  Returns (psi, defects).
     """
-    mean_rho = trajectory.init_summary.mean_rho0
-    rho0 = as_field(trajectory.snapshots[0].state.rho, g)
-    centred = rho0 - mean_rho
-    # prefix[i] approximates the integral from 0 to the left edge of cell i
-    prefix = g.dx * (np.cumsum(centred) - centred)
-    wrap_defect = abs(g.dx * float(np.sum(centred)))
-
-    psi_series = []
-    grad_defect = 0.0
-    for snap in trajectory.snapshots:
-        # cell sample of int rho*u dt: mean of the two adjacent face sums
-        time_part = 0.5 * (snap.int_mass_flux + np.roll(snap.int_mass_flux, 1))
-        psi = prefix - time_part
-        psi_series.append(psi)
-        rho_t = as_field(snap.state.rho, g)
-        grad_defect = max(
-            grad_defect,
-            float(np.max(np.abs(ddx_central(psi, g) - (rho_t - mean_rho)))),
-        )
-
-    checks = {
-        "periodicity": CheckResult(
-            "psi_periodicity", wrap_defect <= TOL.psi_periodic,
-            wrap_defect, TOL.psi_periodic,
-        ),
-        "gradient": CheckResult(
-            "psi_gradient", grad_defect <= TOL.psi_gradient_dx * g.dx,
-            grad_defect, TOL.psi_gradient_dx * g.dx,
-        ),
-    }
-    return psi_series, checks
+    rho = as_field(snap.state.rho, g)
+    if defects is None:
+        centred = rho - mean_rho
+        # prefix[i] approximates the integral from 0 to the left edge of cell i
+        defects = PsiDefects(g.dx * (np.cumsum(centred) - centred),
+                             abs(g.dx * float(np.sum(centred))))
+    # cell sample of int rho*u dt: mean of the two adjacent face sums
+    time_part = 0.5 * (snap.int_mass_flux + np.roll(snap.int_mass_flux, 1))
+    psi = defects.prefix - time_part
+    defect = float(np.max(np.abs(ddx_central(psi, g) - (rho - mean_rho))))
+    defects.gradient = max(defects.gradient, defect)
+    return psi, defects
 
 
 def trajectory_checks(trajectory) -> dict[str, CheckResult]:
@@ -338,7 +329,8 @@ def trajectory_checks(trajectory) -> dict[str, CheckResult]:
     margin = float(np.min(trajectory.series("lower_bound_margin")))
     margin_tol = -TOL.lower_bound_frac * summary.rho0_min
     rho_min = float(np.min(trajectory.series("rho_min")))
-    _, psi = psi_test_function(trajectory, trajectory.grid)
+    wrap, gradient = trajectory.psi.wrap, trajectory.psi.gradient
+    gradient_tol = TOL.psi_gradient_dx * trajectory.grid.dx
     checks = (
         CheckResult("mass_conservation", drift <= TOL.exact, drift, TOL.exact),
         CheckResult("ke_w_non_increasing", rise <= rise_tol, rise, rise_tol),
@@ -347,8 +339,8 @@ def trajectory_checks(trajectory) -> dict[str, CheckResult]:
         W_max_principle_check(trajectory.series("W_max")),
         rhoW2_conservation_check(trajectory.series("rhoW2")),
         CheckResult("lower_bound_margin", margin >= margin_tol, margin, margin_tol),
-        psi["periodicity"],
-        psi["gradient"],
+        CheckResult("psi_periodicity", wrap <= TOL.psi_periodic, wrap, TOL.psi_periodic),
+        CheckResult("psi_gradient", gradient <= gradient_tol, gradient, gradient_tol),
         CheckResult("positivity", rho_min > 0.0, rho_min, 0.0),
     )
     return {check.name: check for check in checks}

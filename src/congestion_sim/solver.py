@@ -44,6 +44,8 @@ from .diagnostics import (
     Accumulators,
     DiagnosticsRecord,
     InitialDataSummary,
+    PsiDefects,
+    psi_test_function,
     record,
     summarize_initial_data,
 )
@@ -108,11 +110,10 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """State plus diagnostics at one snapshot time.
+    """State plus diagnostics at one snapshot time, as a sink receives it.
 
-    ``int_mass_flux`` carries the rectangle sum over time of the total
-    mass flux per face up to the snapshot, consumed by the
-    cumulative-test-function diagnostic.
+    ``int_mass_flux`` carries the rectangle sum over time of the total mass
+    flux per face up to the snapshot, from which Psi is built.
     """
 
     state: State
@@ -122,27 +123,21 @@ class Snapshot:
 
 @dataclass
 class Trajectory:
-    """Ordered snapshots, the last of them the final state, and the running
-    time integrals."""
+    """What a run keeps: its snapshots' records, the last one's state, Psi's
+    defects folded over all of them, and the running time integrals."""
 
     grid: Grid
     params: ModelParams
     init_summary: InitialDataSummary
-    snapshots: list[Snapshot]
+    records: list[DiagnosticsRecord]
+    final_state: State
+    psi: PsiDefects
     accums: Accumulators
     n_steps: int
     wall_seconds: float
 
-    @property
-    def final_state(self) -> State:
-        return self.snapshots[-1].state
-
-    @property
-    def records(self) -> list[DiagnosticsRecord]:
-        return [s.rec for s in self.snapshots]
-
     def series(self, name: str) -> np.ndarray:
-        return np.array([getattr(s.rec, name) for s in self.snapshots])
+        return np.array([getattr(rec, name) for rec in self.records])
 
 
 @dataclass
@@ -580,12 +575,14 @@ class _Row:
 
     index: int
     params: ModelParams
-    summary: InitialDataSummary | None   # set by the first snapshot
-    snapshots: list
+    records: list
+    summary: InitialDataSummary | None = None   # set by the first snapshot
+    psi: PsiDefects | None = None               # likewise
+    last: Snapshot | None = None                # the last snapshot
 
 
 def run_simulation(init: State, g: Grid, params: ModelParams,
-                   config: SchemeConfig, t_end: float, sources=None):
+                   config: SchemeConfig, t_end: float, sources=None, sink=None):
     """Advance the state to t_end, recording diagnostics along the way.
 
     The final step is clipped to land exactly on t_end so runs at
@@ -607,7 +604,8 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
     multiple of ``config.snapshot_every`` and at t_end; a step that crosses
     several multiples takes one and restarts the cadence from its own time,
     so a cadence shorter than a step takes a snapshot every step.  The
-    first snapshot also summarizes the initial data.
+    first snapshot also summarizes the initial data.  ``sink(g, params,
+    snapshot)``, if given, gets each row's snapshots as they are taken.
     """
     if t_end < init.t:
         raise ValueError("t_end must not precede the initial time")
@@ -618,7 +616,7 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
 
     started = _time.perf_counter()
     batched = rho0.ndim > 1
-    rows = [_Row(index, params.row(index) if batched else params, None, [])
+    rows = [_Row(index, params.row(index) if batched else params, [])
             for index in range(len(rho0) if batched else 1)]
     results = [None] * len(rows)
 
@@ -680,7 +678,11 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
             except RunFailure as err:
                 end_row(err, i)
                 continue
-            row.snapshots.append(Snapshot(snap_state, rec, row_accums.int_mass_flux))
+            row.records.append(rec)
+            row.last = Snapshot(snap_state, rec, row_accums.int_mass_flux)
+            row.psi = psi_test_function(row.psi, row.last, g, row.summary.mean_rho0)[1]
+            if sink is not None:
+                sink(g, row.params, row.last)
             next_snap[at] += every
             if next_snap[at] <= state.t[at] + 1e-14:
                 next_snap[at] = state.t[at] + every
@@ -690,7 +692,8 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
             if done[pos]:
                 results[row.index] = Trajectory(
                     grid=g, params=row.params, init_summary=row.summary,
-                    snapshots=row.snapshots, accums=accums.select(pos), n_steps=n_steps,
+                    records=row.records, final_state=row.last.state, psi=row.psi,
+                    accums=accums.select(pos), n_steps=n_steps,
                     wall_seconds=_time.perf_counter() - started,
                 )
 

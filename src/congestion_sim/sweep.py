@@ -84,14 +84,15 @@ def _row_from_trajectory(gamma: float, traj: Trajectory) -> GammaRow:
     )
 
 
-def run_config(cfg: RunConfig):
+def run_config(cfg: RunConfig, sink=None):
     """The runs a config describes: a Trajectory for ``model.gamma``; for
-    ``sweep.gammas``, one batch and a Trajectory or FailedRun per gamma."""
+    ``sweep.gammas``, one batch and a Trajectory or FailedRun per gamma.
+    ``sink`` receives each snapshot as it is taken (``run_simulation``)."""
     g = Grid(cfg.n_cells)
     gamma = cfg.gamma if cfg.gammas is None else np.array(cfg.gammas)[:, None]
     params = ModelParams(gamma=gamma)
     init = make_initial_data(cfg.recipe, g, params, cfg.scheme.formulation)
-    return run_simulation(init, g, params, cfg.scheme, cfg.t_end)
+    return run_simulation(init, g, params, cfg.scheme, cfg.t_end, sink=sink)
 
 
 def run_sweep(cfg: RunConfig) -> SweepReport:

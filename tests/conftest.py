@@ -38,13 +38,13 @@ SWEEP = shipped("standard_sweep")
 
 
 def run_case(case: RunConfig, formulation: str, n_cells: int, t_end: float | None = None,
-             gamma: float | None = None, recipe=None):
+             gamma: float | None = None, recipe=None, sink=None):
     """Run a shipped case, overriding only what the caller names."""
     traj = run_config(dataclasses.replace(
         case, n_cells=n_cells, recipe=recipe or case.recipe,
         scheme=dataclasses.replace(case.scheme, formulation=formulation),
         gamma=case.gamma if gamma is None else gamma,
-        t_end=case.t_end if t_end is None else t_end))
+        t_end=case.t_end if t_end is None else t_end), sink)
     return traj, traj.init_summary, traj.grid
 
 

@@ -277,6 +277,42 @@ def test_shipped_summary_bits_unchanged(tmp_path, formulation):
     assert shipped_summary_sha256(tmp_path, formulation) == SHIPPED_SUMMARY_SHA256[formulation]
 
 
+# sha256 of the streamed outputs of the shipped standard_smooth config in
+# each formulation: its snapshot_*.csv files concatenated in order, its
+# snapshots.jsonl (output.format = jsonl) and its diagnostics.jsonl, which
+# both formats write alike; fixed when these files were still written
+# after the run, before the run streamed each snapshot to them
+SHIPPED_STREAM_SHA256 = {
+    W_FORM: {
+        "csv": "89e149d5f2dbea5c25185b74f2da5602d4451dbb131894b3688926a76fc2841f",
+        "jsonl": "312f510fab60b28ae6fddba84215c909cd89a07dcf36122762a853724308be17",
+        "diagnostics": "f9f6a133b30097c7d248c1c469a7c4a9f8ac942f98032b65e6fc1b9735cd38bb",
+    },
+    U_FORM: {
+        "csv": "eac4d9f542c58984ea806c962396ba41e324b400b0952355e0ecaf6700618c8c",
+        "jsonl": "fa7d5c133bf34df2179b9bdb9b1c0ca7ab311da62439f9ffa008c31651693409",
+        "diagnostics": "e9b2b5c9ac3778bd730175b0474a6d4509b32bd8e205aec45c522b3d3d5984db",
+    },
+}
+
+
+@pytest.mark.parametrize("formulation", [W_FORM, U_FORM])
+def test_shipped_stream_bits_unchanged(tmp_path, formulation):
+    for out_format in ("csv", "jsonl"):
+        out_dir = tmp_path / out_format
+        cfg = shipped_config(tmp_path, "standard_smooth", {
+            "scheme.formulation": formulation, "output.format": out_format}, out_dir)
+        assert cli.main(["simulate", "--config", cfg]) == 0
+        if out_format == "csv":
+            data = b"".join(path.read_bytes() for path in sorted(out_dir.glob("snapshot_*.csv")))
+        else:
+            data = (out_dir / "snapshots.jsonl").read_bytes()
+        want = SHIPPED_STREAM_SHA256[formulation]
+        assert hashlib.sha256(data).hexdigest() == want[out_format]
+        diagnostics = (out_dir / "diagnostics.jsonl").read_bytes()
+        assert hashlib.sha256(diagnostics).hexdigest() == want["diagnostics"]
+
+
 # sha256 of sweep_summary.json for the shipped standard_sweep config: the
 # bits of the batched path, where the five gammas step as one batch
 SHIPPED_SWEEP_SUMMARY_SHA256 = "90adaa0fbc90a02cadf2ffffa2b6d28f35cae1ccd1d8139c63aea936998212cf"
@@ -539,7 +575,7 @@ def test_non_finite_value_is_config_error(tmp_path, capsys, key, value):
 def test_runtime_failure_exit_code(tmp_path, monkeypatch, capsys, error):
     cfg = write_config(tmp_path, BASE_CONFIG + f"output.dir = {tmp_path / 'out'}\n")
 
-    def explode(cfg):
+    def explode(cfg, sink):
         raise error("synthetic", t=0.25, cell=7, gamma=10.0)
 
     monkeypatch.setattr(cli, "run_config", explode)
@@ -550,6 +586,62 @@ def test_runtime_failure_exit_code(tmp_path, monkeypatch, capsys, error):
     assert log[0].startswith("started ") and log[1].startswith("config ")
     assert log[2] == f"lapack {_lapack.SOURCE}"
     assert log[3] == f"failed synthetic {context}"
+
+
+@pytest.mark.parametrize("out_format", ["csv", "jsonl"])
+def test_failure_after_t0_keeps_the_snapshots_taken(tmp_path, capsys, out_format):
+    # at gamma = 1e6 the power law saturates at t = 0.2265; such a run left
+    # only run.log, as its snapshots were written after the run
+    out_dir = tmp_path / "out"
+    cfg = shipped_config(tmp_path, "standard_smooth", {
+        "grid.n_cells": "64", "model.gamma": "1e6", "output.format": out_format}, out_dir)
+    assert cli.main(["simulate", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure (saturation): ") and "[t=0.2265" in err
+    times = [json.loads(line)["t"]
+             for line in (out_dir / "diagnostics.jsonl").read_text().splitlines()]
+    assert times == pytest.approx([0.0, 0.0505, 0.1005, 0.1505, 0.2005], rel=1e-12)
+    if out_format == "csv":
+        snapshots = [f"snapshot_{i:04d}.csv" for i in range(5)]
+        rows = (out_dir / snapshots[-1]).read_text().splitlines()
+        assert len(rows) == 65 and rows[0] == "x,rho,u,w,pi,W,V"
+    else:
+        snapshots = ["snapshots.jsonl"]
+        lines = (out_dir / "snapshots.jsonl").read_text().splitlines()
+        assert [json.loads(line)["t"] for line in lines] == times
+    assert sorted(path.name for path in out_dir.iterdir()) == sorted(
+        ["run.log", "diagnostics.jsonl"] + snapshots)
+
+
+def test_records_reach_the_file_as_they_are_taken(tmp_path, monkeypatch):
+    # diagnostics.jsonl is line-buffered, so a run killed by a signal keeps
+    # the records of the snapshots it wrote
+    out_dir = tmp_path / "out"
+    cfg = write_config(tmp_path, BASE_CONFIG + f"output.dir = {out_dir}\n")
+    lines_seen, real = [], cli.write_snapshot_csv
+
+    def write_snapshot_csv(path, g, state, params):
+        diagnostics = out_dir / "diagnostics.jsonl"
+        lines_seen.append(len(diagnostics.read_text().splitlines())
+                          if diagnostics.exists() else 0)
+        real(path, g, state, params)
+
+    monkeypatch.setattr(cli, "write_snapshot_csv", write_snapshot_csv)
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    # snapshot k is written after the records of snapshots 0 to k-1
+    assert lines_seen == list(range(6))
+
+
+@pytest.mark.parametrize("changes,code", [
+    ({"init.rho_mean": "1.05"}, 2),     # over 1 + 1/gamma, found building the data
+    ({"init.w_amp": "1e300"}, 3),       # found summarizing the first snapshot
+], ids=["overdense", "non_finite"])
+def test_rejected_initial_data_leave_only_run_log(tmp_path, changes, code):
+    out_dir = tmp_path / "out"
+    cfg = shipped_config(tmp_path, "standard_smooth", changes, out_dir)
+    assert cli.main(["simulate", "--config", cfg]) == code
+    assert [path.name for path in out_dir.iterdir()] == ["run.log"]
+    assert (out_dir / "run.log").read_text().splitlines()[-1].startswith("failed ")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -79,8 +79,7 @@ def test_record_is_pure():
 
 def test_pi_l1_equals_gamma_H_total(standard_w_256):
     traj, _, _ = standard_w_256
-    for snap in traj.snapshots:
-        rec = snap.rec
+    for rec in traj.records:
         assert rec.pi_l1 == pytest.approx(10.0 * rec.H_total, rel=1e-13)
 
 
@@ -198,30 +197,35 @@ def test_rhoW2_static_velocity_frozen_transport():
 
 
 def test_psi_constant_state_is_uniform():
-    traj, _, g = run_case(CONSTANT, U_FORM, 64, t_end=0.2,
-                          recipe=dataclasses.replace(CONSTANT.recipe, w_mean=0.5))
-    psi_series, checks = diag.psi_test_function(traj, g)
-    assert checks["periodicity"].passed
-    assert checks["gradient"].passed
-    final = psi_series[-1]
+    snapshots = []
+    traj, summary, g = run_case(CONSTANT, U_FORM, 64, t_end=0.2,
+                                recipe=dataclasses.replace(CONSTANT.recipe, w_mean=0.5),
+                                sink=lambda g, params, snap: snapshots.append(snap))
+    checks = diag.trajectory_checks(traj)
+    assert checks["psi_periodicity"].passed
+    assert checks["psi_gradient"].passed
+    defects = None
+    for snap in snapshots:
+        final, defects = diag.psi_test_function(defects, snap, g, summary.mean_rho0)
+    # the run folds in the same snapshots
+    assert (defects.wrap, defects.gradient) == (traj.psi.wrap, traj.psi.gradient)
     # uniform motion: Psi is spatially flat, equal to -rho*u*t
     assert np.max(np.abs(final - final[0])) <= 1e-12
-    u0 = traj.snapshots[0].state.mom[0] / traj.snapshots[0].state.rho[0]
+    u0 = snapshots[0].state.mom[0] / snapshots[0].state.rho[0]
     assert final[0] == pytest.approx(-0.8 * u0 * 0.2, rel=1e-10)
 
 
 def test_psi_checks_on_standard_run(standard_w_256):
     traj, _, g = standard_w_256
-    _, checks = diag.psi_test_function(traj, g)
-    assert checks["periodicity"].worst <= 1e-12
-    assert checks["gradient"].worst <= 5.0 * g.dx
+    checks = diag.trajectory_checks(traj)
+    assert checks["psi_periodicity"].worst <= 1e-12
+    assert checks["psi_gradient"].worst <= 5.0 * g.dx
 
 
 def test_psi_gradient_decays_under_refinement(standard_w_256, standard_w_512):
     defects = []
     for traj, _, g in (standard_w_256, standard_w_512):
-        _, checks = diag.psi_test_function(traj, g)
-        defects.append(checks["gradient"].worst)
+        defects.append(diag.trajectory_checks(traj)["psi_gradient"].worst)
     assert observed_order(defects[0], defects[1]) >= 0.9
 
 

@@ -37,27 +37,38 @@ def plain_inits(config):
                for gamma in config.gammas]
 
 
-def plain_runs(config):
-    """Each gamma's run alone, or the exception that ended it."""
+def snapshot_sink(snapshots):
+    """A sink that files each snapshot in ``snapshots`` under its row's gamma;
+    None when ``snapshots`` is."""
+    if snapshots is None:
+        return None
+    return lambda g, params, snap: snapshots.setdefault(params.gamma, []).append(snap)
+
+
+def plain_runs(config, snapshots=None):
+    """Each gamma's run alone, or the exception that ended it; each run's
+    snapshots go to ``snapshots``, by gamma, if given."""
     g, inits = plain_inits(config)
     out = {}
     for gamma, init in zip(config.gammas, inits):
         try:
             out[gamma] = run_simulation(init, g, ModelParams(gamma), config.scheme,
-                                        config.t_end)
+                                        config.t_end, sink=snapshot_sink(snapshots))
         except RunFailure as exc:
             out[gamma] = exc
     return out
 
 
-def batched_runs(config):
-    """Every gamma stepped as one batch, the way the sweep runs them."""
+def batched_runs(config, snapshots=None):
+    """Every gamma stepped as one batch, the way the sweep runs them; each
+    row's snapshots go to ``snapshots``, by gamma, if given."""
     g, inits = plain_inits(config)
     batch = State(0.0, np.stack([i.rho for i in inits]),
                   np.stack([i.mom for i in inits]), config.scheme.formulation)
     params = ModelParams(np.array(config.gammas)[:, None])
     return dict(zip(config.gammas,
-                    run_simulation(batch, g, params, config.scheme, config.t_end)))
+                    run_simulation(batch, g, params, config.scheme, config.t_end,
+                                   sink=snapshot_sink(snapshots))))
 
 
 def assert_rows_match_plain_runs(report, plain, gammas):
@@ -67,7 +78,7 @@ def assert_rows_match_plain_runs(report, plain, gammas):
         assert dataclasses.replace(by_gamma[gamma], runtime=0.0) == want
 
 
-def assert_same_trajectory(got, want):
+def assert_same_trajectory(got, want, got_snapshots, want_snapshots):
     assert got.n_steps == want.n_steps
     assert got.final_state.t == want.final_state.t
     assert np.array_equal(got.final_state.rho, want.final_state.rho)
@@ -76,7 +87,10 @@ def assert_same_trajectory(got, want):
     for name in ACCUMULATORS:
         assert getattr(got.accums, name) == getattr(want.accums, name), name
     assert np.array_equal(got.accums.int_mass_flux, want.accums.int_mass_flux)
-    for a, b in zip(got.snapshots, want.snapshots):
+    assert (got.psi.wrap, got.psi.gradient) == (want.psi.wrap, want.psi.gradient)
+    assert np.array_equal(got.psi.prefix, want.psi.prefix)
+    assert len(got_snapshots) == len(want_snapshots) == len(got.records)
+    for a, b in zip(got_snapshots, want_snapshots):
         assert np.array_equal(a.int_mass_flux, b.int_mass_flux)
 
 
@@ -178,11 +192,13 @@ def test_single_gamma_sweep_matches_plain_run():
                  scheme=dataclasses.replace(SWEEP.scheme, formulation=U_FORM)),
 ], ids=["shipped", "uneven", "u_form"])
 def test_batched_rows_equal_their_plain_runs(config):
-    plain = plain_runs(config)
-    batched = batched_runs(config)
+    plain_snapshots, batched_snapshots = {}, {}
+    plain = plain_runs(config, plain_snapshots)
+    batched = batched_runs(config, batched_snapshots)
     assert len({traj.n_steps for traj in plain.values()}) > 1
     for gamma in config.gammas:
-        assert_same_trajectory(batched[gamma], plain[gamma])
+        assert_same_trajectory(batched[gamma], plain[gamma],
+                               batched_snapshots[gamma], plain_snapshots[gamma])
     assert_rows_match_plain_runs(run_sweep(config), plain, config.gammas)
 
 
@@ -220,11 +236,13 @@ def test_positivity_rescue_is_per_row(monkeypatch, formulation, patch, max_halvi
                                  max_halvings=max_halvings)
     config = sweep_config((2.0, 5.0, 20.0), n_cells=64, t_end=t_end, scheme=scheme)
     monkeypatch.setattr(solver_mod, *patch)
-    plain = plain_runs(config)
-    batched = batched_runs(config)
+    plain_snapshots, batched_snapshots = {}, {}
+    plain = plain_runs(config, plain_snapshots)
+    batched = batched_runs(config, batched_snapshots)
     for gamma in config.gammas:
         if gamma in survivors:
-            assert_same_trajectory(batched[gamma], plain[gamma])
+            assert_same_trajectory(batched[gamma], plain[gamma],
+                                   batched_snapshots[gamma], plain_snapshots[gamma])
         else:
             failed = batched[gamma]
             assert isinstance(failed, FailedRun)
