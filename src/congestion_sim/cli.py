@@ -6,8 +6,9 @@ study).  Exit codes: 0 success, 1 verdict failure, 2 configuration
 error, 3 runtime failure (vacuum, saturation, a failed linear solve, a
 non-finite state or a step budget overrun), with the offending time, cell
 and gamma printed.
-``run.log`` is written before a run starts (``run_log``) and names the
-LAPACK path the solves took (``lapack <source>``).
+``run_log`` owns ``output.dir``: it writes ``run.log`` before a run starts
+(naming the LAPACK path the solves take, ``lapack <source>``) and every
+output after it, so a failed write exits 2 naming the file.
 
 The ``invariants`` suite of ``verify`` runs every single-gamma config
 (``model.gamma`` set) in ``CONFIG_DIR``, the ``configs/`` directory of
@@ -78,31 +79,23 @@ def write_snapshot_csv(path: str, g: Grid, state, params: ModelParams) -> None:
         fh.writelines(_SNAPSHOT_ROW % row for row in zip(*(col.tolist() for col in cols)))
 
 
-@contextlib.contextmanager
-def snapshot_writer(out_dir: str, out_format: str):
-    """``simulate``'s sink: writes each snapshot as the run takes it, as its
-    ``snapshot_NNNN.csv`` (or ``snapshots.jsonl`` line) and ``diagnostics.jsonl`` line.
-    Files open once, at their first line, line-buffered: a failed or killed run keeps them."""
-    with contextlib.ExitStack() as stack:
-        files, index = {}, itertools.count()
+def snapshot_writer(write, out_dir: str, out_format: str):
+    """``simulate``'s sink over ``run_log``'s ``write``: each snapshot as the run
+    takes it, as its ``snapshot_NNNN.csv`` (a whole file, closed at once) or
+    ``snapshots.jsonl`` line, and its ``diagnostics.jsonl`` line."""
+    index = itertools.count()
 
-        def line(name: str, text: str) -> None:
-            if name not in files:
-                files[name] = stack.enter_context(
-                    open(os.path.join(out_dir, name), "w", buffering=1, encoding="utf-8"))
-            files[name].write(text + "\n")
+    def sink(g: Grid, params: ModelParams, snap) -> None:
+        if out_format == "csv":
+            write_snapshot_csv(os.path.join(out_dir, f"snapshot_{next(index):04d}.csv"),
+                               g, snap.state, params)
+        else:
+            cols = (col.tolist() for col in _snapshot_columns(g, snap.state, params))
+            write("snapshots.jsonl",
+                  json.dumps({"t": snap.state.t, **dict(zip(SNAPSHOT_COLUMNS, cols))}))
+        write("diagnostics.jsonl", json.dumps(dataclasses.asdict(snap.rec)))
 
-        def sink(g: Grid, params: ModelParams, snap) -> None:
-            if out_format == "csv":
-                write_snapshot_csv(os.path.join(out_dir, f"snapshot_{next(index):04d}.csv"),
-                                   g, snap.state, params)
-            else:
-                cols = (col.tolist() for col in _snapshot_columns(g, snap.state, params))
-                line("snapshots.jsonl",
-                     json.dumps({"t": snap.state.t, **dict(zip(SNAPSHOT_COLUMNS, cols))}))
-            line("diagnostics.jsonl", json.dumps(dataclasses.asdict(snap.rec)))
-
-        yield sink
+    return sink
 
 
 def _trajectory_summary(traj: Trajectory) -> dict:
@@ -129,30 +122,26 @@ def _trajectory_summary(traj: Trajectory) -> dict:
     }
 
 
-def write_summary_json(path: str, traj: Trajectory) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_trajectory_summary(traj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def write_summary_json(write, traj: Trajectory) -> None:
+    write("summary.json", json.dumps(_trajectory_summary(traj), indent=2, sort_keys=True))
 
 
 SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(GammaRow))
 
 
-def write_sweep_report(out_dir: str, report: SweepReport) -> None:
-    csv_path = os.path.join(out_dir, "sweep_report.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for row in report.rows:
-            cells = []
-            for name in SWEEP_COLUMNS:
-                value = getattr(row, name)
-                if isinstance(value, bool):
-                    cells.append(str(int(value)))
-                elif isinstance(value, str):
-                    cells.append(json.dumps(value))
-                else:
-                    cells.append(FLOAT_FORMAT % value)
-            fh.write(",".join(cells) + "\n")
+def write_sweep_report(write, report: SweepReport) -> None:
+    write("sweep_report.csv", ",".join(SWEEP_COLUMNS))
+    for row in report.rows:
+        cells = []
+        for name in SWEEP_COLUMNS:
+            value = getattr(row, name)
+            if isinstance(value, bool):
+                cells.append(str(int(value)))
+            elif isinstance(value, str):
+                cells.append(json.dumps(value))
+            else:
+                cells.append(FLOAT_FORMAT % value)
+        write("sweep_report.csv", ",".join(cells))
 
     summary = {
         "fit": dataclasses.asdict(report.fit),
@@ -162,39 +151,46 @@ def write_sweep_report(out_dir: str, report: SweepReport) -> None:
             for r in report.rows
         ],
     }
-    with open(os.path.join(out_dir, "sweep_summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write("sweep_summary.json", json.dumps(summary, indent=2, sort_keys=True))
 
 
 # ------------------------------------------------------------ subcommands --
 
 @contextlib.contextmanager
 def run_log(out_dir: str, config_path: str, *header: str):
-    """Create ``out_dir`` and open its ``run.log`` (a ConfigError naming the
-    path if either cannot be), flushed with ``started``, ``config``, the
-    ``header`` lines and ``lapack`` before the run inside starts.  A
-    ConfigError (found while building the initial data) or RunFailure
-    raised inside ends the log with a ``failed`` line and propagates."""
-    path = os.path.join(out_dir, "run.log")
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        log = open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"output.dir {out_dir}: cannot write {path}: {exc.strerror}") from exc
-    with log:
-        log.write(f"started {_time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
-        log.write(f"config {os.path.abspath(config_path)}\n")
-        log.writelines(f"{line}\n" for line in header)
-        log.write(f"lapack {LAPACK_SOURCE}\n")
-        log.flush()
+    """Own ``out_dir`` for one run: create it, write ``run.log``'s ``started``,
+    ``config``, ``header`` and ``lapack`` lines before the run inside starts,
+    and yield ``write(name, text)``, which writes ``text`` and a newline to the
+    file ``name`` there, opened at its first line, line-buffered, until the
+    block ends.  An OSError on any output is a ConfigError naming the file;
+    that, a ConfigError or a RunFailure raised inside ends ``run.log`` with a
+    ``failed`` line and propagates."""
+    with contextlib.ExitStack() as stack:
+        files = {}
+
+        def write(name: str, text: str) -> None:
+            if name not in files:
+                files[name] = stack.enter_context(open(
+                    os.path.join(out_dir, name), "w", buffering=1, encoding="utf-8"))
+            files[name].write(text + "\n")
+
         try:
-            yield log
+            os.makedirs(out_dir, exist_ok=True)
+            write("run.log", "\n".join([f"started {_time.strftime('%Y-%m-%dT%H:%M:%S')}",
+                                        f"config {os.path.abspath(config_path)}",
+                                        *header, f"lapack {LAPACK_SOURCE}"]))
+            yield write
+        except OSError as exc:
+            failure = ConfigError(f"output.dir {out_dir}: cannot write "
+                                  f"{exc.filename or out_dir}: {exc.strerror}")
+            if "run.log" in files:  # not when run.log itself cannot be opened
+                write("run.log", f"failed {failure}")
+            raise failure from exc
         except ConfigError as exc:
-            log.write(f"failed {exc}\n")
+            write("run.log", f"failed {exc}")
             raise
         except RunFailure as exc:
-            log.write(f"failed {exc} {exc.context()}\n")
+            write("run.log", f"failed {exc} {exc.context()}")
             raise
 
 
@@ -203,12 +199,10 @@ def cmd_simulate(args) -> int:
     if cfg.gamma is None:
         raise ConfigError("simulate needs model.gamma (use the sweep subcommand "
                           "for sweep.gammas)")
-    with run_log(cfg.out_dir, args.config) as log, \
-            snapshot_writer(cfg.out_dir, cfg.out_format) as sink:
-        traj = run_config(cfg, sink)
-        log.write(f"steps {traj.n_steps}\n")
-        log.write(f"wall_seconds {traj.wall_seconds:.3f}\n")
-    write_summary_json(os.path.join(cfg.out_dir, "summary.json"), traj)
+    with run_log(cfg.out_dir, args.config) as write:
+        traj = run_config(cfg, snapshot_writer(write, cfg.out_dir, cfg.out_format))
+        write("run.log", f"steps {traj.n_steps}\nwall_seconds {traj.wall_seconds:.3f}")
+        write_summary_json(write, traj)
     print(f"simulate: {traj.n_steps} steps to t={cfg.t_end:g}, "
           f"outputs in {cfg.out_dir}")
     return EXIT_OK
@@ -219,11 +213,12 @@ def cmd_sweep(args) -> int:
     if cfg.gammas is None:
         raise ConfigError("sweep needs sweep.gammas")
     gammas = f"gammas {','.join(str(gm) for gm in cfg.gammas)}"
-    with run_log(cfg.out_dir, args.config, gammas) as log:
+    with run_log(cfg.out_dir, args.config, gammas) as write:
         report = run_sweep(cfg)
         failed = [r for r in report.rows if r.failed]
-        log.writelines(f"failed {r.failure}\n" for r in failed)
-    write_sweep_report(cfg.out_dir, report)
+        for row in failed:
+            write("run.log", f"failed {row.failure}")
+        write_sweep_report(write, report)
 
     print(f"sweep: {len(report.rows)} rows ({len(failed)} failed), "
           f"fit verdict: {report.fit.verdict}, outputs in {cfg.out_dir}")

@@ -11,17 +11,10 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
+from .grid import MAX_CELLS, Grid
 from .initial_data import INIT_KINDS, InitRecipe
 from .model import FORMULATIONS, W_FORM
-from .solver import MAX_STEPS, SchemeConfig
-
-# Caps that keep every accepted run finishable: a run holds about 300 bytes
-# per cell, a step at 2**20 cells takes about 0.16 s (2-core x86), and a run
-# needs at least t_end / dt_max steps, which the run's step budget bounds.
-# The shipped configs take 256 cells and 250 such steps, the benchmark up
-# to 4096 cells.
-MAX_CELLS = 2 ** 20
-MAX_LEAST_STEPS = MAX_STEPS
+from .solver import MAX_CELL_STEPS, STEP_OVERHEAD_CELLS, SchemeConfig, step_budget
 
 
 def _parse_bool_free_float(text: str, key: str) -> float:
@@ -78,8 +71,8 @@ CONFIG_KEYS = {
     "init.w_mean": (float, InitRecipe.w_mean, "mean desired velocity"),
     "init.phase": (float, InitRecipe.phase, "phase shift of the density perturbation"),
     "init.csv_path": (str, InitRecipe.csv_path, "profile file for init.kind = custom_csv"),
-    "time.t_end": (float, REQUIRED, "final time of the run "
-                   f"(at most {MAX_LEAST_STEPS:.0e} * scheme.dt_max)"),
+    "time.t_end": (float, REQUIRED, "final time of the run (at most scheme.dt_max * "
+                   f"{MAX_CELL_STEPS:.0e} / (grid.n_cells + {STEP_OVERHEAD_CELLS}))"),
     "output.dir": (str, "out", "output directory"),
     "output.format": (str, "csv", "snapshot serialization: csv or jsonl"),
     "diagnostics.every": (float, SchemeConfig.snapshot_every,
@@ -117,7 +110,7 @@ def parse_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config_text(text, origin=path)
 
@@ -173,14 +166,18 @@ def resolve_run_config(values: dict) -> RunConfig:
     recipe = InitRecipe(**{f.name: resolved[f"init.{f.name}"]
                            for f in fields(InitRecipe)})
 
+    # every accepted run is finishable: Grid bounds the cell count, and the
+    # least step count t_end / dt_max lies within the step budget of those cells
     n_cells, t_end = resolved["grid.n_cells"], resolved["time.t_end"]
-    if not 4 <= n_cells <= MAX_CELLS:
-        raise ConfigError(f"grid.n_cells must lie in [4, {MAX_CELLS}], got {n_cells}")
+    try:
+        Grid(n_cells)
+    except ValueError as exc:
+        raise ConfigError(f"grid.n_cells: {exc}") from exc
     if t_end <= 0.0:
         raise ConfigError("time.t_end must be positive")
-    if t_end / scheme.dt_max > MAX_LEAST_STEPS:
-        raise ConfigError(f"time.t_end / scheme.dt_max = {t_end / scheme.dt_max:.3g} "
-                          f"steps at least, above the cap of {MAX_LEAST_STEPS:.0e}")
+    if t_end / scheme.dt_max > step_budget(n_cells):
+        raise ConfigError(f"time.t_end / scheme.dt_max = {t_end / scheme.dt_max:.3g} steps "
+                          f"at least, above the step budget of {step_budget(n_cells):.3g}")
 
     return RunConfig(
         scheme=scheme,

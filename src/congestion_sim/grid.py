@@ -15,6 +15,10 @@ from .errors import DimensionError
 
 Field = np.ndarray
 
+# the admissible cell counts: the stencils need 4 cells, and a run holds
+# about 300 bytes per cell, so 2**20 cells keep it in memory
+MAX_CELLS = 2 ** 20
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -29,8 +33,8 @@ class Grid:
     dx: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n_cells < 4:
-            raise ValueError(f"n_cells must be at least 4, got {self.n_cells}")
+        if not 4 <= self.n_cells <= MAX_CELLS:
+            raise ValueError(f"n_cells must lie in [4, {MAX_CELLS}], got {self.n_cells}")
         object.__setattr__(self, "dx", 1.0 / self.n_cells)
 
     @property

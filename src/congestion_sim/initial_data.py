@@ -56,7 +56,7 @@ def _read_profile_csv(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read custom_csv file {path}: {exc}") from exc
     if not text.strip():
         raise ConfigError(f"custom_csv file {path} is empty")

@@ -80,9 +80,16 @@ from .model import (
 # guards the CFL formula in a quiescent fluid
 VELOCITY_FLOOR = 1e-12
 
-# the step budget of a run: a row whose CFL step cannot reach t_end within
-# it fails at once instead of running for ever
-MAX_STEPS = 10 ** 7
+# the work budget of a run, in cell-steps: a step costs about 0.114 us x
+# (n_cells + STEP_OVERHEAD_CELLS) (2-core x86: 214 us at 256 cells, 650 us at
+# 4096), so a run within it takes at most about 10 minutes
+MAX_CELL_STEPS = 5e9
+STEP_OVERHEAD_CELLS = 1600
+
+
+def step_budget(n_cells: int) -> float:
+    """The most steps a run on ``n_cells`` cells may take."""
+    return MAX_CELL_STEPS / (n_cells + STEP_OVERHEAD_CELLS)
 
 
 @dataclass(frozen=True)
@@ -598,7 +605,8 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
     row: its Trajectory, or the FailedRun holding the RunFailure that its
     run alone raises.  A RunFailure carries the time of the step or
     snapshot that failed and the run's gamma.  ``sources`` serve single
-    runs.  A row that cannot reach t_end in ``MAX_STEPS`` steps fails.
+    runs.  A row whose CFL step cannot reach t_end within
+    ``step_budget(g.n_cells)`` steps fails, at the step that finds it so.
 
     A snapshot is taken at the start, at the first step that reaches each
     multiple of ``config.snapshot_every`` and at t_end; a step that crosses
@@ -698,7 +706,7 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
                 )
 
     take_snapshots(np.full(state.t.shape, True))
-    n_steps = 0
+    n_steps, budget = 0, step_budget(g.n_cells)
     faces = StepFaces()
     while rows and _any(state.t < t_end):
         # each state's fields are evaluated once, then serve compute_dt,
@@ -711,14 +719,14 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
                                       state.t.shape)[()]
             dt = compute_dt(state, g, params, config, fields)
             remaining = t_end - state.t
-            over = remaining > (MAX_STEPS - n_steps) * dt
+            over = remaining > (budget - n_steps) * dt
             if _any(over):
                 # the fastest cell of the first such row sets its step
                 at, row = _first_row(over)
                 speed = np.maximum(np.abs(fields.u[at]), np.abs(fields.w[at]))
                 raise StepBudgetError(
                     f"CFL step {float(dt[at]):.3g} cannot reach t_end within the "
-                    f"step budget of {MAX_STEPS:.0e} ({n_steps} steps taken)",
+                    f"step budget of {budget:.3g} ({n_steps} steps taken)",
                     cell=int(np.argmax(speed)), row=row)
             if n_steps == 0:
                 dt = np.minimum(dt, config.dt_init)

@@ -227,14 +227,15 @@ def doubling_resolutions(values) -> tuple[int, ...]:
     """``values`` as the cell counts of a convergence study.
 
     Raises ValueError unless there are at least 3, each doubles the one
-    before (observed orders are log2 ratios) and the coarsest is a grid.
+    before (observed orders are log2 ratios) and each is a grid's.
     """
     resolutions = tuple(int(n) for n in values)
     if len(resolutions) < 3:
         raise ValueError("a convergence study needs at least 3 resolutions")
     if any(b != 2 * a for a, b in zip(resolutions, resolutions[1:])):
         raise ValueError("resolutions must double")
-    Grid(resolutions[0])  # ValueError below 4 cells
+    for n in resolutions:
+        Grid(n)  # ValueError outside [4, MAX_CELLS]
     return resolutions
 
 

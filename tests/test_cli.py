@@ -520,11 +520,18 @@ def test_failed_snapshot_record_fails_its_row_only(tmp_path, monkeypatch, capsys
     assert capsys.readouterr().err == f"runtime failure (saturation): synthetic overflow {context}\n"
 
 
-def test_missing_config_file_is_config_error():
-    assert cli.main(["simulate", "--config", "/nonexistent/nope.cfg"]) == 2
+@pytest.mark.parametrize("config", ["missing", "not_utf8"])
+def test_missing_config_file_is_config_error(tmp_path, capsys, config):
+    # a Latin-1 comment ended in a UnicodeDecodeError traceback, exit 1
+    path = tmp_path / "run.cfg"
+    if config == "not_utf8":
+        path.write_bytes(BASE_CONFIG.encode() + "# caf\xe9\n".encode("latin-1"))
+    assert cli.main(["simulate", "--config", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("profile", ["missing", "directory", "empty", "header_only"])
+@pytest.mark.parametrize("profile", ["missing", "directory", "empty", "header_only",
+                                     "not_utf8"])
 def test_unreadable_custom_csv_is_config_error(tmp_path, capsys, profile):
     path = tmp_path / "profile.csv"
     if profile == "directory":
@@ -533,6 +540,9 @@ def test_unreadable_custom_csv_is_config_error(tmp_path, capsys, profile):
         path.write_text("", encoding="utf-8")
     elif profile == "header_only":
         path.write_text("x,rho,w\n", encoding="utf-8")
+    elif profile == "not_utf8":
+        # ended in a UnicodeDecodeError traceback, exit 1, with no failed line
+        path.write_bytes(b"x,rho,w\n0.5,0.8,\xff\n")
     text = BASE_CONFIG.replace("init.kind = cosine",
                                f"init.kind = custom_csv\ninit.csv_path = {path}")
     cfg = write_config(tmp_path, text + f"output.dir = {tmp_path / 'out'}\n")
@@ -666,7 +676,8 @@ def test_non_finite_state_is_runtime_failure(tmp_path, capsys):
     ("scheme.cfl", "1e-300"),       # each hung: CFL steps of 2.7e-303,
     ("init.w_amp", "1e150"),        # 3.9e-154
     ("init.w_mean", "1e12"),        # and 3.9e-16
-])
+    ("init.w_amp", "5e3"),          # 6.4e6 steps, within a step-count budget,
+])                                  # would have run about 23 minutes
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_unfinishable_run_is_runtime_failure(tmp_path, capsys, key, value):
     cfg = shipped_config(tmp_path, "standard_smooth", {key: value}, tmp_path / "out")
@@ -803,6 +814,28 @@ def test_unwritable_output_dir_is_config_error(tmp_path, monkeypatch, capsys, co
     assert started == []
 
 
+@pytest.mark.parametrize("command,blocked", [
+    ("simulate", "snapshot_0001.csv"), ("simulate", "summary.json"),
+    ("sweep", "sweep_report.csv"), ("sweep", "sweep_summary.json"),
+])
+def test_unwritable_output_ends_the_run_as_config_error(tmp_path, capsys, command, blocked):
+    # a directory where an output should be ended in an IsADirectoryError
+    # traceback, exit 1, and run.log had no failed line
+    out_dir = tmp_path / "out"
+    (out_dir / blocked).mkdir(parents=True)
+    case = "standard_smooth" if command == "simulate" else "standard_sweep"
+    cfg = shipped_config(tmp_path, case, {"grid.n_cells": "64"}, out_dir)
+    assert cli.main([command, "--config", cfg]) == 2
+    err, path = capsys.readouterr().err, str(out_dir / blocked)
+    assert err.startswith("configuration error: ") and err.count("\n") == 1 and path in err
+    log = (out_dir / "run.log").read_text().splitlines()
+    assert log[-1].startswith("failed ") and path in log[-1]
+    if blocked == "snapshot_0001.csv":
+        # what the run wrote before the failed write stays
+        assert len((out_dir / "snapshot_0000.csv").read_text().splitlines()) == 65
+        assert len((out_dir / "diagnostics.jsonl").read_text().splitlines()) == 1
+
+
 def test_snapshot_csv_matches_per_value_format(tmp_path, monkeypatch):
     edge = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.2250738585072014e-308,
             1.7976931348623157e308, 0.1, 1.0 / 3.0]
@@ -823,9 +856,13 @@ def test_mms_subcommand():
     assert cli.main(["mms", "--case", "nope"]) == 2
 
 
-@pytest.mark.parametrize("resolutions", ["64,abc", "64,128", "64,100,200", "", "2,4,8"])
+@pytest.mark.parametrize("resolutions", [
+    "64,abc", "64,128", "64,100,200", "", "2,4,8",
+    "1048576,2097152,4194304", "1099511627776,2199023255552,4398046511104"])
 def test_mms_bad_resolutions_are_config_errors(capsys, resolutions):
-    # each ended in a ValueError traceback with exit 1, the verdict code
+    # each ended in a ValueError traceback with exit 1, the verdict code; of
+    # the last two, one ran for minutes on grids of millions of cells and the
+    # other ended in a memory-error traceback
     assert cli.main(["mms", "--case", "constant", "--resolutions", resolutions]) == 2
     assert "--resolutions" in capsys.readouterr().err
 
