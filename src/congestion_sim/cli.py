@@ -35,10 +35,9 @@ from . import diagnostics as diag
 from ._lapack import SOURCE as LAPACK_SOURCE
 from .config import RunConfig, config_key_help, load_run_config
 from .errors import ConfigError, RunFailure
-from .grid import Grid
+from .grid import Grid, ddx_central
 from .initial_data import build_profiles
-from .model import (ModelParams, U_FORM, W_FORM, compute_V, compute_W, potential_pi,
-                    velocities)
+from .model import ModelParams, U_FORM, W_FORM, compute_W, potential_pi
 from .solver import Trajectory
 from .sweep import GammaRow, SweepReport, run_config, run_sweep
 from .verify import (
@@ -66,14 +65,15 @@ SNAPSHOT_COLUMNS = ("x", "rho", "u", "w", "pi", "W", "V")
 _SNAPSHOT_ROW = ",".join([FLOAT_FORMAT] * len(SNAPSHOT_COLUMNS)) + "\n"
 
 
-def _snapshot_columns(g: Grid, state, params: ModelParams) -> list:
-    u, w = velocities(state, g, params)
-    return [g.x, state.rho, u, w, potential_pi(state.rho, params),
-            compute_W(state.rho, w, g), compute_V(state.rho, u, g, params)]
+def _snapshot_columns(g: Grid, snap, params: ModelParams) -> list:
+    """The ``SNAPSHOT_COLUMNS``; u, w and lambda (in V = lambda dx u) are the snapshot's."""
+    rho, fields = snap.state.rho, snap.fields
+    return [g.x, rho, fields.u, fields.w, potential_pi(rho, params),
+            compute_W(rho, fields.w, g), fields.lam * ddx_central(fields.u, g)]
 
 
-def write_snapshot_csv(path: str, g: Grid, state, params: ModelParams) -> None:
-    cols = _snapshot_columns(g, state, params)
+def write_snapshot_csv(path: str, g: Grid, snap, params: ModelParams) -> None:
+    cols = _snapshot_columns(g, snap, params)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(SNAPSHOT_COLUMNS) + "\n")
         fh.writelines(_SNAPSHOT_ROW % row for row in zip(*(col.tolist() for col in cols)))
@@ -88,9 +88,9 @@ def snapshot_writer(write, out_dir: str, out_format: str):
     def sink(g: Grid, params: ModelParams, snap) -> None:
         if out_format == "csv":
             write_snapshot_csv(os.path.join(out_dir, f"snapshot_{next(index):04d}.csv"),
-                               g, snap.state, params)
+                               g, snap, params)
         else:
-            cols = (col.tolist() for col in _snapshot_columns(g, snap.state, params))
+            cols = (col.tolist() for col in _snapshot_columns(g, snap, params))
             write("snapshots.jsonl",
                   json.dumps({"t": snap.state.t, **dict(zip(SNAPSHOT_COLUMNS, cols))}))
         write("diagnostics.jsonl", json.dumps(dataclasses.asdict(snap.rec)))

@@ -20,10 +20,10 @@ from .grid import Field, Grid, as_field, ddx_central, integrate, norm
 from .model import (
     ModelParams,
     State,
+    StateFields,
     compute_W,
     enthalpy_H,
     potential_pi,
-    velocities,
 )
 
 
@@ -98,13 +98,15 @@ class InitialDataSummary:
     H0_total: float     # int H(rho0)
 
 
-def summarize_initial_data(state: State, g: Grid, params: ModelParams) -> InitialDataSummary:
-    """The initial-data functionals; NonFiniteError names the first cell
-    whose kinetic energy density, in u or in w, is not finite."""
+def summarize_initial_data(state: State, fields: StateFields, g: Grid,
+                           params: ModelParams) -> InitialDataSummary:
+    """The initial-data functionals of ``state`` and its ``fields``;
+    NonFiniteError names the first cell whose kinetic energy density, in u
+    or in w, is not finite."""
     rho = as_field(state.rho, g)
     if not np.all(rho > 0.0):
         raise ValueError("initial density must be strictly positive")
-    u, w = velocities(state, g, params)
+    u, w = fields.u, fields.w
     W0 = compute_W(rho, w, g)
     h0 = integrate(enthalpy_H(rho, params), g)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -203,16 +205,17 @@ def rho_p_balance_residual(H_total: float, accums: Accumulators,
     return gp1 * (H_total - summary.H0_total) + accums.diss_plain
 
 
-def record(state: State, g: Grid, params: ModelParams,
+def record(state: State, fields: StateFields, g: Grid, params: ModelParams,
            accums: Accumulators, summary: InitialDataSummary) -> DiagnosticsRecord:
     """Evaluate every monitored functional on one state.
 
-    Pure function of its inputs: identical state and accumulators give an
-    identical record.  rho^(gamma+1) is evaluated once, as H; pi is
-    gamma * H, as in ``potential_pi``.
+    Pure function of its inputs: identical state, fields and accumulators
+    give an identical record.  The velocities are read from ``fields``,
+    the state's ``model.state_fields``; rho^(gamma+1) is evaluated once,
+    as H, and pi is gamma * H, as in ``potential_pi``.
     """
     rho = as_field(state.rho, g)
-    u, w = velocities(state, g, params)
+    u, w = fields.u, fields.w
     W = compute_W(rho, w, g)
     H = enthalpy_H(rho, params)
     pi = params.gamma * H

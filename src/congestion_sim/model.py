@@ -17,6 +17,7 @@ function here serves one run and a batch alike by broadcasting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -158,34 +159,28 @@ def compute_W(rho: Field, w: Field, g: Grid) -> Field:
     return ddx_central(w, g) / arr
 
 
-def compute_V(rho: Field, u: Field, g: Grid, params: ModelParams) -> Field:
-    """Monitored diffusion flux V = lambda(rho) * d/dx u (the snapshot column)."""
-    return lambda_visc(as_field(rho, g), params) * ddx_central(u, g)
-
-
-@dataclass(frozen=True)
-class StateFields:
-    """The offset, its gradient and both velocities of one state.
-
-    ``dxp`` is the central derivative of ``p``, and ``u = w - dxp``; the
-    carried velocity (``mom / rho``) is exact, the other one derived.
-    """
+class StateFields(NamedTuple):
+    """A state's cell fields: the offset ``p``, its central derivative
+    ``dxp``, the viscosity ``lam`` and both velocities, ``u = w - dxp``; the
+    carried one (``mom / rho``) is exact.  A batch's are (rows, n) arrays."""
 
     p: Field
     dxp: Field
+    lam: Field
     u: Field
     w: Field
 
 
 def state_fields(state: State, g: Grid, params: ModelParams) -> StateFields:
-    """Evaluate the power law and both velocities of a state once."""
+    """The one derivation of a state's cell fields: p, then lambda, then the rest."""
     rho = as_field(state.rho, g)
     carried = as_field(state.mom, g) / rho
     p = pressure(rho, params)
+    lam = lambda_visc(rho, params)
     dxp = central_difference(p) / (2.0 * g.dx)
     if state.formulation == U_FORM:
-        return StateFields(p, dxp, carried, carried + dxp)
-    return StateFields(p, dxp, carried - dxp, carried)
+        return StateFields(p, dxp, lam, carried, carried + dxp)
+    return StateFields(p, dxp, lam, carried - dxp, carried)
 
 
 def velocities(state: State, g: Grid, params: ModelParams) -> tuple[Field, Field]:

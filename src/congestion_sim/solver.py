@@ -8,10 +8,10 @@ tridiagonal solve per step.  Positivity failures are rescued by halving
 dt before a vacuum error is declared.
 
 Both formulations, forced or not, go through one step path.  The run
-loop evaluates the per-state fields (the carried velocity, p(rho), its
-central derivative and the other velocity) once per state and hands
-them to ``compute_dt``, the step and the running time integrals; pi'
-is gamma * p and lambda is evaluated once per step, on the old density.
+loop evaluates each state's cell fields (``model.state_fields``: the
+carried velocity, p(rho), its central derivative, lambda(rho) and the
+other velocity) once and hands them to ``compute_dt``, the step, the
+running time integrals and the state's snapshot; pi' is gamma * p.
 The step builds each face quantity (donor-cell flux, face velocity,
 diffusive face flux, face viscosity) once and hands the ones the time
 integrals need to them, which only reduce them.  Neighbour shifts are
@@ -73,7 +73,6 @@ from .model import (
     ModelParams,
     State,
     StateFields,
-    lambda_visc,
     state_fields,
 )
 
@@ -117,13 +116,17 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """State plus diagnostics at one snapshot time, as a sink receives it.
+    """State, its cell fields and diagnostics at one snapshot time, as a
+    sink receives it.
 
-    ``int_mass_flux`` carries the rectangle sum over time of the total mass
-    flux per face up to the snapshot, from which Psi is built.
+    ``fields`` are the run loop's ``state_fields`` of ``state``, copied out
+    of a batch like the state.  ``int_mass_flux`` carries the rectangle sum
+    over time of the total mass flux per face up to the snapshot, from
+    which Psi is built.
     """
 
     state: State
+    fields: StateFields
     rec: DiagnosticsRecord
     int_mass_flux: np.ndarray
 
@@ -151,14 +154,13 @@ class Trajectory:
 class StepFaces:
     """Face quantities of one accepted step, for the running time integrals.
 
-    Entry i belongs to face i+1/2, except ``lam``, which holds the cell
-    values lambda(rho_old) that ``lam_face`` averages.  ``mass_flux`` is
-    the step's total mass flux: the donor-cell flux of rho, minus the
-    implicit diffusive flux in the w-formulation.
+    Entry i belongs to face i+1/2: ``lam_face`` averages the old state's
+    ``fields.lam``, and ``mass_flux`` is the step's total mass flux: the
+    donor-cell flux of rho, minus the implicit diffusive flux in the
+    w-formulation.
     """
 
     mass_flux: Field | None = None
-    lam: Field | None = None
     lam_face: Field | None = None
 
 
@@ -385,10 +387,9 @@ def _step(state: State, g: Grid, params: ModelParams, config: SchemeConfig,
     div_rho = _flux_divergence(flux_rho, g)
     div_mom = _flux_divergence(_advective_flux(mom, v_face, a), g)
     forcing = None if sources is None else sources(g.x, state.t)
-    # lambda(rho_old): the u-formulation's lagged viscosity, and the
-    # weight of the dissipation integrals in both formulations
-    lam = lambda_visc(rho, params)
-    lam_face = _face_mean(lam)
+    # lambda(rho_old) at faces: the u-formulation's lagged viscosity, and
+    # the weight of the viscous dissipation integral in both formulations
+    lam_face = _face_mean(fields.lam)
     # the w-formulation's lagged diffusion coefficient pi'(rho) = gamma p(rho)
     diff_face = None if u_form else _face_mean(params.gamma * fields.p)
 
@@ -456,7 +457,7 @@ def _step(state: State, g: Grid, params: ModelParams, config: SchemeConfig,
         mom_new = mom_star + d * _flux_divergence(v_face * dpi_face, g)
     if faces is not None:
         faces.mass_flux = flux_rho if u_form else flux_rho - dpi_face
-        faces.lam, faces.lam_face = lam, lam_face
+        faces.lam_face = lam_face
     return State(state.t + dt_new, rho_new, mom_new, state.formulation)
 
 
@@ -541,7 +542,7 @@ def _accumulate(accums: Accumulators, old: State, fields: StateFields,
     f[1] *= dxp
     np.multiply(dxp, rho_old, out=f[2])
     f[2] *= fields.w
-    lam_dxu = np.multiply(faces.lam, central_difference(fields.u) / (2.0 * g.dx), out=f[3])
+    lam_dxu = np.multiply(fields.lam, central_difference(fields.u) / (2.0 * g.dx), out=f[3])
     np.subtract(rho_old, mean_rho, out=f[4])
     f[4] *= lam_dxu
     low = rho_old <= 0.5 * (1.0 + mean_rho)
@@ -646,8 +647,7 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
                       state.formulation)
         accums = accums.select(keep)
         next_snap = next_snap[keep]
-        fields = None if fields is None else StateFields(
-            fields.p[keep], fields.dxp[keep], fields.u[keep], fields.w[keep])
+        fields = None if fields is None else StateFields(*(f[keep] for f in fields))
         params = ModelParams(np.array([[row.params.gamma] for row in rows]))
         mean_rho = None
 
@@ -674,20 +674,22 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
             at, row = (i if batched else ()), rows[i]
             if not due[at]:
                 continue
-            rho, mom = state.rho[at], state.mom[at]
+            rho, mom, row_fields = state.rho, state.mom, fields
             if batched:
-                rho, mom = rho.copy(), mom.copy()
+                rho, mom = rho[i].copy(), mom[i].copy()
+                row_fields = StateFields(*(f[i].copy() for f in fields))
             snap_state = State(float(state.t[at]), rho, mom, state.formulation)
             row_accums = accums.select(at)
+            state_args = (snap_state, row_fields, g, row.params)
             try:
                 if row.summary is None:
-                    row.summary = summarize_initial_data(snap_state, g, row.params)
-                rec = record(snap_state, g, row.params, row_accums, row.summary)
+                    row.summary = summarize_initial_data(*state_args)
+                rec = record(*state_args, row_accums, row.summary)
             except RunFailure as err:
                 end_row(err, i)
                 continue
             row.records.append(rec)
-            row.last = Snapshot(snap_state, rec, row_accums.int_mass_flux)
+            row.last = Snapshot(snap_state, row_fields, rec, row_accums.int_mass_flux)
             row.psi = psi_test_function(row.psi, row.last, g, row.summary.mean_rho0)[1]
             if sink is not None:
                 sink(g, row.params, row.last)
@@ -705,15 +707,18 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
                     wall_seconds=_time.perf_counter() - started,
                 )
 
+    # each state's fields are evaluated once, for its snapshot and the step
+    # from it; a row whose first fields fail leaves before its snapshot
+    while rows and fields is None:
+        try:
+            fields = state_fields(state, g, params)
+        except RunFailure as err:
+            end_row(err, err.row if batched else 0)
     take_snapshots(np.full(state.t.shape, True))
     n_steps, budget = 0, step_budget(g.n_cells)
     faces = StepFaces()
     while rows and _any(state.t < t_end):
-        # each state's fields are evaluated once, then serve compute_dt,
-        # the step and the time integrals of the step that starts from it
         try:
-            if fields is None:
-                fields = state_fields(state, g, params)
             if mean_rho is None:
                 mean_rho = np.reshape([row.summary.mean_rho0 for row in rows],
                                       state.t.shape)[()]

@@ -104,7 +104,7 @@ def run_sweep(cfg: RunConfig) -> SweepReport:
     remaining rows are still emitted.  A row's runtime is the wall time
     from the start of the batch until the row finished or failed.
     """
-    rows, finals, failures = [], {}, []
+    rows, finals, failures, g = [], {}, [], None
     for gamma, result in zip(cfg.gammas, run_config(cfg)):
         if isinstance(result, FailedRun):
             rows.append(GammaRow(gamma=gamma, failed=True,
@@ -113,18 +113,13 @@ def run_sweep(cfg: RunConfig) -> SweepReport:
             failures.append(result.error)
         else:
             rows.append(_row_from_trajectory(gamma, result))
-            finals[gamma] = result
+            # the final density and desired velocity, once per finished row
+            g, final = result.grid, result.final_state
+            finals[gamma] = final.rho, velocities(final, g, result.params)[1]
 
-    cross = []
-    for lo, hi in zip(cfg.gammas, cfg.gammas[1:]):
-        if lo not in finals or hi not in finals:
-            continue
-        ta, tb = finals[lo], finals[hi]
-        g = ta.grid
-        drho = ta.final_state.rho - tb.final_state.rho
-        _, wa = velocities(ta.final_state, g, ta.params)
-        _, wb = velocities(tb.final_state, g, tb.params)
-        cross.append(CrossRow(lo, hi, norm(drho, g, "l1"), norm(wa - wb, g, "linf")))
+    cross = [CrossRow(lo, hi, norm(finals[lo][0] - finals[hi][0], g, "l1"),
+                      norm(finals[lo][1] - finals[hi][1], g, "linf"))
+             for lo, hi in zip(cfg.gammas, cfg.gammas[1:]) if lo in finals and hi in finals]
 
     return SweepReport(rows=tuple(rows), cross=tuple(cross), fit=fit_congestion_rate(rows),
                        failures=tuple(failures))

@@ -37,6 +37,22 @@ CONSTANT = shipped("constant_state")
 SWEEP = shipped("standard_sweep")
 
 
+def write_config(tmp_path, text, name="run.cfg"):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def shipped_config(tmp_path, case, changes, out_dir, name="run.cfg"):
+    """The shipped config ``case`` with the keys of ``changes`` set and its
+    output in ``out_dir``, written to ``tmp_path / name``."""
+    changes = dict(changes, **{"output.dir": out_dir})
+    lines = [line for line in (CONFIG_DIR / f"{case}.cfg").read_text(
+        encoding="utf-8").splitlines() if line.partition("=")[0].strip() not in changes]
+    lines += [f"{key} = {value}" for key, value in changes.items()]
+    return write_config(tmp_path, "\n".join(lines) + "\n", name=name)
+
+
 def run_case(case: RunConfig, formulation: str, n_cells: int, t_end: float | None = None,
              gamma: float | None = None, recipe=None, sink=None):
     """Run a shipped case, overriding only what the caller names."""

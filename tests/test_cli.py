@@ -15,7 +15,7 @@ import congestion_sim.cli as cli
 import congestion_sim.initial_data as initial_data_mod
 import congestion_sim.solver as solver_mod
 import congestion_sim.sweep as sweep_mod
-from conftest import CONSTANT, STANDARD
+from conftest import CONSTANT, STANDARD, shipped_config, write_config
 from congestion_sim.config import (
     CONFIG_KEYS,
     config_key_help,
@@ -25,9 +25,9 @@ from congestion_sim.config import (
 )
 from congestion_sim.diagnostics import summarize_initial_data
 from congestion_sim.errors import ConfigError, LinearSolveError, SaturationError, VacuumError
-from congestion_sim.grid import Grid
+from congestion_sim.grid import Grid, ddx_central
 from congestion_sim.initial_data import InitRecipe, build_profiles, make_initial_data
-from congestion_sim.model import ModelParams, U_FORM, W_FORM
+from congestion_sim.model import ModelParams, State, U_FORM, W_FORM, state_fields
 
 BASE_CONFIG = """
 # smoke configuration
@@ -41,22 +41,6 @@ init.w_amp = 0.0
 time.t_end = 0.05
 diagnostics.every = 0.01
 """
-
-
-def write_config(tmp_path, text, name="run.cfg"):
-    path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
-    return str(path)
-
-
-def shipped_config(tmp_path, case, changes, out_dir, name="run.cfg"):
-    """The shipped config ``case`` with the keys of ``changes`` set and its
-    output in ``out_dir``, written to ``tmp_path / name``."""
-    changes = dict(changes, **{"output.dir": out_dir})
-    lines = [line for line in (cli.CONFIG_DIR / f"{case}.cfg").read_text(
-        encoding="utf-8").splitlines() if line.partition("=")[0].strip() not in changes]
-    lines += [f"{key} = {value}" for key, value in changes.items()]
-    return write_config(tmp_path, "\n".join(lines) + "\n", name=name)
 
 
 # ------------------------------------------------------------------ parsing
@@ -121,7 +105,7 @@ def test_make_initial_data_constant():
     g = Grid(64)
     params = ModelParams(CONSTANT.gamma)
     state = make_initial_data(CONSTANT.recipe, g, params, U_FORM)
-    summary = summarize_initial_data(state, g, params)
+    summary = summarize_initial_data(state, state_fields(state, g, params), g, params)
     assert np.all(state.rho == 0.8)
     assert summary.mean_rho0 == pytest.approx(0.8, abs=1e-15)
 
@@ -130,7 +114,8 @@ def test_make_initial_data_cosine_extrema():
     g = Grid(512)
     recipe = InitRecipe(kind="cosine", rho_mean=0.85, rho_amp=0.1, w_amp=0.0)
     params = ModelParams(5.0)
-    summary = summarize_initial_data(make_initial_data(recipe, g, params, W_FORM), g, params)
+    state = make_initial_data(recipe, g, params, W_FORM)
+    summary = summarize_initial_data(state, state_fields(state, g, params), g, params)
     assert summary.rho0_min == pytest.approx(0.75, abs=1e-4)
     assert summary.rho0_max == pytest.approx(0.95, abs=1e-4)
     assert summary.mean_rho0 == pytest.approx(0.85, abs=1e-12)
@@ -493,10 +478,10 @@ def test_failed_snapshot_record_fails_its_row_only(tmp_path, monkeypatch, capsys
     t_fail = float(next(t for t in alone[20.0].series("t") if t > 0.1))
     real = solver_mod.record
 
-    def record(state, g, params, accums, summary):
+    def record(state, fields, g, params, accums, summary):
         if params.gamma == 20.0 and state.t > 0.1:
             raise SaturationError("synthetic overflow", cell=3)
-        return real(state, g, params, accums, summary)
+        return real(state, fields, g, params, accums, summary)
 
     monkeypatch.setattr(solver_mod, "record", record)
     assert cli.main(["sweep", "--config", sweep_cfg]) == 0
@@ -640,6 +625,30 @@ def test_records_reach_the_file_as_they_are_taken(tmp_path, monkeypatch):
     assert cli.main(["simulate", "--config", cfg]) == 0
     # snapshot k is written after the records of snapshots 0 to k-1
     assert lines_seen == list(range(6))
+
+
+def test_each_state_takes_its_logs_once(tmp_path, monkeypatch):
+    # 2 logs of rho per state (p, then lambda, in state_fields), 1 per
+    # snapshot record (H), 1 per written snapshot (pi) and 1 in the initial
+    # summary (H); re-deriving u, w and lambda in the step, the records, the
+    # summary and the writer took 92 logs on this run
+    import congestion_sim.model as model_mod
+
+    out_dir = tmp_path / "out"
+    cfg = shipped_config(tmp_path, "standard_smooth", {
+        "grid.n_cells": "64", "time.t_end": "0.02", "diagnostics.every": "1e-6"}, out_dir)
+    logs, real = [], model_mod._checked_log
+
+    def counting(rho, params):
+        logs.append(np.shape(rho))
+        return real(rho, params)
+
+    monkeypatch.setattr(model_mod, "_checked_log", counting)
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    n_steps = json.loads((out_dir / "summary.json").read_text())["n_steps"]
+    n_snapshots = len((out_dir / "diagnostics.jsonl").read_text().splitlines())
+    assert (n_steps, n_snapshots) == (12, 13)
+    assert len(logs) == 2 * (n_steps + 1) + 2 * n_snapshots + 1 == 53
 
 
 @pytest.mark.parametrize("changes,code", [
@@ -849,6 +858,23 @@ def test_snapshot_csv_matches_per_value_format(tmp_path, monkeypatch):
     want = "x,rho,u,w,pi,W,V\n" + "".join(
         ",".join(format(float(v), ".17g") for v in row) + "\n" for row in zip(*cols))
     assert path.read_text(encoding="utf-8") == want
+
+
+def test_snapshot_V_column_cases():
+    # the V column is the diffusion flux lambda(rho) dx u of the snapshot's fields
+    g = Grid(1024)
+    rho = np.ones(1024)
+    u = np.sin(2.0 * np.pi * g.x)
+
+    def V(u, gamma):
+        params, state = ModelParams(gamma), State(0.0, rho, rho * u, U_FORM)
+        snap = solver_mod.Snapshot(state, state_fields(state, g, params), None, None)
+        return cli._snapshot_columns(g, snap, params)[cli.SNAPSHOT_COLUMNS.index("V")]
+
+    assert np.max(np.abs(V(u, 5.0) - 5.0 * 2.0 * np.pi * np.cos(2.0 * np.pi * g.x))) <= 5e-4
+    assert np.all(V(np.full(1024, 1.5), 5.0) == 0.0)
+    # with lambda = 4 exactly, V / lambda recovers the gradient exactly
+    assert np.array_equal(V(u, 4.0) / 4.0, ddx_central(u, g))
 
 
 def test_mms_subcommand():

@@ -8,16 +8,17 @@ from conftest import CONSTANT, STANDARD, observed_order, run_case
 import congestion_sim.diagnostics as diag
 from congestion_sim.grid import Grid, ddx_central, integrate
 from congestion_sim.initial_data import make_initial_data
-from congestion_sim.model import ModelParams, State, U_FORM, W_FORM
+from congestion_sim.model import ModelParams, State, U_FORM, W_FORM, state_fields
 
 
 def make_record(rho, mom, gamma, formulation=U_FORM, t=0.0, n=64):
     g = Grid(n)
     params = ModelParams(gamma)
     state = State(t, rho, mom, formulation)
-    summary = diag.summarize_initial_data(state, g, params)
+    fields = state_fields(state, g, params)
+    summary = diag.summarize_initial_data(state, fields, g, params)
     accums = diag.Accumulators(int_mass_flux=np.zeros(n))
-    return diag.record(state, g, params, accums, summary), summary, g, params
+    return diag.record(state, fields, g, params, accums, summary), summary, g, params
 
 
 def closed_form_switching(rho, gamma):
@@ -87,7 +88,7 @@ def test_initial_summary_values():
     g = Grid(256)
     params = ModelParams(10.0)
     state = make_initial_data(STANDARD.recipe, g, params, W_FORM)
-    summary = diag.summarize_initial_data(state, g, params)
+    summary = diag.summarize_initial_data(state, state_fields(state, g, params), g, params)
     # cell centres sit half a cell away from the analytic extrema
     assert summary.rho0_min == pytest.approx(0.7, abs=1e-4)
     assert summary.rho0_max == pytest.approx(0.9, abs=1e-4)
@@ -107,7 +108,8 @@ def test_M0_nonnegative_for_any_periodic_w():
         rho = 0.5 + 0.4 * rng.random(64)
         w = rng.normal(size=64)
         state = State(0.0, rho, rho * w, W_FORM)
-        assert diag.summarize_initial_data(state, g, params).M0 >= 0.0
+        fields = state_fields(state, g, params)
+        assert diag.summarize_initial_data(state, fields, g, params).M0 >= 0.0
 
 
 def test_lower_bound_margin_zero_at_start_and_constant_case():

@@ -11,12 +11,12 @@ from congestion_sim.model import (
     State,
     U_FORM,
     W_FORM,
-    compute_V,
     compute_W,
     enthalpy_H,
     lambda_visc,
     potential_pi,
     pressure,
+    state_fields,
     u_to_w,
     velocities,
     w_to_u,
@@ -187,20 +187,6 @@ def test_compute_W_times_rho_recovers_gradient():
                        rtol=1e-14, atol=1e-14)
 
 
-def test_compute_V_cases():
-    g = Grid(1024)
-    params = ModelParams(5.0)
-    rho = np.ones(1024)
-    u = np.sin(2.0 * np.pi * g.x)
-    V = compute_V(rho, u, g, params)
-    assert np.max(np.abs(V - 5.0 * 2.0 * np.pi * np.cos(2.0 * np.pi * g.x))) <= 5e-4
-    assert np.all(compute_V(rho, np.full(1024, 1.5), g, params) == 0.0)
-    # with lambda = 4 exactly, V / lambda recovers the gradient exactly
-    params4 = ModelParams(4.0)
-    V4 = compute_V(rho, u, g, params4)
-    assert np.array_equal(V4 / 4.0, ddx_central(u, g))
-
-
 def test_state_validation():
     with pytest.raises(ValueError):
         State(0.0, np.ones(8), np.ones(7), U_FORM)
@@ -219,3 +205,32 @@ def test_velocities():
     u, w_back = velocities(state, g, params)
     assert np.allclose(w_back, w, atol=1e-15)
     assert np.allclose(u, w - ddx_central(pressure(rho, params), g), atol=1e-15)
+
+
+@pytest.mark.parametrize("formulation", [U_FORM, W_FORM])
+def test_state_fields_match_their_definitions(formulation):
+    # every field bit for bit against the function that defines it, for one
+    # state and for a batch whose rows are those states at their own gamma
+    g = Grid(64)
+    rhos = np.stack([0.8 + 0.1 * np.cos(2.0 * np.pi * g.x),
+                     0.9 - 0.05 * np.sin(2.0 * np.pi * g.x)])
+    moms = rhos * np.stack([0.2 * np.sin(2.0 * np.pi * g.x), np.cos(2.0 * np.pi * g.x)])
+    gammas = (4.0, 40.0)
+
+    def checked(state, params):
+        fields = state_fields(state, g, params)
+        dxp = ddx_central(pressure(state.rho, params), g)
+        carried = state.mom / state.rho
+        u, w = (carried, carried + dxp) if formulation == U_FORM else (carried - dxp, carried)
+        assert np.array_equal(fields.p, pressure(state.rho, params))
+        assert np.array_equal(fields.dxp, ddx_central(fields.p, g))
+        assert np.array_equal(fields.lam, lambda_visc(state.rho, params))
+        assert np.array_equal(fields.u, u) and np.array_equal(fields.w, w)
+        return fields
+
+    batch = checked(State(np.zeros(2), rhos, moms, formulation),
+                    ModelParams(np.array(gammas)[:, None]))
+    for i, gamma in enumerate(gammas):
+        single = checked(State(0.0, rhos[i], moms[i], formulation), ModelParams(gamma))
+        for got, want in zip(batch, single):
+            assert np.array_equal(got[i], want)

@@ -13,7 +13,7 @@ from congestion_sim.diagnostics import trajectory_checks
 from congestion_sim.errors import CflError, LinearSolveError, NonFiniteError, VacuumError
 from congestion_sim.grid import Grid, integrate
 from congestion_sim.initial_data import make_initial_data
-from congestion_sim.model import ModelParams, State, U_FORM, W_FORM
+from congestion_sim.model import ModelParams, State, U_FORM, W_FORM, state_fields
 from congestion_sim.solver import (
     SchemeConfig,
     compute_dt,
@@ -331,6 +331,11 @@ def test_sink_gets_one_call_per_record_in_order():
         mine = [snap for _, gm, snap in calls if gm == gamma]
         assert [snap.rec for snap in mine] == traj.records
         assert np.array_equal(mine[-1].state.rho, traj.final_state.rho)
+        # each snapshot's fields are its state's, copied out of the batch
+        for snap in mine:
+            want = state_fields(snap.state, Grid(64), ModelParams(gamma))
+            assert all(f.base is None and np.array_equal(f, w)
+                       for f, w in zip(snap.fields, want))
 
 
 def test_memory_does_not_grow_with_the_snapshot_count():

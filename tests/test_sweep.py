@@ -11,7 +11,7 @@ from congestion_sim.diagnostics import summarize_initial_data
 from congestion_sim.errors import ConfigError, RunFailure
 from congestion_sim.grid import Grid
 from congestion_sim.initial_data import InitRecipe, make_initial_data
-from congestion_sim.model import U_FORM, W_FORM, ModelParams, State
+from congestion_sim.model import U_FORM, W_FORM, ModelParams, State, state_fields
 from congestion_sim.solver import FailedRun, run_simulation
 from congestion_sim.sweep import (
     GammaRow,
@@ -98,7 +98,8 @@ def largest_gamma_summary(recipe, gammas, g):
     """A sweep's admissibility check of its recipe, which is against the
     largest gamma, then the initial-data summary at that gamma."""
     params = ModelParams(max(gammas))
-    return summarize_initial_data(make_initial_data(recipe, g, params, W_FORM), g, params)
+    state = make_initial_data(recipe, g, params, W_FORM)
+    return summarize_initial_data(state, state_fields(state, g, params), g, params)
 
 
 def closed_form_switching(rho, gamma):
@@ -293,21 +294,22 @@ def test_fit_congestion_rate_exact_synthetic():
 
 
 def test_failed_rows_are_reported_not_fatal(monkeypatch):
+    import congestion_sim.model as model_mod
     from congestion_sim.errors import VacuumError
 
     config = sweep_config((5.0, 10.0, 20.0))
     plain = plain_runs(config)
-    real = solver_mod.lambda_visc
+    real = model_mod.lambda_visc
 
     def flaky(rho, params):
-        # the step's viscosity sees the whole batch; gamma 10's row fails
+        # the batch's state fields see the whole batch; gamma 10's row fails
         gammas = list(np.ravel(params.gamma))
         if np.ndim(rho) == 2 and 10.0 in gammas:
             raise VacuumError("synthetic vacuum", t=0.1, cell=3, gamma=10.0,
                               row=gammas.index(10.0))
         return real(rho, params)
 
-    monkeypatch.setattr(solver_mod, "lambda_visc", flaky)
+    monkeypatch.setattr(model_mod, "lambda_visc", flaky)
     report = run_sweep(config)
     by_gamma = {row.gamma: row for row in report.rows}
     assert not by_gamma[5.0].failed and not by_gamma[20.0].failed
