@@ -20,10 +20,6 @@ class DomainError(ValueError):
     """Constitutive function evaluated outside its domain (rho <= 0)."""
 
 
-class CflError(ValueError):
-    """Explicit transport step requested with dt above the CFL limit."""
-
-
 class RunFailure(RuntimeError):
     """A run that cannot go on, and where it stopped.
 

@@ -25,6 +25,8 @@ Runs that differ only in gamma step as one batch: their fields are the
 rows of 2D arrays, gamma is a column and each per-row value (t, dt, the
 time integrals) has one entry per row.  The same functions serve a
 single run, whose fields stay 1D and whose per-row values are scalars.
+A positivity rescue halves the dt of the failing rows only and redoes
+every row's density, with the same bits where a row's dt did not change.
 
 A small batch step is bound by the count of numpy calls, so the step
 path keeps it low with the same bits: per-row flags are read as lists
@@ -50,7 +52,6 @@ from .diagnostics import (
     summarize_initial_data,
 )
 from .errors import (
-    CflError,
     LinearSolveError,
     NonFiniteError,
     RunFailure,
@@ -182,11 +183,6 @@ def _where(cond, a, b):
     if cond.ndim:
         return np.where(cond, a, b)
     return a if cond else b
-
-
-def _rows_of(rows, sub):
-    """Batch indices of the entries ``sub`` of ``rows`` (Ellipsis: all rows)."""
-    return sub if rows is Ellipsis else rows[sub]
 
 
 def compute_dt(state: State, g: Grid, params: ModelParams,
@@ -376,7 +372,8 @@ def _step(state: State, g: Grid, params: ModelParams, config: SchemeConfig,
     positivity rescue halves dt and redoes only the density (and, in the
     w-formulation, its mass solve); the momentum is then updated once, at
     the accepted dt.  In a batch, a row that loses positivity halves only
-    its own dt and only its own block is solved again.
+    its own dt, and the density is redone for every row: a row whose dt
+    did not change gets the same bits again.
     """
     if fields is None:
         fields = state_fields(state, g, params)
@@ -393,64 +390,42 @@ def _step(state: State, g: Grid, params: ModelParams, config: SchemeConfig,
     # the w-formulation's lagged diffusion coefficient pi'(rho) = gamma p(rho)
     diff_face = None if u_form else _face_mean(params.gamma * fields.p)
 
-    def solve(rows, mass_diag, coeff_face, rhs, d):
-        try:
-            return _implicit_diffusion_solve(mass_diag, coeff_face, rhs, g, d)
-        except RunFailure as err:
-            if err.row is not None:
-                err.row = int(_rows_of(rows, err.row))
-            raise
-
-    def density(rows, d):
-        """The density of ``rows`` after the steps ``d`` and, in the
-        w-formulation, the diffusive face flux its mass solve applied."""
-        rho_star = rho[rows] - d * div_rho[rows]
+    def density(d):
+        """The density after the steps ``d`` and, in the w-formulation, the
+        diffusive face flux its mass solve applied."""
+        rho_star = rho - d * div_rho
         if forcing is not None:
             rho_star = rho_star + d * forcing[0]
         if u_form:
             return rho_star, None
-        coeff = diff_face[rows]
-        rho_new = solve(rows, 1.0, coeff, rho_star, d)
-        return rho_new, coeff * forward_difference(rho_new) / g.dx
+        rho_new = _implicit_diffusion_solve(1.0, diff_face, rho_star, g, d)
+        return rho_new, diff_face * forward_difference(rho_new) / g.dx
 
+    # the positivity rescue: only the failing rows halve their dt
+    for _ in range(config.max_halvings + 1):
+        rho_new, dpi_face = density(_col(dt))
+        bad = rho_new.min(axis=-1) <= 0.0
+        if not _any(bad):
+            break
+        dt = _where(bad, 0.5 * dt, dt)
+    else:
+        at, row = _first_row(bad)
+        t = float(np.asarray(state.t)[at])
+        cell = int(np.argmin(rho_new[at]))
+        gamma = params.gamma if row is None else params.row(row).gamma
+        raise VacuumError(
+            f"density reached zero at t={t:.6g}, cell {cell}; "
+            f"{config.max_halvings} dt halvings exhausted",
+            t=t, cell=cell, gamma=gamma, row=row,
+        )
     d = _col(dt)
-    rho_new, dpi_face = density(..., d)
-    bad = rho_new.min(axis=-1) <= 0.0
-    dt_new = dt
-    if _any(bad):
-        # the rescue: the failing rows halve their dt and redo their density
-        rows, dt_new = ..., np.array(dt, dtype=float)
-        for _ in range(config.max_halvings):
-            if bad.ndim:
-                rows = _rows_of(rows, np.flatnonzero(bad))
-            dt_new[rows] *= 0.5
-            rho_try, dpi_try = density(rows, _col(dt_new[rows]))
-            rho_new[rows] = rho_try
-            if dpi_face is not None:
-                dpi_face[rows] = dpi_try
-            bad = rho_try.min(axis=-1) <= 0.0
-            if not _any(bad):
-                break
-        else:
-            at, row = _first_row(bad)
-            if row is not None:
-                row = int(_rows_of(rows, row))
-            t = float(np.asarray(state.t)[() if row is None else row])
-            cell = int(np.argmin(rho_new[rows][at]))
-            gamma = params.gamma if row is None else params.row(row).gamma
-            raise VacuumError(
-                f"density reached zero at t={t:.6g}, cell {cell}; "
-                f"{config.max_halvings} dt halvings exhausted",
-                t=t, cell=cell, gamma=gamma, row=row,
-            )
-        d = _col(dt_new)
 
     # the momentum, once per row at its accepted dt
     mom_star = mom - d * div_mom
     if forcing is not None:
         mom_star = mom_star + d * forcing[1]
     if u_form:
-        mom_new = rho_new * solve(..., rho_new, lam_face, mom_star, d)
+        mom_new = rho_new * _implicit_diffusion_solve(rho_new, lam_face, mom_star, g, d)
     else:
         # the momentum cross flux w * dx(pi) at faces reuses the discrete
         # diffusive flux the mass solve applied
@@ -458,7 +433,7 @@ def _step(state: State, g: Grid, params: ModelParams, config: SchemeConfig,
     if faces is not None:
         faces.mass_flux = flux_rho if u_form else flux_rho - dpi_face
         faces.lam_face = lam_face
-    return State(state.t + dt_new, rho_new, mom_new, state.formulation)
+    return State(state.t + dt, rho_new, mom_new, state.formulation)
 
 
 def step_u_form(state: State, g: Grid, params: ModelParams,
@@ -498,24 +473,6 @@ def step_w_form(state: State, g: Grid, params: ModelParams,
     if state.formulation != W_FORM:
         raise ValueError("step_w_form requires a w-formulation state")
     return _step(state, g, params, config, dt, sources, fields, faces)
-
-
-def step_W_transport(W: Field, u: Field, g: Grid, dt: float) -> Field:
-    """Monotone upwind update of the pure transport equation for W.
-
-    Each output value is a convex combination of old neighbouring values,
-    so the discrete max cannot grow and the min cannot shrink.  Requires
-    dt * max|u| <= dx.
-    """
-    W = as_field(W, g)
-    u = as_field(u, g)
-    courant = dt * float(np.max(np.abs(u))) / g.dx
-    if courant > 1.0 + 1e-14:
-        raise CflError(f"transport step violates CFL: dt*max|u|/dx = {courant:.4g}")
-    u_pos = np.maximum(u, 0.0)
-    u_neg = np.minimum(u, 0.0)
-    return W - (dt / g.dx) * (u_pos * backward_difference(W)
-                              + u_neg * forward_difference(W))
 
 
 def _accumulate(accums: Accumulators, old: State, fields: StateFields,

@@ -10,6 +10,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from congestion_sim.cli import CONFIG_DIR
 from congestion_sim.config import RunConfig, load_run_config
+from congestion_sim.grid import Grid, as_field, backward_difference, forward_difference
 from congestion_sim.initial_data import make_initial_data
 from congestion_sim.model import ModelParams, U_FORM, W_FORM
 from congestion_sim.sweep import run_config
@@ -109,6 +110,31 @@ def travelling_w_512():
 @pytest.fixture(scope="session")
 def constant_u_256():
     return run_case(CONSTANT, U_FORM, 256)
+
+
+# the pure transport step of W that the maximum-principle tests run; no run
+# of the program takes it
+
+class CflError(ValueError):
+    """Explicit transport step requested with dt above the CFL limit."""
+
+
+def step_W_transport(W, u, g: Grid, dt: float):
+    """Monotone upwind update of the pure transport equation for W.
+
+    Each output value is a convex combination of old neighbouring values,
+    so the discrete max cannot grow and the min cannot shrink.  Requires
+    dt * max|u| <= dx.
+    """
+    W = as_field(W, g)
+    u = as_field(u, g)
+    courant = dt * float(np.max(np.abs(u))) / g.dx
+    if courant > 1.0 + 1e-14:
+        raise CflError(f"transport step violates CFL: dt*max|u|/dx = {courant:.4g}")
+    u_pos = np.maximum(u, 0.0)
+    u_neg = np.minimum(u, 0.0)
+    return W - (dt / g.dx) * (u_pos * backward_difference(W)
+                              + u_neg * forward_difference(W))
 
 
 def observed_order(coarse: float, fine: float) -> float:

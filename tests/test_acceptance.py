@@ -9,12 +9,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import STANDARD, SWEEP, observed_order, run_case
+from conftest import STANDARD, SWEEP, observed_order, run_case, step_W_transport
 import congestion_sim.diagnostics as diag
 from congestion_sim.diagnostics import TOL
 from congestion_sim.grid import Grid, norm
 from congestion_sim.model import U_FORM, W_FORM
-from congestion_sim.solver import step_W_transport
 from congestion_sim.sweep import run_sweep
 from congestion_sim.verify import (
     dense_oracle_checks,

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import CONSTANT, STANDARD, observed_order, run_case
+from conftest import CONSTANT, STANDARD, observed_order, run_case, step_W_transport
 import congestion_sim.diagnostics as diag
 from congestion_sim.grid import Grid, ddx_central, integrate
 from congestion_sim.initial_data import make_initial_data
@@ -187,7 +187,6 @@ def test_energy_band_edges(standard_u_256, constant_u_256):
 
 def test_rhoW2_static_velocity_frozen_transport():
     # u = 0 and static rho: the transported potential never changes
-    from congestion_sim.solver import step_W_transport
     g = Grid(64)
     rho = 0.5 + 0.4 * np.cos(2.0 * np.pi * g.x)
     W = np.sin(2.0 * np.pi * g.x) / rho

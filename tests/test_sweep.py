@@ -8,7 +8,7 @@ import congestion_sim.solver as solver_mod
 from conftest import CONSTANT, SWEEP
 from congestion_sim.config import parse_config_text, resolve_run_config
 from congestion_sim.diagnostics import summarize_initial_data
-from congestion_sim.errors import ConfigError, RunFailure
+from congestion_sim.errors import ConfigError, LinearSolveError, RunFailure
 from congestion_sim.grid import Grid
 from congestion_sim.initial_data import InitRecipe, make_initial_data
 from congestion_sim.model import U_FORM, W_FORM, ModelParams, State, state_fields
@@ -203,15 +203,22 @@ def test_batched_rows_equal_their_plain_runs(config):
     assert_rows_match_plain_runs(run_sweep(config), plain, config.gammas)
 
 
-def stiffness_limited_solve(limit):
+def stiffness_limited_solve(limit, band=(np.inf, np.inf)):
     """The real solve, except that a row whose diagonal exceeds ``limit``
-    comes back negative, which forces the positivity rescue on that row;
-    what a row gets depends on that row alone."""
+    comes back negative, which forces the positivity rescue on that row,
+    and a row whose largest diagonal entry lies in ``band`` = (lo, hi]
+    fails with a LinearSolveError that names its row in the stack it was
+    given (None for one system); what a row gets depends on that row alone."""
     real = solver_mod.solve_cyclic_tridiagonal
 
     def solve(sub, diag, sup, corner_lo, corner_hi, rhs, tol=1e-10):
+        top = np.max(diag, axis=-1, keepdims=True)
+        in_band = (band[0] < top[..., 0]) & (top[..., 0] <= band[1])
+        if in_band.any():
+            raise LinearSolveError("largest diagonal entry in the failing band",
+                                   row=int(np.argmax(in_band)) if diag.ndim > 1 else None)
         x = real(sub, diag, sup, corner_lo, corner_hi, rhs, tol)
-        return np.where(np.max(diag, axis=-1, keepdims=True) > limit, -x, x)
+        return np.where(top > limit, -x, x)
 
     return ("solve_cyclic_tridiagonal", solve)
 
@@ -252,6 +259,28 @@ def test_positivity_rescue_is_per_row(monkeypatch, formulation, patch, max_halvi
             assert "halvings exhausted" in str(failed.error)
             assert failed.error.gamma == gamma
             assert failed.error.row == config.gammas.index(gamma)
+
+
+def test_solve_failure_in_a_batch_rescue_names_its_batch_row(monkeypatch):
+    # gamma 20's second step has a largest diagonal entry of 36.98, above the
+    # limit, and its one halving takes it to 18.99, into the band: the solve
+    # fails while the rescue redoes the density, and must name the batch row;
+    # gammas 2 and 5 never reach the band, and gamma 5 takes rescues of its own
+    scheme = dataclasses.replace(SWEEP.scheme, formulation=W_FORM)
+    config = sweep_config((2.0, 5.0, 20.0), n_cells=64, t_end=0.1, scheme=scheme)
+    monkeypatch.setattr(solver_mod, *stiffness_limited_solve(30.0, band=(18.9, 19.0)))
+    plain_snapshots, batched_snapshots = {}, {}
+    plain = plain_runs(config, plain_snapshots)
+    batched = batched_runs(config, batched_snapshots)
+    for gamma in (2.0, 5.0):
+        assert_same_trajectory(batched[gamma], plain[gamma],
+                               batched_snapshots[gamma], plain_snapshots[gamma])
+    failed = batched[20.0]
+    assert isinstance(failed, FailedRun)
+    assert type(failed.error) is type(plain[20.0]) is LinearSolveError
+    assert str(failed.error) == str(plain[20.0])
+    assert failed.error.gamma == 20.0
+    assert failed.error.row == 2
 
 
 def test_sweep_switching_monotone_on_shipped_recipe():

@@ -49,3 +49,5 @@ def test_per_step_ratios_and_velocities_layer_are_measured(tmp_path):
     sweep = traced_layer_stats(tmp_path, "sweep", "standard_sweep",
                                {"sweep.gammas": "5, 10, 20", "time.t_end": "0.05"})
     assert sweep["layers"]["model.velocities"]["calls"] == 3
+    # a w_form rescue adds a solve, so 1.0 says the batch took none
+    assert sweep["solves_per_step"] == 1.0

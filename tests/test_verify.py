@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import step_W_transport
 from congestion_sim.grid import Grid
 from congestion_sim.model import ModelParams, State, U_FORM, W_FORM
-from congestion_sim.solver import SchemeConfig, run_simulation, step_W_transport
+from congestion_sim.solver import SchemeConfig, run_simulation
 from congestion_sim.verify import (
     CASES,
     average_down,
