@@ -15,7 +15,10 @@ The ``invariants`` suite of ``verify`` runs every single-gamma config
 the source tree, so adding a config there adds a verified case.
 
 Data files are deterministic: no timestamps inside them (timestamps go
-to the run log), floats serialized with 17 significant digits.
+to the run log), floats serialized with 17 significant digits.  Each value
+of a snapshot CSV is exactly ``'%.17g' % v``: ``textfmt.csv_blocks``
+formats them with numpy, a block of rows at a time, and falls back to
+``'%.17g' % v`` for each value it cannot settle.
 """
 from __future__ import annotations
 
@@ -37,9 +40,10 @@ from .config import RunConfig, config_key_help, load_run_config
 from .errors import ConfigError, RunFailure
 from .grid import Grid, ddx_central
 from .initial_data import build_profiles
-from .model import ModelParams, U_FORM, W_FORM, compute_W, potential_pi
+from .model import ModelParams, U_FORM, W_FORM
 from .solver import Trajectory
 from .sweep import GammaRow, SweepReport, run_config, run_sweep
+from .textfmt import csv_blocks
 from .verify import (
     CASES,
     convergence_study,
@@ -62,21 +66,23 @@ EXIT_RUNTIME = 3
 FLOAT_FORMAT = "%.17g"
 
 SNAPSHOT_COLUMNS = ("x", "rho", "u", "w", "pi", "W", "V")
-_SNAPSHOT_ROW = ",".join([FLOAT_FORMAT] * len(SNAPSHOT_COLUMNS)) + "\n"
 
 
-def _snapshot_columns(g: Grid, snap, params: ModelParams) -> list:
-    """The ``SNAPSHOT_COLUMNS``; u, w and lambda (in V = lambda dx u) are the snapshot's."""
-    rho, fields = snap.state.rho, snap.fields
-    return [g.x, rho, fields.u, fields.w, potential_pi(rho, params),
-            compute_W(rho, fields.w, g), fields.lam * ddx_central(fields.u, g)]
+def _snapshot_columns(g: Grid, snap) -> list:
+    """The ``SNAPSHOT_COLUMNS``; u, w, pi, W and lambda (in V = lambda dx u)
+    are the snapshot's."""
+    fields = snap.fields
+    return [g.x, snap.state.rho, fields.u, fields.w, snap.pi, snap.W,
+            fields.lam * ddx_central(fields.u, g)]
 
 
 def write_snapshot_csv(path: str, g: Grid, snap, params: ModelParams) -> None:
-    cols = _snapshot_columns(g, snap, params)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(SNAPSHOT_COLUMNS) + "\n")
-        fh.writelines(_SNAPSHOT_ROW % row for row in zip(*(col.tolist() for col in cols)))
+    """Write ``snap``'s ``SNAPSHOT_COLUMNS`` to ``path`` as CSV; ``params``
+    is not read, as the snapshot carries pi and W."""
+    values = np.column_stack(_snapshot_columns(g, snap))
+    with open(path, "wb") as fh:
+        fh.write((",".join(SNAPSHOT_COLUMNS) + "\n").encode("ascii"))
+        fh.writelines(csv_blocks(values))
 
 
 def snapshot_writer(write, out_dir: str, out_format: str):
@@ -90,7 +96,7 @@ def snapshot_writer(write, out_dir: str, out_format: str):
             write_snapshot_csv(os.path.join(out_dir, f"snapshot_{next(index):04d}.csv"),
                                g, snap, params)
         else:
-            cols = (col.tolist() for col in _snapshot_columns(g, snap, params))
+            cols = (col.tolist() for col in _snapshot_columns(g, snap))
             write("snapshots.jsonl",
                   json.dumps({"t": snap.state.t, **dict(zip(SNAPSHOT_COLUMNS, cols))}))
         write("diagnostics.jsonl", json.dumps(dataclasses.asdict(snap.rec)))

@@ -206,13 +206,16 @@ def rho_p_balance_residual(H_total: float, accums: Accumulators,
 
 
 def record(state: State, fields: StateFields, g: Grid, params: ModelParams,
-           accums: Accumulators, summary: InitialDataSummary) -> DiagnosticsRecord:
+           accums: Accumulators, summary: InitialDataSummary,
+           ) -> tuple[DiagnosticsRecord, Field, Field]:
     """Evaluate every monitored functional on one state.
 
-    Pure function of its inputs: identical state, fields and accumulators
-    give an identical record.  The velocities are read from ``fields``,
-    the state's ``model.state_fields``; rho^(gamma+1) is evaluated once,
-    as H, and pi is gamma * H, as in ``potential_pi``.
+    Returns ``(record, pi, W)``: the record and the cell fields pi and W it
+    was computed from, which a snapshot writer reads instead of evaluating
+    them again.  Pure function of its inputs: identical state, fields and
+    accumulators give an identical record.  The velocities are read from
+    ``fields``, the state's ``model.state_fields``; rho^(gamma+1) is
+    evaluated once, as H, and pi is gamma * H, as in ``potential_pi``.
     """
     rho = as_field(state.rho, g)
     u, w = fields.u, fields.w
@@ -222,7 +225,7 @@ def record(state: State, fields: StateFields, g: Grid, params: ModelParams,
     H_total = integrate(H, g)
     ke_u = integrate(rho * u * u, g)
     rho_min = float(np.min(rho))
-    return DiagnosticsRecord(
+    rec = DiagnosticsRecord(
         t=state.t,
         mass=integrate(rho, g),
         ke_u=ke_u,
@@ -241,6 +244,7 @@ def record(state: State, fields: StateFields, g: Grid, params: ModelParams,
         H_balance_residual=H_balance_residual(H_total, accums, summary),
         rho_p_balance_residual=rho_p_balance_residual(H_total, accums, summary, params),
     )
+    return rec, pi, W
 
 
 @dataclass(frozen=True)

@@ -121,14 +121,17 @@ class Snapshot:
     sink receives it.
 
     ``fields`` are the run loop's ``state_fields`` of ``state``, copied out
-    of a batch like the state.  ``int_mass_flux`` carries the rectangle sum
-    over time of the total mass flux per face up to the snapshot, from
-    which Psi is built.
+    of a batch like the state.  ``pi`` and ``W`` are the cell fields that
+    ``record`` evaluated for ``rec``.  ``int_mass_flux`` carries the
+    rectangle sum over time of the total mass flux per face up to the
+    snapshot, from which Psi is built.
     """
 
     state: State
     fields: StateFields
     rec: DiagnosticsRecord
+    pi: np.ndarray
+    W: np.ndarray
     int_mass_flux: np.ndarray
 
 
@@ -641,12 +644,12 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
             try:
                 if row.summary is None:
                     row.summary = summarize_initial_data(*state_args)
-                rec = record(*state_args, row_accums, row.summary)
+                rec, pi, W = record(*state_args, row_accums, row.summary)
             except RunFailure as err:
                 end_row(err, i)
                 continue
             row.records.append(rec)
-            row.last = Snapshot(snap_state, row_fields, rec, row_accums.int_mass_flux)
+            row.last = Snapshot(snap_state, row_fields, rec, pi, W, row_accums.int_mass_flux)
             row.psi = psi_test_function(row.psi, row.last, g, row.summary.mean_rho0)[1]
             if sink is not None:
                 sink(g, row.params, row.last)

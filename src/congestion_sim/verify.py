@@ -1,9 +1,9 @@
 """Independent verification oracles.
 
 Three layers: manufactured solutions with hand-derived source terms,
-grid-convergence studies (manufactured or fine-grid self-reference), and
-a dense single-step oracle that re-implements one IMEX step with loop
-arithmetic and a dense linear solve, sharing no code with the solver.
+grid-convergence studies against them, and a dense single-step oracle
+that re-implements one IMEX step with loop arithmetic and a dense linear
+solve, sharing no code with the solver.
 The checks that both ``congestion-sim verify`` and the tests run are
 defined here once, each returning ``diagnostics.CheckResult``s.
 """
@@ -279,36 +279,6 @@ def convergence_study(case: ManufacturedCase, resolutions,
                               sources=case.sources(formulation))
         exact = case.exact_state(g, case.t_end, formulation)
         return traj.final_state.rho - exact.rho, traj.final_state.mom - exact.mom
-
-    return _study(resolutions, errors)
-
-
-def average_down(fine: np.ndarray, factor: int) -> np.ndarray:
-    """Exact block averaging of fine cells onto a coarser grid."""
-    arr = np.asarray(fine, dtype=float)
-    if arr.shape[0] % factor != 0:
-        raise ValueError("fine resolution must be a multiple of the factor")
-    return arr.reshape(-1, factor).mean(axis=1)
-
-
-def self_convergence_study(make_init, params: ModelParams, resolutions,
-                           t_end: float, config: SchemeConfig,
-                           refine: int = 4) -> ConvergenceStudy:
-    """Errors against a ``refine``-times-finer run of the same data.
-
-    ``make_init`` maps a Grid to the initial State; the reference run is
-    injected onto each coarse grid by exact block averaging.
-    """
-    resolutions = doubling_resolutions(resolutions)
-    g_ref = Grid(resolutions[-1] * refine)
-    ref = run_simulation(make_init(g_ref), g_ref, params, _scaled_dt(config, g_ref),
-                         t_end).final_state
-
-    def errors(g):
-        traj = run_simulation(make_init(g), g, params, _scaled_dt(config, g), t_end)
-        factor = g_ref.n_cells // g.n_cells
-        return (traj.final_state.rho - average_down(ref.rho, factor),
-                traj.final_state.mom - average_down(ref.mom, factor))
 
     return _study(resolutions, errors)
 

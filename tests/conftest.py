@@ -13,8 +13,9 @@ from congestion_sim.config import RunConfig, load_run_config
 from congestion_sim.grid import Grid, as_field, backward_difference, forward_difference
 from congestion_sim.initial_data import make_initial_data
 from congestion_sim.model import ModelParams, U_FORM, W_FORM
+from congestion_sim.solver import SchemeConfig, run_simulation
 from congestion_sim.sweep import run_config
-from congestion_sim.verify import self_convergence_study
+from congestion_sim.verify import ConvergenceStudy, _scaled_dt, _study, doubling_resolutions
 
 
 # hypothesis keeps its storage in a directory removed when the session
@@ -63,6 +64,39 @@ def run_case(case: RunConfig, formulation: str, n_cells: int, t_end: float | Non
         gamma=case.gamma if gamma is None else gamma,
         t_end=case.t_end if t_end is None else t_end), sink)
     return traj, traj.init_summary, traj.grid
+
+
+# the fine-grid self-convergence study the tests run; no run of the
+# program takes it
+
+def average_down(fine: np.ndarray, factor: int) -> np.ndarray:
+    """Exact block averaging of fine cells onto a coarser grid."""
+    arr = np.asarray(fine, dtype=float)
+    if arr.shape[0] % factor != 0:
+        raise ValueError("fine resolution must be a multiple of the factor")
+    return arr.reshape(-1, factor).mean(axis=1)
+
+
+def self_convergence_study(make_init, params: ModelParams, resolutions,
+                           t_end: float, config: SchemeConfig,
+                           refine: int = 4) -> ConvergenceStudy:
+    """Errors against a ``refine``-times-finer run of the same data.
+
+    ``make_init`` maps a Grid to the initial State; the reference run is
+    injected onto each coarse grid by exact block averaging.
+    """
+    resolutions = doubling_resolutions(resolutions)
+    g_ref = Grid(resolutions[-1] * refine)
+    ref = run_simulation(make_init(g_ref), g_ref, params, _scaled_dt(config, g_ref),
+                         t_end).final_state
+
+    def errors(g):
+        traj = run_simulation(make_init(g), g, params, _scaled_dt(config, g), t_end)
+        factor = g_ref.n_cells // g.n_cells
+        return (traj.final_state.rho - average_down(ref.rho, factor),
+                traj.final_state.mom - average_down(ref.mom, factor))
+
+    return _study(resolutions, errors)
 
 
 def standard_self_convergence(resolutions, t_end: float):

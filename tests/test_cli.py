@@ -328,8 +328,9 @@ def test_scipy_fallback_gives_shipped_summary_bits(tmp_path, monkeypatch):
     assert len(calls) >= n_steps > 0
 
 
-def test_cli_import_loads_no_scipy():
-    # importing scipy took most of the command line's start-up time
+def modules_loaded_by_cli_import(*packages: str) -> list[str]:
+    """This tree's ``congestion_sim.cli`` file, then the modules of
+    ``packages`` that importing it in a fresh interpreter loads."""
     import os
     import subprocess
     import sys
@@ -339,10 +340,21 @@ def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, congestion_sim.cli as cli; print(cli.__file__); "
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120).stdout.splitlines()
-    assert out == [cli.__file__, "[]"]
+            f"print(sorted(m for m in sys.modules if m.partition('.')[0] in {packages!r}))")
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout.splitlines()
+
+
+def test_cli_import_loads_no_scipy():
+    # importing scipy took most of the command line's start-up time
+    assert modules_loaded_by_cli_import("scipy") == [cli.__file__, "[]"]
+
+
+def test_cli_import_loads_no_fractions_or_decimal():
+    # the snapshot formatter builds its power-of-ten table in int
+    # arithmetic, so that no start-up pays for importing fractions
+    assert modules_loaded_by_cli_import("fractions", "decimal", "_decimal",
+                                        "_pydecimal") == [cli.__file__, "[]"]
 
 
 @pytest.mark.parametrize("every", ["1e-20", "1e-300"])
@@ -629,9 +641,10 @@ def test_records_reach_the_file_as_they_are_taken(tmp_path, monkeypatch):
 
 def test_each_state_takes_its_logs_once(tmp_path, monkeypatch):
     # 2 logs of rho per state (p, then lambda, in state_fields), 1 per
-    # snapshot record (H), 1 per written snapshot (pi) and 1 in the initial
-    # summary (H); re-deriving u, w and lambda in the step, the records, the
-    # summary and the writer took 92 logs on this run
+    # snapshot record (H, of which pi is made) and 1 in the initial summary
+    # (H); re-deriving u, w and lambda in the step, the records, the summary
+    # and the writer took 92 logs on this run, and re-deriving pi in the
+    # writer 53
     import congestion_sim.model as model_mod
 
     out_dir = tmp_path / "out"
@@ -648,7 +661,7 @@ def test_each_state_takes_its_logs_once(tmp_path, monkeypatch):
     n_steps = json.loads((out_dir / "summary.json").read_text())["n_steps"]
     n_snapshots = len((out_dir / "diagnostics.jsonl").read_text().splitlines())
     assert (n_steps, n_snapshots) == (12, 13)
-    assert len(logs) == 2 * (n_steps + 1) + 2 * n_snapshots + 1 == 53
+    assert len(logs) == 2 * (n_steps + 1) + n_snapshots + 1 == 40
 
 
 @pytest.mark.parametrize("changes,code", [
@@ -852,7 +865,7 @@ def test_snapshot_csv_matches_per_value_format(tmp_path, monkeypatch):
     values = np.concatenate([edge, rng.standard_normal(500)
                              * 10.0 ** rng.integers(-300, 300, size=500)])
     cols = [np.roll(values, k) for k in range(len(cli.SNAPSHOT_COLUMNS))]
-    monkeypatch.setattr(cli, "_snapshot_columns", lambda g, state, params: cols)
+    monkeypatch.setattr(cli, "_snapshot_columns", lambda g, snap: cols)
     path = tmp_path / "snapshot.csv"
     cli.write_snapshot_csv(str(path), None, None, None)
     want = "x,rho,u,w,pi,W,V\n" + "".join(
@@ -868,8 +881,9 @@ def test_snapshot_V_column_cases():
 
     def V(u, gamma):
         params, state = ModelParams(gamma), State(0.0, rho, rho * u, U_FORM)
-        snap = solver_mod.Snapshot(state, state_fields(state, g, params), None, None)
-        return cli._snapshot_columns(g, snap, params)[cli.SNAPSHOT_COLUMNS.index("V")]
+        snap = solver_mod.Snapshot(state, state_fields(state, g, params),
+                                   None, None, None, None)
+        return cli._snapshot_columns(g, snap)[cli.SNAPSHOT_COLUMNS.index("V")]
 
     assert np.max(np.abs(V(u, 5.0) - 5.0 * 2.0 * np.pi * np.cos(2.0 * np.pi * g.x))) <= 5e-4
     assert np.all(V(np.full(1024, 1.5), 5.0) == 0.0)

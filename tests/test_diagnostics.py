@@ -18,7 +18,7 @@ def make_record(rho, mom, gamma, formulation=U_FORM, t=0.0, n=64):
     fields = state_fields(state, g, params)
     summary = diag.summarize_initial_data(state, fields, g, params)
     accums = diag.Accumulators(int_mass_flux=np.zeros(n))
-    return diag.record(state, fields, g, params, accums, summary), summary, g, params
+    return diag.record(state, fields, g, params, accums, summary)[0], summary, g, params
 
 
 def closed_form_switching(rho, gamma):

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import step_W_transport
+from conftest import average_down, step_W_transport
 from congestion_sim.grid import Grid
 from congestion_sim.model import ModelParams, State, U_FORM, W_FORM
 from congestion_sim.solver import SchemeConfig, run_simulation
 from congestion_sim.verify import (
     CASES,
-    average_down,
     convergence_study,
     dense_oracle_checks,
     dense_step_oracle,
