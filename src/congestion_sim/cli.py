@@ -10,6 +10,19 @@ and gamma printed.
 (naming the LAPACK path the solves take, ``lapack <source>``) and every
 output after it, so a failed write exits 2 naming the file.
 
+``simulate`` writes its snapshots from one forked writer process
+(``forked``), so that formatting and creating the files leave the process
+that steps.  The run hands each snapshot down a pipe as it takes it; the
+writer writes its ``snapshot_NNNN.csv`` (or ``snapshots.jsonl`` line), then
+its ``diagnostics.jsonl`` line, in snapshot order.  The run writes
+``run.log`` and, once the writer has written every snapshot and ended,
+``summary.json``.  A run that is killed keeps every snapshot it handed
+over: the writer drains the pipe before it ends.  A writer that fails or
+dies ends the run with exit 2 and a ``failed`` line.  Python >= 3.12 warns
+that forking a process with threads (numpy's OpenBLAS keeps a pool) may
+deadlock the child; the writer never calls BLAS or LAPACK, so it is safe,
+and the warning is left as it is.
+
 The ``invariants`` suite of ``verify`` runs every single-gamma config
 (``model.gamma`` set) in ``CONFIG_DIR``, the ``configs/`` directory of
 the source tree, so adding a config there adds a verified case.
@@ -28,6 +41,7 @@ import dataclasses
 import itertools
 import json
 import os
+import pickle
 import sys
 import time as _time
 from pathlib import Path
@@ -102,6 +116,100 @@ def snapshot_writer(write, out_dir: str, out_format: str):
         write("diagnostics.jsonl", json.dumps(dataclasses.asdict(snap.rec)))
 
     return sink
+
+
+# what the pipe to the writer holds: about 12 snapshots of 1024 cells, so
+# the run waits for the writer only when it falls that far behind
+PIPE_BYTES = 1 << 20
+
+
+def _serve_snapshots(sink, data_fd: int, report_fd: int):
+    """The writer process's whole life: ``sink`` on each snapshot read from
+    ``data_fd`` until the run closes it, then ``os._exit``, so that it never
+    flushes or closes the files it shares with the run.  An error that ends
+    it early goes to ``report_fd`` as a pickled OSError."""
+    # imported by the writer alone: a Ctrl-C meant for the run must not cut
+    # a snapshot short or drop the ones handed over before it
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    code = 1
+    try:
+        with open(data_fd, "rb") as pipe:
+            while True:
+                try:
+                    args = pickle.load(pipe)
+                except EOFError:  # the run closed the pipe
+                    break
+                sink(*args)
+        code = 0
+    except Exception as exc:  # the writer's boundary: report, then end
+        if not isinstance(exc, OSError):
+            exc = OSError(None, f"the snapshot writer failed: {exc!r}")
+        os.write(report_fd, pickle.dumps(exc))
+    finally:
+        os._exit(code)
+
+
+@contextlib.contextmanager
+def forked(sink):
+    """Run ``sink`` in one forked writer process and yield the sink the run
+    calls, which pickles each ``(g, params, snapshot)`` down a pipe to it;
+    the writer runs ``sink`` on them in order while the run steps on.
+
+    Leaving the block closes the pipe and waits for the writer, so every
+    snapshot handed over is written when the block ends, however it ends.
+    An OSError that ended the writer (it pickles with its errno, strerror
+    and filename), or an early end without one (a signal, say), stops the
+    run at its next hand-off, whose BrokenPipeError it replaces, or is
+    raised at the end of the block; any other exception raised in the
+    block wins.  Where ``os.fork`` does not exist, ``sink`` runs in the
+    run's own process."""
+    if not hasattr(os, "fork"):
+        yield sink
+        return
+    data_r, data_w = os.pipe()
+    report_r, report_w = os.pipe()
+    import fcntl  # imported only when a run forks
+    with contextlib.suppress(AttributeError, OSError):  # Linux only; else 64 KiB
+        fcntl.fcntl(data_w, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+    pid = os.fork()
+    if pid == 0:
+        os.close(data_w)
+        os.close(report_r)
+        _serve_snapshots(sink, data_r, report_w)
+    os.close(data_r)  # so a writer that ended breaks the pipe
+    os.close(report_w)
+    pipe = open(data_w, "wb")
+
+    def hand_off(g: Grid, params: ModelParams, snap) -> None:
+        pickle.dump((g, params, snap), pipe, pickle.HIGHEST_PROTOCOL)
+        pipe.flush()
+
+    def reap():
+        """Close the pipe, wait for the writer, and return the OSError that
+        ended it early, or None."""
+        with contextlib.suppress(OSError):
+            pipe.close()
+        with open(report_r, "rb") as fh:
+            report = fh.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if report:
+            return pickle.loads(report)
+        if code:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited {code}"
+            return OSError(None, f"the snapshot writer {how}")
+        return None
+
+    try:
+        yield hand_off
+    except BaseException as exc:
+        error = reap()
+        if error is not None and isinstance(exc, BrokenPipeError):
+            raise error from None  # a hand-off found the writer gone
+        raise
+    error = reap()
+    if error is not None:
+        raise error
 
 
 def _trajectory_summary(traj: Trajectory) -> dict:
@@ -206,7 +314,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulate needs model.gamma (use the sweep subcommand "
                           "for sweep.gammas)")
     with run_log(cfg.out_dir, args.config) as write:
-        traj = run_config(cfg, snapshot_writer(write, cfg.out_dir, cfg.out_format))
+        with forked(snapshot_writer(write, cfg.out_dir, cfg.out_format)) as sink:
+            traj = run_config(cfg, sink)
         write("run.log", f"steps {traj.n_steps}\nwall_seconds {traj.wall_seconds:.3f}")
         write_summary_json(write, traj)
     print(f"simulate: {traj.n_steps} steps to t={cfg.t_end:g}, "

@@ -41,7 +41,9 @@ class Tolerances:
     lower_bound_frac: float = 1e-2       # x rho0_min, margin slack
     lower_bound_abs: float = 8e-3        # absolute margin slack, standard case
     psi_periodic: float = 1e-12
-    psi_gradient_dx: float = 5.0         # x dx bound on |ddx(Psi) - (rho - <rho>)|
+    # x dx bound on |ddx(Psi) - (rho - <rho>)|: smooth low-gamma runs read
+    # 0.314-0.316; congested ones far more, and sweep rows do not apply it
+    psi_gradient_dx: float = 0.5
     min_order: float = 0.9               # refinement class minimum observed order
 
 

@@ -1,6 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -350,6 +354,13 @@ def test_cli_import_loads_no_scipy():
     assert modules_loaded_by_cli_import("scipy") == [cli.__file__, "[]"]
 
 
+def test_cli_import_loads_no_multiprocessing():
+    # the snapshot writer is forked with os.fork and fed through os.pipe;
+    # a cold import of multiprocessing.connection would show in every start
+    assert modules_loaded_by_cli_import("multiprocessing", "concurrent") == [
+        cli.__file__, "[]"]
+
+
 def test_cli_import_loads_no_fractions_or_decimal():
     # the snapshot formatter builds its power-of-ten table in int
     # arithmetic, so that no start-up pays for importing fractions
@@ -622,21 +633,147 @@ def test_failure_after_t0_keeps_the_snapshots_taken(tmp_path, capsys, out_format
 
 def test_records_reach_the_file_as_they_are_taken(tmp_path, monkeypatch):
     # diagnostics.jsonl is line-buffered, so a run killed by a signal keeps
-    # the records of the snapshots it wrote
+    # the records of the snapshots it wrote; the writer is a forked
+    # process, so the counts it sees reach the test through a file
     out_dir = tmp_path / "out"
     cfg = write_config(tmp_path, BASE_CONFIG + f"output.dir = {out_dir}\n")
-    lines_seen, real = [], cli.write_snapshot_csv
+    seen, real = tmp_path / "lines_seen", cli.write_snapshot_csv
 
     def write_snapshot_csv(path, g, state, params):
         diagnostics = out_dir / "diagnostics.jsonl"
-        lines_seen.append(len(diagnostics.read_text().splitlines())
-                          if diagnostics.exists() else 0)
+        count = len(diagnostics.read_text().splitlines()) if diagnostics.exists() else 0
+        with open(seen, "a", encoding="utf-8") as fh:
+            fh.write(f"{count}\n")
         real(path, g, state, params)
 
     monkeypatch.setattr(cli, "write_snapshot_csv", write_snapshot_csv)
     assert cli.main(["simulate", "--config", cfg]) == 0
+    lines_seen = [int(line) for line in seen.read_text().splitlines()]
     # snapshot k is written after the records of snapshots 0 to k-1
     assert lines_seen == list(range(6))
+
+
+@pytest.mark.parametrize("changes,blocked,code", [
+    ({}, None, 0),
+    ({"model.gamma": "1e6"}, None, 3),      # saturates at t = 0.2265
+    ({}, "snapshot_0001.csv", 2),
+    # the last snapshot before the saturation fails to write, and the run's
+    # own failure, raised before another hand-off, wins
+    ({"model.gamma": "1e6"}, "snapshot_0004.csv", 3),
+], ids=["finished", "saturation", "blocked_snapshot", "saturation_after_blocked"])
+def test_no_writer_process_outlives_the_run(tmp_path, changes, blocked, code):
+    out_dir = tmp_path / "out"
+    if blocked:
+        (out_dir / blocked).mkdir(parents=True)
+    cfg = shipped_config(tmp_path, "standard_smooth", {"grid.n_cells": "64", **changes},
+                         out_dir)
+    assert cli.main(["simulate", "--config", cfg]) == code
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("how", ["killed", "raises"])
+def test_writer_that_ends_early_ends_the_run_as_config_error(tmp_path, monkeypatch, capsys,
+                                                             how):
+    out_dir = tmp_path / "out"
+    cfg = shipped_config(tmp_path, "standard_smooth", {"grid.n_cells": "64"}, out_dir)
+    run_pid, real = os.getpid(), cli.write_snapshot_csv
+
+    def write_snapshot_csv(path, g, snap, params):
+        if path.endswith("snapshot_0002.csv"):
+            assert os.getpid() != run_pid, "the writer runs in the run's process"
+            if how == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise ValueError("synthetic")
+        real(path, g, snap, params)
+
+    monkeypatch.setattr(cli, "write_snapshot_csv", write_snapshot_csv)
+    assert cli.main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: output.dir {out_dir}: ")
+    assert err.count("\n") == 1
+    assert ("killed by signal 9" if how == "killed" else "ValueError('synthetic')") in err
+    log = (out_dir / "run.log").read_text().splitlines()
+    assert log[-1] == f"failed {err[len('configuration error: '):].strip()}"
+    # the snapshots written before it stay
+    assert len((out_dir / "diagnostics.jsonl").read_text().splitlines()) == 2
+    assert len((out_dir / "snapshot_0001.csv").read_text().splitlines()) == 65
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_ctrl_c_does_not_cut_the_writer_short(tmp_path, monkeypatch):
+    # a Ctrl-C at a terminal reaches the writer as well as the run; the
+    # writer ignores it and writes on (here only the writer gets one)
+    out_dir = tmp_path / "out"
+    cfg = write_config(tmp_path, BASE_CONFIG + f"output.dir = {out_dir}\n")
+    run_pid, real = os.getpid(), cli.write_snapshot_csv
+
+    def write_snapshot_csv(path, g, snap, params):
+        if os.getpid() != run_pid and path.endswith("snapshot_0002.csv"):
+            os.kill(os.getpid(), signal.SIGINT)
+        real(path, g, snap, params)
+
+    monkeypatch.setattr(cli, "write_snapshot_csv", write_snapshot_csv)
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    assert len((out_dir / "diagnostics.jsonl").read_text().splitlines()) == 6
+    assert len(list(out_dir.glob("snapshot_*.csv"))) == 6
+
+
+@pytest.mark.parametrize("out_format", ["csv", "jsonl"])
+def test_writer_without_fork_writes_the_same_bytes(tmp_path, monkeypatch, out_format):
+    # where os.fork does not exist, the sink runs in the run's process
+    outputs = []
+    for forks in (True, False):
+        if not forks:
+            monkeypatch.delattr(os, "fork")
+        out_dir = tmp_path / f"out_{forks}"
+        cfg = shipped_config(tmp_path, "standard_smooth", {
+            "grid.n_cells": "64", "output.format": out_format}, out_dir)
+        assert cli.main(["simulate", "--config", cfg]) == 0
+        outputs.append({path.name: path.read_bytes() for path in out_dir.iterdir()
+                        if path.name != "run.log"})
+    assert outputs[0] == outputs[1] and len(outputs[0]) >= 3
+
+
+@pytest.mark.parametrize("how", ["sigkill_run", "sigint_group"])
+def test_killed_run_keeps_every_snapshot_it_handed_over(tmp_path, how):
+    # the writer drains the pipe after the run is killed, or after a Ctrl-C
+    # reaches both: every snapshot handed over is written whole, with its record
+    out_dir = tmp_path / "out"
+    cfg = shipped_config(tmp_path, "standard_smooth", {
+        "grid.n_cells": "1024", "diagnostics.every": "0.005"}, out_dir)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # the writer inherits stdout, so the pipe's end says it has ended
+    proc = subprocess.Popen([sys.executable, "-m", "congestion_sim.cli", "simulate",
+                             "--config", cfg], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.DEVNULL, start_new_session=True)
+    deadline = time.monotonic() + 60.0
+    try:
+        while not (out_dir / "snapshot_0002.csv").exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(1e-3)
+        if how == "sigkill_run":
+            proc.kill()
+        else:
+            os.killpg(proc.pid, signal.SIGINT)
+        proc.communicate(timeout=60.0)
+    finally:
+        try:  # whatever is left of the run and its writer, if the test failed
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    assert not (out_dir / "summary.json").exists()
+    records = (out_dir / "diagnostics.jsonl").read_text().splitlines()
+    snapshots = sorted(path.name for path in out_dir.glob("snapshot_*.csv"))
+    assert snapshots == [f"snapshot_{i:04d}.csv" for i in range(len(records))]
+    assert len(records) >= 3
+    for name in snapshots:
+        text = (out_dir / name).read_text()
+        assert text.startswith("x,rho,u,w,pi,W,V\n") and text.endswith("\n")
+        assert text.count("\n") == 1025
 
 
 def test_each_state_takes_its_logs_once(tmp_path, monkeypatch):

@@ -220,7 +220,7 @@ def test_psi_checks_on_standard_run(standard_w_256):
     traj, _, g = standard_w_256
     checks = diag.trajectory_checks(traj)
     assert checks["psi_periodicity"].worst <= 1e-12
-    assert checks["psi_gradient"].worst <= 5.0 * g.dx
+    assert checks["psi_gradient"].worst <= diag.TOL.psi_gradient_dx * g.dx
 
 
 def test_psi_gradient_decays_under_refinement(standard_w_256, standard_w_512):
