@@ -18,10 +18,18 @@ its ``diagnostics.jsonl`` line, in snapshot order.  The run writes
 ``run.log`` and, once the writer has written every snapshot and ended,
 ``summary.json``.  A run that is killed keeps every snapshot it handed
 over: the writer drains the pipe before it ends.  A writer that fails or
-dies ends the run with exit 2 and a ``failed`` line.  Python >= 3.12 warns
-that forking a process with threads (numpy's OpenBLAS keeps a pool) may
-deadlock the child; the writer never calls BLAS or LAPACK, so it is safe,
-and the warning is left as it is.
+dies ends the run with exit 2 and a ``failed`` line.
+
+``verify`` runs its jobs (each shipped case, the oracle, each MMS order
+check and the constant study) in forked children, at most one per usable
+core at a time (``in_children``), and prints each job's lines in job
+order: the bytes, and the exit code, of running them one after another in
+process, which it does where ``os.fork`` does not exist or one core is
+usable.  ``sweep`` and ``mms`` never fork.  Python >= 3.12 warns that
+forking a process with threads may deadlock the child.  The threads are
+numpy's OpenBLAS pool, and OpenBLAS registers a fork handler
+(``blas_thread_shutdown_``) that stops the pool before each fork, so a
+child may call BLAS and LAPACK; the warning is left as it is.
 
 The ``invariants`` suite of ``verify`` runs every single-gamma config
 (``model.gamma`` set) in ``CONFIG_DIR``, the ``configs/`` directory of
@@ -38,6 +46,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -123,31 +132,52 @@ def snapshot_writer(write, out_dir: str, out_format: str):
 PIPE_BYTES = 1 << 20
 
 
-def _serve_snapshots(sink, data_fd: int, report_fd: int):
-    """The writer process's whole life: ``sink`` on each snapshot read from
-    ``data_fd`` until the run closes it, then ``os._exit``, so that it never
-    flushes or closes the files it shares with the run.  An error that ends
-    it early goes to ``report_fd`` as a pickled OSError."""
-    # imported by the writer alone: a Ctrl-C meant for the run must not cut
-    # a snapshot short or drop the ones handed over before it
-    import signal
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+def _child(work, report_fd: int):
+    """A forked child's whole life: ``work()``, its outcome pickled to
+    ``report_fd`` as ``(True, result)`` or ``(False, exception)``, then
+    ``os._exit``, so that it never flushes or closes what it shares with its
+    parent.  An outcome that does not survive pickling goes as a
+    RuntimeError naming it."""
     code = 1
     try:
-        with open(data_fd, "rb") as pipe:
-            while True:
-                try:
-                    args = pickle.load(pipe)
-                except EOFError:  # the run closed the pipe
-                    break
-                sink(*args)
-        code = 0
-    except Exception as exc:  # the writer's boundary: report, then end
-        if not isinstance(exc, OSError):
-            exc = OSError(None, f"the snapshot writer failed: {exc!r}")
-        os.write(report_fd, pickle.dumps(exc))
+        try:
+            outcome = (True, work())
+            code = 0
+        except Exception as exc:  # the child's boundary: report, then end
+            outcome = (False, exc)
+        try:
+            report = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+            pickle.loads(report)
+        except Exception as exc:
+            report = pickle.dumps((False, RuntimeError(
+                f"{outcome[1]!r} cannot be pickled: {exc!r}")))
+        with open(report_fd, "wb") as fh:
+            fh.write(report)
     finally:
         os._exit(code)
+
+
+def _fork(work) -> tuple[int, int]:
+    """Start ``_child(work, ...)``; return its pid and its report's read end."""
+    report_r, report_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(report_r)
+        _child(work, report_w)
+    os.close(report_w)
+    return pid, report_r
+
+
+def _reap(pid: int, report_fd: int, lost):
+    """Wait for the child ``pid`` and return its outcome; one that ended
+    without a report (a signal, say) returns ``(False, lost(how))``, with
+    ``how`` "was killed by signal N" or "exited N"."""
+    with open(report_fd, "rb") as fh:
+        report = fh.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if report:
+        return pickle.loads(report)
+    return False, lost(f"was killed by signal {-code}" if code < 0 else f"exited {code}")
 
 
 @contextlib.contextmanager
@@ -168,17 +198,28 @@ def forked(sink):
         yield sink
         return
     data_r, data_w = os.pipe()
-    report_r, report_w = os.pipe()
     import fcntl  # imported only when a run forks
     with contextlib.suppress(AttributeError, OSError):  # Linux only; else 64 KiB
         fcntl.fcntl(data_w, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
-    pid = os.fork()
-    if pid == 0:
+
+    def serve() -> None:
+        """The writer's work: ``sink`` on each snapshot read from the pipe,
+        until the run closes it."""
         os.close(data_w)
-        os.close(report_r)
-        _serve_snapshots(sink, data_r, report_w)
+        # imported by the writer alone: a Ctrl-C meant for the run must not
+        # cut a snapshot short or drop the ones handed over before it
+        import signal
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        with open(data_r, "rb") as pipe:
+            while True:
+                try:
+                    args = pickle.load(pipe)
+                except EOFError:  # the run closed the pipe
+                    return
+                sink(*args)
+
+    pid, report_r = _fork(serve)
     os.close(data_r)  # so a writer that ended breaks the pipe
-    os.close(report_w)
     pipe = open(data_w, "wb")
 
     def hand_off(g: Grid, params: ModelParams, snap) -> None:
@@ -190,15 +231,11 @@ def forked(sink):
         ended it early, or None."""
         with contextlib.suppress(OSError):
             pipe.close()
-        with open(report_r, "rb") as fh:
-            report = fh.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if report:
-            return pickle.loads(report)
-        if code:
-            how = f"was killed by signal {-code}" if code < 0 else f"exited {code}"
-            return OSError(None, f"the snapshot writer {how}")
-        return None
+        ok, error = _reap(pid, report_r,
+                          lambda how: OSError(None, f"the snapshot writer {how}"))
+        if not ok and not isinstance(error, OSError):
+            error = OSError(None, f"the snapshot writer failed: {error!r}")
+        return None if ok else error
 
     try:
         yield hand_off
@@ -210,6 +247,54 @@ def forked(sink):
     error = reap()
     if error is not None:
         raise error
+
+
+def in_children(jobs):
+    """Yield each of ``jobs``' results in job order, each job run in its own
+    forked child (``_child``), at most one child per usable core at a time.
+
+    A failed job's exception is raised here at its turn, and a child that
+    ended without a result raises a RunFailure saying how it ended; the
+    results of the jobs before it have been yielded.  Leaving the generator,
+    however it is left, kills the children still running and reaps every
+    child.  Where ``os.fork`` does not exist, with one usable core or with
+    one job, the jobs run in this process, in order."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cores = os.cpu_count() or 1
+    width = min(len(jobs), cores)
+    if width < 2 or not hasattr(os, "fork"):
+        for job in jobs:
+            yield job()
+        return
+    import select  # imported only when jobs run in children
+    import signal
+    running = {}   # report fd -> (job index, pid)
+    outcomes = {}  # job index -> outcome, for the jobs that ended early
+    todo = iter(enumerate(jobs))
+    try:
+        for index in range(len(jobs)):
+            while index not in outcomes:
+                for i, job in itertools.islice(todo, width - len(running)):
+                    pid, fd = _fork(job)
+                    running[fd] = (i, pid)
+                for fd in select.select(list(running), [], [])[0]:
+                    i, pid = running[fd]
+                    outcomes[i] = _reap(pid, fd, lambda how: RunFailure(
+                        f"the child process of job {i + 1} of {len(jobs)} {how}"))
+                    del running[fd]
+            ok, value = outcomes.pop(index)
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for fd, (_, pid) in running.items():
+            with contextlib.suppress(OSError):  # reaped, or its fd closed, meanwhile
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            with contextlib.suppress(OSError):
+                os.close(fd)
 
 
 def _trajectory_summary(traj: Trajectory) -> dict:
@@ -389,48 +474,54 @@ def _invariant_checks(name: str, traj: Trajectory,
     return out
 
 
-def _suite_invariants() -> list[tuple[str, bool, str]]:
-    results = []
-    for name, cfg in shipped_cases():
-        traj = run_config(cfg)
-        # the reconstructed-W checks assume the desired velocity has no
-        # slow stagnation points, where first-order upwinding leaves a
-        # local kink in dx(w) that does not vanish under refinement
-        _, w0 = build_profiles(cfg.recipe, traj.grid)
-        results.extend(_invariant_checks(name, traj, np.min(w0) * np.max(w0) >= 0.0))
-    return results
+def _case_lines(name: str, cfg: RunConfig) -> list[tuple[str, bool, str]]:
+    traj = run_config(cfg)
+    # the reconstructed-W checks assume the desired velocity has no
+    # slow stagnation points, where first-order upwinding leaves a
+    # local kink in dx(w) that does not vanish under refinement
+    _, w0 = build_profiles(cfg.recipe, traj.grid)
+    return _invariant_checks(name, traj, np.min(w0) * np.max(w0) >= 0.0)
 
 
-def _suite_oracle() -> list[tuple[str, bool, str]]:
+def _suite_invariants() -> list:
+    return [functools.partial(_case_lines, name, cfg) for name, cfg in shipped_cases()]
+
+
+def _oracle_lines() -> list[tuple[str, bool, str]]:
     checks = dense_oracle_checks() + [random_cyclic_systems_check(20260810, 40)]
     return [(c.name, c.passed, f"max err {c.worst:.3e}") for c in checks]
 
 
-def _suite_mms() -> list[tuple[str, bool, str]]:
-    results = []
-    for formulation in (U_FORM, W_FORM):
-        order, _ = mms_order_checks(formulation)
-        results.append((order.name, order.passed, f"observed order {order.worst:.3f}"))
+def _mms_order_lines(formulation: str) -> list[tuple[str, bool, str]]:
+    order, _ = mms_order_checks(formulation)
+    return [(order.name, order.passed, f"observed order {order.worst:.3f}")]
+
+
+def _mms_constant_lines() -> list[tuple[str, bool, str]]:
     study = convergence_study(CASES["constant"], (16, 32, 64))
-    results.append(("mms constant case exact", study.exact,
-                    f"max rho_L1 err {max(study.rho_l1):.3e}"))
-    return results
+    return [("mms constant case exact", study.exact,
+             f"max rho_L1 err {max(study.rho_l1):.3e}")]
 
 
+# each suite's jobs, which ``verify`` runs through ``in_children``; a job
+# returns its (label, passed, detail) lines
 SUITES = {
     "invariants": _suite_invariants,
-    "oracle": _suite_oracle,
-    "mms": _suite_mms,
+    "oracle": lambda: [_oracle_lines],
+    "mms": lambda: [functools.partial(_mms_order_lines, U_FORM),
+                    functools.partial(_mms_order_lines, W_FORM), _mms_constant_lines],
 }
 
 
 def cmd_verify(args) -> int:
     names = [args.suite] if args.suite else list(SUITES)
+    jobs = [job for name in names for job in SUITES[name]()]
     all_ok = True
-    for name in names:
-        for label, ok, detail in SUITES[name]():
-            print(f"[{'PASS' if ok else 'FAIL'}] {label}: {detail}")
-            all_ok = all_ok and ok
+    with contextlib.closing(in_children(jobs)) as results:
+        for lines in results:
+            for label, ok, detail in lines:
+                print(f"[{'PASS' if ok else 'FAIL'}] {label}: {detail}")
+                all_ok = all_ok and ok
     return EXIT_OK if all_ok else EXIT_VERDICT
 
 

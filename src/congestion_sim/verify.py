@@ -308,16 +308,19 @@ def mms_order_checks(formulation: str) -> tuple[CheckResult, CheckResult]:
 def dense_oracle_checks() -> list[CheckResult]:
     """One solver step of each formulation against ``dense_step_oracle``.
 
-    A smooth density bump at rest on 8 cells, gamma = 2, dt = 1e-4;
-    density and momentum must agree to ``MACHINE_NOISE``.
+    A moving state on 8 cells, rho = 1 + 0.1 cos 2 pi x and
+    u = 0.1 + 0.3 sin 2 pi x (w = ``u_to_w(rho, u)`` in the w-formulation),
+    gamma = 2, dt = 1e-4; density and momentum must agree to
+    ``MACHINE_NOISE``.  The velocity varies, so the viscous solve and the
+    face coefficients enter both formulations' steps.
     """
     g = Grid(8)
     params = ModelParams(gamma=2.0)
     rho = 1.0 + 0.1 * np.cos(2.0 * np.pi * g.x)
-    at_rest = np.zeros_like(rho)
+    u = 0.1 + 0.3 * np.sin(2.0 * np.pi * g.x)
     runs = (
-        (State(0.0, rho, at_rest, U_FORM), step_u_form),
-        (State(0.0, rho, rho * u_to_w(rho, at_rest, g, params), W_FORM), step_w_form),
+        (State(0.0, rho, rho * u, U_FORM), step_u_form),
+        (State(0.0, rho, rho * u_to_w(rho, u, g, params), W_FORM), step_w_form),
     )
     out = []
     for state, step in runs:

@@ -1078,5 +1078,177 @@ def test_verify_oracle_suite():
 
 def test_verify_failure_exit_code(monkeypatch):
     monkeypatch.setitem(cli.SUITES, "oracle",
-                        lambda: [("synthetic check", False, "forced failure")])
+                        lambda: [lambda: [("synthetic check", False, "forced failure")]])
     assert cli.main(["verify", "--suite", "oracle"]) == 1
+
+
+# verify's jobs run in forked children, at most one per usable core; these
+# tests give the pool two cores, so that it forks on any machine
+
+def two_cores(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def synthetic_suite(monkeypatch, *jobs):
+    monkeypatch.setitem(cli.SUITES, "oracle", lambda: list(jobs))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_prints_in_job_order_when_a_later_job_ends_first(monkeypatch, capsys):
+    two_cores(monkeypatch)
+
+    def slow():
+        time.sleep(0.3)
+        return [("first", True, "slow")]
+
+    synthetic_suite(monkeypatch, slow, lambda: [("second", False, "fast")])
+    assert cli.main(["verify", "--suite", "oracle"]) == 1
+    assert capsys.readouterr().out == "[PASS] first: slow\n[FAIL] second: fast\n"
+    assert_no_child_left()
+
+
+def test_verify_runs_at_most_one_child_per_core(monkeypatch, capsys):
+    two_cores(monkeypatch)
+    real_fork, real_waitpid = os.fork, os.waitpid
+    alive, forks, most = set(), [], [0]
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+            alive.add(pid)
+            most[0] = max(most[0], len(alive))
+        return pid
+
+    def waitpid(pid, options):
+        done = real_waitpid(pid, options)
+        alive.discard(done[0])
+        return done
+
+    def job(k):
+        time.sleep(0.1)
+        return [(f"job {k}", True, "")]
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    synthetic_suite(monkeypatch, *(lambda k=k: job(k) for k in range(4)))
+    assert cli.main(["verify", "--suite", "oracle"]) == 0
+    assert capsys.readouterr().out == "".join(f"[PASS] job {k}: \n" for k in range(4))
+    assert (len(forks), most[0], alive) == (4, 2, set())
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("error,code", [
+    (VacuumError("synthetic", t=0.5, cell=3, gamma=2.0, row=1), 3),
+    (ConfigError("synthetic"), 2),
+], ids=["run_failure", "config_error"])
+def test_failing_job_ends_verify_as_in_process(tmp_path, monkeypatch, capsys, error, code):
+    # the failing job ends first, so a slow job takes its core; the jobs
+    # after the failing one are killed, so none writes its marker
+    marker = tmp_path / "marker"
+
+    def first():
+        time.sleep(0.1)
+        return [("first", True, "done")]
+
+    def fails():
+        raise error
+
+    def slow():
+        time.sleep(3.0)
+        marker.touch()
+        return []
+
+    synthetic_suite(monkeypatch, first, fails, slow, slow)
+    two_cores(monkeypatch)
+    seen = []
+    for forks in (True, False):
+        if not forks:
+            monkeypatch.delattr(os, "fork")
+        assert cli.main(["verify", "--suite", "oracle"]) == code
+        seen.append(capsys.readouterr())
+        assert_no_child_left()
+    assert seen[0] == seen[1]
+    assert seen[0].out == "[PASS] first: done\n" and seen[0].err.count("\n") == 1
+    assert not marker.exists()
+
+
+def test_job_exceptions_cross_the_pipe(monkeypatch):
+    two_cores(monkeypatch)
+
+    class LocalError(Exception):  # a local class cannot be pickled
+        pass
+
+    def raises(exc):
+        raise exc
+
+    with pytest.raises(VacuumError) as info:
+        list(cli.in_children([lambda: 1, lambda: raises(
+            VacuumError("synthetic", t=0.5, cell=3, gamma=2.0, row=1))]))
+    assert (str(info.value), info.value.t, info.value.cell, info.value.gamma,
+            info.value.row) == ("synthetic", 0.5, 3, 2.0, 1)
+    with pytest.raises(RuntimeError, match=r"LocalError\('local'\) cannot be pickled"):
+        list(cli.in_children([lambda: 1, lambda: raises(LocalError("local"))]))
+    assert_no_child_left()
+
+
+def test_verify_job_killed_by_a_signal_is_runtime_failure(monkeypatch, capsys):
+    two_cores(monkeypatch)
+    test_pid = os.getpid()
+
+    def killed():
+        assert os.getpid() != test_pid, "the job runs in the test's process"
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    synthetic_suite(monkeypatch, lambda: [("first", True, "done")], killed)
+    assert cli.main(["verify", "--suite", "oracle"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "[PASS] first: done\n"
+    assert captured.err.count("\n") == 1 and "killed by signal 9" in captured.err
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("how", ["close", "ctrl_c"])
+def test_leaving_the_pool_kills_and_reaps_its_children(tmp_path, monkeypatch, how):
+    two_cores(monkeypatch)
+    marker = tmp_path / "marker"
+
+    def slow():
+        time.sleep(3.0)
+        marker.touch()
+
+    results = cli.in_children([lambda: 1, slow, slow])
+    if how == "close":
+        assert next(results) == 1
+        results.close()
+    else:  # the second wait for a child is interrupted
+        import select
+        real, calls = select.select, []
+
+        def interrupted(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(select, "select", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            list(results)
+    assert_no_child_left()
+    assert not marker.exists()
+
+
+def test_verify_prints_the_same_bytes_without_fork(monkeypatch, capsys):
+    two_cores(monkeypatch)
+    seen = []
+    for forks in (True, False):
+        if not forks:
+            monkeypatch.delattr(os, "fork")
+        code = cli.main(["verify", "--suite", "mms"])
+        seen.append((code, *capsys.readouterr()))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == 0 and seen[0][1].count("\n") == 3 and seen[0][2] == ""

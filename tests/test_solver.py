@@ -305,6 +305,26 @@ def test_run_lands_exactly_on_t_end(standard_w_256):
     assert np.all(np.diff(times) > 0.0)
 
 
+def test_long_last_step_lands_exactly_on_t_end():
+    # the last step runs from t = 1e-3 (the dt_init step) to 0.0105, where
+    # t + (t_end - t) rounds to a neighbour of t_end
+    traj = run_simulation(quiescent_state(16), Grid(16), ModelParams(4.0),
+                          SchemeConfig(formulation=U_FORM), 0.0105)
+    assert traj.n_steps == 2
+    assert traj.final_state.t == traj.records[-1].t == 0.0105
+
+
+def test_snapshots_at_the_first_step_reaching_each_multiple_of_every():
+    # steps of 0.01 and a cadence of 0.025: the multiples are reached at
+    # steps 3, 5, 8, 10, ...; the sum of ten steps is 0.09999999999999999,
+    # which reaches 0.1 within the cadence's float slack
+    cfg = SchemeConfig(formulation=U_FORM, dt_init=0.01, dt_max=0.01, snapshot_every=0.025)
+    traj = run_simulation(quiescent_state(16), Grid(16), ModelParams(4.0), cfg, 0.195)
+    times = traj.series("t")
+    assert list(np.round(times[:-1] / 0.01)) == [0, 3, 5, 8, 10, 13, 15, 18]
+    assert times[-1] == 0.195 and traj.n_steps == 20
+
+
 def test_run_rejects_bad_inputs():
     g = Grid(32)
     params = ModelParams(4.0)
