@@ -184,7 +184,9 @@ def _reap(pid: int, report_fd: int, lost):
 def forked(sink):
     """Run ``sink`` in one forked writer process and yield the sink the run
     calls, which pickles each ``(g, params, snapshot)`` down a pipe to it;
-    the writer runs ``sink`` on them in order while the run steps on.
+    the writer runs ``sink`` on them in order while the run steps on.  A
+    snapshot crosses without what ``snapshot_writer`` does not read: its
+    ``int_mass_flux`` and its fields' ``p`` and ``dxp`` arrive as None.
 
     Leaving the block closes the pipe and waits for the writer, so every
     snapshot handed over is written when the block ends, however it ends.
@@ -223,6 +225,9 @@ def forked(sink):
     pipe = open(data_w, "wb")
 
     def hand_off(g: Grid, params: ModelParams, snap) -> None:
+        # only what the writer reads: p, dxp and the mass flux stay here
+        snap = dataclasses.replace(snap, int_mass_flux=None,
+                                   fields=snap.fields._replace(p=None, dxp=None))
         pickle.dump((g, params, snap), pipe, pickle.HIGHEST_PROTOCOL)
         pipe.flush()
 
@@ -314,9 +319,7 @@ def _trajectory_summary(traj: Trajectory) -> dict:
         "switching_residual_max": float(np.max(traj.series("switching_residual"))),
         "psi_periodicity_defect": checks["psi_periodicity"].worst,
         "psi_gradient_defect": checks["psi_gradient"].worst,
-        "I_mean": traj.accums.diss_weighted,
         "I_plain": traj.accums.diss_plain,
-        "I_plain_split": [traj.accums.diss_plain_low, traj.accums.diss_plain_high],
         "dissipation_visc": traj.accums.diss_visc,
     }
 

@@ -65,10 +65,7 @@ class Accumulators:
     diss_visc: float = 0.0        # int int lambda (dx u)^2
     diss_offset: float = 0.0      # int int rho (dx p)^2
     work_offset: float = 0.0      # int int (dx p) rho w
-    diss_weighted: float = 0.0    # int int (rho - <rho>) lambda dx u
     diss_plain: float = 0.0       # int int lambda dx u
-    diss_plain_low: float = 0.0   # region rho <= s_mid
-    diss_plain_high: float = 0.0  # region rho > s_mid
     int_mass_flux: np.ndarray | None = None
 
     @classmethod

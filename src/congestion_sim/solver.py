@@ -15,11 +15,11 @@ running time integrals and the state's snapshot; pi' is gamma * p.
 The step builds each face quantity (donor-cell flux, face velocity,
 diffusive face flux, face viscosity) once and hands the ones the time
 integrals need to them, which only reduce them.  Neighbour shifts are
-slices, and the periodic tridiagonal system goes straight to LAPACK
-``gtsv``, the routine ``solve_banded((1, 1), ...)`` dispatches to.  It is
-called from the OpenBLAS that numpy bundles (``_lapack``), so a run never
-imports scipy; scipy's ``dgtsv`` serves only where numpy exports no such
-routine (``_lapack.SOURCE`` says which).
+slices.  The periodic tridiagonal system is symmetric positive definite
+and goes straight to LAPACK ``ptsv`` (LDL^T on two bands), called from
+the OpenBLAS that numpy bundles (``_lapack``), so a run never imports
+scipy; scipy's ``dptsv`` serves only where numpy exports no such routine
+(``_lapack.SOURCE`` says which).
 
 Runs that differ only in gamma step as one batch: their fields are the
 rows of 2D arrays, gamma is a column and each per-row value (t, dt, the
@@ -31,7 +31,7 @@ every row's density, with the same bits where a row's dt did not change.
 A small batch step is bound by the count of numpy calls, so the step
 path keeps it low with the same bits: per-row flags are read as lists
 and reductions go through ndarray methods, ``compute_dt`` reduces once,
-the seven time integrands are summed as one buffer, and the loop clips
+the four time integrands are summed as one buffer, and the loop clips
 and lands a step only when a row reaches t_end.
 """
 from __future__ import annotations
@@ -203,34 +203,32 @@ def compute_dt(state: State, g: Grid, params: ModelParams,
                       config.cfl * g.dx / np.maximum(VELOCITY_FLOOR, speed))
 
 
-def solve_cyclic_tridiagonal(sub, diag, sup, corner_lo, corner_hi, rhs,
-                             tol: float = 1e-10):
-    """Solve the periodic tridiagonal system A x = rhs.
+def solve_cyclic_tridiagonal(diag, off, rhs, tol: float = 1e-10):
+    """Solve the symmetric periodic tridiagonal system A x = rhs.
 
-    A[i][i] = diag[i], A[i][i-1] = sub[i], A[i][i+1] = sup[i], with the
-    wrap entries A[0][n-1] = corner_lo and A[n-1][0] = corner_hi given
-    separately (sub[0] and sup[-1] are ignored).  Uses a rank-one
-    correction of two non-periodic tridiagonal solves, made as one LAPACK
-    ``gtsv`` call on a two-column right-hand side; valid for the strictly
-    diagonally dominant systems produced by backward-Euler diffusion.
-    Raises NonFiniteError, a ValueError, on non-finite input, and
-    LinearSolveError if the factorization breaks down or the residual
-    exceeds tol * (1 + max|rhs|).
+    A[i][i] = diag[i] and A[i][i+1 mod n] = A[i+1 mod n][i] = off[i], so
+    off[-1] is the wrap coupling of cells n-1 and 0.  A must be positive
+    definite, as the backward-Euler diffusion systems are: a positive mass
+    diagonal plus a weighted periodic Laplacian.  The rank-one split
+    A = B + u u^T / gamma_p, with gamma_p = -diag[0] < 0, leaves B (A plus a
+    positive semidefinite term, without the wrap) positive definite, and
+    its two solves are one LAPACK ``ptsv`` call on a two-column right-hand
+    side.  Raises NonFiniteError, a ValueError, on non-finite input, and
+    LinearSolveError if the factorization meets a non-positive pivot or
+    the residual exceeds tol * (1 + max|rhs|).
 
-    A batch passes (rows, n) arrays and one corner pair per row.  Its
-    systems go to the one ``gtsv`` call as a block-diagonal stack: the
-    couplings between blocks are zero, so each block is eliminated
-    exactly as it is alone.  Every check holds per row, and a failing
-    row is named in the error's ``row``.
+    A batch passes (rows, n) arrays.  Its systems go to the one ``ptsv``
+    call as a block-diagonal stack: the couplings between blocks are zero,
+    so each block is eliminated exactly as it is alone.  Every check holds
+    per row, and a failing row is named in the error's ``row``.
     """
     diag = np.asarray(diag, dtype=float)
-    sub = np.asarray(sub, dtype=float)
-    sup = np.asarray(sup, dtype=float)
+    off = np.asarray(off, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     shape = diag.shape
     n = shape[-1]
-    if not (sub.shape == sup.shape == rhs.shape == shape):
-        raise ValueError("sub, diag, sup and rhs must share one length")
+    if not (off.shape == rhs.shape == shape):
+        raise ValueError("diag, off and rhs must share one length")
     if n < 3:
         raise ValueError("periodic tridiagonal solve needs at least 3 unknowns")
 
@@ -239,23 +237,21 @@ def solve_cyclic_tridiagonal(sub, diag, sup, corner_lo, corner_hi, rhs,
     first, last = (0, -1) if diag.ndim == 1 else ((..., 0), (..., -1))
     # -diag[0], or 1 where diag[0] vanishes
     gamma_p = -diag[first] + (diag[first] == 0.0)
-    # the packed bands of ``_lapack.gtsv``: the stack's three diagonals,
-    # then the columns rhs and the spike gamma_p e_0 + corner_hi e_{n-1};
-    # sub[0] and sup[-1] of each block become the zero couplings to its
-    # neighbour blocks
-    bands = np.empty((5,) + shape)
-    lower, b, upper, y, z = bands
-    lower[...] = sub
-    lower[first] = 0.0
-    b[...] = diag
-    b[first] -= gamma_p
-    b[last] -= corner_lo * corner_hi / gamma_p
-    upper[...] = sup
-    upper[last] = 0.0
+    wrap = off[last]
+    # the packed bands of ``_lapack.ptsv``: B's diagonal and off-diagonal,
+    # then the columns rhs and the spike u = gamma_p e_0 + wrap e_{n-1};
+    # off[-1] of each block becomes the zero coupling to the next block
+    bands = np.empty((4,) + shape)
+    d, e, y, z = bands
+    d[...] = diag
+    d[first] -= gamma_p
+    d[last] -= wrap * wrap / gamma_p
+    e[...] = off
+    e[last] = 0.0
     y[...] = rhs
     z.fill(0.0)
     z[first] = gamma_p
-    z[last] = corner_hi
+    z[last] = wrap
     if not np.isfinite(bands).all():
         # the first non-finite entry of the first row that has one
         bad = ~np.isfinite(bands).all(axis=0)
@@ -263,14 +259,14 @@ def solve_cyclic_tridiagonal(sub, diag, sup, corner_lo, corner_hi, rhs,
         raise NonFiniteError("array must not contain infs or NaNs",
                              cell=int(np.argmax(bad[at])), row=row)
 
-    info = _lapack.gtsv(bands.reshape(5, -1))
-    if info != 0:  # pragma: no cover - defensive
+    info = _lapack.ptsv(bands.reshape(4, -1))
+    if info != 0:
         row = (info - 1) // n if info > 0 and len(shape) > 1 else None
         raise LinearSolveError(
-            f"banded factorization failed: gtsv info {info - n * (row or 0)}",
+            f"tridiagonal factorization failed: ptsv info {info - n * (row or 0)}",
             row=row)
 
-    frac = corner_lo / gamma_p
+    frac = wrap / gamma_p
     denom = 1.0 + z[first] + frac * z[last]
     bad = ~np.isfinite(denom) | (denom == 0.0)
     if _any(bad):
@@ -278,12 +274,13 @@ def solve_cyclic_tridiagonal(sub, diag, sup, corner_lo, corner_hi, rhs,
                                row=_first_row(bad)[1])
     x = y - z * _col((y[first] + frac * y[last]) / denom)
 
-    # diag*x + sub*x[i-1] + sup*x[i+1] - rhs, the wrap terms on the corners
+    # diag*x + off[i-1]*x[i-1] + off[i]*x[i+1] - rhs, the wrap terms on off[-1]
     residual = diag * x
-    residual[..., 1:] += sub[..., 1:] * x[..., :-1]
-    residual[first] += corner_lo * x[last]
-    residual[..., :-1] += sup[..., :-1] * x[..., 1:]
-    residual[last] += corner_hi * x[first]
+    inner = off[..., :-1]
+    residual[..., 1:] += inner * x[..., :-1]
+    residual[first] += wrap * x[last]
+    residual[..., :-1] += inner * x[..., 1:]
+    residual[last] += wrap * x[first]
     residual -= rhs
     worst = np.abs(residual).max(axis=-1)
     bound = tol * (1.0 + np.abs(rhs).max(axis=-1))
@@ -350,19 +347,18 @@ def _flux_divergence(face_flux: Field, g: Grid) -> Field:
 
 def _implicit_diffusion_solve(mass_diag, coeff_face: Field, rhs: Field,
                               g: Grid, dt) -> Field:
-    """One backward-Euler solve of mass_diag*x - dt*d/dx(coeff dx x) = rhs."""
-    r = dt / (g.dx * g.dx)
-    lam_hi = r * coeff_face                 # couples cell i to i+1
-    lam_lo = np.empty_like(lam_hi)          # couples cell i to i-1
-    hi, lo = lam_hi.T, lam_lo.T             # cells on the first axis
-    lo[1:] = hi[:-1]
-    lo[0] = hi[-1]
-    diag = mass_diag + lam_hi + lam_lo
-    return solve_cyclic_tridiagonal(
-        -lam_lo, diag, -lam_hi,
-        corner_lo=-lo[0], corner_hi=-hi[-1],
-        rhs=rhs,
-    )
+    """One backward-Euler solve of mass_diag*x - dt*d/dx(coeff dx x) = rhs.
+
+    The system is symmetric: face i+1/2 couples cells i and i+1 by
+    off[i] = -dt/dx^2 coeff[i], and off[-1] is the wrap face.  A positive
+    mass diagonal and a nonnegative coefficient make it positive definite.
+    """
+    off = -(dt / (g.dx * g.dx)) * coeff_face
+    # mass_diag minus both couplings of each cell
+    diag = mass_diag - off
+    diag[..., 1:] -= off[..., :-1]
+    diag[..., 0] -= off[..., -1]
+    return solve_cyclic_tridiagonal(diag, off, rhs)
 
 
 def _step(state: State, g: Grid, params: ModelParams, config: SchemeConfig,
@@ -479,9 +475,11 @@ def step_w_form(state: State, g: Grid, params: ModelParams,
 
 
 def _accumulate(accums: Accumulators, old: State, fields: StateFields,
-                new_fields: StateFields, faces: StepFaces, g: Grid,
-                mean_rho, dt) -> None:
-    """Advance all running time integrals over one step.
+                new_fields: StateFields, faces: StepFaces, g: Grid, dt) -> None:
+    """Advance the running time integrals over one step: the four that the
+    checks read (the viscous dissipation of the energy band, the offset
+    dissipation and work of the H balance, and the plain dissipation of the
+    rho*p balance) and the mass flux per face that Psi is built from.
 
     Rectangle rule in time with the integrand at the step start, except
     the viscous dissipation, whose velocity gradient is taken at the
@@ -491,34 +489,26 @@ def _accumulate(accums: Accumulators, old: State, fields: StateFields,
     The fields of both states and the step's face quantities are
     evaluated once elsewhere; this only reduces them, per row in a batch.
     """
-    rho_old, dxp, mean_rho = old.rho, fields.dxp, _col(mean_rho)
+    rho_old, dxp = old.rho, fields.dxp
     du_face = forward_difference(new_fields.u) / g.dx
-    # the seven integrands, built in one buffer and reduced by one sum: each
+    # the four integrands, built in one buffer and reduced by one sum: each
     # row's sum has the bits of that row summed alone
-    f = np.empty((7,) + rho_old.shape)
+    f = np.empty((4,) + rho_old.shape)
     np.multiply(faces.lam_face, du_face, out=f[0])
     f[0] *= du_face
-    np.multiply(rho_old, dxp, out=f[1])
-    f[1] *= dxp
-    np.multiply(dxp, rho_old, out=f[2])
+    # rho * dxp, formed once for the offset dissipation and work
+    np.multiply(rho_old, dxp, out=f[2])
+    np.multiply(f[2], dxp, out=f[1])
     f[2] *= fields.w
-    lam_dxu = np.multiply(fields.lam, central_difference(fields.u) / (2.0 * g.dx), out=f[3])
-    np.subtract(rho_old, mean_rho, out=f[4])
-    f[4] *= lam_dxu
-    low = rho_old <= 0.5 * (1.0 + mean_rho)
-    f[5] = np.where(low, lam_dxu, 0.0)
-    f[6] = np.where(low, 0.0, lam_dxu)
+    np.multiply(fields.lam, central_difference(fields.u) / (2.0 * g.dx), out=f[3])
     sums = f.sum(axis=-1)
     # each integral keeps its own order of products, so its bits hold:
     # dt * dx * sum for the viscous dissipation, dt * (dx * sum) otherwise
     accums.diss_visc += dt * g.dx * sums[0]
-    offset, work, plain, weighted, plain_low, plain_high = dt * (g.dx * sums[1:])
+    offset, work, plain = dt * (g.dx * sums[1:])
     accums.diss_offset += offset
     accums.work_offset += work
     accums.diss_plain += plain
-    accums.diss_weighted += weighted
-    accums.diss_plain_low += plain_low
-    accums.diss_plain_high += plain_high
 
     # the step's total mass flux per face: rho*u there, telescoping
     # exactly against the density update
@@ -597,11 +587,11 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
     next_snap = np.full(rho0.shape[:-1], init.t)
     step = step_u_form if config.formulation == U_FORM else step_w_form
     every = config.snapshot_every
-    fields = mean_rho = None
+    fields = None
 
     def restack(keep):
         """The batch arrays of the rows flagged in ``keep``."""
-        nonlocal rows, state, accums, next_snap, fields, params, mean_rho
+        nonlocal rows, state, accums, next_snap, fields, params
         rows = [row for row, k in zip(rows, keep) if k]
         state = State(state.t[keep], state.rho[keep], state.mom[keep],
                       state.formulation)
@@ -609,7 +599,6 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
         next_snap = next_snap[keep]
         fields = None if fields is None else StateFields(*(f[keep] for f in fields))
         params = ModelParams(np.array([[row.params.gamma] for row in rows]))
-        mean_rho = None
 
     def end_row(err: RunFailure, i: int) -> None:
         """The one way a failing row ends: stamp ``err``, raised at stacked
@@ -679,9 +668,6 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
     faces = StepFaces()
     while rows and _any(state.t < t_end):
         try:
-            if mean_rho is None:
-                mean_rho = np.reshape([row.summary.mean_rho0 for row in rows],
-                                      state.t.shape)[()]
             dt = compute_dt(state, g, params, config, fields)
             remaining = t_end - state.t
             over = remaining > (budget - n_steps) * dt
@@ -707,8 +693,7 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
             end_row(err, err.row if batched else 0)
             continue
         dt_actual = new_state.t - state.t
-        _accumulate(accums, state, fields, new_fields, faces, g, mean_rho,
-                    dt_actual)
+        _accumulate(accums, state, fields, new_fields, faces, g, dt_actual)
         # land exactly on t_end unless the positivity rescue halved the step
         if landing and _any(land := final_step & (dt_actual > 0.6 * dt)):
             new_state = State(_where(land, t_end, new_state.t), new_state.rho,

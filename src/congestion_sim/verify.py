@@ -334,27 +334,23 @@ def dense_oracle_checks() -> list[CheckResult]:
     return out
 
 
-def random_cyclic_systems_check(seed: int, n_max: int, signed: bool = False) -> CheckResult:
+def random_cyclic_systems_check(seed: int, n_max: int) -> CheckResult:
     """``solve_cyclic_tridiagonal`` against a dense solve on 100 random
-    diagonally dominant periodic systems of 4 <= n < ``n_max``.
-
-    ``signed`` flips the sign of each diagonal entry at random.  The
-    solutions must agree to ``MACHINE_NOISE``.
+    symmetric, diagonally dominant periodic systems with a positive
+    diagonal, of 4 <= n < ``n_max`` unknowns.  The solutions must agree to
+    ``MACHINE_NOISE``.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(4, n_max))
-        sub, sup = rng.normal(size=n), rng.normal(size=n)
-        clo, chi = rng.normal(size=2)
-        diag = np.abs(sub) + np.abs(sup) + abs(clo) + abs(chi) + 1.0 + rng.random(n)
-        if signed:
-            diag = diag * rng.choice([-1.0, 1.0], size=n)
+        off = rng.normal(size=n)
+        diag = np.abs(off) + np.abs(np.roll(off, 1)) + 1.0 + rng.random(n)
         rhs = rng.normal(size=n)
-        x = solve_cyclic_tridiagonal(sub, diag, sup, clo, chi, rhs)
-        dense = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
-        dense[0, n - 1] += clo
-        dense[n - 1, 0] += chi
+        x = solve_cyclic_tridiagonal(diag, off, rhs)
+        dense = np.diag(diag) + np.diag(off[:-1], -1) + np.diag(off[:-1], 1)
+        dense[0, n - 1] += off[-1]
+        dense[n - 1, 0] += off[-1]
         worst = max(worst, float(np.max(np.abs(x - np.linalg.solve(dense, rhs)))))
     return CheckResult("cyclic tridiagonal vs dense (100 systems)",
                        worst <= MACHINE_NOISE, worst, MACHINE_NOISE)

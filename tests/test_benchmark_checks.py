@@ -12,8 +12,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name,digest", [
-    ("simulate_snapshots", "c76881a0a20a3ec76d8aaaba2dc116228e58579d3a2c209ba25e426c07d718fe"),
-    ("sweep_n256", "90adaa0fbc90a02cadf2ffffa2b6d28f35cae1ccd1d8139c63aea936998212cf"),
+    ("simulate_snapshots", "e3cb116aa86fb146a8c84b350a3376b0ecd50a4a29ea6284bbf1bca8748bf015"),
+    ("sweep_n256", "92c2b479305baaaa1d87b6fc2c1d46cd27caa4b63d356296e08e2995b89b8b6f"),
 ], ids=["simulate_snapshots", "sweep_n256"])
 def test_benchmark_output_checks_pass(tmp_path, monkeypatch, capsys, name, digest):
     spec = importlib.util.spec_from_file_location("perfbench_workloads",

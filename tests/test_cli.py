@@ -242,12 +242,13 @@ def test_summary_byte_stable(tmp_path):
 
 
 # sha256 of summary.json for the shipped standard_smooth config (n = 256)
-# in each formulation, fixed when the step kernel was rewritten to use
-# slice shifts and a direct gtsv call; a change that moves these bits
-# must say so and show the acceptance verdicts unchanged
+# in each formulation, fixed when the periodic solve became the symmetric
+# positive definite ptsv and summary.json lost I_mean and I_plain_split;
+# a change that moves these bits must say so and show the acceptance
+# verdicts unchanged
 SHIPPED_SUMMARY_SHA256 = {
-    W_FORM: "82e1c20cb0294588db462b72eff790b0d7ff082457645171c78aab409a3b7012",
-    U_FORM: "2a27a2fbd0f9f9e2dc4c7a717ec18fd5675b6d30b477b6f8b30523e9d2a8b2df",
+    W_FORM: "1d9f139df54acc101ab44867a33b7492d5325f2dac120ae5a83ea744637918d2",
+    U_FORM: "ae870178eea78ea46e521cf24187fc70f83d786020e6fd10c257fa8728954017",
 }
 
 
@@ -269,18 +270,18 @@ def test_shipped_summary_bits_unchanged(tmp_path, formulation):
 # sha256 of the streamed outputs of the shipped standard_smooth config in
 # each formulation: its snapshot_*.csv files concatenated in order, its
 # snapshots.jsonl (output.format = jsonl) and its diagnostics.jsonl, which
-# both formats write alike; fixed when these files were still written
-# after the run, before the run streamed each snapshot to them
+# both formats write alike; fixed when the periodic solve became the
+# symmetric positive definite ptsv
 SHIPPED_STREAM_SHA256 = {
     W_FORM: {
-        "csv": "89e149d5f2dbea5c25185b74f2da5602d4451dbb131894b3688926a76fc2841f",
-        "jsonl": "312f510fab60b28ae6fddba84215c909cd89a07dcf36122762a853724308be17",
-        "diagnostics": "f9f6a133b30097c7d248c1c469a7c4a9f8ac942f98032b65e6fc1b9735cd38bb",
+        "csv": "45821d6420a7ecb0fd4e61edc7bee34dc6857ddfa7e4025d451fa3ca786d0523",
+        "jsonl": "90efdd20ca80a30fa6a7e67343454f587672fe81f9cf5026b66d9c7925b17c50",
+        "diagnostics": "a8f9eba526f57b67f93420f980d2b512d988a180584ef9fb0561af8d79a037da",
     },
     U_FORM: {
-        "csv": "eac4d9f542c58984ea806c962396ba41e324b400b0952355e0ecaf6700618c8c",
-        "jsonl": "fa7d5c133bf34df2179b9bdb9b1c0ca7ab311da62439f9ffa008c31651693409",
-        "diagnostics": "e9b2b5c9ac3778bd730175b0474a6d4509b32bd8e205aec45c522b3d3d5984db",
+        "csv": "f808defdf9e471a3bafc0f4dd8b7b4c174d7b3b9a5141d052207c2acb2c1e919",
+        "jsonl": "2b6840c18199564012f828032e4e714e05c63eaafa633d81491a94512803efcc",
+        "diagnostics": "746b108304db60101c01135a1e31efa49c8122a98570822ddfad9a560189bae2",
     },
 }
 
@@ -303,8 +304,9 @@ def test_shipped_stream_bits_unchanged(tmp_path, formulation):
 
 
 # sha256 of sweep_summary.json for the shipped standard_sweep config: the
-# bits of the batched path, where the five gammas step as one batch
-SHIPPED_SWEEP_SUMMARY_SHA256 = "90adaa0fbc90a02cadf2ffffa2b6d28f35cae1ccd1d8139c63aea936998212cf"
+# bits of the batched path, where the five gammas step as one batch, fixed
+# when the periodic solve became the symmetric positive definite ptsv
+SHIPPED_SWEEP_SUMMARY_SHA256 = "92c2b479305baaaa1d87b6fc2c1d46cd27caa4b63d356296e08e2995b89b8b6f"
 
 
 def test_shipped_sweep_summary_bits_unchanged(tmp_path):
@@ -316,17 +318,17 @@ def test_shipped_sweep_summary_bits_unchanged(tmp_path):
 
 
 def test_scipy_fallback_gives_shipped_summary_bits(tmp_path, monkeypatch):
-    # the path of a numpy that exports no OpenBLAS dgtsv: every solve goes
+    # the path of a numpy that exports no OpenBLAS dptsv: every solve goes
     # through scipy and the run keeps its bits
-    source, fallback = _lapack.select_gtsv("no_such_symbol_")
-    assert (source, fallback) == ("scipy", _lapack.scipy_gtsv)
+    source, fallback = _lapack.select_ptsv("no_such_symbol_")
+    assert (source, fallback) == ("scipy", _lapack.scipy_ptsv)
     calls = []
 
     def counted(bands):
         calls.append(bands.shape)
         return fallback(bands)
 
-    monkeypatch.setattr(_lapack, "gtsv", counted)
+    monkeypatch.setattr(_lapack, "ptsv", counted)
     assert shipped_summary_sha256(tmp_path, W_FORM) == SHIPPED_SUMMARY_SHA256[W_FORM]
     n_steps = json.loads((tmp_path / "out" / "summary.json").read_text())["n_steps"]
     assert len(calls) >= n_steps > 0

@@ -233,8 +233,7 @@ def test_w_transport_max_principle(W, u, frac):
 def test_cyclic_tridiagonal_identity():
     rng = np.random.default_rng(0)
     rhs = rng.normal(size=12)
-    x = solve_cyclic_tridiagonal(np.zeros(12), np.ones(12), np.zeros(12),
-                                 0.0, 0.0, rhs)
+    x = solve_cyclic_tridiagonal(np.ones(12), np.zeros(12), rhs)
     assert np.allclose(x, rhs, atol=1e-14)
 
 
@@ -245,24 +244,37 @@ def test_cyclic_tridiagonal_circulant_eigenvector():
     g = Grid(n)
     mode = np.sin(2.0 * np.pi * k * g.x)
     eig = 3.0 - 2.0 * np.cos(2.0 * np.pi * k / n)
-    x = solve_cyclic_tridiagonal(np.full(n, -1.0), np.full(n, 3.0),
-                                 np.full(n, -1.0), -1.0, -1.0, mode)
+    x = solve_cyclic_tridiagonal(np.full(n, 3.0), np.full(n, -1.0), mode)
     assert np.max(np.abs(x - mode / eig)) <= 1e-12
 
 
 def test_cyclic_tridiagonal_matches_dense_on_random_systems():
-    check = random_cyclic_systems_check(seed=42, n_max=40, signed=True)
+    check = random_cyclic_systems_check(seed=42, n_max=40)
     assert check.worst <= 1e-12
+
+
+def test_cyclic_tridiagonal_rejects_indefinite():
+    # a negative diagonal entry at a cell the rank-one split leaves as it
+    # is (neither the first nor the last) makes the split matrix
+    # indefinite, so the factorization meets a non-positive pivot
+    rng = np.random.default_rng(42)
+    for _ in range(20):
+        n = int(rng.integers(4, 40))
+        diag, off, rhs = (a[0] for a in random_dominant_systems(rng, 1, n))
+        diag *= rng.choice([-1.0, 1.0], size=n)
+        k = int(rng.integers(1, n - 1))
+        diag[k] = -abs(diag[k])
+        with pytest.raises(LinearSolveError, match="ptsv info"):
+            solve_cyclic_tridiagonal(diag, off, rhs)
 
 
 def test_cyclic_tridiagonal_linearity():
     rng = np.random.default_rng(5)
     n = 24
-    sub = rng.normal(size=n)
-    sup = rng.normal(size=n)
-    diag = np.abs(sub) + np.abs(sup) + 2.5 + rng.random(n)
+    off = rng.normal(size=n)
+    diag = np.abs(off) + np.abs(np.roll(off, 1)) + 2.5 + rng.random(n)
     r1, r2 = rng.normal(size=n), rng.normal(size=n)
-    args = (sub, diag, sup, -0.3, 0.7)
+    args = (diag, off)
     x12 = solve_cyclic_tridiagonal(*args, r1 + r2)
     x1 = solve_cyclic_tridiagonal(*args, r1)
     x2 = solve_cyclic_tridiagonal(*args, r2)
@@ -273,8 +285,7 @@ def test_cyclic_tridiagonal_rejects_singular():
     # bare periodic second difference is singular
     n = 16
     with pytest.raises(LinearSolveError):
-        solve_cyclic_tridiagonal(np.full(n, -1.0), np.full(n, 2.0),
-                                 np.full(n, -1.0), -1.0, -1.0, np.ones(n))
+        solve_cyclic_tridiagonal(np.full(n, 2.0), np.full(n, -1.0), np.ones(n))
 
 
 # ------------------------------------------------------------ run_simulation
@@ -434,16 +445,15 @@ def test_formulations_converge_together(standard_u_256, standard_w_256):
     assert diff <= 0.02
 
 
-LAPACK_PATHS = (_lapack.gtsv, _lapack.scipy_gtsv)
+LAPACK_PATHS = (_lapack.ptsv, _lapack.scipy_ptsv)
 
 
 def random_dominant_systems(rng, k, n):
-    """(sub, diag, sup, corner_lo, corner_hi, rhs) of k diagonally dominant
-    periodic systems of n unknowns, stacked."""
-    sub, sup = rng.normal(size=(k, n)), rng.normal(size=(k, n))
-    clo, chi = rng.normal(size=k), rng.normal(size=k)
-    diag = np.abs(sub) + np.abs(sup) + 3.0 + rng.random(size=(k, n))
-    return sub, diag, sup, clo, chi, rng.normal(size=(k, n))
+    """(diag, off, rhs) of k symmetric, diagonally dominant periodic systems
+    of n unknowns with a positive diagonal, stacked."""
+    off = rng.normal(size=(k, n))
+    diag = np.abs(off) + np.abs(np.roll(off, 1, axis=-1)) + 3.0 + rng.random(size=(k, n))
+    return diag, off, rng.normal(size=(k, n))
 
 
 def test_batched_solve_matches_each_system(monkeypatch):
@@ -453,8 +463,8 @@ def test_batched_solve_matches_each_system(monkeypatch):
     for k, n in ((4, 24), (1, 8), (3, 256), (2, 4096)):
         systems = random_dominant_systems(rng, k, n)
         solutions = []
-        for gtsv in LAPACK_PATHS:
-            monkeypatch.setattr(_lapack, "gtsv", gtsv)
+        for ptsv in LAPACK_PATHS:
+            monkeypatch.setattr(_lapack, "ptsv", ptsv)
             x = solve_cyclic_tridiagonal(*systems)
             for i in range(k):
                 assert np.array_equal(x[i], solve_cyclic_tridiagonal(*(a[i] for a in systems)))
@@ -462,27 +472,43 @@ def test_batched_solve_matches_each_system(monkeypatch):
         assert np.array_equal(*solutions)
 
         # a nan in any operand: the same ValueError on both paths, naming its cell
-        for operand in (0, 1, 2, 5):   # sub, diag, sup, rhs
+        for operand in range(3):   # diag, off, rhs
             one = [a[0].copy() for a in systems]
             one[operand][5] = np.nan
-            for gtsv in LAPACK_PATHS:
-                monkeypatch.setattr(_lapack, "gtsv", gtsv)
+            for ptsv in LAPACK_PATHS:
+                monkeypatch.setattr(_lapack, "ptsv", ptsv)
                 with pytest.raises(ValueError, match="must not contain infs or NaNs") as err:
                     solve_cyclic_tridiagonal(*one)
                 assert isinstance(err.value, NonFiniteError)
                 assert (err.value.cell, err.value.row) == (5, None)
     monkeypatch.undo()
 
-    sub, diag, sup, clo, chi, rhs = random_dominant_systems(np.random.default_rng(11), 4, 24)
+    diag, off, rhs = random_dominant_systems(np.random.default_rng(11), 4, 24)
     # row 1 becomes the singular periodic Laplacian: only that row fails
-    sub[1], sup[1], diag[1] = -1.0, -1.0, 2.0
-    clo[1] = chi[1] = -1.0
+    diag[1], off[1] = 2.0, -1.0
     with pytest.raises(LinearSolveError) as batch:
-        solve_cyclic_tridiagonal(sub, diag, sup, clo, chi, rhs)
+        solve_cyclic_tridiagonal(diag, off, rhs)
     with pytest.raises(LinearSolveError) as alone:
-        solve_cyclic_tridiagonal(sub[1], diag[1], sup[1], clo[1], chi[1], rhs[1])
+        solve_cyclic_tridiagonal(diag[1], off[1], rhs[1])
     assert batch.value.row == 1 and alone.value.row is None
     assert str(batch.value) == str(alone.value)
+
+
+def test_batched_indefinite_row_fails_alone(monkeypatch):
+    # an indefinite row 2 stops the factorization in its own block: the
+    # batch names row 2 and says what that row says alone, on both paths
+    diag, off, rhs = random_dominant_systems(np.random.default_rng(3), 4, 24)
+    diag[2, 9] = -diag[2, 9]
+    for ptsv in LAPACK_PATHS:
+        monkeypatch.setattr(_lapack, "ptsv", ptsv)
+        with pytest.raises(LinearSolveError, match="ptsv info") as batch:
+            solve_cyclic_tridiagonal(diag, off, rhs)
+        with pytest.raises(LinearSolveError, match="ptsv info") as alone:
+            solve_cyclic_tridiagonal(diag[2], off[2], rhs[2])
+        assert batch.value.row == 2 and alone.value.row is None
+        assert str(batch.value) == str(alone.value)
+        for i in (0, 1, 3):
+            solve_cyclic_tridiagonal(diag[i], off[i], rhs[i])
 
 
 def test_batch_row_saturating_at_start_fails_alone():

@@ -20,8 +20,7 @@ from congestion_sim.sweep import (
     run_sweep,
 )
 
-ACCUMULATORS = ("diss_visc", "diss_offset", "work_offset", "diss_weighted",
-                "diss_plain", "diss_plain_low", "diss_plain_high")
+ACCUMULATORS = ("diss_visc", "diss_offset", "work_offset", "diss_plain")
 
 
 def sweep_config(gammas, recipe=SWEEP.recipe, n_cells=128, t_end=0.2,
@@ -211,13 +210,13 @@ def stiffness_limited_solve(limit, band=(np.inf, np.inf)):
     given (None for one system); what a row gets depends on that row alone."""
     real = solver_mod.solve_cyclic_tridiagonal
 
-    def solve(sub, diag, sup, corner_lo, corner_hi, rhs, tol=1e-10):
+    def solve(diag, off, rhs, tol=1e-10):
         top = np.max(diag, axis=-1, keepdims=True)
         in_band = (band[0] < top[..., 0]) & (top[..., 0] <= band[1])
         if in_band.any():
             raise LinearSolveError("largest diagonal entry in the failing band",
                                    row=int(np.argmax(in_band)) if diag.ndim > 1 else None)
-        x = real(sub, diag, sup, corner_lo, corner_hi, rhs, tol)
+        x = real(diag, off, rhs, tol)
         return np.where(top > limit, -x, x)
 
     return ("solve_cyclic_tridiagonal", solve)
@@ -393,8 +392,8 @@ def test_linear_solve_failure_is_a_failed_row(monkeypatch):
     plain = plain_runs(config)
     real = solver_mod.solve_cyclic_tridiagonal
 
-    def failing(sub, diag, sup, corner_lo, corner_hi, rhs, tol=1e-10):
-        x = real(sub, diag, sup, corner_lo, corner_hi, rhs, tol)
+    def failing(diag, off, rhs, tol=1e-10):
+        x = real(diag, off, rhs, tol)
         if np.ndim(diag) == 2 and len(diag) == 3:
             # row 1 of the full batch is gamma 10
             raise LinearSolveError("synthetic residual 1e-3 exceeds 1e-10", row=1)
@@ -420,12 +419,12 @@ def test_non_finite_operands_are_a_failed_row(monkeypatch):
     plain = plain_runs(config)
     real = solver_mod.solve_cyclic_tridiagonal
 
-    def poisoned(sub, diag, sup, corner_lo, corner_hi, rhs, tol=1e-10):
+    def poisoned(diag, off, rhs, tol=1e-10):
         if np.ndim(rhs) == 2 and len(rhs) == 3:
             # row 1 of the full batch is gamma 10
             rhs = rhs.copy()
             rhs[1, 7] = np.nan
-        return real(sub, diag, sup, corner_lo, corner_hi, rhs, tol)
+        return real(diag, off, rhs, tol)
 
     monkeypatch.setattr(solver_mod, "solve_cyclic_tridiagonal", poisoned)
     report = run_sweep(config)
