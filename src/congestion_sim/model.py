@@ -8,7 +8,9 @@ overflow guard is explicit.  Derived from it:
     pi(rho)     = gamma/(gamma+1) * rho^(gamma+1)         (congestion potential)
     H(rho)      = rho^(gamma+1)/(gamma+1)                 (entropy-like density)
 
-so that pi = gamma * H holds exactly and H'(rho) = p(rho).
+so that pi = gamma * H holds exactly and H'(rho) = p(rho).  lambda is
+formed as (rho * p(rho)) * gamma, so a state's p and lambda take one log
+and one exp of rho between them.
 
 A batch of runs that differ only in gamma stacks its fields as rows of a
 2D array and carries gamma as a column of shape (rows, 1), so every
@@ -83,6 +85,12 @@ def _checked_log(rho, params: ModelParams):
     return arr, np.log(arr)
 
 
+def _exceeds(peak) -> bool:
+    """Whether a peak exponent, or any row's in a batch, overflows exp()."""
+    flags = peak > OVERFLOW_EXPONENT
+    return flags.any() if flags.ndim else flags
+
+
 def _guarded_exp(exponent_arg, arr, params: ModelParams):
     if exponent_arg.max() > OVERFLOW_EXPONENT:
         raise _saturation(exponent_arg, arr, params)
@@ -110,16 +118,33 @@ def _saturation(exponent_arg, arr, params: ModelParams) -> SaturationError:
     )
 
 
-def pressure(rho, params: ModelParams):
-    """Offset p(rho) = rho**gamma, monotone increasing on (0, inf)."""
+def pressure(rho, params: ModelParams, lam_guard: bool = False):
+    """Offset p(rho) = rho**gamma, monotone increasing on (0, inf).
+
+    ``lam_guard`` also raises lambda's overflow, (gamma+1) log rho > 700,
+    for a caller that forms lambda = (rho * p) * gamma from the result.
+    """
     arr, log_rho = _checked_log(rho, params)
-    return _guarded_exp(params.gamma * log_rho, arr, params)
+    gamma = params.gamma
+    # one maximum of log(rho) per row decides both guards: for c > 0,
+    # fl(c * x) is monotone in x, so c * max(log rho) is max(c * log rho)
+    peak = log_rho.max(axis=-1, keepdims=True) if log_rho.ndim > 1 else log_rho.max()
+    if _exceeds(gamma * peak):
+        raise _saturation(gamma * log_rho, arr, params)
+    if lam_guard and _exceeds((gamma + 1.0) * peak):
+        raise _saturation((gamma + 1.0) * log_rho, arr, params)
+    exponent = gamma * log_rho
+    # p overwrites its exponent: the same bits, one array fewer
+    return np.exp(exponent, out=exponent) if np.ndim(exponent) else np.exp(exponent)
 
 
 def lambda_visc(rho, params: ModelParams):
-    """Viscosity lambda(rho) = gamma * rho**(gamma+1)."""
-    arr, log_rho = _checked_log(rho, params)
-    return params.gamma * _guarded_exp((params.gamma + 1.0) * log_rho, arr, params)
+    """Viscosity lambda(rho) = gamma * rho**(gamma+1), formed as
+    (rho * p(rho)) * gamma."""
+    arr = np.asarray(rho, dtype=float)
+    lam = arr * pressure(arr, params, lam_guard=True)
+    lam *= params.gamma
+    return lam
 
 
 def enthalpy_H(rho, params: ModelParams):
@@ -172,12 +197,16 @@ class StateFields(NamedTuple):
 
 
 def state_fields(state: State, g: Grid, params: ModelParams) -> StateFields:
-    """The one derivation of a state's cell fields: p, then lambda, then the rest."""
+    """The one derivation of a state's cell fields: p, from one log and one
+    exp of rho, then lambda = (rho * p) * gamma as in ``lambda_visc``, then
+    the rest."""
     rho = as_field(state.rho, g)
     carried = as_field(state.mom, g) / rho
-    p = pressure(rho, params)
-    lam = lambda_visc(rho, params)
-    dxp = central_difference(p) / (2.0 * g.dx)
+    p = pressure(rho, params, lam_guard=True)
+    lam = rho * p
+    lam *= params.gamma
+    dxp = central_difference(p)
+    dxp /= 2.0 * g.dx
     if state.formulation == U_FORM:
         return StateFields(p, dxp, lam, carried, carried + dxp)
     return StateFields(p, dxp, lam, carried - dxp, carried)

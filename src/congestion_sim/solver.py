@@ -12,14 +12,14 @@ loop evaluates each state's cell fields (``model.state_fields``: the
 carried velocity, p(rho), its central derivative, lambda(rho) and the
 other velocity) once and hands them to ``compute_dt``, the step, the
 running time integrals and the state's snapshot; pi' is gamma * p.
-The step builds each face quantity (donor-cell flux, face velocity,
-diffusive face flux, face viscosity) once and hands the ones the time
-integrals need to them, which only reduce them.  Neighbour shifts are
-slices.  The periodic tridiagonal system is symmetric positive definite
-and goes straight to LAPACK ``ptsv`` (LDL^T on two bands), called from
-the OpenBLAS that numpy bundles (``_lapack``), so a run never imports
-scipy; scipy's ``dptsv`` serves only where numpy exports no such routine
-(``_lapack.SOURCE`` says which).
+The step builds each face quantity (the donor split of the face
+velocity, donor-cell fluxes, diffusive face flux, face viscosity) once
+and hands the ones the time integrals need to them, which only reduce
+them.  Neighbour shifts are slices.  The periodic tridiagonal system is
+symmetric positive definite and goes straight to LAPACK ``ptsv`` (LDL^T
+on two bands), called from the OpenBLAS that numpy bundles
+(``_lapack``), so a run never imports scipy; scipy's ``dptsv`` serves
+only where numpy exports no such routine (``_lapack.SOURCE`` says which).
 
 Runs that differ only in gamma step as one batch: their fields are the
 rows of 2D arrays, gamma is a column and each per-row value (t, dt, the
@@ -28,11 +28,14 @@ single run, whose fields stay 1D and whose per-row values are scalars.
 A positivity rescue halves the dt of the failing rows only and redoes
 every row's density, with the same bits where a row's dt did not change.
 
-A small batch step is bound by the count of numpy calls, so the step
-path keeps it low with the same bits: per-row flags are read as lists
-and reductions go through ndarray methods, ``compute_dt`` reduces once,
-the four time integrands are summed as one buffer, and the loop clips
-and lands a step only when a row reaches t_end.
+A step costs about its count of array passes, and a small batch step its
+count of numpy calls, so the step path keeps both low: per-row flags are
+read as lists and reductions go through ndarray methods, ``compute_dt``
+reduces once, each flux takes three passes, the grid factors go into
+the dt and integral factors, temporaries are written in place, the four
+time integrands are summed as one buffer, and the loop clips and lands
+a step only when a row reaches t_end.  No value that reaches an output
+is reduced by BLAS, whose sums depend on its thread count.
 """
 from __future__ import annotations
 
@@ -80,9 +83,9 @@ from .model import (
 # guards the CFL formula in a quiescent fluid
 VELOCITY_FLOOR = 1e-12
 
-# the work budget of a run, in cell-steps: a step costs about 0.114 us x
-# (n_cells + STEP_OVERHEAD_CELLS) (2-core x86: 214 us at 256 cells, 650 us at
-# 4096), so a run within it takes at most about 10 minutes
+# the work budget of a run, in cell-steps: a step costs about 0.075 us x
+# (n_cells + STEP_OVERHEAD_CELLS) (2-core x86: 150 us at 256 cells, 390 us at
+# 4096), so a run within it takes at most about 6 minutes
 MAX_CELL_STEPS = 5e9
 STEP_OVERHEAD_CELLS = 1600
 
@@ -158,14 +161,14 @@ class Trajectory:
 class StepFaces:
     """Face quantities of one accepted step, for the running time integrals.
 
-    Entry i belongs to face i+1/2: ``lam_face`` averages the old state's
-    ``fields.lam``, and ``mass_flux`` is the step's total mass flux: the
-    donor-cell flux of rho, minus the implicit diffusive flux in the
-    w-formulation.
+    Entry i belongs to face i+1/2: ``lam_sum`` is the sum of the old
+    state's ``fields.lam`` over the face's two cells, and ``mass_flux`` is
+    the step's total mass flux: the donor-cell flux of rho, minus the
+    implicit diffusive flux in the w-formulation.
     """
 
     mass_flux: Field | None = None
-    lam_face: Field | None = None
+    lam_sum: Field | None = None
 
 
 # per-row helpers: on a handful of values a numpy wrapper costs more than
@@ -198,7 +201,8 @@ def compute_dt(state: State, g: Grid, params: ModelParams,
     if fields is None:
         fields = state_fields(state, g, params)
     # one reduction per row: max is exact, so the order of the maxima is free
-    speed = np.maximum(np.abs(fields.u), np.abs(fields.w)).max(axis=-1)
+    speed = np.abs(fields.u)
+    speed = np.maximum(speed, np.abs(fields.w), out=speed).max(axis=-1)
     return np.minimum(config.dt_max,
                       config.cfl * g.dx / np.maximum(VELOCITY_FLOOR, speed))
 
@@ -272,18 +276,25 @@ def solve_cyclic_tridiagonal(diag, off, rhs, tol: float = 1e-10):
     if _any(bad):
         raise LinearSolveError("rank-one correction denominator vanished",
                                row=_first_row(bad)[1])
-    x = y - z * _col((y[first] + frac * y[last]) / denom)
+    z *= _col((y[first] + frac * y[last]) / denom)
+    x = y - z
 
-    # diag*x + off[i-1]*x[i-1] + off[i]*x[i+1] - rhs, the wrap terms on off[-1]
-    residual = diag * x
-    inner = off[..., :-1]
-    residual[..., 1:] += inner * x[..., :-1]
-    residual[first] += wrap * x[last]
-    residual[..., :-1] += inner * x[..., 1:]
-    residual[last] += wrap * x[first]
+    # A x - rhs, in the bands that the solve has spent: diag*x - rhs, then
+    # off[i-1]*x[i-1] and off[i]*x[i+1].  These products are taken on the
+    # flat arrays, so one call covers every row of a batch; each row's entry
+    # whose flat neighbour lies in another row is then set from the row's
+    # wrap coupling off[-1]
+    residual = np.multiply(diag, x, out=d)
     residual -= rhs
-    worst = np.abs(residual).max(axis=-1)
-    bound = tol * (1.0 + np.abs(rhs).max(axis=-1))
+    o, v, t = off.reshape(-1), x.reshape(-1), z.reshape(-1)
+    np.multiply(o[:-1], v[:-1], out=t[1:])
+    z.T[0] = wrap * x.T[-1]
+    residual += z
+    np.multiply(o[:-1], v[1:], out=t[:-1])
+    z.T[-1] = wrap * x.T[0]
+    residual += z
+    worst = np.abs(residual, out=residual).max(axis=-1)
+    bound = tol * (1.0 + np.abs(rhs, out=z).max(axis=-1))
     # a non-finite entry of x makes its row's residual, and so ``worst``,
     # non-finite (0 * inf is nan; max keeps a nan)
     bad = ~np.isfinite(worst) | (worst > bound)
@@ -303,57 +314,58 @@ def _first_row(flags):
     return row, row
 
 
-# the face helpers scale the arrays they create in place: the same bits,
-# fewer arrays
+# the face helpers compute in place in the arrays they create: the same
+# bits, fewer arrays
 
-def _face_mean(cells: Field) -> Field:
-    # value at face i+1/2 as the arithmetic mean of cells i and i+1
-    out = face_sum(cells)
-    out *= 0.5
-    return out
+def _upwind_faces(v_cells: Field) -> tuple[Field, Field, Field]:
+    """Face velocity and its donor split at faces i+1/2: (v_face, vp, vm).
 
-
-def _upwind_faces(v_cells: Field) -> tuple[Field, Field]:
-    """Face velocity and donor-cell dissipation coefficient at faces i+1/2.
-
-    The coefficient a = |v_face| makes the viscosity-form flux below
-    algebraically the donor-cell flux; at expansion faces (diverging cell
-    velocities) it is floored at the velocity spread so the dissipation
-    cannot vanish at a stagnation face, which would otherwise pin a
-    persistent kink there.  The face factor 0.5*(a + |v_face|) never
-    exceeds max|v|, so monotonicity and positivity hold under the same
-    CFL bound as plain donor cell.
+    vp = 0.5 * (v_face + a) >= 0 and vm = v_face - vp <= 0, so the
+    donor-cell flux of q is vp[i] q[i] + vm[i] q[i+1] (``_donor_flux``).
+    The dissipation coefficient a = |v_face| makes that plain donor cell;
+    at expansion faces (diverging cell velocities) a is floored at the
+    velocity spread so the dissipation cannot vanish at a stagnation face,
+    which would otherwise pin a persistent kink there.  Neither vp nor -vm
+    exceeds max|v|, so monotonicity and positivity hold under the same CFL
+    bound as plain donor cell.
     """
-    v_face = _face_mean(v_cells)
+    v_face = face_sum(v_cells)
+    v_face *= 0.5
+    a = np.abs(v_face)
     spread = forward_difference(v_cells)
-    return v_face, np.maximum(np.abs(v_face), np.maximum(spread, 0.0))
+    # max(|v_face|, spread) is max(|v_face|, max(spread, 0)): |v_face| >= 0
+    np.maximum(a, spread, out=a)
+    vp = np.add(v_face, a, out=spread)
+    vp *= 0.5
+    # 0.5 * (v_face - a) to rounding, and <= 0 exactly: fl(vp) >= v_face
+    vm = np.subtract(v_face, vp, out=a)
+    return v_face, vp, vm
 
 
-def _advective_flux(q: Field, v_face: Field, a: Field) -> Field:
-    """Donor-cell flux of q at faces i+1/2, in viscosity form:
-    0.5 * (v_face * face_sum(q) - a * forward_difference(q))."""
-    flux = face_sum(q)
-    flux *= v_face
-    flux -= a * forward_difference(q)
-    flux *= 0.5
+def _donor_flux(q: Field, vp: Field, vm: Field) -> Field:
+    """Donor-cell flux of q at faces i+1/2: vp[i] q[i] + vm[i] q[i+1],
+    periodic.  The products with the next cell are taken on the flat
+    arrays, so one call covers every row of a batch; each row's last face,
+    where the flat neighbour belongs to the next row, is then set from the
+    row's wrap."""
+    flux = np.multiply(vp, q, out=np.empty(q.shape))
+    f, m, c = flux.reshape(-1), vm.reshape(-1), q.reshape(-1)
+    f[:-1] += m[:-1] * c[1:]
+    # the cells on the first axis
+    ft, qt = flux.T, q.T
+    ft[-1] = vp.T[-1] * qt[-1] + vm.T[-1] * qt[0]
     return flux
 
 
-def _flux_divergence(face_flux: Field, g: Grid) -> Field:
-    out = backward_difference(face_flux)
-    out /= g.dx
-    return out
-
-
-def _implicit_diffusion_solve(mass_diag, coeff_face: Field, rhs: Field,
-                              g: Grid, dt) -> Field:
-    """One backward-Euler solve of mass_diag*x - dt*d/dx(coeff dx x) = rhs.
+def _implicit_diffusion_solve(mass_diag, coeff: Field, scale, rhs: Field) -> Field:
+    """One backward-Euler solve of mass_diag*x - dt*d/dx(c dx x) = rhs,
+    where ``scale * coeff`` = dt/dx^2 c at each face.
 
     The system is symmetric: face i+1/2 couples cells i and i+1 by
-    off[i] = -dt/dx^2 coeff[i], and off[-1] is the wrap face.  A positive
+    off[i] = -scale * coeff[i], and off[-1] is the wrap face.  A positive
     mass diagonal and a nonnegative coefficient make it positive definite.
     """
-    off = -(dt / (g.dx * g.dx)) * coeff_face
+    off = coeff * -scale
     # mass_diag minus both couplings of each cell
     diag = mass_diag - off
     diag[..., 1:] -= off[..., :-1]
@@ -372,33 +384,41 @@ def _step(state: State, g: Grid, params: ModelParams, config: SchemeConfig,
     w-formulation, its mass solve); the momentum is then updated once, at
     the accepted dt.  In a batch, a row that loses positivity halves only
     its own dt, and the density is redone for every row: a row whose dt
-    did not change gets the same bits again.
+    did not change gets the same bits again.  Each update takes the flux
+    differences times dt/dx, so no divergence array is formed.
     """
     if fields is None:
         fields = state_fields(state, g, params)
     u_form = state.formulation == U_FORM
     rho, mom = as_field(state.rho, g), as_field(state.mom, g)
-    v_face, a = _upwind_faces(fields.u if u_form else fields.w)
-    flux_rho = _advective_flux(rho, v_face, a)
-    div_rho = _flux_divergence(flux_rho, g)
-    div_mom = _flux_divergence(_advective_flux(mom, v_face, a), g)
+    v_face, vp, vm = _upwind_faces(fields.u if u_form else fields.w)
+    flux_rho = _donor_flux(rho, vp, vm)
+    dflux_rho = backward_difference(flux_rho)
     forcing = None if sources is None else sources(g.x, state.t)
-    # lambda(rho_old) at faces: the u-formulation's lagged viscosity, and
-    # the weight of the viscous dissipation integral in both formulations
-    lam_face = _face_mean(fields.lam)
-    # the w-formulation's lagged diffusion coefficient pi'(rho) = gamma p(rho)
-    diff_face = None if u_form else _face_mean(params.gamma * fields.p)
+    # lambda(rho_old) at faces, as the sum over the face's two cells: the
+    # u-formulation's lagged viscosity (its mean, once halved), and the
+    # weight of the viscous dissipation integral in both formulations
+    lam_sum = face_sum(fields.lam)
+    diff_face = None
+    if not u_form:
+        # the lagged diffusion coefficient pi'(rho) = gamma p(rho) at faces,
+        # over dx
+        diff_face = face_sum(fields.p)
+        diff_face *= (0.5 / g.dx) * params.gamma
 
     def density(d):
         """The density after the steps ``d`` and, in the w-formulation, the
         diffusive face flux its mass solve applied."""
-        rho_star = rho - d * div_rho
+        rho_star = dflux_rho * -(d / g.dx)
+        rho_star += rho
         if forcing is not None:
-            rho_star = rho_star + d * forcing[0]
+            rho_star += d * forcing[0]
         if u_form:
             return rho_star, None
-        rho_new = _implicit_diffusion_solve(1.0, diff_face, rho_star, g, d)
-        return rho_new, diff_face * forward_difference(rho_new) / g.dx
+        rho_new = _implicit_diffusion_solve(1.0, diff_face, d / g.dx, rho_star)
+        dpi_face = forward_difference(rho_new)
+        dpi_face *= diff_face
+        return rho_new, dpi_face
 
     # the positivity rescue: only the failing rows halve their dt
     for _ in range(config.max_halvings + 1):
@@ -420,18 +440,25 @@ def _step(state: State, g: Grid, params: ModelParams, config: SchemeConfig,
     d = _col(dt)
 
     # the momentum, once per row at its accepted dt
-    mom_star = mom - d * div_mom
-    if forcing is not None:
-        mom_star = mom_star + d * forcing[1]
-    if u_form:
-        mom_new = rho_new * _implicit_diffusion_solve(rho_new, lam_face, mom_star, g, d)
-    else:
+    flux_mom = _donor_flux(mom, vp, vm)
+    if not u_form:
         # the momentum cross flux w * dx(pi) at faces reuses the discrete
         # diffusive flux the mass solve applied
-        mom_new = mom_star + d * _flux_divergence(v_face * dpi_face, g)
+        flux_mom -= np.multiply(v_face, dpi_face, out=v_face)
+    mom_new = backward_difference(flux_mom)
+    mom_new *= -(d / g.dx)
+    mom_new += mom
+    if forcing is not None:
+        mom_new += d * forcing[1]
+    if u_form:
+        # the mean of the face's two cells: half their sum
+        scale = d / (g.dx * g.dx) * 0.5
+        mom_new = rho_new * _implicit_diffusion_solve(rho_new, lam_sum, scale, mom_new)
     if faces is not None:
-        faces.mass_flux = flux_rho if u_form else flux_rho - dpi_face
-        faces.lam_face = lam_face
+        if not u_form:
+            flux_rho -= dpi_face
+        faces.mass_flux = flux_rho
+        faces.lam_sum = lam_sum
     return State(state.t + dt, rho_new, mom_new, state.formulation)
 
 
@@ -488,31 +515,32 @@ def _accumulate(accums: Accumulators, old: State, fields: StateFields,
     solve removed; this keeps the discrete energy balance one-sided.
     The fields of both states and the step's face quantities are
     evaluated once elsewhere; this only reduces them, per row in a batch.
+    The grid factors of the differences go into each integral's scalar
+    factor.
     """
-    rho_old, dxp = old.rho, fields.dxp
-    du_face = forward_difference(new_fields.u) / g.dx
+    du = forward_difference(new_fields.u)
     # the four integrands, built in one buffer and reduced by one sum: each
-    # row's sum has the bits of that row summed alone
-    f = np.empty((4,) + rho_old.shape)
-    np.multiply(faces.lam_face, du_face, out=f[0])
-    f[0] *= du_face
+    # row's sum has the bits of that row summed alone, and a sum takes
+    # neither BLAS nor threads
+    f = np.empty((4,) + du.shape)
+    np.multiply(faces.lam_sum, du, out=f[0])
+    f[0] *= du
     # rho * dxp, formed once for the offset dissipation and work
-    np.multiply(rho_old, dxp, out=f[2])
-    np.multiply(f[2], dxp, out=f[1])
+    np.multiply(old.rho, fields.dxp, out=f[2])
+    np.multiply(f[2], fields.dxp, out=f[1])
     f[2] *= fields.w
-    np.multiply(fields.lam, central_difference(fields.u) / (2.0 * g.dx), out=f[3])
-    sums = f.sum(axis=-1)
-    # each integral keeps its own order of products, so its bits hold:
-    # dt * dx * sum for the viscous dissipation, dt * (dx * sum) otherwise
-    accums.diss_visc += dt * g.dx * sums[0]
-    offset, work, plain = dt * (g.dx * sums[1:])
-    accums.diss_offset += offset
-    accums.work_offset += work
-    accums.diss_plain += plain
+    np.multiply(fields.lam, central_difference(fields.u), out=f[3])
+    visc, offset, work, plain = f.sum(axis=-1)
+    # lam_sum is twice the face viscosity; du and the central difference
+    # are dx and 2 dx times the velocity gradients
+    accums.diss_visc += dt * (0.5 / g.dx) * visc
+    accums.diss_offset += dt * (g.dx * offset)
+    accums.work_offset += dt * (g.dx * work)
+    accums.diss_plain += dt * (0.5 * plain)
 
     # the step's total mass flux per face: rho*u there, telescoping
     # exactly against the density update
-    accums.int_mass_flux += _col(dt) * faces.mass_flux
+    accums.int_mass_flux += np.multiply(faces.mass_flux, _col(dt), out=du)
 
 
 @dataclass(frozen=True)

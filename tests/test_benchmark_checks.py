@@ -12,8 +12,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name,digest", [
-    ("simulate_snapshots", "e3cb116aa86fb146a8c84b350a3376b0ecd50a4a29ea6284bbf1bca8748bf015"),
-    ("sweep_n256", "92c2b479305baaaa1d87b6fc2c1d46cd27caa4b63d356296e08e2995b89b8b6f"),
+    ("simulate_snapshots", "bd4487c207cf33814d494a0300a61754e24823615035b4e46bbf77409beffdb6"),
+    ("sweep_n256", "92b6812207fedc4188b18ccf0364dfb910d8e77e85946d76bc0fe02101da51eb"),
 ], ids=["simulate_snapshots", "sweep_n256"])
 def test_benchmark_output_checks_pass(tmp_path, monkeypatch, capsys, name, digest):
     spec = importlib.util.spec_from_file_location("perfbench_workloads",

@@ -242,13 +242,12 @@ def test_summary_byte_stable(tmp_path):
 
 
 # sha256 of summary.json for the shipped standard_smooth config (n = 256)
-# in each formulation, fixed when the periodic solve became the symmetric
-# positive definite ptsv and summary.json lost I_mean and I_plain_split;
-# a change that moves these bits must say so and show the acceptance
-# verdicts unchanged
+# in each formulation, fixed when the step took donor-split fluxes and one
+# log of rho per state; a change that moves these bits must say so and
+# show the acceptance verdicts unchanged
 SHIPPED_SUMMARY_SHA256 = {
-    W_FORM: "1d9f139df54acc101ab44867a33b7492d5325f2dac120ae5a83ea744637918d2",
-    U_FORM: "ae870178eea78ea46e521cf24187fc70f83d786020e6fd10c257fa8728954017",
+    W_FORM: "cd0a7751e6b8ada286734a3ccf2eee343d88fa183639455bdfe77a04c24190e0",
+    U_FORM: "25d813d6ee16094990e7c4612a849bc933b8612f0c528a865e9cd25441724dd2",
 }
 
 
@@ -270,18 +269,17 @@ def test_shipped_summary_bits_unchanged(tmp_path, formulation):
 # sha256 of the streamed outputs of the shipped standard_smooth config in
 # each formulation: its snapshot_*.csv files concatenated in order, its
 # snapshots.jsonl (output.format = jsonl) and its diagnostics.jsonl, which
-# both formats write alike; fixed when the periodic solve became the
-# symmetric positive definite ptsv
+# both formats write alike; fixed when the step took donor-split fluxes
 SHIPPED_STREAM_SHA256 = {
     W_FORM: {
-        "csv": "45821d6420a7ecb0fd4e61edc7bee34dc6857ddfa7e4025d451fa3ca786d0523",
-        "jsonl": "90efdd20ca80a30fa6a7e67343454f587672fe81f9cf5026b66d9c7925b17c50",
-        "diagnostics": "a8f9eba526f57b67f93420f980d2b512d988a180584ef9fb0561af8d79a037da",
+        "csv": "c1dba5aa7b3fc7c226c16f800435407dc1875527c3852ba53a44b949a08e7346",
+        "jsonl": "c790efb429e812290d28becfdf608eebcfa8db45e89a81e08f8bdcc1bf52930e",
+        "diagnostics": "d9e1945788ce51486b95fa84b8567d2113e5ac9688ffec734c9410621dc7ab7c",
     },
     U_FORM: {
-        "csv": "f808defdf9e471a3bafc0f4dd8b7b4c174d7b3b9a5141d052207c2acb2c1e919",
-        "jsonl": "2b6840c18199564012f828032e4e714e05c63eaafa633d81491a94512803efcc",
-        "diagnostics": "746b108304db60101c01135a1e31efa49c8122a98570822ddfad9a560189bae2",
+        "csv": "0040fd295997db156c4684db02144dd2ed4f117b1930fe2b18da0daa377b50f3",
+        "jsonl": "1a13e1444b640cdd64897a0d22e14e1ee070458ae7b7d6f28d39b03cd383784c",
+        "diagnostics": "66ff99044614a71a9a706d4fae2d625fbd87bb51c69924e9bb6670464bd168b4",
     },
 }
 
@@ -305,8 +303,8 @@ def test_shipped_stream_bits_unchanged(tmp_path, formulation):
 
 # sha256 of sweep_summary.json for the shipped standard_sweep config: the
 # bits of the batched path, where the five gammas step as one batch, fixed
-# when the periodic solve became the symmetric positive definite ptsv
-SHIPPED_SWEEP_SUMMARY_SHA256 = "92c2b479305baaaa1d87b6fc2c1d46cd27caa4b63d356296e08e2995b89b8b6f"
+# when the step took donor-split fluxes
+SHIPPED_SWEEP_SUMMARY_SHA256 = "92b6812207fedc4188b18ccf0364dfb910d8e77e85946d76bc0fe02101da51eb"
 
 
 def test_shipped_sweep_summary_bits_unchanged(tmp_path):
@@ -349,6 +347,31 @@ def modules_loaded_by_cli_import(*packages: str) -> list[str]:
             f"print(sorted(m for m in sys.modules if m.partition('.')[0] in {packages!r}))")
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120).stdout.splitlines()
+
+
+def test_summary_bits_do_not_depend_on_blas_threads(tmp_path):
+    # a BLAS reduction (np.dot, np.vecdot, @) splits its sum by thread: at
+    # 16384 cells its bits differ between one and two OpenBLAS threads, so
+    # no value that reaches an output may come from one
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, congestion_sim.cli as cli; sys.exit(cli.main(sys.argv[1:]))"
+    summaries = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / threads
+        cfg = shipped_config(tmp_path, "standard_smooth", {
+            "grid.n_cells": "16384", "time.t_end": "5e-5"}, out_dir, name=f"{threads}.cfg")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", code, "simulate", "--config", cfg],
+                       env=env, capture_output=True, check=True, timeout=300)
+        summaries.append((out_dir / "summary.json").read_bytes())
+    assert json.loads(summaries[0])["n_steps"] >= 3
+    assert summaries[0] == summaries[1]
 
 
 def test_cli_import_loads_no_scipy():
@@ -779,11 +802,11 @@ def test_killed_run_keeps_every_snapshot_it_handed_over(tmp_path, how):
 
 
 def test_each_state_takes_its_logs_once(tmp_path, monkeypatch):
-    # 2 logs of rho per state (p, then lambda, in state_fields), 1 per
-    # snapshot record (H, of which pi is made) and 1 in the initial summary
-    # (H); re-deriving u, w and lambda in the step, the records, the summary
-    # and the writer took 92 logs on this run, and re-deriving pi in the
-    # writer 53
+    # 1 log of rho per state (p in state_fields, of which lambda is made),
+    # 1 per snapshot record (H, of which pi is made) and 1 in the initial
+    # summary (H); re-deriving u, w and lambda in the step, the records, the
+    # summary and the writer took 92 logs on this run, re-deriving pi in the
+    # writer 53, and a second log for lambda in state_fields 40
     import congestion_sim.model as model_mod
 
     out_dir = tmp_path / "out"
@@ -800,7 +823,7 @@ def test_each_state_takes_its_logs_once(tmp_path, monkeypatch):
     n_steps = json.loads((out_dir / "summary.json").read_text())["n_steps"]
     n_snapshots = len((out_dir / "diagnostics.jsonl").read_text().splitlines())
     assert (n_steps, n_snapshots) == (12, 13)
-    assert len(logs) == 2 * (n_steps + 1) + n_snapshots + 1 == 40
+    assert len(logs) == (n_steps + 1) + n_snapshots + 1 == 27
 
 
 @pytest.mark.parametrize("changes,code", [

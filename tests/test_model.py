@@ -79,6 +79,47 @@ def test_saturation_error_names_the_batch_row():
     assert alone.value.row is None
 
 
+# gamma log rho <= 700 < (gamma + 1) log rho at rho = 2.013, gamma = 1000:
+# p is finite and lambda is not; the text, cell and row are those of
+# lambda's own overflow, as ``lambda_visc`` raises it
+LAMBDA_ONLY_OVERFLOW = ("power-law evaluation overflows: exponent 700 exceeds 700 "
+                        "(gamma=1000, rho=2.013)")
+
+
+def fields_error(rho, gamma):
+    """The SaturationError that ``state_fields`` raises on the w-formulation
+    state of density ``rho`` (a batch when 2D) at rest."""
+    t = 0.0 if np.ndim(rho) == 1 else np.zeros(len(rho))
+    state = State(t, rho, np.zeros_like(rho), W_FORM)
+    with pytest.raises(SaturationError) as err:
+        state_fields(state, Grid(rho.shape[-1]), ModelParams(gamma))
+    return err.value
+
+
+def test_state_fields_saturate_where_only_lambda_overflows():
+    rho = np.ones(8)
+    rho[5] = 2.013
+    assert np.isfinite(pressure(rho, ModelParams(1000.0))).all()
+    err = fields_error(rho, 1000.0)
+    assert (str(err), err.cell, err.gamma, err.row) == (LAMBDA_ONLY_OVERFLOW, 5, 1000.0, None)
+    with pytest.raises(SaturationError) as alone:
+        lambda_visc(rho, ModelParams(1000.0))
+    assert str(alone.value) == LAMBDA_ONLY_OVERFLOW
+    # a batch row names itself, with the text of its run alone
+    batch = np.ones((2, 8))
+    batch[1] = rho
+    err = fields_error(batch, np.array([[5.0], [1000.0]]))
+    assert (str(err), err.cell, err.gamma, err.row) == (LAMBDA_ONLY_OVERFLOW, 5, 1000.0, 1)
+    # p is evaluated for every row first: a later row whose p overflows
+    # fails before an earlier one whose lambda alone does
+    batch[1, 2] = 2.1
+    batch[0] = rho
+    err = fields_error(batch, np.array([[1000.0], [1000.0]]))
+    assert str(err) == ("power-law evaluation overflows: exponent 742 exceeds 700 "
+                        "(gamma=1000, rho=2.1)")
+    assert (err.cell, err.row) == (2, 1)
+
+
 def test_lambda_visc_values():
     assert lambda_visc(1.0, ModelParams(7.0)) == pytest.approx(7.0, rel=1e-14)
     assert lambda_visc(0.5, ModelParams(1.0)) == pytest.approx(0.25, rel=1e-14)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import congestion_sim._lapack as _lapack
+import congestion_sim.solver as solver_mod
 from conftest import (
     CONSTANT,
     STANDARD,
@@ -21,8 +22,9 @@ from congestion_sim.diagnostics import trajectory_checks
 from congestion_sim.errors import LinearSolveError, NonFiniteError, VacuumError
 from congestion_sim.grid import Grid, integrate
 from congestion_sim.initial_data import make_initial_data
-from congestion_sim.model import ModelParams, State, U_FORM, W_FORM, state_fields
+from congestion_sim.model import ModelParams, State, StateFields, U_FORM, W_FORM, state_fields
 from congestion_sim.solver import (
+    VELOCITY_FLOOR,
     SchemeConfig,
     compute_dt,
     run_simulation,
@@ -70,6 +72,78 @@ def test_compute_dt_halves_with_resolution():
         dts.append(compute_dt(State(0.0, rho, rho * u, U_FORM), g,
                               ModelParams(1e-6), cfg))
     assert dts[0] == pytest.approx(2.0 * dts[1], rel=1e-12)
+
+
+# u and w of a batch of 3 rows, with both signs of zero, nan and huge and
+# tiny values among their cells
+velocity_pairs = hnp.arrays(np.float64, st.integers(1, 9).map(lambda k: (2, 3, 4 * k)),
+                            elements=st.one_of(st.floats(allow_infinity=False, width=64),
+                                               st.sampled_from([0.0, -0.0, np.nan])))
+
+
+@given(velocity_pairs)
+@settings(max_examples=200, deadline=None)
+def test_compute_dt_is_the_cfl_step_of_the_largest_speed(uw):
+    u, w = uw
+    # bit for bit the step of max(|u|, |w|) over each row, nan included, for
+    # a batch and for each of its rows alone
+    g = Grid(u.shape[-1])
+    cfg = SchemeConfig(formulation=U_FORM, cfl=0.45, dt_max=10.0)
+    fields = StateFields(*(np.ones_like(u),) * 3, u, w)
+    state = State(np.zeros(len(u)), np.ones_like(u), u, U_FORM)
+    speed = np.maximum(np.abs(u), np.abs(w)).max(axis=-1)
+    want = np.minimum(cfg.dt_max, cfg.cfl * g.dx / np.maximum(VELOCITY_FLOOR, speed))
+    got = compute_dt(state, g, ModelParams(np.full((len(u), 1), 2.0)), cfg, fields)
+    assert got.tobytes() == want.tobytes()
+    for i in range(len(u)):
+        alone = compute_dt(State(0.0, state.rho[i], u[i], U_FORM), g, ModelParams(2.0),
+                           cfg, StateFields(*(f[i] for f in fields)))
+        assert np.float64(alone).tobytes() == want[i].tobytes()
+
+
+# ---------------------------------------------------------- donor fluxes --
+
+def viscosity_form_flux(q, v):
+    """The donor-cell flux of q at faces i+1/2 in viscosity form, with the
+    expansion-face floor, written out with rolls."""
+    v_face = 0.5 * (v + np.roll(v, -1, axis=-1))
+    a = np.maximum(np.abs(v_face), np.maximum(np.roll(v, -1, axis=-1) - v, 0.0))
+    return 0.5 * (v_face * (q + np.roll(q, -1, axis=-1)) - a * (np.roll(q, -1, axis=-1) - q))
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_donor_split_flux_is_the_viscosity_form_flux(seed):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(0.0, rng.uniform(0.1, 10.0), (3, int(rng.integers(4, 40))))
+    q = rng.uniform(0.1, 2.0, v.shape)
+    v_face, vp, vm = solver_mod._upwind_faces(v)
+    assert (vp >= 0.0).all() and (vm <= 0.0).all()
+    flux = solver_mod._donor_flux(q, vp, vm)
+    want = viscosity_form_flux(q, v)
+    scale = np.abs(v).max() * q.max()
+    assert np.allclose(flux, want, rtol=0.0, atol=8e-16 * scale)
+    # each row of the batch has the bits of that row alone
+    for i in range(len(v)):
+        alone = solver_mod._donor_flux(q[i], *solver_mod._upwind_faces(v[i])[1:])
+        assert np.array_equal(flux[i], alone)
+
+
+def test_donor_split_flux_is_exact_on_the_drain_case():
+    # the state of test_vacuum_error_after_exhausted_halvings: both faces of
+    # cell 0 carry exactly the viscosity-form flux, so the step empties it
+    # to exactly zero
+    rho = np.ones(4)
+    u = np.array([0.0, 2.0, 0.0, -2.0])
+    flux = solver_mod._donor_flux(rho, *solver_mod._upwind_faces(u)[1:])
+    assert np.array_equal(flux, viscosity_form_flux(rho, u))
+    assert np.array_equal(flux, [1.0, 1.0, -1.0, -1.0])
+    state = State(0.0, rho, rho * u, U_FORM)
+    cfg = SchemeConfig(formulation=U_FORM, max_halvings=0)
+    with pytest.raises(VacuumError):
+        step_u_form(state, Grid(4), ModelParams(1e-9), cfg, 0.125)
+    half = step_u_form(state, Grid(4), ModelParams(1e-9), cfg, 0.0625)
+    assert half.rho[0] == 0.5
 
 
 # ------------------------------------------------------------ fixed points --
@@ -286,6 +360,32 @@ def test_cyclic_tridiagonal_rejects_singular():
     n = 16
     with pytest.raises(LinearSolveError):
         solve_cyclic_tridiagonal(np.full(n, 2.0), np.full(n, -1.0), np.ones(n))
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0], ids=["short", "long"])
+def test_cyclic_tridiagonal_rejects_a_residual_of_either_sign(monkeypatch, scale):
+    # scaling the first solution column by ``scale`` scales x by it, so the
+    # residual is (scale - 1) * rhs: negative everywhere for a short x,
+    # positive for a long one, and far above the bound either way
+    real = _lapack.ptsv
+    rows, n = 3, 32
+    diag, off = np.full((rows, n), 3.0), np.full((rows, n), -1.0)
+    rhs = np.linspace(1.0, 2.0, rows * n).reshape(rows, n)
+
+    def scaled(bands, row=0):
+        info = real(bands)
+        bands[2, row * n:(row + 1) * n] *= scale
+        return info
+
+    monkeypatch.setattr(_lapack, "ptsv", scaled)
+    with pytest.raises(LinearSolveError, match="residual") as alone:
+        solve_cyclic_tridiagonal(diag[1], off[1], rhs[1])
+    assert alone.value.row is None
+    monkeypatch.setattr(_lapack, "ptsv", lambda bands: scaled(bands, row=1))
+    with pytest.raises(LinearSolveError, match="residual") as batch:
+        solve_cyclic_tridiagonal(diag, off, rhs)
+    assert batch.value.row == 1
+    assert str(batch.value) == str(alone.value)
 
 
 # ------------------------------------------------------------ run_simulation

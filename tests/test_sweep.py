@@ -223,10 +223,12 @@ def stiffness_limited_solve(limit, band=(np.inf, np.inf)):
 
 
 def density_sink(rate):
-    """Every flux divergence plus ``rate``: a uniform sink that the
-    u-formulation's explicit density update must resolve row by row."""
-    real = solver_mod._flux_divergence
-    return ("_flux_divergence", lambda face_flux, g: real(face_flux, g) + rate)
+    """Every flux difference plus ``rate`` dx, which the step takes times
+    dt/dx: a uniform sink of ``rate`` that the u-formulation's explicit
+    density update must resolve row by row."""
+    real = solver_mod.backward_difference
+    return ("backward_difference",
+            lambda face_flux: real(face_flux) + rate / face_flux.shape[-1])
 
 
 @pytest.mark.parametrize("formulation,patch,max_halvings,t_end,survivors", [
@@ -327,17 +329,17 @@ def test_failed_rows_are_reported_not_fatal(monkeypatch):
 
     config = sweep_config((5.0, 10.0, 20.0))
     plain = plain_runs(config)
-    real = model_mod.lambda_visc
+    real = model_mod.pressure
 
-    def flaky(rho, params):
+    def flaky(rho, params, lam_guard=False):
         # the batch's state fields see the whole batch; gamma 10's row fails
         gammas = list(np.ravel(params.gamma))
         if np.ndim(rho) == 2 and 10.0 in gammas:
             raise VacuumError("synthetic vacuum", t=0.1, cell=3, gamma=10.0,
                               row=gammas.index(10.0))
-        return real(rho, params)
+        return real(rho, params, lam_guard)
 
-    monkeypatch.setattr(model_mod, "lambda_visc", flaky)
+    monkeypatch.setattr(model_mod, "pressure", flaky)
     report = run_sweep(config)
     by_gamma = {row.gamma: row for row in report.rows}
     assert not by_gamma[5.0].failed and not by_gamma[20.0].failed
