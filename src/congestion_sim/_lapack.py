@@ -15,11 +15,15 @@ unused), and each further row one right-hand side, which is overwritten
 with its solution.  The band rows are overwritten by the factorization.
 It returns LAPACK's ``info``: 0 on success, i > 0 when the leading minor
 of order i is not positive definite.  Both paths run the same LAPACK
-routine on the same numbers, so they give the same bits.
+routine on the same numbers, so they give the same bits.  The OpenBLAS
+path keeps the ctypes argument block of the last array it was handed,
+while that array lives, so a caller that packs every system into one
+buffer pays for the block once.
 """
 from __future__ import annotations
 
 import ctypes
+import weakref
 
 import numpy as np
 
@@ -58,16 +62,25 @@ def select_ptsv(symbol: str = SYMBOL):
     # the address of a writable C-contiguous buffer (cheaper than .ctypes.data)
     address = ctypes.addressof
     view = ctypes.c_char.from_buffer
+    # the argument block of the last bands array passed, built again when a
+    # call passes another array or a new shape: a weak reference to that
+    # array (a new array at a dead one's address is another object), its
+    # shape, the seven addresses and the int64 block they point into
+    last = [(lambda: None, None, (), None)]
 
     def openblas_ptsv(bands: np.ndarray) -> int:
         """``ptsv`` through numpy's bundled OpenBLAS."""
-        _check_bands(bands)
-        m = bands.shape[1]
-        # N, NRHS, LDB and INFO, as the int64 the ILP64 interface takes
-        ints = ints_type(m, len(bands) - 2, m, 0)
-        at, iat = address(view(bands)), address(ints)
-        row = 8 * m
-        fn(iat, iat + 8, at, at + row, at + 2 * row, iat + 16, iat + 24)
+        held, shape, args, ints = last[0]
+        if held() is not bands or bands.shape != shape:
+            _check_bands(bands)
+            m = bands.shape[1]
+            # N, NRHS, LDB and INFO, as the int64 the ILP64 interface takes
+            ints = ints_type(m, len(bands) - 2, m, 0)
+            at, iat = address(view(bands)), address(ints)
+            row = 8 * m
+            args = (iat, iat + 8, at, at + row, at + 2 * row, iat + 16, iat + 24)
+            last[0] = (weakref.ref(bands), bands.shape, args, ints)
+        fn(*args)
         return ints[3]
 
     return "numpy-openblas", openblas_ptsv

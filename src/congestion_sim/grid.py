@@ -59,31 +59,33 @@ def as_field(f, g: Grid) -> Field:
 # Periodic neighbour differences and sums built from slices (np.roll
 # copies through a generic path that costs more than the arithmetic on
 # mesh-sized arrays).  They take an already validated float array and
-# act on its last axis.  A batch's rows run on in one flat array, so one
-# call on contiguous slices covers every row; the entries it computes
-# across a row end are then overwritten by the wrap, set on the transpose,
-# which puts the cells first.
+# act on its last axis, writing into a new array or, for the differences
+# the step takes, into ``out`` (a C-ordered array of f's shape).  A batch's rows run on in one
+# flat array, so one call on contiguous slices covers every row; the
+# entries it computes across a row end are then overwritten by the wrap,
+# set on the transpose, which puts the cells first.
 
-def _shift_views(f: Field):
-    """A new C-ordered output for f, then f and it flat, then f and it
-    with the cells on the first axis."""
-    out = np.empty_like(f, order="C")
+def _shift_views(f: Field, out: Field | None):
+    """The output, then f and it flat, then f and it with the cells on the
+    first axis."""
+    if out is None:
+        out = np.empty(f.shape, f.dtype)
     if f.ndim == 1:
         return out, f, out, f, out
-    return out, f.reshape(-1), out.reshape(-1), f.T, out.T
+    return out, f.ravel(), out.ravel(), f.T, out.T
 
 
-def forward_difference(f: Field) -> Field:
+def forward_difference(f: Field, out: Field | None = None) -> Field:
     """f[i+1] - f[i] with periodic wrap."""
-    out, c, o, e, oe = _shift_views(f)
+    out, c, o, e, oe = _shift_views(f, out)
     np.subtract(c[1:], c[:-1], out=o[:-1])
     oe[-1] = e[0] - e[-1]
     return out
 
 
-def backward_difference(f: Field) -> Field:
+def backward_difference(f: Field, out: Field | None = None) -> Field:
     """f[i] - f[i-1] with periodic wrap."""
-    out, c, o, e, oe = _shift_views(f)
+    out, c, o, e, oe = _shift_views(f, out)
     np.subtract(c[1:], c[:-1], out=o[1:])
     oe[0] = e[0] - e[-1]
     return out
@@ -91,18 +93,10 @@ def backward_difference(f: Field) -> Field:
 
 def central_difference(f: Field) -> Field:
     """f[i+1] - f[i-1] with periodic wrap."""
-    out, c, o, e, oe = _shift_views(f)
+    out, c, o, e, oe = _shift_views(f, None)
     np.subtract(c[2:], c[:-2], out=o[1:-1])
     oe[0] = e[1] - e[-1]
     oe[-1] = e[0] - e[-2]
-    return out
-
-
-def face_sum(f: Field) -> Field:
-    """f[i] + f[i+1] with periodic wrap: twice the mean at face i+1/2."""
-    out, c, o, e, oe = _shift_views(f)
-    np.add(c[:-1], c[1:], out=o[:-1])
-    oe[-1] = e[-1] + e[0]
     return out
 
 

@@ -70,17 +70,22 @@ class State:
     def __post_init__(self) -> None:
         if self.formulation not in FORMULATIONS:
             raise ValueError(f"formulation must be one of {FORMULATIONS}")
-        if np.shape(self.rho) != np.shape(self.mom):
+        if _shape(self.rho) != _shape(self.mom):
             raise ValueError("rho and mom must have identical shapes")
-        if (self.t < 0.0).any() if np.ndim(self.t) else self.t < 0.0:
+        if (self.t < 0.0).any() if isinstance(self.t, np.ndarray) else self.t < 0.0:
             raise ValueError("time must be nonnegative")
 
 
-# the guards reduce through ndarray methods, cheaper than np.all and np.max
+def _shape(a) -> tuple:
+    return a.shape if isinstance(a, np.ndarray) else np.shape(a)
+
+
+# the guards reduce through the ufuncs' own reduce, cheaper than np.all,
+# np.max and the ndarray methods
 
 def _checked_log(rho, params: ModelParams):
     arr = np.asarray(rho, dtype=float)
-    if not arr.min() > 0.0:
+    if not np.minimum.reduce(arr, axis=None) > 0.0:
         raise DomainError("density must be strictly positive")
     return arr, np.log(arr)
 
@@ -128,14 +133,15 @@ def pressure(rho, params: ModelParams, lam_guard: bool = False):
     gamma = params.gamma
     # one maximum of log(rho) per row decides both guards: for c > 0,
     # fl(c * x) is monotone in x, so c * max(log rho) is max(c * log rho)
-    peak = log_rho.max(axis=-1, keepdims=True) if log_rho.ndim > 1 else log_rho.max()
+    peak = (np.maximum.reduce(log_rho, axis=-1, keepdims=True) if log_rho.ndim > 1
+            else np.maximum.reduce(log_rho, axis=None))
     if _exceeds(gamma * peak):
         raise _saturation(gamma * log_rho, arr, params)
     if lam_guard and _exceeds((gamma + 1.0) * peak):
         raise _saturation((gamma + 1.0) * log_rho, arr, params)
     exponent = gamma * log_rho
     # p overwrites its exponent: the same bits, one array fewer
-    return np.exp(exponent, out=exponent) if np.ndim(exponent) else np.exp(exponent)
+    return np.exp(exponent, out=exponent) if exponent.ndim else np.exp(exponent)
 
 
 def lambda_visc(rho, params: ModelParams):

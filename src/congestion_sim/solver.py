@@ -15,11 +15,11 @@ running time integrals and the state's snapshot; pi' is gamma * p.
 The step builds each face quantity (the donor split of the face
 velocity, donor-cell fluxes, diffusive face flux, face viscosity) once
 and hands the ones the time integrals need to them, which only reduce
-them.  Neighbour shifts are slices.  The periodic tridiagonal system is
-symmetric positive definite and goes straight to LAPACK ``ptsv`` (LDL^T
-on two bands), called from the OpenBLAS that numpy bundles
-(``_lapack``), so a run never imports scipy; scipy's ``dptsv`` serves
-only where numpy exports no such routine (``_lapack.SOURCE`` says which).
+them.  The periodic tridiagonal system is symmetric positive definite
+and goes straight to LAPACK ``ptsv`` (LDL^T on two bands), called from
+the OpenBLAS that numpy bundles (``_lapack``), so a run never imports
+scipy; scipy's ``dptsv`` serves only where numpy exports no such routine
+(``_lapack.SOURCE`` says which).
 
 Runs that differ only in gamma step as one batch: their fields are the
 rows of 2D arrays, gamma is a column and each per-row value (t, dt, the
@@ -28,14 +28,20 @@ single run, whose fields stay 1D and whose per-row values are scalars.
 A positivity rescue halves the dt of the failing rows only and redoes
 every row's density, with the same bits where a row's dt did not change.
 
-A step costs about its count of array passes, and a small batch step its
-count of numpy calls, so the step path keeps both low: per-row flags are
-read as lists and reductions go through ndarray methods, ``compute_dt``
-reduces once, each flux takes three passes, the grid factors go into
-the dt and integral factors, temporaries are written in place, the four
-time integrands are summed as one buffer, and the loop clips and lands
-a step only when a row reaches t_end.  No value that reaches an output
-is reduced by BLAS, whose sums depend on its thread count.
+On the grids of ``verify`` a step costs about its count of numpy calls,
+and on large grids about its count of array passes, so the step path
+keeps both low.  The run owns one ``StepScratch``: the step, its
+diffusion solve and the time integrals write their temporaries there,
+the old state's fields are copied once into a buffer that holds each
+cell's neighbours, so a neighbour is a view, and the solve packs its
+bands into the same buffer each step, whose LAPACK argument block
+``_lapack`` keeps.  The solve scans for non-finite input only on its way
+to an error.  Per-row flags are read as lists and reductions call the
+ufuncs' own ``reduce``, ``compute_dt`` reduces once, each flux takes
+three passes, the grid factors go into the dt and integral factors, the
+four time integrands are summed as one buffer, and the loop clips and
+lands a step only when a row reaches t_end.  No value that reaches an
+output is reduced by BLAS, whose sums depend on its thread count.
 """
 from __future__ import annotations
 
@@ -66,8 +72,6 @@ from .grid import (
     Grid,
     as_field,
     backward_difference,
-    central_difference,
-    face_sum,
     forward_difference,
 )
 from .model import (
@@ -83,9 +87,9 @@ from .model import (
 # guards the CFL formula in a quiescent fluid
 VELOCITY_FLOOR = 1e-12
 
-# the work budget of a run, in cell-steps: a step costs about 0.075 us x
-# (n_cells + STEP_OVERHEAD_CELLS) (2-core x86: 150 us at 256 cells, 390 us at
-# 4096), so a run within it takes at most about 6 minutes
+# the work budget of a run, in cell-steps: a step costs about 0.055 us x
+# (n_cells + STEP_OVERHEAD_CELLS) (2-core x86: 100 us at 256 cells, 300 us at
+# 4096), so a run within it takes at most about 4.5 minutes
 MAX_CELL_STEPS = 5e9
 STEP_OVERHEAD_CELLS = 1600
 
@@ -157,18 +161,48 @@ class Trajectory:
         return np.array([getattr(rec, name) for rec in self.records])
 
 
-@dataclass
-class StepFaces:
-    """Face quantities of one accepted step, for the running time integrals.
+class StepScratch:
+    """A run's step temporaries for fields of one shape, (n,) or (rows, n):
+    the run loop builds one per run and again when a batch restacks.
 
-    Entry i belongs to face i+1/2: ``lam_sum`` is the sum of the old
-    state's ``fields.lam`` over the face's two cells, and ``mass_flux`` is
-    the step's total mass flux: the donor-cell flux of rho, minus the
-    implicit diffusive flux in the w-formulation.
+    The step, its diffusion solve and the time integrals write into it
+    instead of into new arrays; no array of it becomes part of a state, its
+    fields, a record or a snapshot.  The step copies the old state's fields
+    into one buffer with each row's periodic neighbours on both sides, so a
+    neighbour is a view and one column copy sets every wrap.  After a step,
+    entry i of ``mass_flux`` and ``lam_sum`` belongs to face i+1/2:
+    ``mass_flux`` is the step's total mass flux (the donor-cell flux of rho,
+    minus the implicit diffusive flux in the w-formulation), ``lam_sum`` the
+    sum of the old state's ``fields.lam`` over the face's two cells; and
+    ``u_next`` and ``u_prev`` are the old state's velocity shifted by one cell.
     """
 
-    mass_flux: Field | None = None
-    lam_sum: Field | None = None
+    def __init__(self, g: Grid, shape) -> None:
+        shape = tuple(shape)
+        lead, n = shape[:-1], shape[-1]
+        # rows v (the carried velocity), rho, mom, lam, p and u: entry j + 1
+        # of a row is cell j, and entries 0 and n + 1 repeat cells n - 1 and 0
+        halo = np.empty((6,) + lead + (n + 2,))
+        self.v, self.rho, self.mom, self.lam, self.p, self.u = halo[..., 1:-1]
+        (self.v_next, self.rho_next, self.mom_next, self.lam_next, self.p_next,
+         self.u_next) = halo[..., 2:]
+        self.u_prev = halo[5, ..., :-2]
+        # (wrap entries, the cells they repeat)
+        self.halo_wraps = ((halo[..., 0], halo[..., -2]), (halo[..., -1], halo[..., 1]))
+        (self.mass_flux, self.flux_mom, self.lam_sum, self.diff_face, self.v_face,
+         self.vp, self.vm, self.flux_tmp, self.dflux, self.dpi, self.rhs, self.off,
+         self.diag, self.du) = np.empty((14,) + shape)
+        # the four time integrands, summed as one buffer
+        self.integrands = np.empty((4,) + shape)
+        # the solve's packed bands, in the layout of ``_lapack.ptsv``
+        self.bands = np.empty((4, self.off.size))
+        # each cell's coupling through its left face, diag[..., 1:] and
+        # off[..., :-1], and the wrap entries with the cells first
+        self.diag_right, self.off_left = self.diag[..., 1:], self.off[..., :-1]
+        self.diag_cells, self.off_cells = self.diag.T, self.off.T
+        # the cell centres, for the sources of a forced run
+        self.x = g.x
+        self.x.flags.writeable = False
 
 
 # per-row helpers: on a handful of values a numpy wrapper costs more than
@@ -202,12 +236,12 @@ def compute_dt(state: State, g: Grid, params: ModelParams,
         fields = state_fields(state, g, params)
     # one reduction per row: max is exact, so the order of the maxima is free
     speed = np.abs(fields.u)
-    speed = np.maximum(speed, np.abs(fields.w), out=speed).max(axis=-1)
+    speed = np.maximum.reduce(np.maximum(speed, np.abs(fields.w), out=speed), axis=-1)
     return np.minimum(config.dt_max,
                       config.cfl * g.dx / np.maximum(VELOCITY_FLOOR, speed))
 
 
-def solve_cyclic_tridiagonal(diag, off, rhs, tol: float = 1e-10):
+def solve_cyclic_tridiagonal(diag, off, rhs, tol: float = 1e-10, *, bands=None):
     """Solve the symmetric periodic tridiagonal system A x = rhs.
 
     A[i][i] = diag[i] and A[i][i+1 mod n] = A[i+1 mod n][i] = off[i], so
@@ -219,12 +253,21 @@ def solve_cyclic_tridiagonal(diag, off, rhs, tol: float = 1e-10):
     its two solves are one LAPACK ``ptsv`` call on a two-column right-hand
     side.  Raises NonFiniteError, a ValueError, on non-finite input, and
     LinearSolveError if the factorization meets a non-positive pivot or
-    the residual exceeds tol * (1 + max|rhs|).
+    the residual exceeds tol * (1 + max|rhs|).  ``bands``, a C-ordered
+    float64 array of shape (4, diag.size), receives the packed system; a
+    new one when absent.  x is a new array.
 
     A batch passes (rows, n) arrays.  Its systems go to the one ``ptsv``
     call as a block-diagonal stack: the couplings between blocks are zero,
     so each block is eliminated exactly as it is alone.  Every check holds
     per row, and a failing row is named in the error's ``row``.
+
+    Finiteness is tested only on the way to an error: a non-finite entry
+    of diag, off or rhs makes its row's residual non-finite (inf times
+    anything is inf or nan, nan propagates and max keeps a nan), so such
+    input always fails a check below, and the failure is then reported as
+    NonFiniteError.  The arithmetic runs under ``np.errstate``, so such
+    input raises no RuntimeWarning on its way there.
     """
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
@@ -235,18 +278,71 @@ def solve_cyclic_tridiagonal(diag, off, rhs, tol: float = 1e-10):
         raise ValueError("diag, off and rhs must share one length")
     if n < 3:
         raise ValueError("periodic tridiagonal solve needs at least 3 unknowns")
-
+    if bands is None:
+        bands = np.empty((4, diag.size))
     # the first and last cell of each row; plain integers index one
     # system's elements more cheaply than a last-axis index
     first, last = (0, -1) if diag.ndim == 1 else ((..., 0), (..., -1))
+    with np.errstate(all="ignore"):
+        d, y, z, gamma_p, wrap = _pack(diag, off, rhs, bands, first, last)
+        info = _lapack.ptsv(bands)
+        if info != 0:
+            row = (info - 1) // n if info > 0 and len(shape) > 1 else None
+            _fail(LinearSolveError(
+                f"tridiagonal factorization failed: ptsv info {info - n * (row or 0)}",
+                row=row), diag, off, rhs)
+
+        frac = wrap / gamma_p
+        denom = 1.0 + z[first] + frac * z[last]
+        size = abs(denom)
+        bad = ~((size > 0.0) & (size < np.inf))
+        if _any(bad):
+            _fail(LinearSolveError("rank-one correction denominator vanished",
+                                   row=_first_row(bad)[1]), diag, off, rhs)
+        z *= _col((y[first] + frac * y[last]) / denom)
+        x = y - z
+
+        # A x - rhs, in the bands that the solve has spent: diag*x - rhs, then
+        # off[i-1]*x[i-1] and off[i]*x[i+1].  These products are taken on the
+        # flat arrays, so one call covers every row of a batch; each row's
+        # entry whose flat neighbour lies in another row is then set from the
+        # row's wrap coupling off[-1]
+        residual = np.multiply(diag, x, out=d)
+        residual -= rhs
+        o, v, t = off.ravel(), x.ravel(), z.ravel()
+        np.multiply(o[:-1], v[:-1], out=t[1:])
+        z.T[0] = wrap * x.T[-1]
+        residual += z
+        np.multiply(o[:-1], v[1:], out=t[:-1])
+        z.T[-1] = wrap * x.T[0]
+        residual += z
+        # |residual| and |rhs| in the bands d and z, reduced by one call
+        np.abs(residual, out=residual)
+        np.abs(rhs, out=z)
+        worst, rhs_max = np.maximum.reduce(bands[::3].reshape((2,) + shape), axis=-1)
+        bound = tol * (1.0 + rhs_max)
+        # a non-finite entry of x makes its row's residual, and so ``worst``,
+        # non-finite (0 * inf is nan; max keeps a nan)
+        bad = (worst > bound) | ~(worst < np.inf)
+        if _any(bad):
+            at, row = _first_row(bad)
+            _fail(LinearSolveError(
+                f"periodic tridiagonal residual {worst[at]:.3e} exceeds {bound[at]:.3e}",
+                row=row), diag, off, rhs)
+    return x
+
+
+def _pack(diag, off, rhs, bands, first, last):
+    """Pack the system into ``bands`` as ``_lapack.ptsv`` takes it: B's
+    diagonal and off-diagonal, then the columns rhs and the spike
+    u = gamma_p e_0 + wrap e_{n-1}, each band row with diag's shape.
+    off[-1] of each block becomes the zero coupling to the next block.
+    Returns the band rows d, y and z, gamma_p and wrap."""
+    rows = bands.reshape((4,) + diag.shape) if diag.ndim > 1 else bands
+    d, e, y, z = rows[0], rows[1], rows[2], rows[3]
     # -diag[0], or 1 where diag[0] vanishes
     gamma_p = -diag[first] + (diag[first] == 0.0)
     wrap = off[last]
-    # the packed bands of ``_lapack.ptsv``: B's diagonal and off-diagonal,
-    # then the columns rhs and the spike u = gamma_p e_0 + wrap e_{n-1};
-    # off[-1] of each block becomes the zero coupling to the next block
-    bands = np.empty((4,) + shape)
-    d, e, y, z = bands
     d[...] = diag
     d[first] -= gamma_p
     d[last] -= wrap * wrap / gamma_p
@@ -256,54 +352,23 @@ def solve_cyclic_tridiagonal(diag, off, rhs, tol: float = 1e-10):
     z.fill(0.0)
     z[first] = gamma_p
     z[last] = wrap
-    if not np.isfinite(bands).all():
-        # the first non-finite entry of the first row that has one
-        bad = ~np.isfinite(bands).all(axis=0)
-        at, row = _first_row(bad.any(axis=-1))
+    return d, y, z, gamma_p, wrap
+
+
+def _fail(err: LinearSolveError, diag, off, rhs):
+    """Raise ``err``, or NonFiniteError where the system has a non-finite
+    entry: the first entry of the packed bands that is not finite, in the
+    first row that has one."""
+    first, last = (0, -1) if diag.ndim == 1 else ((..., 0), (..., -1))
+    packed = np.empty((4,) + diag.shape)
+    _pack(diag, off, rhs, packed.reshape(4, -1), first, last)
+    bad = ~np.isfinite(packed).all(axis=0)
+    flagged = bad.any(axis=-1)
+    if _any(flagged):
+        at, row = _first_row(flagged)
         raise NonFiniteError("array must not contain infs or NaNs",
                              cell=int(np.argmax(bad[at])), row=row)
-
-    info = _lapack.ptsv(bands.reshape(4, -1))
-    if info != 0:
-        row = (info - 1) // n if info > 0 and len(shape) > 1 else None
-        raise LinearSolveError(
-            f"tridiagonal factorization failed: ptsv info {info - n * (row or 0)}",
-            row=row)
-
-    frac = wrap / gamma_p
-    denom = 1.0 + z[first] + frac * z[last]
-    bad = ~np.isfinite(denom) | (denom == 0.0)
-    if _any(bad):
-        raise LinearSolveError("rank-one correction denominator vanished",
-                               row=_first_row(bad)[1])
-    z *= _col((y[first] + frac * y[last]) / denom)
-    x = y - z
-
-    # A x - rhs, in the bands that the solve has spent: diag*x - rhs, then
-    # off[i-1]*x[i-1] and off[i]*x[i+1].  These products are taken on the
-    # flat arrays, so one call covers every row of a batch; each row's entry
-    # whose flat neighbour lies in another row is then set from the row's
-    # wrap coupling off[-1]
-    residual = np.multiply(diag, x, out=d)
-    residual -= rhs
-    o, v, t = off.reshape(-1), x.reshape(-1), z.reshape(-1)
-    np.multiply(o[:-1], v[:-1], out=t[1:])
-    z.T[0] = wrap * x.T[-1]
-    residual += z
-    np.multiply(o[:-1], v[1:], out=t[:-1])
-    z.T[-1] = wrap * x.T[0]
-    residual += z
-    worst = np.abs(residual, out=residual).max(axis=-1)
-    bound = tol * (1.0 + np.abs(rhs, out=z).max(axis=-1))
-    # a non-finite entry of x makes its row's residual, and so ``worst``,
-    # non-finite (0 * inf is nan; max keeps a nan)
-    bad = ~np.isfinite(worst) | (worst > bound)
-    if _any(bad):
-        at, row = _first_row(bad)
-        raise LinearSolveError(
-            f"periodic tridiagonal residual {worst[at]:.3e} exceeds {bound[at]:.3e}",
-            row=row)
-    return x
+    raise err
 
 
 def _first_row(flags):
@@ -314,11 +379,11 @@ def _first_row(flags):
     return row, row
 
 
-# the face helpers compute in place in the arrays they create: the same
-# bits, fewer arrays
-
-def _upwind_faces(v_cells: Field) -> tuple[Field, Field, Field]:
-    """Face velocity and its donor split at faces i+1/2: (v_face, vp, vm).
+def _upwind_faces(v_cells: Field, v_next: Field, v_face: Field | None = None,
+                  vp: Field | None = None, vm: Field | None = None):
+    """Face velocity and its donor split at faces i+1/2: (v_face, vp, vm),
+    from the cell velocities and ``v_next`` = v[i+1], in the given arrays
+    (new ones where absent).
 
     vp = 0.5 * (v_face + a) >= 0 and vm = v_face - vp <= 0, so the
     donor-cell flux of q is vp[i] q[i] + vm[i] q[i+1] (``_donor_flux``).
@@ -329,10 +394,10 @@ def _upwind_faces(v_cells: Field) -> tuple[Field, Field, Field]:
     exceeds max|v|, so monotonicity and positivity hold under the same CFL
     bound as plain donor cell.
     """
-    v_face = face_sum(v_cells)
+    v_face = np.add(v_cells, v_next, out=v_face)
     v_face *= 0.5
-    a = np.abs(v_face)
-    spread = forward_difference(v_cells)
+    a = np.abs(v_face, out=vm)
+    spread = np.subtract(v_next, v_cells, out=vp)
     # max(|v_face|, spread) is max(|v_face|, max(spread, 0)): |v_face| >= 0
     np.maximum(a, spread, out=a)
     vp = np.add(v_face, a, out=spread)
@@ -342,88 +407,92 @@ def _upwind_faces(v_cells: Field) -> tuple[Field, Field, Field]:
     return v_face, vp, vm
 
 
-def _donor_flux(q: Field, vp: Field, vm: Field) -> Field:
+def _donor_flux(q: Field, q_next: Field, vp: Field, vm: Field,
+                out: Field | None = None, tmp: Field | None = None) -> Field:
     """Donor-cell flux of q at faces i+1/2: vp[i] q[i] + vm[i] q[i+1],
-    periodic.  The products with the next cell are taken on the flat
-    arrays, so one call covers every row of a batch; each row's last face,
-    where the flat neighbour belongs to the next row, is then set from the
-    row's wrap."""
-    flux = np.multiply(vp, q, out=np.empty(q.shape))
-    f, m, c = flux.reshape(-1), vm.reshape(-1), q.reshape(-1)
-    f[:-1] += m[:-1] * c[1:]
-    # the cells on the first axis
-    ft, qt = flux.T, q.T
-    ft[-1] = vp.T[-1] * qt[-1] + vm.T[-1] * qt[0]
+    periodic, from q and ``q_next`` = q[i+1].  ``out`` and ``tmp`` receive
+    the flux and vm q[i+1] (new arrays where absent)."""
+    flux = np.multiply(vp, q, out=out)
+    flux += np.multiply(vm, q_next, out=tmp)
     return flux
 
 
-def _implicit_diffusion_solve(mass_diag, coeff: Field, scale, rhs: Field) -> Field:
+def _implicit_diffusion_solve(mass_diag, coeff: Field, scale, rhs: Field,
+                              s: StepScratch) -> Field:
     """One backward-Euler solve of mass_diag*x - dt*d/dx(c dx x) = rhs,
     where ``scale * coeff`` = dt/dx^2 c at each face.
 
     The system is symmetric: face i+1/2 couples cells i and i+1 by
     off[i] = -scale * coeff[i], and off[-1] is the wrap face.  A positive
     mass diagonal and a nonnegative coefficient make it positive definite.
+    The system is built in ``s``; x is a new array.
     """
-    off = coeff * -scale
+    off = np.multiply(coeff, -scale, out=s.off)
     # mass_diag minus both couplings of each cell
-    diag = mass_diag - off
-    diag[..., 1:] -= off[..., :-1]
-    diag[..., 0] -= off[..., -1]
-    return solve_cyclic_tridiagonal(diag, off, rhs)
+    diag = np.subtract(mass_diag, off, out=s.diag)
+    s.diag_right -= s.off_left
+    s.diag_cells[0] -= s.off_cells[-1]
+    return solve_cyclic_tridiagonal(diag, off, rhs, bands=s.bands)
 
 
 def _step(state: State, g: Grid, params: ModelParams, config: SchemeConfig,
-          dt, sources, fields: StateFields | None,
-          faces: StepFaces | None) -> State:
+          dt, sources, fields: StateFields | None, s: StepScratch | None) -> State:
     """The one step path of both formulations, forced or not.
 
     Everything before the dt-scaled update depends on the old state only,
-    so it is built once.  Only the density decides positivity, so a
-    positivity rescue halves dt and redoes only the density (and, in the
-    w-formulation, its mass solve); the momentum is then updated once, at
-    the accepted dt.  In a batch, a row that loses positivity halves only
-    its own dt, and the density is redone for every row: a row whose dt
-    did not change gets the same bits again.  Each update takes the flux
-    differences times dt/dx, so no divergence array is formed.
+    so it is built once, both donor fluxes included.  Only the density
+    decides positivity, so a positivity rescue halves dt and redoes only
+    the density (and, in the w-formulation, its mass solve); the momentum
+    is then updated once, at the accepted dt.  In a batch, a row that
+    loses positivity halves only its own dt, and the density is redone for
+    every row: a row whose dt did not change gets the same bits again.
+    Each update takes the flux differences times dt/dx, so no divergence
+    array is formed.  The temporaries live in ``s`` (a new scratch when
+    absent); the new density and momentum are new arrays.
     """
     if fields is None:
         fields = state_fields(state, g, params)
-    u_form = state.formulation == U_FORM
     rho, mom = as_field(state.rho, g), as_field(state.mom, g)
-    v_face, vp, vm = _upwind_faces(fields.u if u_form else fields.w)
-    flux_rho = _donor_flux(rho, vp, vm)
-    dflux_rho = backward_difference(flux_rho)
-    forcing = None if sources is None else sources(g.x, state.t)
-    # lambda(rho_old) at faces, as the sum over the face's two cells: the
-    # u-formulation's lagged viscosity (its mean, once halved), and the
-    # weight of the viscous dissipation integral in both formulations
-    lam_sum = face_sum(fields.lam)
-    diff_face = None
+    if s is None:
+        s = StepScratch(g, rho.shape)
+    u_form = state.formulation == U_FORM
+    # the old state's fields with their neighbours: v is the carried velocity
+    s.v[...] = fields.u if u_form else fields.w
+    s.rho[...] = rho
+    s.mom[...] = mom
+    s.lam[...] = fields.lam
+    s.p[...] = fields.p
+    s.u[...] = fields.u
+    for wrap, cells in s.halo_wraps:
+        wrap[...] = cells
+    v_face, vp, vm = _upwind_faces(s.v, s.v_next, s.v_face, s.vp, s.vm)
+    flux_rho = _donor_flux(s.rho, s.rho_next, vp, vm, s.mass_flux, s.flux_tmp)
+    flux_mom = _donor_flux(s.mom, s.mom_next, vp, vm, s.flux_mom, s.flux_tmp)
+    dflux_rho = backward_difference(flux_rho, s.dflux)
+    forcing = None if sources is None else sources(s.x, state.t)
+    # lambda(rho_old) at faces, as the sum over the face's two cells (the
+    # u-formulation's lagged viscosity, its mean once halved, and the
+    # weight of the viscous dissipation integral in both formulations), and
+    # the same sum of p: the w-formulation's lagged diffusion coefficient
+    # pi'(rho) = gamma p(rho) at faces, over dx, once scaled
+    np.add(s.lam, s.lam_next, out=s.lam_sum)
     if not u_form:
-        # the lagged diffusion coefficient pi'(rho) = gamma p(rho) at faces,
-        # over dx
-        diff_face = face_sum(fields.p)
+        diff_face = np.add(s.p, s.p_next, out=s.diff_face)
         diff_face *= (0.5 / g.dx) * params.gamma
 
-    def density(d):
-        """The density after the steps ``d`` and, in the w-formulation, the
-        diffusive face flux its mass solve applied."""
-        rho_star = dflux_rho * -(d / g.dx)
-        rho_star += rho
-        if forcing is not None:
-            rho_star += d * forcing[0]
-        if u_form:
-            return rho_star, None
-        rho_new = _implicit_diffusion_solve(1.0, diff_face, d / g.dx, rho_star)
-        dpi_face = forward_difference(rho_new)
-        dpi_face *= diff_face
-        return rho_new, dpi_face
-
-    # the positivity rescue: only the failing rows halve their dt
+    # the positivity rescue: only the failing rows halve their dt.  The
+    # explicit density is the new density in the u-formulation and the
+    # right-hand side of the mass solve in the w-formulation
     for _ in range(config.max_halvings + 1):
-        rho_new, dpi_face = density(_col(dt))
-        bad = rho_new.min(axis=-1) <= 0.0
+        d = _col(dt)
+        rate = d / g.dx
+        rho_new = np.multiply(dflux_rho, -rate, out=None if u_form else s.rhs)
+        rho_new += rho
+        if forcing is not None:
+            rho_new += d * forcing[0]
+        if not u_form:
+            rho_new = _implicit_diffusion_solve(1.0, diff_face, rate, rho_new, s)
+        bad = np.minimum.reduce(rho_new, axis=-1) <= 0.0
         if not _any(bad):
             break
         dt = _where(bad, 0.5 * dt, dt)
@@ -437,35 +506,34 @@ def _step(state: State, g: Grid, params: ModelParams, config: SchemeConfig,
             f"{config.max_halvings} dt halvings exhausted",
             t=t, cell=cell, gamma=gamma, row=row,
         )
-    d = _col(dt)
 
     # the momentum, once per row at its accepted dt
-    flux_mom = _donor_flux(mom, vp, vm)
     if not u_form:
-        # the momentum cross flux w * dx(pi) at faces reuses the discrete
-        # diffusive flux the mass solve applied
+        # the diffusive flux the mass solve applied; the momentum cross flux
+        # w * dx(pi) at faces reuses it
+        dpi_face = forward_difference(rho_new, s.dpi)
+        dpi_face *= diff_face
         flux_mom -= np.multiply(v_face, dpi_face, out=v_face)
-    mom_new = backward_difference(flux_mom)
-    mom_new *= -(d / g.dx)
+        flux_rho -= dpi_face
+    # the explicit momentum: the new one in the w-formulation, the
+    # right-hand side of the velocity solve in the u-formulation
+    mom_new = backward_difference(flux_mom, s.rhs if u_form else None)
+    mom_new *= -rate
     mom_new += mom
     if forcing is not None:
         mom_new += d * forcing[1]
     if u_form:
         # the mean of the face's two cells: half their sum
         scale = d / (g.dx * g.dx) * 0.5
-        mom_new = rho_new * _implicit_diffusion_solve(rho_new, lam_sum, scale, mom_new)
-    if faces is not None:
-        if not u_form:
-            flux_rho -= dpi_face
-        faces.mass_flux = flux_rho
-        faces.lam_sum = lam_sum
+        velocity = _implicit_diffusion_solve(rho_new, s.lam_sum, scale, mom_new, s)
+        mom_new = np.multiply(rho_new, velocity, out=velocity)
     return State(state.t + dt, rho_new, mom_new, state.formulation)
 
 
 def step_u_form(state: State, g: Grid, params: ModelParams,
                 config: SchemeConfig, dt: float, sources=None,
                 fields: StateFields | None = None,
-                faces: StepFaces | None = None) -> State:
+                scratch: StepScratch | None = None) -> State:
     """One IMEX step of the velocity formulation.
 
     Explicit donor-cell advection of rho and rho*u on the face-averaged
@@ -474,17 +542,18 @@ def step_u_form(state: State, g: Grid, params: ModelParams,
     velocity.  Mass is conserved exactly by the conservative fluxes.
 
     ``fields`` are the state's precomputed fields (evaluated when absent);
-    a given ``faces`` receives the step's face quantities.
+    a given ``scratch`` holds the step's temporaries and receives its face
+    quantities.
     """
     if state.formulation != U_FORM:
         raise ValueError("step_u_form requires a u-formulation state")
-    return _step(state, g, params, config, dt, sources, fields, faces)
+    return _step(state, g, params, config, dt, sources, fields, scratch)
 
 
 def step_w_form(state: State, g: Grid, params: ModelParams,
                 config: SchemeConfig, dt: float, sources=None,
                 fields: StateFields | None = None,
-                faces: StepFaces | None = None) -> State:
+                scratch: StepScratch | None = None) -> State:
     """One IMEX step of the desired-velocity formulation.
 
     The advective fluxes rho*w and rho*w^2 are upwinded on w; the
@@ -494,15 +563,16 @@ def step_w_form(state: State, g: Grid, params: ModelParams,
     uniform desired velocity is preserved identically.
 
     ``fields`` are the state's precomputed fields (evaluated when absent);
-    a given ``faces`` receives the step's face quantities.
+    a given ``scratch`` holds the step's temporaries and receives its face
+    quantities.
     """
     if state.formulation != W_FORM:
         raise ValueError("step_w_form requires a w-formulation state")
-    return _step(state, g, params, config, dt, sources, fields, faces)
+    return _step(state, g, params, config, dt, sources, fields, scratch)
 
 
 def _accumulate(accums: Accumulators, old: State, fields: StateFields,
-                new_fields: StateFields, faces: StepFaces, g: Grid, dt) -> None:
+                new_fields: StateFields, s: StepScratch, g: Grid, dt) -> None:
     """Advance the running time integrals over one step: the four that the
     checks read (the viscous dissipation of the energy band, the offset
     dissipation and work of the H balance, and the plain dissipation of the
@@ -513,24 +583,26 @@ def _accumulate(accums: Accumulators, old: State, fields: StateFields,
     backward-Euler level (face differences of the new velocity against
     the lagged viscosity) so it accounts exactly for what the implicit
     solve removed; this keeps the discrete energy balance one-sided.
-    The fields of both states and the step's face quantities are
-    evaluated once elsewhere; this only reduces them, per row in a batch.
-    The grid factors of the differences go into each integral's scalar
-    factor.
+    The fields of both states and the step's face quantities (in ``s``)
+    are evaluated once elsewhere; this only reduces them, per row in a
+    batch.  The grid factors of the differences go into each integral's
+    scalar factor.
     """
-    du = forward_difference(new_fields.u)
+    du = forward_difference(new_fields.u, s.du)
     # the four integrands, built in one buffer and reduced by one sum: each
     # row's sum has the bits of that row summed alone, and a sum takes
     # neither BLAS nor threads
-    f = np.empty((4,) + du.shape)
-    np.multiply(faces.lam_sum, du, out=f[0])
+    f = s.integrands
+    np.multiply(s.lam_sum, du, out=f[0])
     f[0] *= du
     # rho * dxp, formed once for the offset dissipation and work
     np.multiply(old.rho, fields.dxp, out=f[2])
     np.multiply(f[2], fields.dxp, out=f[1])
     f[2] *= fields.w
-    np.multiply(fields.lam, central_difference(fields.u), out=f[3])
-    visc, offset, work, plain = f.sum(axis=-1)
+    # the central difference of the old velocity, from the step's halo
+    np.subtract(s.u_next, s.u_prev, out=f[3])
+    f[3] *= fields.lam
+    visc, offset, work, plain = np.add.reduce(f, axis=-1)
     # lam_sum is twice the face viscosity; du and the central difference
     # are dx and 2 dx times the velocity gradients
     accums.diss_visc += dt * (0.5 / g.dx) * visc
@@ -540,7 +612,7 @@ def _accumulate(accums: Accumulators, old: State, fields: StateFields,
 
     # the step's total mass flux per face: rho*u there, telescoping
     # exactly against the density update
-    accums.int_mass_flux += np.multiply(faces.mass_flux, _col(dt), out=du)
+    accums.int_mass_flux += np.multiply(s.mass_flux, _col(dt), out=du)
 
 
 @dataclass(frozen=True)
@@ -616,10 +688,11 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
     step = step_u_form if config.formulation == U_FORM else step_w_form
     every = config.snapshot_every
     fields = None
+    scratch = StepScratch(g, rho0.shape)
 
     def restack(keep):
         """The batch arrays of the rows flagged in ``keep``."""
-        nonlocal rows, state, accums, next_snap, fields, params
+        nonlocal rows, state, accums, next_snap, fields, params, scratch
         rows = [row for row, k in zip(rows, keep) if k]
         state = State(state.t[keep], state.rho[keep], state.mom[keep],
                       state.formulation)
@@ -627,6 +700,7 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
         next_snap = next_snap[keep]
         fields = None if fields is None else StateFields(*(f[keep] for f in fields))
         params = ModelParams(np.array([[row.params.gamma] for row in rows]))
+        scratch = StepScratch(g, state.rho.shape) if rows else None
 
     def end_row(err: RunFailure, i: int) -> None:
         """The one way a failing row ends: stamp ``err``, raised at stacked
@@ -693,7 +767,6 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
             end_row(err, err.row if batched else 0)
     take_snapshots(np.full(state.t.shape, True))
     n_steps, budget = 0, step_budget(g.n_cells)
-    faces = StepFaces()
     while rows and _any(state.t < t_end):
         try:
             dt = compute_dt(state, g, params, config, fields)
@@ -714,14 +787,14 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
             if landing := _any(final_step):
                 dt = _where(final_step, remaining, dt)
             new_state = step(state, g, params, config, dt, sources,
-                             fields=fields, faces=faces)
+                             fields=fields, scratch=scratch)
             new_fields = state_fields(new_state, g, params)
         except RunFailure as err:
             # the row leaves the batch and the others retake the step
             end_row(err, err.row if batched else 0)
             continue
         dt_actual = new_state.t - state.t
-        _accumulate(accums, state, fields, new_fields, faces, g, dt_actual)
+        _accumulate(accums, state, fields, new_fields, scratch, g, dt_actual)
         # land exactly on t_end unless the positivity rescue halved the step
         if landing and _any(land := final_step & (dt_actual > 0.6 * dt)):
             new_state = State(_where(land, t_end, new_state.t), new_state.rho,

@@ -70,22 +70,8 @@ class ManufacturedCase:
         gm = self.gamma
         return self.u(x, t) + gm * self.rho(x, t) ** (gm - 1.0) * self.drho_dx(x, t)
 
-    def _dw_dx(self, x, t):
-        gm = self.gamma
-        rho = self.rho(x, t)
-        rx = self.drho_dx(x, t)
-        return (self.du_dx(x, t)
-                + gm * (gm - 1.0) * rho ** (gm - 2.0) * rx * rx
-                + gm * rho ** (gm - 1.0) * self.d2rho_dx2(x, t))
-
-    def _dw_dt(self, x, t):
-        gm = self.gamma
-        rho = self.rho(x, t)
-        return (self.du_dt(x, t)
-                + gm * (gm - 1.0) * rho ** (gm - 2.0) * self.drho_dt(x, t) * self.drho_dx(x, t)
-                + gm * rho ** (gm - 1.0) * self.d2rho_dxdt(x, t))
-
     # -- sources -----------------------------------------------------------
+    # each evaluates every profile it needs once
     def sources_u(self, x, t):
         """(S_rho, S_mom) for the forced velocity formulation."""
         gm = self.gamma
@@ -101,10 +87,15 @@ class ManufacturedCase:
 
     def sources_w(self, x, t):
         """(S_rho, S_mom) for the forced desired-velocity formulation."""
+        gm = self.gamma
         rho, u = self.rho(x, t), self.u(x, t)
         rx, rt = self.drho_dx(x, t), self.drho_dt(x, t)
-        ux = self.du_dx(x, t)
-        w, wx, wt = self._w(x, t), self._dw_dx(x, t), self._dw_dt(x, t)
+        ux, ut = self.du_dx(x, t), self.du_dt(x, t)
+        # w = u + p'(rho) dx rho and its partials, p'(rho) = gm rho^(gm - 1)
+        p1, p2 = rho ** (gm - 1.0), rho ** (gm - 2.0)
+        w = u + gm * p1 * rx
+        wx = ux + gm * (gm - 1.0) * p2 * rx * rx + gm * p1 * self.d2rho_dx2(x, t)
+        wt = ut + gm * (gm - 1.0) * p2 * rt * rx + gm * p1 * self.d2rho_dxdt(x, t)
         s_rho = rt + rx * u + rho * ux
         s_mom = rt * w + rho * wt + rx * w * u + rho * wx * u + rho * w * ux
         return s_rho, s_mom

@@ -771,10 +771,13 @@ def test_killed_run_keeps_every_snapshot_it_handed_over(tmp_path, how):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    # the writer inherits stdout, so the pipe's end says it has ended
+    # the writer inherits stdout, so the pipe's end says it has ended.  The
+    # run starts with SIGINT at its default, as from a terminal: a background
+    # job of a non-interactive shell would hand it SIGINT ignored
     proc = subprocess.Popen([sys.executable, "-m", "congestion_sim.cli", "simulate",
                              "--config", cfg], env=env, stdout=subprocess.PIPE,
-                            stderr=subprocess.DEVNULL, start_new_session=True)
+                            stderr=subprocess.DEVNULL, start_new_session=True,
+                            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
     deadline = time.monotonic() + 60.0
     try:
         while not (out_dir / "snapshot_0002.csv").exists():

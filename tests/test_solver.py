@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import tracemalloc
 
@@ -103,6 +104,11 @@ def test_compute_dt_is_the_cfl_step_of_the_largest_speed(uw):
 
 # ---------------------------------------------------------- donor fluxes --
 
+def next_cells(f):
+    """f[i+1], periodic, as the step reads it from its halo."""
+    return np.roll(f, -1, axis=-1)
+
+
 def viscosity_form_flux(q, v):
     """The donor-cell flux of q at faces i+1/2 in viscosity form, with the
     expansion-face floor, written out with rolls."""
@@ -117,15 +123,16 @@ def test_donor_split_flux_is_the_viscosity_form_flux(seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(0.0, rng.uniform(0.1, 10.0), (3, int(rng.integers(4, 40))))
     q = rng.uniform(0.1, 2.0, v.shape)
-    v_face, vp, vm = solver_mod._upwind_faces(v)
+    v_face, vp, vm = solver_mod._upwind_faces(v, next_cells(v))
     assert (vp >= 0.0).all() and (vm <= 0.0).all()
-    flux = solver_mod._donor_flux(q, vp, vm)
+    flux = solver_mod._donor_flux(q, next_cells(q), vp, vm)
     want = viscosity_form_flux(q, v)
     scale = np.abs(v).max() * q.max()
     assert np.allclose(flux, want, rtol=0.0, atol=8e-16 * scale)
     # each row of the batch has the bits of that row alone
     for i in range(len(v)):
-        alone = solver_mod._donor_flux(q[i], *solver_mod._upwind_faces(v[i])[1:])
+        alone = solver_mod._donor_flux(q[i], next_cells(q[i]),
+                                       *solver_mod._upwind_faces(v[i], next_cells(v[i]))[1:])
         assert np.array_equal(flux[i], alone)
 
 
@@ -135,7 +142,8 @@ def test_donor_split_flux_is_exact_on_the_drain_case():
     # to exactly zero
     rho = np.ones(4)
     u = np.array([0.0, 2.0, 0.0, -2.0])
-    flux = solver_mod._donor_flux(rho, *solver_mod._upwind_faces(u)[1:])
+    flux = solver_mod._donor_flux(rho, next_cells(rho),
+                                  *solver_mod._upwind_faces(u, next_cells(u))[1:])
     assert np.array_equal(flux, viscosity_form_flux(rho, u))
     assert np.array_equal(flux, [1.0, 1.0, -1.0, -1.0])
     state = State(0.0, rho, rho * u, U_FORM)
@@ -234,7 +242,7 @@ def test_standalone_step_matches_run_loop_step(monkeypatch, formulation, forced)
     seen = []
 
     def recording(state, g, params, config, dt, sources=None, **kw):
-        assert kw["fields"] is not None and kw["faces"] is not None
+        assert kw["fields"] is not None and kw["scratch"] is not None
         new = bare(state, g, params, config, dt, sources, **kw)
         seen.append((state, dt, sources, new))
         return new
@@ -680,3 +688,104 @@ def test_standard_case_self_refinement_order():
     # smooth case: first-order convergence of the density in L1
     study = standard_self_convergence((64, 128, 256), t_end=0.5)
     assert study.orders_rho_l1[-1] >= 0.9
+
+
+# ------------------------------------------------ finiteness on the failure path
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("ptsv", LAPACK_PATHS, ids=["openblas", "scipy"])
+@pytest.mark.parametrize("operand", ["diag", "off", "rhs"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_input_raises_the_non_finite_error_without_a_warning(
+        monkeypatch, ptsv, operand, value):
+    # the finiteness scan runs only on the failure path: every non-finite
+    # entry must still reach it, with no RuntimeWarning on the way there, and
+    # the error names the entry's cell and batch row
+    monkeypatch.setattr(_lapack, "ptsv", ptsv)
+    n = 24
+    index = ("diag", "off", "rhs").index(operand)
+    for cell in (0, 5, n - 1):
+        system = [a.copy() for a in random_dominant_systems(np.random.default_rng(cell), 4, n)]
+        system[index][2, cell] = value
+        for args, row in (([a[2] for a in system], None), (system, 2)):
+            with pytest.raises(NonFiniteError) as err:
+                solve_cyclic_tridiagonal(*args)
+            assert str(err.value) == "array must not contain infs or NaNs"
+            assert (err.value.cell, err.value.row) == (cell, row)
+
+
+# ------------------------------------------------------------- step scratch
+
+def snapshot_arrays(snap):
+    return [snap.state.rho, snap.state.mom, *snap.fields, snap.pi, snap.W,
+            snap.int_mass_flux]
+
+
+def keeping_sink(kept):
+    """A sink that keeps every snapshot it is handed, with a deep copy of it
+    taken at hand-off."""
+    def sink(g, params, snap):
+        kept.append((snap, copy.deepcopy(snap)))
+    return sink
+
+
+def assert_snapshots_unchanged(kept):
+    assert kept
+    for snap, at_hand_off in kept:
+        assert snap.rec == at_hand_off.rec
+        assert snap.state.t == at_hand_off.state.t
+        for now, then in zip(snapshot_arrays(snap), snapshot_arrays(at_hand_off)):
+            assert now.tobytes() == then.tobytes()
+
+
+@pytest.mark.parametrize("formulation", [W_FORM, U_FORM])
+def test_no_scratch_array_escapes_a_step(formulation):
+    # every snapshot a sink keeps still holds, after the run, what it held
+    # when it was handed over: nothing the step reuses leaks into a state,
+    # its fields or a record, alone or in a batch whose rows leave it
+    kept = []
+    g = Grid(64)
+    params = ModelParams(10.0)
+    cfg = SchemeConfig(formulation=formulation, cfl=0.45, dt_max=0.01, snapshot_every=1e-3)
+    init = make_initial_data(STANDARD.recipe, g, params, formulation)
+    traj = run_simulation(init, g, params, cfg, 0.03, sink=keeping_sink(kept))
+    assert len(kept) == len(traj.records) == traj.n_steps + 1
+    assert_snapshots_unchanged(kept)
+
+    kept.clear()
+    sweep = dataclasses.replace(SWEEP, gammas=(5.0, 20.0, 80.0), n_cells=64, t_end=0.1,
+                                scheme=dataclasses.replace(SWEEP.scheme, formulation=formulation,
+                                                           snapshot_every=0.005))
+    trajs = run_config(sweep, keeping_sink(kept))
+    assert len({traj.n_steps for traj in trajs}) > 1
+    assert_snapshots_unchanged(kept)
+
+
+def test_ptsv_argument_block_follows_the_bands_it_is_handed():
+    # the OpenBLAS path keeps the argument block of the last bands array:
+    # another array, of another shape, while the first one lives, gets its
+    # own; the same array gets the same block again, with new contents
+    def systems(k, n, seed):
+        diag, off, rhs = random_dominant_systems(np.random.default_rng(seed), k, n)
+        off[:, -1] = 0.0
+        rhs2 = np.random.default_rng(seed + 1).normal(size=(k, n))
+        return np.stack([diag.ravel(), off.ravel(), rhs.ravel(), rhs2.ravel()])
+
+    def solved(path, packed):
+        bands = packed.copy()
+        assert path(bands) == 0
+        return bands[2:]
+
+    big, small = systems(3, 16, 1), systems(2, 16, 2)
+    held = big.copy()
+    assert _lapack.ptsv(held) == 0
+    assert np.array_equal(held[2:], solved(_lapack.scipy_ptsv, big))
+    for packed in (small, big, small):
+        bands = packed.copy()
+        assert _lapack.ptsv(bands) == 0
+        assert np.array_equal(bands[2:], solved(_lapack.scipy_ptsv, packed))
+        # the same array with new contents
+        bands[...] = packed
+        assert _lapack.ptsv(bands) == 0
+        assert np.array_equal(bands[2:], solved(_lapack.scipy_ptsv, packed))
+    assert np.array_equal(held[2:], solved(_lapack.scipy_ptsv, big))

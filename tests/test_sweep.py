@@ -210,13 +210,13 @@ def stiffness_limited_solve(limit, band=(np.inf, np.inf)):
     given (None for one system); what a row gets depends on that row alone."""
     real = solver_mod.solve_cyclic_tridiagonal
 
-    def solve(diag, off, rhs, tol=1e-10):
+    def solve(diag, off, rhs, tol=1e-10, **kw):
         top = np.max(diag, axis=-1, keepdims=True)
         in_band = (band[0] < top[..., 0]) & (top[..., 0] <= band[1])
         if in_band.any():
             raise LinearSolveError("largest diagonal entry in the failing band",
                                    row=int(np.argmax(in_band)) if diag.ndim > 1 else None)
-        x = real(diag, off, rhs, tol)
+        x = real(diag, off, rhs, tol, **kw)
         return np.where(top > limit, -x, x)
 
     return ("solve_cyclic_tridiagonal", solve)
@@ -228,7 +228,7 @@ def density_sink(rate):
     density update must resolve row by row."""
     real = solver_mod.backward_difference
     return ("backward_difference",
-            lambda face_flux: real(face_flux) + rate / face_flux.shape[-1])
+            lambda face_flux, out=None: real(face_flux, out) + rate / face_flux.shape[-1])
 
 
 @pytest.mark.parametrize("formulation,patch,max_halvings,t_end,survivors", [
@@ -394,8 +394,8 @@ def test_linear_solve_failure_is_a_failed_row(monkeypatch):
     plain = plain_runs(config)
     real = solver_mod.solve_cyclic_tridiagonal
 
-    def failing(diag, off, rhs, tol=1e-10):
-        x = real(diag, off, rhs, tol)
+    def failing(diag, off, rhs, tol=1e-10, **kw):
+        x = real(diag, off, rhs, tol, **kw)
         if np.ndim(diag) == 2 and len(diag) == 3:
             # row 1 of the full batch is gamma 10
             raise LinearSolveError("synthetic residual 1e-3 exceeds 1e-10", row=1)
@@ -421,12 +421,12 @@ def test_non_finite_operands_are_a_failed_row(monkeypatch):
     plain = plain_runs(config)
     real = solver_mod.solve_cyclic_tridiagonal
 
-    def poisoned(diag, off, rhs, tol=1e-10):
+    def poisoned(diag, off, rhs, tol=1e-10, **kw):
         if np.ndim(rhs) == 2 and len(rhs) == 3:
             # row 1 of the full batch is gamma 10
             rhs = rhs.copy()
             rhs[1, 7] = np.nan
-        return real(diag, off, rhs, tol)
+        return real(diag, off, rhs, tol, **kw)
 
     monkeypatch.setattr(solver_mod, "solve_cyclic_tridiagonal", poisoned)
     report = run_sweep(config)
