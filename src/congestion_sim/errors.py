@@ -24,20 +24,19 @@ class RunFailure(RuntimeError):
     """A run that cannot go on, and where it stopped.
 
     ``t``, ``cell`` and ``gamma`` are None where unknown; the run loop
-    fills in ``t`` and ``gamma``.  In a batch of runs, ``row`` names the
-    failing row, which ends that row only; it is None outside a batch.
+    fills in a single run's ``t`` and ``gamma``.  A failure names no batch
+    row: it ends a batch of runs whole, and ``sweep.run_sweep`` then runs
+    each gamma alone, so each failure it reports is that of one run.
     """
 
     kind = "runtime"
 
     def __init__(self, message: str, *, t: float | None = None,
-                 cell: int | None = None, gamma: float | None = None,
-                 row: int | None = None):
+                 cell: int | None = None, gamma: float | None = None):
         super().__init__(message)
         self.t = t
         self.cell = cell
         self.gamma = gamma
-        self.row = row
 
     def context(self) -> str:
         return f"[t={self.t}, cell={self.cell}, gamma={self.gamma}]"
@@ -52,8 +51,8 @@ class LinearSolveError(RunFailure):
 class NonFiniteError(RunFailure, ValueError):
     """Infs or NaNs in the operands of the implicit solve.
 
-    Also a ValueError, which direct callers of the solve catch; the first
-    non-finite entry names ``cell`` (and ``row`` in a batch).
+    Also a ValueError, which direct callers of the solve catch; ``cell``
+    is the first cell with a non-finite entry.
     """
 
     kind = "non-finite"

@@ -85,11 +85,13 @@ def build_profiles(recipe: InitRecipe, g: Grid):
     else:
         xs, rhos, ws = _read_profile_csv(recipe.csv_path)
         # nearest-row resampling with periodic distance, a block of cells at
-        # a time so memory stays bounded; ties go to the first row
+        # a time so memory stays bounded; ties go to the first row.  The
+        # distance is reduced modulo 1 for rows outside [0, 1), and is then
+        # unchanged for rows inside it
         idx = np.empty(g.n_cells, dtype=np.intp)
         step = max(1, RESAMPLE_BLOCK // xs.size)
         for lo in range(0, g.n_cells, step):
-            dist = np.abs(x[lo:lo + step, None] - xs[None, :])
+            dist = np.abs(x[lo:lo + step, None] - xs[None, :]) % 1.0
             idx[lo:lo + step] = np.argmin(np.minimum(dist, 1.0 - dist), axis=1)
         rho, w = rhos[idx], ws[idx]
     return rho, w

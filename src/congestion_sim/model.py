@@ -103,23 +103,14 @@ def _guarded_exp(exponent_arg, arr, params: ModelParams):
 
 
 def _saturation(exponent_arg, arr, params: ModelParams) -> SaturationError:
-    """The overflow error of the first overflowing row of a batch.
-
-    Its text is the one a run of that row alone raises; ``row`` is None
-    outside a batch.
-    """
-    row, gamma = None, params.gamma
-    if np.ndim(exponent_arg) > 1:
-        row = int(np.argmax(np.max(exponent_arg, axis=-1) > OVERFLOW_EXPONENT))
-        gamma = params.row(row).gamma
-        exponent_arg, arr = exponent_arg[row], arr[row]
-    peak = float(np.max(exponent_arg))
-    cell = int(np.argmax(exponent_arg)) if np.ndim(exponent_arg) > 0 else None
-    rho_at = float(arr[cell]) if cell is not None else float(arr)
+    """The overflow error at the largest exponent, of one run or a batch."""
+    at = np.unravel_index(np.argmax(exponent_arg), np.shape(exponent_arg))
+    gamma = float(np.broadcast_to(params.gamma, np.shape(exponent_arg))[at])
+    cell = int(at[-1]) if at else None
     return SaturationError(
-        f"power-law evaluation overflows: exponent {peak:.3g} exceeds "
-        f"{OVERFLOW_EXPONENT:g} (gamma={gamma:g}, rho={rho_at:.6g})",
-        gamma=gamma, cell=cell, row=row,
+        f"power-law evaluation overflows: exponent {float(exponent_arg[at]):.3g} "
+        f"exceeds {OVERFLOW_EXPONENT:g} (gamma={gamma:g}, rho={float(arr[at]):.6g})",
+        gamma=gamma, cell=cell,
     )
 
 

@@ -260,7 +260,8 @@ def solve_cyclic_tridiagonal(diag, off, rhs, tol: float = 1e-10, *, bands=None):
     A batch passes (rows, n) arrays.  Its systems go to the one ``ptsv``
     call as a block-diagonal stack: the couplings between blocks are zero,
     so each block is eliminated exactly as it is alone.  Every check holds
-    per row, and a failing row is named in the error's ``row``.
+    per system; an error names no row, and its text and cell are those of
+    the first failing system alone.
 
     Finiteness is tested only on the way to an error: a non-finite entry
     of diag, off or rhs makes its row's residual non-finite (inf times
@@ -287,18 +288,18 @@ def solve_cyclic_tridiagonal(diag, off, rhs, tol: float = 1e-10, *, bands=None):
         d, y, z, gamma_p, wrap = _pack(diag, off, rhs, bands, first, last)
         info = _lapack.ptsv(bands)
         if info != 0:
-            row = (info - 1) // n if info > 0 and len(shape) > 1 else None
-            _fail(LinearSolveError(
-                f"tridiagonal factorization failed: ptsv info {info - n * (row or 0)}",
-                row=row), diag, off, rhs)
+            # a failing pivot's position within its own system
+            _fail(LinearSolveError("tridiagonal factorization failed: ptsv info "
+                                   f"{(info - 1) % n + 1 if info > 0 else info}"),
+                  diag, off, rhs, first, last)
 
         frac = wrap / gamma_p
         denom = 1.0 + z[first] + frac * z[last]
         size = abs(denom)
         bad = ~((size > 0.0) & (size < np.inf))
         if _any(bad):
-            _fail(LinearSolveError("rank-one correction denominator vanished",
-                                   row=_first_row(bad)[1]), diag, off, rhs)
+            _fail(LinearSolveError("rank-one correction denominator vanished"),
+                  diag, off, rhs, first, last)
         z *= _col((y[first] + frac * y[last]) / denom)
         x = y - z
 
@@ -325,10 +326,9 @@ def solve_cyclic_tridiagonal(diag, off, rhs, tol: float = 1e-10, *, bands=None):
         # non-finite (0 * inf is nan; max keeps a nan)
         bad = (worst > bound) | ~(worst < np.inf)
         if _any(bad):
-            at, row = _first_row(bad)
-            _fail(LinearSolveError(
-                f"periodic tridiagonal residual {worst[at]:.3e} exceeds {bound[at]:.3e}",
-                row=row), diag, off, rhs)
+            _fail(LinearSolveError(f"periodic tridiagonal residual {worst[bad][0]:.3e} "
+                                   f"exceeds {bound[bad][0]:.3e}"),
+                  diag, off, rhs, first, last)
     return x
 
 
@@ -355,28 +355,17 @@ def _pack(diag, off, rhs, bands, first, last):
     return d, y, z, gamma_p, wrap
 
 
-def _fail(err: LinearSolveError, diag, off, rhs):
+def _fail(err: LinearSolveError, diag, off, rhs, first, last):
     """Raise ``err``, or NonFiniteError where the system has a non-finite
-    entry: the first entry of the packed bands that is not finite, in the
-    first row that has one."""
-    first, last = (0, -1) if diag.ndim == 1 else ((..., 0), (..., -1))
-    packed = np.empty((4,) + diag.shape)
-    _pack(diag, off, rhs, packed.reshape(4, -1), first, last)
-    bad = ~np.isfinite(packed).all(axis=0)
-    flagged = bad.any(axis=-1)
-    if _any(flagged):
-        at, row = _first_row(flagged)
+    entry, naming the first cell of the packed bands that has one in any
+    system."""
+    packed = np.empty((4, diag.size))
+    _pack(diag, off, rhs, packed, first, last)
+    finite = np.isfinite(packed.reshape(-1, diag.shape[-1])).all(axis=0)
+    if not finite.all():
         raise NonFiniteError("array must not contain infs or NaNs",
-                             cell=int(np.argmax(bad[at])), row=row)
+                             cell=int(np.argmin(finite)))
     raise err
-
-
-def _first_row(flags):
-    """(index, row) of the first flagged row: ((), None) outside a batch."""
-    if flags.ndim == 0:
-        return (), None
-    row = int(np.argmax(flags))
-    return row, row
 
 
 def _upwind_faces(v_cells: Field, v_next: Field, v_face: Field | None = None,
@@ -497,14 +486,14 @@ def _step(state: State, g: Grid, params: ModelParams, config: SchemeConfig,
             break
         dt = _where(bad, 0.5 * dt, dt)
     else:
-        at, row = _first_row(bad)
-        t = float(np.asarray(state.t)[at])
-        cell = int(np.argmin(rho_new[at]))
-        gamma = params.gamma if row is None else params.row(row).gamma
+        # the time, emptiest cell and gamma of the first failing run
+        t = float(np.asarray(state.t)[bad][0])
+        cell = int(np.argmin(rho_new[bad][0]))
+        gamma = float(np.ravel(params.gamma)[np.ravel(bad)][0])
         raise VacuumError(
             f"density reached zero at t={t:.6g}, cell {cell}; "
             f"{config.max_halvings} dt halvings exhausted",
-            t=t, cell=cell, gamma=gamma, row=row,
+            t=t, cell=cell, gamma=gamma,
         )
 
     # the momentum, once per row at its accepted dt
@@ -615,18 +604,6 @@ def _accumulate(accums: Accumulators, old: State, fields: StateFields,
     accums.int_mass_flux += np.multiply(s.mass_flux, _col(dt), out=du)
 
 
-@dataclass(frozen=True)
-class FailedRun:
-    """A row of a batched run that ended in a runtime failure.
-
-    ``error`` is the exception the row's run alone raises; ``wall_seconds``
-    runs from the start of the batch to the failure.
-    """
-
-    error: RunFailure
-    wall_seconds: float
-
-
 @dataclass
 class _Row:
     """What a run keeps outside the stacked arrays of its batch."""
@@ -652,12 +629,13 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
     column.  Each row keeps its own dt (with the first-step cap and the
     landing on t_end), positivity rescue, snapshots and time integrals, so
     it gives bit for bit the Trajectory of its run alone; a row leaves the
-    batch when it reaches t_end or fails.  A batch returns one entry per
-    row: its Trajectory, or the FailedRun holding the RunFailure that its
-    run alone raises.  A RunFailure carries the time of the step or
-    snapshot that failed and the run's gamma.  ``sources`` serve single
-    runs.  A row whose CFL step cannot reach t_end within
-    ``step_budget(g.n_cells)`` steps fails, at the step that finds it so.
+    batch when it reaches t_end, and a batch returns one Trajectory per
+    row.  A RunFailure ends the whole run, a batch at its first failure in
+    any row (``sweep.run_sweep`` then runs each gamma alone); a single
+    run's carries the time of the step or snapshot that failed and the
+    run's gamma.  ``sources`` serve single runs.  A run whose CFL step
+    cannot reach t_end within ``step_budget(g.n_cells)`` steps fails, at
+    the step that finds it so.
 
     A snapshot is taken at the start, at the first step that reaches each
     multiple of ``config.snapshot_every`` and at t_end; a step that crosses
@@ -687,7 +665,6 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
     next_snap = np.full(rho0.shape[:-1], init.t)
     step = step_u_form if config.formulation == U_FORM else step_w_form
     every = config.snapshot_every
-    fields = None
     scratch = StepScratch(g, rho0.shape)
 
     def restack(keep):
@@ -698,31 +675,14 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
                       state.formulation)
         accums = accums.select(keep)
         next_snap = next_snap[keep]
-        fields = None if fields is None else StateFields(*(f[keep] for f in fields))
+        fields = StateFields(*(f[keep] for f in fields))
         params = ModelParams(np.array([[row.params.gamma] for row in rows]))
         scratch = StepScratch(g, state.rho.shape) if rows else None
 
-    def end_row(err: RunFailure, i: int) -> None:
-        """The one way a failing row ends: stamp ``err``, raised at stacked
-        row ``i``'s current time, with that time and the row's gamma, then
-        raise it for a single run; in a batch, keep it as the row's
-        FailedRun and drop the row."""
-        row, at = rows[i], (i if batched else ())
-        if err.t is None:
-            err.t = float(state.t[at])
-        if err.gamma is None:
-            err.gamma = row.params.gamma
-        if not batched:
-            raise err
-        err.row = row.index
-        results[row.index] = FailedRun(err, _time.perf_counter() - started)
-        restack(np.arange(len(rows)) != i)
-
     def take_snapshots(due) -> None:
-        """Snapshot the rows flagged in ``due``, last first, so a row whose
-        record fails leaves the batch without moving the rows to come."""
-        for i in reversed(range(len(rows))):
-            at, row = (i if batched else ()), rows[i]
+        """Snapshot the rows flagged in ``due``."""
+        for i, row in enumerate(rows):
+            at = i if batched else ()
             if not due[at]:
                 continue
             rho, mom, row_fields = state.rho, state.mom, fields
@@ -732,13 +692,9 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
             snap_state = State(float(state.t[at]), rho, mom, state.formulation)
             row_accums = accums.select(at)
             state_args = (snap_state, row_fields, g, row.params)
-            try:
-                if row.summary is None:
-                    row.summary = summarize_initial_data(*state_args)
-                rec, pi, W = record(*state_args, row_accums, row.summary)
-            except RunFailure as err:
-                end_row(err, i)
-                continue
+            if row.summary is None:
+                row.summary = summarize_initial_data(*state_args)
+            rec, pi, W = record(*state_args, row_accums, row.summary)
             row.records.append(rec)
             row.last = Snapshot(snap_state, row_fields, rec, pi, W, row_accums.int_mass_flux)
             row.psi = psi_test_function(row.psi, row.last, g, row.summary.mean_rho0)[1]
@@ -758,28 +714,23 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
                     wall_seconds=_time.perf_counter() - started,
                 )
 
-    # each state's fields are evaluated once, for its snapshot and the step
-    # from it; a row whose first fields fail leaves before its snapshot
-    while rows and fields is None:
-        try:
-            fields = state_fields(state, g, params)
-        except RunFailure as err:
-            end_row(err, err.row if batched else 0)
-    take_snapshots(np.full(state.t.shape, True))
     n_steps, budget = 0, step_budget(g.n_cells)
-    while rows and _any(state.t < t_end):
-        try:
+    try:
+        # each state's fields are evaluated once, for its snapshot and the
+        # step from it
+        fields = state_fields(state, g, params)
+        take_snapshots(np.full(state.t.shape, True))
+        while _any(state.t < t_end):
             dt = compute_dt(state, g, params, config, fields)
             remaining = t_end - state.t
             over = remaining > (budget - n_steps) * dt
             if _any(over):
-                # the fastest cell of the first such row sets its step
-                at, row = _first_row(over)
-                speed = np.maximum(np.abs(fields.u[at]), np.abs(fields.w[at]))
+                # the fastest cell of the first such run sets its step
+                speed = np.maximum(np.abs(fields.u), np.abs(fields.w))[over][0]
                 raise StepBudgetError(
-                    f"CFL step {float(dt[at]):.3g} cannot reach t_end within the "
+                    f"CFL step {float(dt[over][0]):.3g} cannot reach t_end within the "
                     f"step budget of {budget:.3g} ({n_steps} steps taken)",
-                    cell=int(np.argmax(speed)), row=row)
+                    cell=int(np.argmax(speed)))
             if n_steps == 0:
                 dt = np.minimum(dt, config.dt_init)
             # only a step that reaches t_end is clipped and lands on it
@@ -789,25 +740,30 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
             new_state = step(state, g, params, config, dt, sources,
                              fields=fields, scratch=scratch)
             new_fields = state_fields(new_state, g, params)
-        except RunFailure as err:
-            # the row leaves the batch and the others retake the step
-            end_row(err, err.row if batched else 0)
-            continue
-        dt_actual = new_state.t - state.t
-        _accumulate(accums, state, fields, new_fields, scratch, g, dt_actual)
-        # land exactly on t_end unless the positivity rescue halved the step
-        if landing and _any(land := final_step & (dt_actual > 0.6 * dt)):
-            new_state = State(_where(land, t_end, new_state.t), new_state.rho,
-                              new_state.mom, new_state.formulation)
-        state, fields = new_state, new_fields
-        n_steps += 1
-        due = (state.t >= t_end) | (state.t + 1e-14 >= next_snap)
-        if _any(due):
-            take_snapshots(due)
-        done = state.t >= t_end
-        if batched and _any(done):
-            finish(done)
-            restack(~done)
+            dt_actual = new_state.t - state.t
+            _accumulate(accums, state, fields, new_fields, scratch, g, dt_actual)
+            # land exactly on t_end unless the positivity rescue halved the step
+            if landing and _any(land := final_step & (dt_actual > 0.6 * dt)):
+                new_state = State(_where(land, t_end, new_state.t), new_state.rho,
+                                  new_state.mom, new_state.formulation)
+            state, fields = new_state, new_fields
+            n_steps += 1
+            due = (state.t >= t_end) | (state.t + 1e-14 >= next_snap)
+            if _any(due):
+                take_snapshots(due)
+            done = state.t >= t_end
+            if batched and _any(done):
+                finish(done)
+                restack(~done)
+    except RunFailure as err:
+        # a batch ends whole: which row failed, and how, is for its caller
+        # to find by running each gamma alone (``sweep.run_sweep``)
+        if not batched:
+            if err.t is None:
+                err.t = float(state.t)
+            if err.gamma is None:
+                err.gamma = params.gamma
+        raise
     # the single run, or rows that started at t_end
     finish(state.t >= t_end)
     return results if batched else results[0]

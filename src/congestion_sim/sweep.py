@@ -3,14 +3,18 @@
 All runs share one grid, one time horizon and one initial-data recipe,
 so final fields subtract cell-wise.  They step together as one batch of
 ``run_simulation``, one row per gamma, and each row equals the run of
-its gamma alone bit for bit.
+its gamma alone bit for bit.  A failure in any row ends the batch whole;
+``run_sweep`` then runs each gamma alone, so which gamma failed, and
+with what error, is decided here and nowhere else.
 
 ``run_config`` is the one start of every run a config describes: a
-``simulate`` run, the cases of ``verify`` and the sweep's batch.
+``simulate`` run, the cases of ``verify``, the sweep's batch and, after
+a failed batch, each gamma's run alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +24,7 @@ from .errors import RunFailure
 from .grid import Grid, norm
 from .initial_data import make_initial_data
 from .model import ModelParams, velocities
-from .solver import FailedRun, Trajectory, run_simulation
+from .solver import Trajectory, run_simulation
 
 
 @dataclass(frozen=True)
@@ -86,8 +90,9 @@ def _row_from_trajectory(gamma: float, traj: Trajectory) -> GammaRow:
 
 def run_config(cfg: RunConfig, sink=None):
     """The runs a config describes: a Trajectory for ``model.gamma``; for
-    ``sweep.gammas``, one batch and a Trajectory or FailedRun per gamma.
-    ``sink`` receives each snapshot as it is taken (``run_simulation``)."""
+    ``sweep.gammas``, one batch and a Trajectory per gamma, or the
+    RunFailure that ended the batch.  ``sink`` receives each snapshot as it
+    is taken (``run_simulation``)."""
     g = Grid(cfg.n_cells)
     gamma = cfg.gamma if cfg.gammas is None else np.array(cfg.gammas)[:, None]
     params = ModelParams(gamma=gamma)
@@ -95,22 +100,39 @@ def run_config(cfg: RunConfig, sink=None):
     return run_simulation(init, g, params, cfg.scheme, cfg.t_end, sink=sink)
 
 
+def _run_alone(cfg: RunConfig, gamma: float):
+    """The run of one gamma of the ladder by itself: its Trajectory, or the
+    RunFailure that ended it and the run's wall time."""
+    started = time.perf_counter()
+    try:
+        return run_config(replace(cfg, gamma=gamma, gammas=None))
+    except RunFailure as err:
+        return err, time.perf_counter() - started
+
+
 def run_sweep(cfg: RunConfig) -> SweepReport:
     """Run every gamma of ``sweep.gammas`` as one batch and assemble the
     report in gamma order.
 
-    Failed runs (vacuum, saturation or a failed linear solve) are
-    reported as failed rows with the failure's (t, cell, gamma); the
-    remaining rows are still emitted.  A row's runtime is the wall time
-    from the start of the batch until the row finished or failed.
+    A runtime failure in any row ends the batch; every gamma then runs
+    alone, and each run that fails (vacuum, saturation, a failed linear
+    solve, the step budget) is reported as a failed row with its own text
+    and (t, cell, gamma), while the other rows are still emitted.  Each
+    row equals its run alone, so the rows are the same either way.  A
+    row's runtime is the wall time from the start of the batch until the
+    row finished or, after a failed batch, the wall time of its own run.
     """
+    try:
+        results = run_config(cfg)
+    except RunFailure:
+        results = [_run_alone(cfg, gamma) for gamma in cfg.gammas]
     rows, finals, failures, g = [], {}, [], None
-    for gamma, result in zip(cfg.gammas, run_config(cfg)):
-        if isinstance(result, FailedRun):
+    for gamma, result in zip(cfg.gammas, results):
+        if not isinstance(result, Trajectory):
+            err, runtime = result
             rows.append(GammaRow(gamma=gamma, failed=True,
-                                 failure=f"{result.error} {result.error.context()}",
-                                 runtime=result.wall_seconds))
-            failures.append(result.error)
+                                 failure=f"{err} {err.context()}", runtime=runtime))
+            failures.append(err)
         else:
             rows.append(_row_from_trajectory(gamma, result))
             # the final density and desired velocity, once per finished row

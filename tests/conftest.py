@@ -10,11 +10,12 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from congestion_sim.cli import CONFIG_DIR
 from congestion_sim.config import RunConfig, load_run_config
+from congestion_sim.errors import RunFailure
 from congestion_sim.grid import Grid, as_field, backward_difference, forward_difference
 from congestion_sim.initial_data import make_initial_data
 from congestion_sim.model import ModelParams, U_FORM, W_FORM
 from congestion_sim.solver import SchemeConfig, run_simulation
-from congestion_sim.sweep import run_config
+from congestion_sim.sweep import GammaRow, _row_from_trajectory, run_config
 from congestion_sim.verify import ConvergenceStudy, _scaled_dt, _study, doubling_resolutions
 
 
@@ -37,6 +38,24 @@ STANDARD = shipped("standard_smooth")
 TRAVELLING = shipped("travelling_smooth")
 CONSTANT = shipped("constant_state")
 SWEEP = shipped("standard_sweep")
+
+
+def assert_report_is_plain_runs(report, plain):
+    """Each row of a sweep report is its gamma's run alone, given in
+    ``plain`` by gamma in ladder order as its Trajectory or the RunFailure
+    that ended it: a finished row's aggregates bit for bit, a failed row's
+    text and context.  Only ``runtime``, a wall time, may differ."""
+    want = [GammaRow(gamma=gamma, failed=True, failure=f"{run} {run.context()}")
+            if isinstance(run, RunFailure) else _row_from_trajectory(gamma, run)
+            for gamma, run in plain.items()]
+    assert [dataclasses.replace(row, runtime=0.0) for row in report.rows] == [
+        dataclasses.replace(row, runtime=0.0) for row in want]
+    assert [(type(err), f"{err} {err.context()}") for err in report.failures] == [
+        (type(run), row.failure) for run, row in zip(plain.values(), want) if row.failed]
+    # the cross differences pair consecutive finished rows only
+    done = [row.gamma for row in want if not row.failed]
+    assert [(c.gamma_lo, c.gamma_hi) for c in report.cross] == [
+        (lo, hi) for lo, hi in zip(plain, list(plain)[1:]) if lo in done and hi in done]
 
 
 def write_config(tmp_path, text, name="run.cfg"):

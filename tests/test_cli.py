@@ -222,10 +222,18 @@ def test_custom_csv_picks_match_dense_rule(tmp_path, monkeypatch, profile):
     path.write_text("x,rho,w\n" + "".join(
         f"{x!r},0.8,{i}\n" for i, x in enumerate(xs.tolist())),
         encoding="utf-8")
-    dist = np.abs(g.x[:, None] - xs[None, :])
+    dist = np.abs(g.x[:, None] - xs[None, :]) % 1.0
     want = np.argmin(np.minimum(dist, 1.0 - dist), axis=1)
     for block in (1, 7 * xs.size + 3):
         monkeypatch.setattr(initial_data_mod, "RESAMPLE_BLOCK", block)
+        _, w = build_profiles(InitRecipe(kind="custom_csv", csv_path=str(path)), g)
+        assert np.array_equal(w, want)
+    # the distance is periodic: every x shifted by a whole period picks the
+    # same rows
+    for shift in (-3.0, 2.0):
+        path.write_text("x,rho,w\n" + "".join(
+            f"{x!r},0.8,{i}\n" for i, x in enumerate((xs + shift).tolist())),
+            encoding="utf-8")
         _, w = build_profiles(InitRecipe(kind="custom_csv", csv_path=str(path)), g)
         assert np.array_equal(w, want)
 
@@ -1171,7 +1179,7 @@ def test_verify_runs_at_most_one_child_per_core(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("error,code", [
-    (VacuumError("synthetic", t=0.5, cell=3, gamma=2.0, row=1), 3),
+    (VacuumError("synthetic", t=0.5, cell=3, gamma=2.0), 3),
     (ConfigError("synthetic"), 2),
 ], ids=["run_failure", "config_error"])
 def test_failing_job_ends_verify_as_in_process(tmp_path, monkeypatch, capsys, error, code):
@@ -1216,9 +1224,9 @@ def test_job_exceptions_cross_the_pipe(monkeypatch):
 
     with pytest.raises(VacuumError) as info:
         list(cli.in_children([lambda: 1, lambda: raises(
-            VacuumError("synthetic", t=0.5, cell=3, gamma=2.0, row=1))]))
-    assert (str(info.value), info.value.t, info.value.cell, info.value.gamma,
-            info.value.row) == ("synthetic", 0.5, 3, 2.0, 1)
+            VacuumError("synthetic", t=0.5, cell=3, gamma=2.0))]))
+    assert (str(info.value), info.value.t, info.value.cell,
+            info.value.gamma) == ("synthetic", 0.5, 3, 2.0)
     with pytest.raises(RuntimeError, match=r"LocalError\('local'\) cannot be pickled"):
         list(cli.in_children([lambda: 1, lambda: raises(LocalError("local"))]))
     assert_no_child_left()

@@ -75,12 +75,11 @@ def test_saturation_error_names_the_batch_row():
     with pytest.raises(SaturationError) as alone:
         pressure(rho[1], ModelParams(1000.0))
     assert str(batch.value) == str(alone.value)
-    assert (batch.value.row, batch.value.cell, batch.value.gamma) == (1, 3, 1000.0)
-    assert alone.value.row is None
+    assert (batch.value.cell, batch.value.gamma) == (3, 1000.0)
 
 
 # gamma log rho <= 700 < (gamma + 1) log rho at rho = 2.013, gamma = 1000:
-# p is finite and lambda is not; the text, cell and row are those of
+# p is finite and lambda is not; the text and cell are those of
 # lambda's own overflow, as ``lambda_visc`` raises it
 LAMBDA_ONLY_OVERFLOW = ("power-law evaluation overflows: exponent 700 exceeds 700 "
                         "(gamma=1000, rho=2.013)")
@@ -101,15 +100,15 @@ def test_state_fields_saturate_where_only_lambda_overflows():
     rho[5] = 2.013
     assert np.isfinite(pressure(rho, ModelParams(1000.0))).all()
     err = fields_error(rho, 1000.0)
-    assert (str(err), err.cell, err.gamma, err.row) == (LAMBDA_ONLY_OVERFLOW, 5, 1000.0, None)
+    assert (str(err), err.cell, err.gamma) == (LAMBDA_ONLY_OVERFLOW, 5, 1000.0)
     with pytest.raises(SaturationError) as alone:
         lambda_visc(rho, ModelParams(1000.0))
     assert str(alone.value) == LAMBDA_ONLY_OVERFLOW
-    # a batch row names itself, with the text of its run alone
+    # a batch fails with the text of its overflowing row's run alone
     batch = np.ones((2, 8))
     batch[1] = rho
     err = fields_error(batch, np.array([[5.0], [1000.0]]))
-    assert (str(err), err.cell, err.gamma, err.row) == (LAMBDA_ONLY_OVERFLOW, 5, 1000.0, 1)
+    assert (str(err), err.cell, err.gamma) == (LAMBDA_ONLY_OVERFLOW, 5, 1000.0)
     # p is evaluated for every row first: a later row whose p overflows
     # fails before an earlier one whose lambda alone does
     batch[1, 2] = 2.1
@@ -117,7 +116,7 @@ def test_state_fields_saturate_where_only_lambda_overflows():
     err = fields_error(batch, np.array([[1000.0], [1000.0]]))
     assert str(err) == ("power-law evaluation overflows: exponent 742 exceeds 700 "
                         "(gamma=1000, rho=2.1)")
-    assert (err.cell, err.row) == (2, 1)
+    assert err.cell == 2
 
 
 def test_lambda_visc_values():

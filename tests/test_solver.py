@@ -15,6 +15,7 @@ from conftest import (
     STANDARD,
     SWEEP,
     CflError,
+    assert_report_is_plain_runs,
     run_case,
     standard_self_convergence,
     step_W_transport,
@@ -33,7 +34,7 @@ from congestion_sim.solver import (
     step_u_form,
     step_w_form,
 )
-from congestion_sim.sweep import run_config
+from congestion_sim.sweep import run_config, run_sweep
 from congestion_sim.verify import random_cyclic_systems_check
 
 
@@ -388,11 +389,9 @@ def test_cyclic_tridiagonal_rejects_a_residual_of_either_sign(monkeypatch, scale
     monkeypatch.setattr(_lapack, "ptsv", scaled)
     with pytest.raises(LinearSolveError, match="residual") as alone:
         solve_cyclic_tridiagonal(diag[1], off[1], rhs[1])
-    assert alone.value.row is None
     monkeypatch.setattr(_lapack, "ptsv", lambda bands: scaled(bands, row=1))
     with pytest.raises(LinearSolveError, match="residual") as batch:
         solve_cyclic_tridiagonal(diag, off, rhs)
-    assert batch.value.row == 1
     assert str(batch.value) == str(alone.value)
 
 
@@ -588,7 +587,7 @@ def test_batched_solve_matches_each_system(monkeypatch):
                 with pytest.raises(ValueError, match="must not contain infs or NaNs") as err:
                     solve_cyclic_tridiagonal(*one)
                 assert isinstance(err.value, NonFiniteError)
-                assert (err.value.cell, err.value.row) == (5, None)
+                assert err.value.cell == 5
     monkeypatch.undo()
 
     diag, off, rhs = random_dominant_systems(np.random.default_rng(11), 4, 24)
@@ -598,13 +597,12 @@ def test_batched_solve_matches_each_system(monkeypatch):
         solve_cyclic_tridiagonal(diag, off, rhs)
     with pytest.raises(LinearSolveError) as alone:
         solve_cyclic_tridiagonal(diag[1], off[1], rhs[1])
-    assert batch.value.row == 1 and alone.value.row is None
     assert str(batch.value) == str(alone.value)
 
 
 def test_batched_indefinite_row_fails_alone(monkeypatch):
     # an indefinite row 2 stops the factorization in its own block: the
-    # batch names row 2 and says what that row says alone, on both paths
+    # batch says what that row says alone, on both paths
     diag, off, rhs = random_dominant_systems(np.random.default_rng(3), 4, 24)
     diag[2, 9] = -diag[2, 9]
     for ptsv in LAPACK_PATHS:
@@ -613,33 +611,37 @@ def test_batched_indefinite_row_fails_alone(monkeypatch):
             solve_cyclic_tridiagonal(diag, off, rhs)
         with pytest.raises(LinearSolveError, match="ptsv info") as alone:
             solve_cyclic_tridiagonal(diag[2], off[2], rhs[2])
-        assert batch.value.row == 2 and alone.value.row is None
         assert str(batch.value) == str(alone.value)
         for i in (0, 1, 3):
             solve_cyclic_tridiagonal(diag[i], off[i], rhs[i])
 
 
-def test_batch_row_saturating_at_start_fails_alone():
+def test_batch_row_saturating_at_start_fails_alone(monkeypatch):
     from congestion_sim.errors import SaturationError
-    from congestion_sim.solver import FailedRun
+    import congestion_sim.sweep as sweep_mod
 
     g = Grid(32)
     cfg = SchemeConfig(formulation=U_FORM)
     rho = np.full(32, 2.2)  # 900 * ln 2.2 > 700, 4 * ln 2.2 is not
-    batch = State(0.0, np.stack([rho, rho]), np.zeros((2, 32)), U_FORM)
-    first, second = run_simulation(batch, g, ModelParams(np.array([[4.0], [900.0]])),
-                                   cfg, 0.01)
-    want = run_simulation(State(0.0, rho, np.zeros(32), U_FORM), g, ModelParams(4.0),
+
+    def at_rest(recipe, g, params, formulation):
+        shape = np.shape(params.gamma)[:-1] + rho.shape
+        return State(0.0, np.broadcast_to(rho, shape).copy(), np.zeros(shape), U_FORM)
+
+    # the batch ends at its first fields, and each gamma then runs alone
+    batch = ModelParams(np.array([[4.0], [900.0]]))
+    with pytest.raises(SaturationError):
+        run_simulation(at_rest(None, g, batch, U_FORM), g, batch, cfg, 0.01)
+    monkeypatch.setattr(sweep_mod, "make_initial_data", at_rest)
+    report = run_sweep(dataclasses.replace(SWEEP, gammas=(4.0, 900.0), n_cells=32,
+                                           t_end=0.01, scheme=cfg))
+    want = run_simulation(at_rest(None, g, ModelParams(4.0), U_FORM), g, ModelParams(4.0),
                           cfg, 0.01)
-    assert np.array_equal(first.final_state.rho, want.final_state.rho)
-    assert first.records == want.records
     with pytest.raises(SaturationError) as alone:
-        run_simulation(State(0.0, rho, np.zeros(32), U_FORM), g, ModelParams(900.0),
+        run_simulation(at_rest(None, g, ModelParams(900.0), U_FORM), g, ModelParams(900.0),
                        cfg, 0.01)
-    assert isinstance(second, FailedRun)
-    assert str(second.error) == str(alone.value)
-    assert second.error.t == alone.value.t == 0.0
-    assert second.error.row == 1
+    assert alone.value.t == 0.0
+    assert_report_is_plain_runs(report, {4.0: want, 900.0: alone.value})
 
 
 def test_run_saturation_aborts_with_context():
@@ -700,18 +702,18 @@ def test_non_finite_input_raises_the_non_finite_error_without_a_warning(
         monkeypatch, ptsv, operand, value):
     # the finiteness scan runs only on the failure path: every non-finite
     # entry must still reach it, with no RuntimeWarning on the way there, and
-    # the error names the entry's cell and batch row
+    # the error names the entry's cell
     monkeypatch.setattr(_lapack, "ptsv", ptsv)
     n = 24
     index = ("diag", "off", "rhs").index(operand)
     for cell in (0, 5, n - 1):
         system = [a.copy() for a in random_dominant_systems(np.random.default_rng(cell), 4, n)]
         system[index][2, cell] = value
-        for args, row in (([a[2] for a in system], None), (system, 2)):
+        for args in ([a[2] for a in system], system):
             with pytest.raises(NonFiniteError) as err:
                 solve_cyclic_tridiagonal(*args)
             assert str(err.value) == "array must not contain infs or NaNs"
-            assert (err.value.cell, err.value.row) == (cell, row)
+            assert err.value.cell == cell
 
 
 # ------------------------------------------------------------- step scratch

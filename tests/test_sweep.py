@@ -5,20 +5,15 @@ import numpy as np
 import pytest
 
 import congestion_sim.solver as solver_mod
-from conftest import CONSTANT, SWEEP
+from conftest import CONSTANT, SWEEP, assert_report_is_plain_runs
 from congestion_sim.config import parse_config_text, resolve_run_config
 from congestion_sim.diagnostics import summarize_initial_data
-from congestion_sim.errors import ConfigError, LinearSolveError, RunFailure
+from congestion_sim.errors import ConfigError, LinearSolveError, RunFailure, VacuumError
 from congestion_sim.grid import Grid
 from congestion_sim.initial_data import InitRecipe, make_initial_data
 from congestion_sim.model import U_FORM, W_FORM, ModelParams, State, state_fields
-from congestion_sim.solver import FailedRun, run_simulation
-from congestion_sim.sweep import (
-    GammaRow,
-    _row_from_trajectory,
-    fit_congestion_rate,
-    run_sweep,
-)
+from congestion_sim.solver import run_simulation
+from congestion_sim.sweep import GammaRow, fit_congestion_rate, run_sweep
 
 ACCUMULATORS = ("diss_visc", "diss_offset", "work_offset", "diss_plain")
 
@@ -68,13 +63,6 @@ def batched_runs(config, snapshots=None):
     return dict(zip(config.gammas,
                     run_simulation(batch, g, params, config.scheme, config.t_end,
                                    sink=snapshot_sink(snapshots))))
-
-
-def assert_rows_match_plain_runs(report, plain, gammas):
-    by_gamma = {row.gamma: row for row in report.rows}
-    for gamma in gammas:
-        want = dataclasses.replace(_row_from_trajectory(gamma, plain[gamma]), runtime=0.0)
-        assert dataclasses.replace(by_gamma[gamma], runtime=0.0) == want
 
 
 def assert_same_trajectory(got, want, got_snapshots, want_snapshots):
@@ -180,7 +168,7 @@ def test_single_gamma_sweep_matches_plain_run():
             assert row.switching_residual_max == pytest.approx(
                 np.max(traj.series("switching_residual")), abs=0.0)
             assert row.I_plain_abs == pytest.approx(abs(traj.accums.diss_plain), abs=0.0)
-        assert_rows_match_plain_runs(report, plain, gammas)
+        assert_report_is_plain_runs(report, plain)
         assert len(report.cross) == len(gammas) - 1
 
 
@@ -199,23 +187,22 @@ def test_batched_rows_equal_their_plain_runs(config):
     for gamma in config.gammas:
         assert_same_trajectory(batched[gamma], plain[gamma],
                                batched_snapshots[gamma], plain_snapshots[gamma])
-    assert_rows_match_plain_runs(run_sweep(config), plain, config.gammas)
+    assert_report_is_plain_runs(run_sweep(config), plain)
 
 
 def stiffness_limited_solve(limit, band=(np.inf, np.inf)):
     """The real solve, except that a row whose diagonal exceeds ``limit``
     comes back negative, which forces the positivity rescue on that row,
     and a row whose largest diagonal entry lies in ``band`` = (lo, hi]
-    fails with a LinearSolveError that names its row in the stack it was
-    given (None for one system); what a row gets depends on that row alone."""
+    fails the solve with a LinearSolveError; what a row gets depends on
+    that row alone."""
     real = solver_mod.solve_cyclic_tridiagonal
 
     def solve(diag, off, rhs, tol=1e-10, **kw):
         top = np.max(diag, axis=-1, keepdims=True)
         in_band = (band[0] < top[..., 0]) & (top[..., 0] <= band[1])
         if in_band.any():
-            raise LinearSolveError("largest diagonal entry in the failing band",
-                                   row=int(np.argmax(in_band)) if diag.ndim > 1 else None)
+            raise LinearSolveError("largest diagonal entry in the failing band")
         x = real(diag, off, rhs, tol, **kw)
         return np.where(top > limit, -x, x)
 
@@ -247,41 +234,36 @@ def test_positivity_rescue_is_per_row(monkeypatch, formulation, patch, max_halvi
     monkeypatch.setattr(solver_mod, *patch)
     plain_snapshots, batched_snapshots = {}, {}
     plain = plain_runs(config, plain_snapshots)
+    assert [gm for gm, run in plain.items() if not isinstance(run, RunFailure)] == list(
+        survivors)
+    for gamma in set(config.gammas) - set(survivors):
+        assert "halvings exhausted" in str(plain[gamma])
+    assert_report_is_plain_runs(run_sweep(config), plain)
+    if len(survivors) < len(config.gammas):
+        # a failing row ends the batch whole
+        with pytest.raises(VacuumError, match="halvings exhausted"):
+            batched_runs(config)
+        return
     batched = batched_runs(config, batched_snapshots)
     for gamma in config.gammas:
-        if gamma in survivors:
-            assert_same_trajectory(batched[gamma], plain[gamma],
-                                   batched_snapshots[gamma], plain_snapshots[gamma])
-        else:
-            failed = batched[gamma]
-            assert isinstance(failed, FailedRun)
-            assert type(failed.error) is type(plain[gamma])
-            assert str(failed.error) == str(plain[gamma])
-            assert "halvings exhausted" in str(failed.error)
-            assert failed.error.gamma == gamma
-            assert failed.error.row == config.gammas.index(gamma)
+        assert_same_trajectory(batched[gamma], plain[gamma],
+                               batched_snapshots[gamma], plain_snapshots[gamma])
 
 
-def test_solve_failure_in_a_batch_rescue_names_its_batch_row(monkeypatch):
+def test_solve_failure_in_a_batch_rescue_is_its_rows_failure(monkeypatch):
     # gamma 20's second step has a largest diagonal entry of 36.98, above the
     # limit, and its one halving takes it to 18.99, into the band: the solve
-    # fails while the rescue redoes the density, and must name the batch row;
-    # gammas 2 and 5 never reach the band, and gamma 5 takes rescues of its own
+    # fails while the rescue redoes the density, in the batch as in the run
+    # of gamma 20 alone; gammas 2 and 5 never reach the band, and gamma 5
+    # takes rescues of its own
     scheme = dataclasses.replace(SWEEP.scheme, formulation=W_FORM)
     config = sweep_config((2.0, 5.0, 20.0), n_cells=64, t_end=0.1, scheme=scheme)
     monkeypatch.setattr(solver_mod, *stiffness_limited_solve(30.0, band=(18.9, 19.0)))
-    plain_snapshots, batched_snapshots = {}, {}
-    plain = plain_runs(config, plain_snapshots)
-    batched = batched_runs(config, batched_snapshots)
-    for gamma in (2.0, 5.0):
-        assert_same_trajectory(batched[gamma], plain[gamma],
-                               batched_snapshots[gamma], plain_snapshots[gamma])
-    failed = batched[20.0]
-    assert isinstance(failed, FailedRun)
-    assert type(failed.error) is type(plain[20.0]) is LinearSolveError
-    assert str(failed.error) == str(plain[20.0])
-    assert failed.error.gamma == 20.0
-    assert failed.error.row == 2
+    plain = plain_runs(config)
+    assert type(plain[20.0]) is LinearSolveError
+    with pytest.raises(LinearSolveError):
+        batched_runs(config)
+    assert_report_is_plain_runs(run_sweep(config), plain)
 
 
 def test_sweep_switching_monotone_on_shipped_recipe():
@@ -325,21 +307,18 @@ def test_fit_congestion_rate_exact_synthetic():
 
 def test_failed_rows_are_reported_not_fatal(monkeypatch):
     import congestion_sim.model as model_mod
-    from congestion_sim.errors import VacuumError
 
     config = sweep_config((5.0, 10.0, 20.0))
-    plain = plain_runs(config)
     real = model_mod.pressure
 
     def flaky(rho, params, lam_guard=False):
-        # the batch's state fields see the whole batch; gamma 10's row fails
-        gammas = list(np.ravel(params.gamma))
-        if np.ndim(rho) == 2 and 10.0 in gammas:
-            raise VacuumError("synthetic vacuum", t=0.1, cell=3, gamma=10.0,
-                              row=gammas.index(10.0))
+        # every pressure of gamma 10's run fails, alone or in the batch
+        if 10.0 in np.ravel(params.gamma):
+            raise VacuumError("synthetic vacuum", t=0.1, cell=3, gamma=10.0)
         return real(rho, params, lam_guard)
 
     monkeypatch.setattr(model_mod, "pressure", flaky)
+    plain = plain_runs(config)
     report = run_sweep(config)
     by_gamma = {row.gamma: row for row in report.rows}
     assert not by_gamma[5.0].failed and not by_gamma[20.0].failed
@@ -349,7 +328,7 @@ def test_failed_rows_are_reported_not_fatal(monkeypatch):
     # the cross pair spanning the failed run is skipped
     assert all({c.gamma_lo, c.gamma_hi}.isdisjoint({10.0}) for c in report.cross)
     # one row's failure leaves the others exactly as they run alone
-    assert_rows_match_plain_runs(report, plain, (5.0, 20.0))
+    assert_report_is_plain_runs(report, plain)
 
 
 def test_fit_matches_linregress_bit_for_bit():
@@ -387,51 +366,81 @@ def test_fit_degenerate_branches_match_linregress():
         linregress(np.full(3, 0.2), np.array([0.1, 0.2, 0.3]))
 
 
+def spoil_solves_of(monkeypatch, gamma, spoil, after=-np.inf):
+    """Hand the right-hand side of every solve in a step of ``gamma``'s run
+    from a time past ``after``, alone or as a batch row, to ``spoil(rhs,
+    rows)`` before it is solved; ``rhs`` is a (rows, n) copy and ``rows``
+    flags that run's row.  Whether a run is spoilt depends on its gamma and
+    its own times only.  Returns the list that receives the number of runs
+    stepping together at each spoilt solve."""
+    real_step, real_solve = solver_mod._step, solver_mod.solve_cyclic_tridiagonal
+    rows, seen = [None], []
+
+    def step(state, g, params, *args):
+        rows[0] = (np.ravel(params.gamma) == gamma) & (np.ravel(state.t) > after)
+        return real_step(state, g, params, *args)
+
+    def solve(diag, off, rhs, *args, **kwargs):
+        if rows[0].any():
+            seen.append(rows[0].size)
+            rhs = np.array(rhs)
+            spoil(rhs.reshape(-1, rhs.shape[-1]), rows[0])
+        return real_solve(diag, off, rhs, *args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "_step", step)
+    monkeypatch.setattr(solver_mod, "solve_cyclic_tridiagonal", solve)
+    return seen
+
+
+def failing_solve(rhs, rows):
+    raise LinearSolveError("synthetic residual 1e-3 exceeds 1e-10")
+
+
 def test_linear_solve_failure_is_a_failed_row(monkeypatch):
-    from congestion_sim.errors import LinearSolveError
-
     config = sweep_config((5.0, 10.0, 20.0), t_end=0.05)
+    spoil_solves_of(monkeypatch, 10.0, failing_solve)
     plain = plain_runs(config)
-    real = solver_mod.solve_cyclic_tridiagonal
-
-    def failing(diag, off, rhs, tol=1e-10, **kw):
-        x = real(diag, off, rhs, tol, **kw)
-        if np.ndim(diag) == 2 and len(diag) == 3:
-            # row 1 of the full batch is gamma 10
-            raise LinearSolveError("synthetic residual 1e-3 exceeds 1e-10", row=1)
-        return x
-
-    monkeypatch.setattr(solver_mod, "solve_cyclic_tridiagonal", failing)
     report = run_sweep(config)
     by_gamma = {row.gamma: row for row in report.rows}
     assert [row.gamma for row in report.rows] == [5.0, 10.0, 20.0]
     assert not by_gamma[5.0].failed and not by_gamma[20.0].failed
     assert by_gamma[10.0].failed
     assert "residual" in by_gamma[10.0].failure
-    # the first batched solve fails: the run loop adds the step's time and
-    # the row's gamma
+    # the first solve fails: the run loop adds the step's time and the
+    # run's gamma
     assert by_gamma[10.0].failure.endswith("[t=0.0, cell=None, gamma=10.0]")
     assert np.isfinite(by_gamma[5.0].max_rho) and np.isfinite(by_gamma[20.0].max_rho)
-    assert_rows_match_plain_runs(report, plain, (5.0, 20.0))
+    assert_report_is_plain_runs(report, plain)
 
 
 def test_non_finite_operands_are_a_failed_row(monkeypatch):
     # a nan in one row's solve ended the whole sweep in a ValueError traceback
     config = sweep_config((5.0, 10.0, 20.0), t_end=0.05)
+
+    def poisoned(rhs, rows):
+        rhs[rows, 7] = np.nan
+
+    spoil_solves_of(monkeypatch, 10.0, poisoned)
     plain = plain_runs(config)
-    real = solver_mod.solve_cyclic_tridiagonal
-
-    def poisoned(diag, off, rhs, tol=1e-10, **kw):
-        if np.ndim(rhs) == 2 and len(rhs) == 3:
-            # row 1 of the full batch is gamma 10
-            rhs = rhs.copy()
-            rhs[1, 7] = np.nan
-        return real(diag, off, rhs, tol, **kw)
-
-    monkeypatch.setattr(solver_mod, "solve_cyclic_tridiagonal", poisoned)
     report = run_sweep(config)
     by_gamma = {row.gamma: row for row in report.rows}
     assert [row.failed for row in report.rows] == [False, True, False]
     assert by_gamma[10.0].failure == ("array must not contain infs or NaNs "
                                       "[t=0.0, cell=7, gamma=10.0]")
-    assert_rows_match_plain_runs(report, plain, (5.0, 20.0))
+    assert_report_is_plain_runs(report, plain)
+
+
+def test_row_failing_after_another_left_the_batch(monkeypatch):
+    # on the shipped ladder gammas 80 and 40 reach t_end after 256 and 258
+    # steps, and gamma 5 after 293; gamma 5's solves fail once its run passes
+    # t = 0.48, which it reaches only after those rows have left the batch
+    config = sweep_config(SWEEP.gammas, n_cells=SWEEP.n_cells, t_end=SWEEP.t_end)
+    seen = spoil_solves_of(monkeypatch, 5.0, failing_solve, after=0.48)
+    plain = plain_runs(config)
+    assert [gm for gm, run in plain.items() if isinstance(run, RunFailure)] == [5.0]
+    assert seen == [1]
+    report = run_sweep(config)
+    # the batch fails with fewer rows than the ladder, then gamma 5 alone
+    assert seen[1] < len(config.gammas) and seen[2:] == [1]
+    assert report.rows[0].failed and "t=0.48" in report.rows[0].failure
+    assert_report_is_plain_runs(report, plain)
