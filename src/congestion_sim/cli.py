@@ -13,12 +13,12 @@ output after it, so a failed write exits 2 naming the file.
 ``simulate`` writes its snapshots from one forked writer process
 (``forked``), so that formatting and creating the files leave the process
 that steps.  The run hands each snapshot down a pipe as it takes it; the
-writer writes its ``snapshot_NNNN.csv`` (or ``snapshots.jsonl`` line), then
-its ``diagnostics.jsonl`` line, in snapshot order.  The run writes
-``run.log`` and, once the writer has written every snapshot and ended,
-``summary.json``.  A run that is killed keeps every snapshot it handed
-over: the writer drains the pipe before it ends.  A writer that fails or
-dies ends the run with exit 2 and a ``failed`` line.
+writer writes its ``snapshot_NNNN.csv``, then its ``diagnostics.jsonl``
+line, in snapshot order.  The run writes ``run.log`` and, once the writer
+has written every snapshot and ended, ``summary.json``.  A run that is
+killed keeps every snapshot it handed over: the writer drains the pipe
+before it ends.  A writer that fails or dies ends the run with exit 2 and
+a ``failed`` line.
 
 ``verify`` runs its jobs (each shipped case, the oracle, each MMS order
 check and the constant study) in forked children, at most one per usable
@@ -36,10 +36,11 @@ The ``invariants`` suite of ``verify`` runs every single-gamma config
 the source tree, so adding a config there adds a verified case.
 
 Data files are deterministic: no timestamps inside them (timestamps go
-to the run log), floats serialized with 17 significant digits.  Each value
-of a snapshot CSV is exactly ``'%.17g' % v``: ``textfmt.csv_blocks``
-formats them with numpy, a block of rows at a time, and falls back to
-``'%.17g' % v`` for each value it cannot settle.
+to the run log), floats serialized with 17 significant digits in CSV and
+as ``repr`` in JSON, where a non-finite value is ``null`` (``to_json``).
+Each value of a snapshot CSV is exactly ``'%.17g' % v``:
+``textfmt.csv_blocks`` formats them with numpy, a block of rows at a time,
+and falls back to ``'%.17g' % v`` for each value it cannot settle.
 """
 from __future__ import annotations
 
@@ -91,6 +92,14 @@ FLOAT_FORMAT = "%.17g"
 SNAPSHOT_COLUMNS = ("x", "rho", "u", "w", "pi", "W", "V")
 
 
+def to_json(value, **kwargs) -> str:
+    """``json.dumps`` of ``value`` as strict JSON: each non-finite float in
+    it (a failed row's aggregates, say), at any depth, is ``null``.  A
+    finite float keeps its bits and its text, as ``float(repr(v)) == v``."""
+    plain = json.loads(json.dumps(value), parse_constant=lambda _: None)
+    return json.dumps(plain, allow_nan=False, **kwargs)
+
+
 def _snapshot_columns(g: Grid, snap) -> list:
     """The ``SNAPSHOT_COLUMNS``; u, w, pi, W and lambda (in V = lambda dx u)
     are the snapshot's."""
@@ -99,30 +108,23 @@ def _snapshot_columns(g: Grid, snap) -> list:
             fields.lam * ddx_central(fields.u, g)]
 
 
-def write_snapshot_csv(path: str, g: Grid, snap, params: ModelParams) -> None:
-    """Write ``snap``'s ``SNAPSHOT_COLUMNS`` to ``path`` as CSV; ``params``
-    is not read, as the snapshot carries pi and W."""
+def write_snapshot_csv(path: str, g: Grid, snap) -> None:
+    """Write ``snap``'s ``SNAPSHOT_COLUMNS`` to ``path`` as CSV."""
     values = np.column_stack(_snapshot_columns(g, snap))
     with open(path, "wb") as fh:
         fh.write((",".join(SNAPSHOT_COLUMNS) + "\n").encode("ascii"))
         fh.writelines(csv_blocks(values))
 
 
-def snapshot_writer(write, out_dir: str, out_format: str):
+def snapshot_writer(write, out_dir: str):
     """``simulate``'s sink over ``run_log``'s ``write``: each snapshot as the run
-    takes it, as its ``snapshot_NNNN.csv`` (a whole file, closed at once) or
-    ``snapshots.jsonl`` line, and its ``diagnostics.jsonl`` line."""
+    takes it, as its ``snapshot_NNNN.csv`` (a whole file, closed at once),
+    and its ``diagnostics.jsonl`` line."""
     index = itertools.count()
 
     def sink(g: Grid, params: ModelParams, snap) -> None:
-        if out_format == "csv":
-            write_snapshot_csv(os.path.join(out_dir, f"snapshot_{next(index):04d}.csv"),
-                               g, snap, params)
-        else:
-            cols = (col.tolist() for col in _snapshot_columns(g, snap))
-            write("snapshots.jsonl",
-                  json.dumps({"t": snap.state.t, **dict(zip(SNAPSHOT_COLUMNS, cols))}))
-        write("diagnostics.jsonl", json.dumps(dataclasses.asdict(snap.rec)))
+        write_snapshot_csv(os.path.join(out_dir, f"snapshot_{next(index):04d}.csv"), g, snap)
+        write("diagnostics.jsonl", to_json(dataclasses.asdict(snap.rec)))
 
     return sink
 
@@ -325,7 +327,7 @@ def _trajectory_summary(traj: Trajectory) -> dict:
 
 
 def write_summary_json(write, traj: Trajectory) -> None:
-    write("summary.json", json.dumps(_trajectory_summary(traj), indent=2, sort_keys=True))
+    write("summary.json", to_json(_trajectory_summary(traj), indent=2, sort_keys=True))
 
 
 SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(GammaRow))
@@ -353,7 +355,7 @@ def write_sweep_report(write, report: SweepReport) -> None:
             for r in report.rows
         ],
     }
-    write("sweep_summary.json", json.dumps(summary, indent=2, sort_keys=True))
+    write("sweep_summary.json", to_json(summary, indent=2, sort_keys=True))
 
 
 # ------------------------------------------------------------ subcommands --
@@ -402,7 +404,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulate needs model.gamma (use the sweep subcommand "
                           "for sweep.gammas)")
     with run_log(cfg.out_dir, args.config) as write:
-        with forked(snapshot_writer(write, cfg.out_dir, cfg.out_format)) as sink:
+        with forked(snapshot_writer(write, cfg.out_dir)) as sink:
             traj = run_config(cfg, sink)
         write("run.log", f"steps {traj.n_steps}\nwall_seconds {traj.wall_seconds:.3f}")
         write_summary_json(write, traj)

@@ -1,9 +1,10 @@
 """Flat key-value run configuration.
 
-Grammar: one ``section.key = value`` per line, UTF-8, ``#`` starts a
-comment.  Unknown keys are an error, never silently ignored.  Numbers
-must be finite.  Exactly one of ``model.gamma`` and ``sweep.gammas`` must
-be present: a positive gamma, or a positive, strictly increasing ladder.
+Grammar: one ``section.key = value`` per line, UTF-8 (a leading
+byte-order mark is skipped), ``#`` starts a comment.  Unknown keys are an
+error, never silently ignored.  Numbers must be finite.  Exactly one of
+``model.gamma`` and ``sweep.gammas`` must be present: a positive gamma, or
+a positive, strictly increasing ladder.
 """
 from __future__ import annotations
 
@@ -56,8 +57,6 @@ CONFIG_KEYS = {
     "scheme.dt_max": (float, SchemeConfig.dt_max, "upper bound on the time step"),
     "scheme.dt_init": (float, SchemeConfig.dt_init,
                        "time step cap for the very first step"),
-    "scheme.max_halvings": (int, SchemeConfig.max_halvings,
-                            "dt halvings tried before a vacuum error"),
     "grid.n_cells": (int, REQUIRED,
                      f"number of cells of the periodic mesh (4 to {MAX_CELLS})"),
     "model.gamma": (float, None, "offset exponent for a single run"),
@@ -74,7 +73,6 @@ CONFIG_KEYS = {
     "time.t_end": (float, REQUIRED, "final time of the run (at most scheme.dt_max * "
                    f"{MAX_CELL_STEPS:.0e} / (grid.n_cells + {STEP_OVERHEAD_CELLS}))"),
     "output.dir": (str, "out", "output directory"),
-    "output.format": (str, "csv", "snapshot serialization: csv or jsonl"),
     "diagnostics.every": (float, SchemeConfig.snapshot_every,
                           "snapshot/diagnostics cadence in time"),
 }
@@ -108,7 +106,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict:
 
 def parse_config_file(path: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
@@ -126,7 +124,6 @@ class RunConfig:
     recipe: InitRecipe
     t_end: float
     out_dir: str
-    out_format: str
 
 
 def resolve_run_config(values: dict) -> RunConfig:
@@ -151,8 +148,6 @@ def resolve_run_config(values: dict) -> RunConfig:
             b <= a for a, b in zip(gammas, gammas[1:]))):
         raise ConfigError("sweep.gammas must be positive and strictly increasing, "
                           f"got {', '.join(f'{v:g}' for v in gammas)}")
-    if resolved["output.format"] not in ("csv", "jsonl"):
-        raise ConfigError("output.format must be csv or jsonl")
 
     # one key at a time on an admissible scheme, so a rule the dataclass
     # rejects is the rule of that key
@@ -187,7 +182,6 @@ def resolve_run_config(values: dict) -> RunConfig:
         recipe=recipe,
         t_end=t_end,
         out_dir=resolved["output.dir"],
-        out_format=resolved["output.format"],
     )
 
 

@@ -36,7 +36,6 @@ class Tolerances:
     energy_frac: float = 0.05            # lower edge of the energy band, x -E1
     energy_abs: float = 1e-8             # upper edge of the energy band, absolute
     reconstruction: float = 5e-2         # W-max / rho*W^2 drift, reconstructed
-    w_transport: float = 1e-10           # W-max drift when W is evolved directly
     w_transport_step: float = 1e-14      # per-step slack of the monotone update
     lower_bound_frac: float = 1e-2       # x rho0_min, margin slack
     lower_bound_abs: float = 8e-3        # absolute margin slack, standard case
@@ -259,16 +258,11 @@ class CheckResult:
         return self.passed
 
 
-def W_max_principle_check(w_max_series, *, reconstructed: bool = True) -> CheckResult:
-    """Verdict on max W(t) <= max W(0) + tol along a trajectory.
-
-    ``reconstructed`` selects the slack: scheme-error tolerance for W
-    rebuilt from the PDE state, near-zero tolerance when W was evolved by
-    the monotone transport update.
-    """
+def W_max_principle_check(w_max_series) -> CheckResult:
+    """Verdict on max W(t) <= max W(0) + tol along a trajectory, with the
+    scheme-error slack of W rebuilt from the PDE state."""
     series = np.asarray(w_max_series, dtype=float)
-    rel = TOL.reconstruction if reconstructed else TOL.w_transport
-    tol = rel * (1.0 + abs(float(series[0])))
+    tol = TOL.reconstruction * (1.0 + abs(float(series[0])))
     worst = float(np.max(series - series[0]))
     return CheckResult("W_max_principle", worst <= tol, worst, tol)
 

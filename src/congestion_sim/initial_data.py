@@ -54,13 +54,17 @@ class InitRecipe:
 
 def _read_profile_csv(path: str):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read custom_csv file {path}: {exc}") from exc
     if not text.strip():
         raise ConfigError(f"custom_csv file {path} is empty")
-    rows = np.genfromtxt(io.StringIO(text), delimiter=",", names=True)
+    try:
+        rows = np.genfromtxt(io.StringIO(text), delimiter=",", names=True)
+    except ValueError as exc:  # a row of the wrong width, or not comma-separated
+        raise ConfigError(f"custom_csv file {path} is malformed: "
+                          f"{' '.join(str(exc).split())}") from exc
     for col in ("x", "rho", "w"):
         if col not in (rows.dtype.names or ()):
             raise ConfigError(f"custom_csv file {path} lacks column {col!r}")

@@ -93,6 +93,9 @@ VELOCITY_FLOOR = 1e-12
 MAX_CELL_STEPS = 5e9
 STEP_OVERHEAD_CELLS = 1600
 
+# dt halvings the positivity rescue tries before it raises a VacuumError
+MAX_HALVINGS = 20
+
 
 def step_budget(n_cells: int) -> float:
     """The most steps a run on ``n_cells`` cells may take."""
@@ -107,7 +110,6 @@ class SchemeConfig:
     cfl: float = 0.45
     dt_max: float = 1e-2
     dt_init: float = 1e-3
-    max_halvings: int = 20
     snapshot_every: float = 0.05
 
     def __post_init__(self) -> None:
@@ -118,8 +120,6 @@ class SchemeConfig:
         for name in ("dt_max", "dt_init", "snapshot_every"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.max_halvings < 0:
-            raise ValueError("max_halvings must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,7 @@ def compute_dt(state: State, g: Grid, params: ModelParams,
                       config.cfl * g.dx / np.maximum(VELOCITY_FLOOR, speed))
 
 
-def solve_cyclic_tridiagonal(diag, off, rhs, tol: float = 1e-10, *, bands=None):
+def solve_cyclic_tridiagonal(diag, off, rhs, *, bands=None):
     """Solve the symmetric periodic tridiagonal system A x = rhs.
 
     A[i][i] = diag[i] and A[i][i+1 mod n] = A[i+1 mod n][i] = off[i], so
@@ -253,7 +253,7 @@ def solve_cyclic_tridiagonal(diag, off, rhs, tol: float = 1e-10, *, bands=None):
     its two solves are one LAPACK ``ptsv`` call on a two-column right-hand
     side.  Raises NonFiniteError, a ValueError, on non-finite input, and
     LinearSolveError if the factorization meets a non-positive pivot or
-    the residual exceeds tol * (1 + max|rhs|).  ``bands``, a C-ordered
+    the residual exceeds 1e-10 * (1 + max|rhs|).  ``bands``, a C-ordered
     float64 array of shape (4, diag.size), receives the packed system; a
     new one when absent.  x is a new array.
 
@@ -321,7 +321,7 @@ def solve_cyclic_tridiagonal(diag, off, rhs, tol: float = 1e-10, *, bands=None):
         np.abs(residual, out=residual)
         np.abs(rhs, out=z)
         worst, rhs_max = np.maximum.reduce(bands[::3].reshape((2,) + shape), axis=-1)
-        bound = tol * (1.0 + rhs_max)
+        bound = 1e-10 * (1.0 + rhs_max)
         # a non-finite entry of x makes its row's residual, and so ``worst``,
         # non-finite (0 * inf is nan; max keeps a nan)
         bad = (worst > bound) | ~(worst < np.inf)
@@ -472,7 +472,7 @@ def _step(state: State, g: Grid, params: ModelParams, config: SchemeConfig,
     # the positivity rescue: only the failing rows halve their dt.  The
     # explicit density is the new density in the u-formulation and the
     # right-hand side of the mass solve in the w-formulation
-    for _ in range(config.max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         d = _col(dt)
         rate = d / g.dx
         rho_new = np.multiply(dflux_rho, -rate, out=None if u_form else s.rhs)
@@ -492,7 +492,7 @@ def _step(state: State, g: Grid, params: ModelParams, config: SchemeConfig,
         gamma = float(np.ravel(params.gamma)[np.ravel(bad)][0])
         raise VacuumError(
             f"density reached zero at t={t:.6g}, cell {cell}; "
-            f"{config.max_halvings} dt halvings exhausted",
+            f"{MAX_HALVINGS} dt halvings exhausted",
             t=t, cell=cell, gamma=gamma,
         )
 

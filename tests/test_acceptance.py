@@ -104,8 +104,7 @@ def test_c04_w_maximum_principle(travelling_w_256, travelling_w_512):
     # the desired velocity bounded away from zero
     drifts = []
     for traj, _, _ in (travelling_w_256, travelling_w_512):
-        check = diag.W_max_principle_check(traj.series("W_max"),
-                                           reconstructed=True)
+        check = diag.W_max_principle_check(traj.series("W_max"))
         ok = ok and check.passed
         drifts.append(max(check.worst, 0.0))
     decaying = (drifts[0] <= 1e-10

@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("name,digest", [
     ("simulate_snapshots", "bd4487c207cf33814d494a0300a61754e24823615035b4e46bbf77409beffdb6"),
-    ("sweep_n256", "92b6812207fedc4188b18ccf0364dfb910d8e77e85946d76bc0fe02101da51eb"),
+    ("sweep_n256", "b019ad89f23ee42699b1738eceb5c26bb1f55f228fe7ac1010a8a11ede8c520f"),
 ], ids=["simulate_snapshots", "sweep_n256"])
 def test_benchmark_output_checks_pass(tmp_path, monkeypatch, capsys, name, digest):
     spec = importlib.util.spec_from_file_location("perfbench_workloads",

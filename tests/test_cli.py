@@ -275,18 +275,15 @@ def test_shipped_summary_bits_unchanged(tmp_path, formulation):
 
 
 # sha256 of the streamed outputs of the shipped standard_smooth config in
-# each formulation: its snapshot_*.csv files concatenated in order, its
-# snapshots.jsonl (output.format = jsonl) and its diagnostics.jsonl, which
-# both formats write alike; fixed when the step took donor-split fluxes
+# each formulation: its snapshot_*.csv files concatenated in order and its
+# diagnostics.jsonl; fixed when the step took donor-split fluxes
 SHIPPED_STREAM_SHA256 = {
     W_FORM: {
         "csv": "c1dba5aa7b3fc7c226c16f800435407dc1875527c3852ba53a44b949a08e7346",
-        "jsonl": "c790efb429e812290d28becfdf608eebcfa8db45e89a81e08f8bdcc1bf52930e",
         "diagnostics": "d9e1945788ce51486b95fa84b8567d2113e5ac9688ffec734c9410621dc7ab7c",
     },
     U_FORM: {
         "csv": "0040fd295997db156c4684db02144dd2ed4f117b1930fe2b18da0daa377b50f3",
-        "jsonl": "1a13e1444b640cdd64897a0d22e14e1ee070458ae7b7d6f28d39b03cd383784c",
         "diagnostics": "66ff99044614a71a9a706d4fae2d625fbd87bb51c69924e9bb6670464bd168b4",
     },
 }
@@ -294,25 +291,22 @@ SHIPPED_STREAM_SHA256 = {
 
 @pytest.mark.parametrize("formulation", [W_FORM, U_FORM])
 def test_shipped_stream_bits_unchanged(tmp_path, formulation):
-    for out_format in ("csv", "jsonl"):
-        out_dir = tmp_path / out_format
-        cfg = shipped_config(tmp_path, "standard_smooth", {
-            "scheme.formulation": formulation, "output.format": out_format}, out_dir)
-        assert cli.main(["simulate", "--config", cfg]) == 0
-        if out_format == "csv":
-            data = b"".join(path.read_bytes() for path in sorted(out_dir.glob("snapshot_*.csv")))
-        else:
-            data = (out_dir / "snapshots.jsonl").read_bytes()
-        want = SHIPPED_STREAM_SHA256[formulation]
-        assert hashlib.sha256(data).hexdigest() == want[out_format]
-        diagnostics = (out_dir / "diagnostics.jsonl").read_bytes()
-        assert hashlib.sha256(diagnostics).hexdigest() == want["diagnostics"]
+    out_dir = tmp_path / "out"
+    cfg = shipped_config(tmp_path, "standard_smooth", {"scheme.formulation": formulation},
+                         out_dir)
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    data = b"".join(path.read_bytes() for path in sorted(out_dir.glob("snapshot_*.csv")))
+    want = SHIPPED_STREAM_SHA256[formulation]
+    assert hashlib.sha256(data).hexdigest() == want["csv"]
+    diagnostics = (out_dir / "diagnostics.jsonl").read_bytes()
+    assert hashlib.sha256(diagnostics).hexdigest() == want["diagnostics"]
 
 
 # sha256 of sweep_summary.json for the shipped standard_sweep config: the
 # bits of the batched path, where the five gammas step as one batch, fixed
-# when the step took donor-split fluxes
-SHIPPED_SWEEP_SUMMARY_SHA256 = "92b6812207fedc4188b18ccf0364dfb910d8e77e85946d76bc0fe02101da51eb"
+# when the step took donor-split fluxes; moved when the fit's non-finite r2
+# and slope became null
+SHIPPED_SWEEP_SUMMARY_SHA256 = "b019ad89f23ee42699b1738eceb5c26bb1f55f228fe7ac1010a8a11ede8c520f"
 
 
 def test_shipped_sweep_summary_bits_unchanged(tmp_path):
@@ -415,17 +409,6 @@ def test_cadence_shorter_than_a_step_snapshots_every_step(tmp_path, every):
     assert n_steps > 1
     assert len(times) == len(list(out_dir.glob("snapshot_*.csv"))) == n_steps + 1
     assert times[-1] == 0.01 and all(np.diff(times) > 0.0)
-
-
-def test_simulate_with_jsonl_format(tmp_path):
-    out_dir = tmp_path / "out"
-    cfg = write_config(tmp_path, BASE_CONFIG
-                       + f"output.dir = {out_dir}\noutput.format = jsonl\n")
-    assert cli.main(["simulate", "--config", cfg]) == 0
-    lines = (out_dir / "snapshots.jsonl").read_text().splitlines()
-    first = json.loads(lines[0])
-    assert set(first) == {"t", "x", "rho", "u", "w", "pi", "W", "V"}
-    assert len(first["rho"]) == 64
 
 
 def test_diagnostics_jsonl_field_names(tmp_path):
@@ -561,6 +544,68 @@ def test_failed_snapshot_record_fails_its_row_only(tmp_path, monkeypatch, capsys
     assert capsys.readouterr().err == f"runtime failure (saturation): synthetic overflow {context}\n"
 
 
+def strict_json(text: str):
+    """``text`` parsed as JSON proper, which has no NaN or Infinity (nor
+    does jq)."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("case", ["simulate", "sweep", "sweep_failed_row"])
+def test_json_outputs_are_strict_json(tmp_path, monkeypatch, case):
+    # the shipped sweep wrote "r2": NaN and "slope": NaN, and a failed row
+    # NaN in each aggregate; they are null now
+    out_dir = tmp_path / "out"
+    command, _, failed_row = case.partition("_")
+    cfg = shipped_config(tmp_path, "standard_smooth" if command == "simulate" else
+                         "standard_sweep", {"grid.n_cells": "64"} if failed_row else {}, out_dir)
+    if failed_row:
+        real = solver_mod.record
+
+        def record(state, fields, g, params, accums, summary):
+            if params.gamma == 20.0:
+                raise SaturationError("synthetic overflow", cell=3)
+            return real(state, fields, g, params, accums, summary)
+
+        monkeypatch.setattr(solver_mod, "record", record)
+    assert cli.main([command, "--config", cfg]) == 0
+    documents = [strict_json(path.read_text(encoding="utf-8"))
+                 for path in sorted(out_dir.glob("*.json"))]
+    for path in out_dir.glob("*.jsonl"):
+        documents += [strict_json(line) for line in path.read_text().splitlines()]
+    assert len(documents) == (12 if case == "simulate" else 1)
+    if case == "sweep":
+        fit = documents[0]["fit"]
+        assert fit["verdict"] == "congestion never exceeded"
+        assert fit["r2"] is fit["slope"] is None
+    elif failed_row:
+        rows = documents[0]["rows"]
+        assert [row["failed"] for row in rows] == [False, False, True, False, False]
+        assert rows[2]["max_rho"] is None and rows[1]["max_rho"] > 0.0
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in cli.CONFIG_DIR.glob("*.cfg")))
+def test_config_with_byte_order_mark_resolves_alike(tmp_path, name):
+    # a config saved as UTF-8 with a byte-order mark failed at line 1: an
+    # unknown key '\ufeffscheme.formulation', or a malformed line
+    path = tmp_path / name
+    path.write_bytes(b"\xef\xbb\xbf" + (cli.CONFIG_DIR / name).read_bytes())
+    assert load_run_config(str(path)) == load_run_config(str(cli.CONFIG_DIR / name))
+
+
+def test_custom_csv_with_byte_order_mark_reads_alike(tmp_path):
+    # a byte-order mark hid the x column
+    text = "x,rho,w\n0.25,0.7,0.1\n0.75,0.9,-0.1\n"
+    profiles = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        path = tmp_path / f"{encoding}.csv"
+        path.write_text(text, encoding=encoding)
+        profiles.append(build_profiles(InitRecipe(kind="custom_csv", csv_path=str(path)),
+                                       Grid(16)))
+    assert np.array_equal(profiles[0], profiles[1])
+
+
 @pytest.mark.parametrize("config", ["missing", "not_utf8"])
 def test_missing_config_file_is_config_error(tmp_path, capsys, config):
     # a Latin-1 comment ended in a UnicodeDecodeError traceback, exit 1
@@ -571,8 +616,17 @@ def test_missing_config_file_is_config_error(tmp_path, capsys, config):
     assert str(path) in capsys.readouterr().err
 
 
+# malformed profiles that ended in a ValueError traceback, exit 1, with no
+# failed line
+MALFORMED_PROFILES = {
+    "extra_column": "x,rho,w\n0.5,0.8,0.1,7\n",
+    "short_row": "x,rho,w\n0.5,0.8\n",
+    "semicolons": "x;rho;w\n0.5;0.8;0.1\n",
+}
+
+
 @pytest.mark.parametrize("profile", ["missing", "directory", "empty", "header_only",
-                                     "not_utf8"])
+                                     "not_utf8", *MALFORMED_PROFILES])
 def test_unreadable_custom_csv_is_config_error(tmp_path, capsys, profile):
     path = tmp_path / "profile.csv"
     if profile == "directory":
@@ -584,12 +638,14 @@ def test_unreadable_custom_csv_is_config_error(tmp_path, capsys, profile):
     elif profile == "not_utf8":
         # ended in a UnicodeDecodeError traceback, exit 1, with no failed line
         path.write_bytes(b"x,rho,w\n0.5,0.8,\xff\n")
+    elif profile in MALFORMED_PROFILES:
+        path.write_text(MALFORMED_PROFILES[profile], encoding="utf-8")
     text = BASE_CONFIG.replace("init.kind = cosine",
                                f"init.kind = custom_csv\ninit.csv_path = {path}")
     cfg = write_config(tmp_path, text + f"output.dir = {tmp_path / 'out'}\n")
     assert cli.main(["simulate", "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert str(path) in err
+    assert str(path) in err and err.count("\n") == 1
     # found while building the initial data, after run.log was opened
     log = (tmp_path / "out" / "run.log").read_text().splitlines()
     assert log[-1] == "failed " + err.removeprefix("configuration error: ").strip()
@@ -639,27 +695,21 @@ def test_runtime_failure_exit_code(tmp_path, monkeypatch, capsys, error):
     assert log[3] == f"failed synthetic {context}"
 
 
-@pytest.mark.parametrize("out_format", ["csv", "jsonl"])
-def test_failure_after_t0_keeps_the_snapshots_taken(tmp_path, capsys, out_format):
+def test_failure_after_t0_keeps_the_snapshots_taken(tmp_path, capsys):
     # at gamma = 1e6 the power law saturates at t = 0.2265; such a run left
     # only run.log, as its snapshots were written after the run
     out_dir = tmp_path / "out"
     cfg = shipped_config(tmp_path, "standard_smooth", {
-        "grid.n_cells": "64", "model.gamma": "1e6", "output.format": out_format}, out_dir)
+        "grid.n_cells": "64", "model.gamma": "1e6"}, out_dir)
     assert cli.main(["simulate", "--config", cfg]) == 3
     err = capsys.readouterr().err
     assert err.startswith("runtime failure (saturation): ") and "[t=0.2265" in err
     times = [json.loads(line)["t"]
              for line in (out_dir / "diagnostics.jsonl").read_text().splitlines()]
     assert times == pytest.approx([0.0, 0.0505, 0.1005, 0.1505, 0.2005], rel=1e-12)
-    if out_format == "csv":
-        snapshots = [f"snapshot_{i:04d}.csv" for i in range(5)]
-        rows = (out_dir / snapshots[-1]).read_text().splitlines()
-        assert len(rows) == 65 and rows[0] == "x,rho,u,w,pi,W,V"
-    else:
-        snapshots = ["snapshots.jsonl"]
-        lines = (out_dir / "snapshots.jsonl").read_text().splitlines()
-        assert [json.loads(line)["t"] for line in lines] == times
+    snapshots = [f"snapshot_{i:04d}.csv" for i in range(5)]
+    rows = (out_dir / snapshots[-1]).read_text().splitlines()
+    assert len(rows) == 65 and rows[0] == "x,rho,u,w,pi,W,V"
     assert sorted(path.name for path in out_dir.iterdir()) == sorted(
         ["run.log", "diagnostics.jsonl"] + snapshots)
 
@@ -672,12 +722,12 @@ def test_records_reach_the_file_as_they_are_taken(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, BASE_CONFIG + f"output.dir = {out_dir}\n")
     seen, real = tmp_path / "lines_seen", cli.write_snapshot_csv
 
-    def write_snapshot_csv(path, g, state, params):
+    def write_snapshot_csv(path, g, state):
         diagnostics = out_dir / "diagnostics.jsonl"
         count = len(diagnostics.read_text().splitlines()) if diagnostics.exists() else 0
         with open(seen, "a", encoding="utf-8") as fh:
             fh.write(f"{count}\n")
-        real(path, g, state, params)
+        real(path, g, state)
 
     monkeypatch.setattr(cli, "write_snapshot_csv", write_snapshot_csv)
     assert cli.main(["simulate", "--config", cfg]) == 0
@@ -712,13 +762,13 @@ def test_writer_that_ends_early_ends_the_run_as_config_error(tmp_path, monkeypat
     cfg = shipped_config(tmp_path, "standard_smooth", {"grid.n_cells": "64"}, out_dir)
     run_pid, real = os.getpid(), cli.write_snapshot_csv
 
-    def write_snapshot_csv(path, g, snap, params):
+    def write_snapshot_csv(path, g, snap):
         if path.endswith("snapshot_0002.csv"):
             assert os.getpid() != run_pid, "the writer runs in the run's process"
             if how == "killed":
                 os.kill(os.getpid(), signal.SIGKILL)
             raise ValueError("synthetic")
-        real(path, g, snap, params)
+        real(path, g, snap)
 
     monkeypatch.setattr(cli, "write_snapshot_csv", write_snapshot_csv)
     assert cli.main(["simulate", "--config", cfg]) == 2
@@ -742,10 +792,10 @@ def test_ctrl_c_does_not_cut_the_writer_short(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, BASE_CONFIG + f"output.dir = {out_dir}\n")
     run_pid, real = os.getpid(), cli.write_snapshot_csv
 
-    def write_snapshot_csv(path, g, snap, params):
+    def write_snapshot_csv(path, g, snap):
         if os.getpid() != run_pid and path.endswith("snapshot_0002.csv"):
             os.kill(os.getpid(), signal.SIGINT)
-        real(path, g, snap, params)
+        real(path, g, snap)
 
     monkeypatch.setattr(cli, "write_snapshot_csv", write_snapshot_csv)
     assert cli.main(["simulate", "--config", cfg]) == 0
@@ -753,16 +803,14 @@ def test_ctrl_c_does_not_cut_the_writer_short(tmp_path, monkeypatch):
     assert len(list(out_dir.glob("snapshot_*.csv"))) == 6
 
 
-@pytest.mark.parametrize("out_format", ["csv", "jsonl"])
-def test_writer_without_fork_writes_the_same_bytes(tmp_path, monkeypatch, out_format):
+def test_writer_without_fork_writes_the_same_bytes(tmp_path, monkeypatch):
     # where os.fork does not exist, the sink runs in the run's process
     outputs = []
     for forks in (True, False):
         if not forks:
             monkeypatch.delattr(os, "fork")
         out_dir = tmp_path / f"out_{forks}"
-        cfg = shipped_config(tmp_path, "standard_smooth", {
-            "grid.n_cells": "64", "output.format": out_format}, out_dir)
+        cfg = shipped_config(tmp_path, "standard_smooth", {"grid.n_cells": "64"}, out_dir)
         assert cli.main(["simulate", "--config", cfg]) == 0
         outputs.append({path.name: path.read_bytes() for path in out_dir.iterdir()
                         if path.name != "run.log"})
@@ -909,9 +957,10 @@ def test_unfinishable_sweep_rows_fail_as_alone(tmp_path, capsys):
     ("sweep.gammas", "0, 5"),
     ("time.t_end", "abc"),
     ("grid.n_cells", "6.5"),
-    ("output.format", "xml"),
+    ("output.format", "xml"),       # retired keys, now unknown
+    ("scheme.max_halvings", "20"),
+    ("scheme.newton_tol", "0"),
     ("diagnostics.every", "-1"),    # named only snapshot_every
-    ("scheme.newton_tol", "0"),     # a retired key, now unknown
     ("grid.n_cells", "3"),
     ("time.t_end", "0"),
     ("time.t_end", "1e12"),         # never finished
@@ -953,7 +1002,8 @@ ONE_KEY_EDITS = st.one_of(
     st.tuples(st.just("set"), st.sampled_from(sorted(set(CONFIG_KEYS) - {"output.dir"})),
               st.sampled_from(ODD_VALUES)),
     st.tuples(st.just("unknown"), st.sampled_from(
-        ("grid.cells", "scheme.newton_tol", "sweep.threads", "model")), st.just("1")),
+        ("grid.cells", "scheme.newton_tol", "sweep.threads", "model", "output.format",
+         "scheme.max_halvings")), st.just("1")),
     st.tuples(st.sampled_from(("missing", "duplicate")), st.sampled_from(sorted(GRAMMAR_BASE)),
               st.just("")),
     st.tuples(st.just("malformed"), st.sampled_from(("just words", "= 5", "grid.n_cells")),
@@ -1040,7 +1090,7 @@ def test_snapshot_csv_matches_per_value_format(tmp_path, monkeypatch):
     cols = [np.roll(values, k) for k in range(len(cli.SNAPSHOT_COLUMNS))]
     monkeypatch.setattr(cli, "_snapshot_columns", lambda g, snap: cols)
     path = tmp_path / "snapshot.csv"
-    cli.write_snapshot_csv(str(path), None, None, None)
+    cli.write_snapshot_csv(str(path), None, None)
     want = "x,rho,u,w,pi,W,V\n" + "".join(
         ",".join(format(float(v), ".17g") for v in row) + "\n" for row in zip(*cols))
     assert path.read_text(encoding="utf-8") == want

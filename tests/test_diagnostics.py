@@ -130,11 +130,11 @@ def test_energy_residual_helper():
 
 
 def test_W_max_principle_check_modes():
-    holds = diag.W_max_principle_check([1.0, 1.0, 0.9], reconstructed=False)
+    holds = diag.W_max_principle_check([1.0, 1.0, 0.9])
     assert holds.passed and holds.worst == 0.0
-    fails = diag.W_max_principle_check([1.0, 1.2], reconstructed=False)
-    assert not fails.passed
-    recon = diag.W_max_principle_check([1.0, 1.05], reconstructed=True)
+    fails = diag.W_max_principle_check([1.0, 1.2])
+    assert not fails.passed  # 0.2 > 5e-2 * (1 + 1.0)
+    recon = diag.W_max_principle_check([1.0, 1.05])
     assert recon.passed  # 0.05 < 5e-2 * (1 + 1.0)
 
 
@@ -143,14 +143,14 @@ def test_W_max_check_flags_stagnation_artifact(standard_w_256):
     # first-order upwinding leaves a reconstruction overshoot in dx(w)/rho
     # that does not vanish under refinement; the verdict must report it
     traj, _, _ = standard_w_256
-    check = diag.W_max_principle_check(traj.series("W_max"), reconstructed=True)
+    check = diag.W_max_principle_check(traj.series("W_max"))
     assert not check.passed
     assert 0.1 <= check.worst <= 0.3
 
 
 def test_W_max_check_clean_without_stagnation(travelling_w_256):
     traj, _, _ = travelling_w_256
-    check = diag.W_max_principle_check(traj.series("W_max"), reconstructed=True)
+    check = diag.W_max_principle_check(traj.series("W_max"))
     assert check.passed and check.worst <= 1e-12
 
 

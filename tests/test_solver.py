@@ -137,7 +137,7 @@ def test_donor_split_flux_is_the_viscosity_form_flux(seed):
         assert np.array_equal(flux[i], alone)
 
 
-def test_donor_split_flux_is_exact_on_the_drain_case():
+def test_donor_split_flux_is_exact_on_the_drain_case(monkeypatch):
     # the state of test_vacuum_error_after_exhausted_halvings: both faces of
     # cell 0 carry exactly the viscosity-form flux, so the step empties it
     # to exactly zero
@@ -148,7 +148,8 @@ def test_donor_split_flux_is_exact_on_the_drain_case():
     assert np.array_equal(flux, viscosity_form_flux(rho, u))
     assert np.array_equal(flux, [1.0, 1.0, -1.0, -1.0])
     state = State(0.0, rho, rho * u, U_FORM)
-    cfg = SchemeConfig(formulation=U_FORM, max_halvings=0)
+    cfg = SchemeConfig(formulation=U_FORM)
+    monkeypatch.setattr(solver_mod, "MAX_HALVINGS", 0)
     with pytest.raises(VacuumError):
         step_u_form(state, Grid(4), ModelParams(1e-9), cfg, 0.125)
     half = step_u_form(state, Grid(4), ModelParams(1e-9), cfg, 0.0625)
@@ -191,11 +192,12 @@ def test_step_formulation_mismatch_raises():
         step_w_form(state, g, params, SchemeConfig(formulation=W_FORM), 1e-3)
 
 
-def test_vacuum_error_after_exhausted_halvings():
+def test_vacuum_error_after_exhausted_halvings(monkeypatch):
     # strong divergence drains cell 0 to exactly zero in one step
     g = Grid(4)
     params = ModelParams(1e-9)
-    cfg = SchemeConfig(formulation=U_FORM, max_halvings=0)
+    cfg = SchemeConfig(formulation=U_FORM)
+    monkeypatch.setattr(solver_mod, "MAX_HALVINGS", 0)
     rho = np.ones(4)
     u = np.array([0.0, 2.0, 0.0, -2.0])
     state = State(0.0, rho, rho * u, U_FORM)
@@ -205,7 +207,7 @@ def test_vacuum_error_after_exhausted_halvings():
     assert err.value.gamma == params.gamma
 
 
-def test_positivity_rescue_halves_dt():
+def test_positivity_rescue_halves_dt(monkeypatch):
     # a rescued step is the plain step at the accepted dt, bit for bit; the
     # u-formulation case is the state above, which needs one halving
     g = Grid(4)
@@ -214,16 +216,18 @@ def test_positivity_rescue_halves_dt():
     for formulation, v, dt, halvings in [
             (U_FORM, [0.0, 2.0, 0.0, -2.0], g.dx / 2.0, 1),
             (W_FORM, [0.0, 4.0, 0.0, -4.0], g.dx, 2)]:
-        step = step_u_form if formulation == U_FORM else step_w_form
         state = State(0.0, rho, rho * np.array(v), formulation)
+        cfg = SchemeConfig(formulation=formulation)
 
-        def scheme(max_halvings):
-            return SchemeConfig(formulation=formulation, max_halvings=max_halvings)
+        def step(max_halvings, dt):
+            monkeypatch.setattr(solver_mod, "MAX_HALVINGS", max_halvings)
+            return (step_u_form if formulation == U_FORM else step_w_form)(
+                state, g, params, cfg, dt)
 
         with pytest.raises(VacuumError):
-            step(state, g, params, scheme(halvings - 1), dt)
-        out = step(state, g, params, scheme(20), dt)
-        plain = step(state, g, params, scheme(0), dt / 2**halvings)
+            step(halvings - 1, dt)
+        out = step(20, dt)
+        plain = step(0, dt / 2**halvings)
         assert out.t == plain.t < state.t + dt
         assert np.array_equal(out.rho, plain.rho)
         assert np.array_equal(out.mom, plain.mom)

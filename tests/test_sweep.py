@@ -198,12 +198,12 @@ def stiffness_limited_solve(limit, band=(np.inf, np.inf)):
     that row alone."""
     real = solver_mod.solve_cyclic_tridiagonal
 
-    def solve(diag, off, rhs, tol=1e-10, **kw):
+    def solve(diag, off, rhs, **kw):
         top = np.max(diag, axis=-1, keepdims=True)
         in_band = (band[0] < top[..., 0]) & (top[..., 0] <= band[1])
         if in_band.any():
             raise LinearSolveError("largest diagonal entry in the failing band")
-        x = real(diag, off, rhs, tol, **kw)
+        x = real(diag, off, rhs, **kw)
         return np.where(top > limit, -x, x)
 
     return ("solve_cyclic_tridiagonal", solve)
@@ -228,10 +228,10 @@ def density_sink(rate):
 ], ids=["w_form-rescued", "w_form-exhausted", "u_form-sink"])
 def test_positivity_rescue_is_per_row(monkeypatch, formulation, patch, max_halvings,
                                       t_end, survivors):
-    scheme = dataclasses.replace(SWEEP.scheme, formulation=formulation,
-                                 max_halvings=max_halvings)
+    scheme = dataclasses.replace(SWEEP.scheme, formulation=formulation)
     config = sweep_config((2.0, 5.0, 20.0), n_cells=64, t_end=t_end, scheme=scheme)
     monkeypatch.setattr(solver_mod, *patch)
+    monkeypatch.setattr(solver_mod, "MAX_HALVINGS", max_halvings)
     plain_snapshots, batched_snapshots = {}, {}
     plain = plain_runs(config, plain_snapshots)
     assert [gm for gm, run in plain.items() if not isinstance(run, RunFailure)] == list(
