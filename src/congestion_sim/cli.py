@@ -22,14 +22,15 @@ a ``failed`` line.
 
 ``verify`` runs its jobs (each shipped case, the oracle, each MMS order
 check and the constant study) in forked children, at most one per usable
-core at a time (``in_children``), and prints each job's lines in job
-order: the bytes, and the exit code, of running them one after another in
-process, which it does where ``os.fork`` does not exist or one core is
-usable.  ``sweep`` and ``mms`` never fork.  Python >= 3.12 warns that
-forking a process with threads may deadlock the child.  The threads are
-numpy's OpenBLAS pool, and OpenBLAS registers a fork handler
-(``blas_thread_shutdown_``) that stops the pool before each fork, so a
-child may call BLAS and LAPACK; the warning is left as it is.
+core at a time (``in_children``).  Each job returns the
+``diagnostics.CheckResult``s it decides, and ``verify`` prints each as one
+``verdict_line``, in job order: the bytes, and the exit code, of running
+the jobs one after another in process, which it does where ``os.fork``
+does not exist or one core is usable.  ``sweep`` and ``mms`` never fork.
+Python >= 3.12 warns that forking a process with threads may deadlock the
+child.  The threads are numpy's OpenBLAS pool, and OpenBLAS registers a
+fork handler (``blas_thread_shutdown_``) that stops the pool before each
+fork, so a child may call BLAS and LAPACK; the warning is left as it is.
 
 The ``invariants`` suite of ``verify`` runs every single-gamma config
 (``model.gamma`` set) in ``CONFIG_DIR``, the ``configs/`` directory of
@@ -73,6 +74,7 @@ from .verify import (
     convergence_study,
     dense_oracle_checks,
     doubling_resolutions,
+    mms_constant_check,
     mms_order_checks,
     random_cyclic_systems_check,
 )
@@ -450,72 +452,39 @@ def shipped_cases() -> list[tuple[str, RunConfig]]:
     return cases
 
 
-def _invariant_checks(name: str, traj: Trajectory,
-                      check_w_reconstruction: bool) -> list[tuple[str, bool, str]]:
-    """The ``verify`` lines of one case's trajectory checks."""
-    checks = diag.trajectory_checks(traj)
-
-    def line(label, key, detail):
-        return (f"{name}: {label}", checks[key].passed, detail.format(checks[key]))
-
-    low, high = checks["energy_residual_min"], checks["energy_residual_max"]
-    drift = "drift {0.worst:.3e} tol {0.tol:.3e}"
-    defect = "defect {0.worst:.3e} tol {0.tol:.3e}"
-    out = [
-        line("mass conservation", "mass_conservation", "rel drift {0.worst:.3e}"),
-        line("ke_w non-increasing", "ke_w_non_increasing", "max rise {0.worst:.3e}"),
-        (f"{name}: energy residual band", low.passed and high.passed,
-         f"range [{low.worst:.3e}, {high.worst:.3e}], E1 {traj.init_summary.E1:.3e}"),
-    ]
-    if check_w_reconstruction:
-        out.append(line("W max principle", "W_max_principle", drift))
-    out += [
-        line("rhoW2 conservation", "rhoW2_conservation", drift),
-        line("density lower bound", "lower_bound_margin", "min margin {0.worst:.3e}"),
-        line("psi_periodicity", "psi_periodicity", defect),
-        line("psi_gradient", "psi_gradient", defect),
-        line("positivity", "positivity", "min rho {0.worst:.6g}"),
-    ]
-    return out
-
-
-def _case_lines(name: str, cfg: RunConfig) -> list[tuple[str, bool, str]]:
+def _case_checks(name: str, cfg: RunConfig) -> list[diag.CheckResult]:
+    """``trajectory_checks`` of one case's run, each named ``<name>: <key>``."""
     traj = run_config(cfg)
-    # the reconstructed-W checks assume the desired velocity has no
-    # slow stagnation points, where first-order upwinding leaves a
-    # local kink in dx(w) that does not vanish under refinement
+    checks = diag.trajectory_checks(traj)
+    # the reconstructed-W maximum principle assumes the desired velocity has
+    # no slow stagnation points, where first-order upwinding leaves a local
+    # kink in dx(w) that does not vanish under refinement
     _, w0 = build_profiles(cfg.recipe, traj.grid)
-    return _invariant_checks(name, traj, np.min(w0) * np.max(w0) >= 0.0)
+    if np.min(w0) * np.max(w0) < 0.0:
+        del checks["W_max_principle"]
+    return [dataclasses.replace(c, name=f"{name}: {c.name}") for c in checks.values()]
 
 
-def _suite_invariants() -> list:
-    return [functools.partial(_case_lines, name, cfg) for name, cfg in shipped_cases()]
-
-
-def _oracle_lines() -> list[tuple[str, bool, str]]:
-    checks = dense_oracle_checks() + [random_cyclic_systems_check(20260810, 40)]
-    return [(c.name, c.passed, f"max err {c.worst:.3e}") for c in checks]
-
-
-def _mms_order_lines(formulation: str) -> list[tuple[str, bool, str]]:
-    order, _ = mms_order_checks(formulation)
-    return [(order.name, order.passed, f"observed order {order.worst:.3f}")]
-
-
-def _mms_constant_lines() -> list[tuple[str, bool, str]]:
-    study = convergence_study(CASES["constant"], (16, 32, 64))
-    return [("mms constant case exact", study.exact,
-             f"max rho_L1 err {max(study.rho_l1):.3e}")]
+def _oracle_checks() -> list[diag.CheckResult]:
+    return dense_oracle_checks() + [random_cyclic_systems_check(20260810, 40)]
 
 
 # each suite's jobs, which ``verify`` runs through ``in_children``; a job
-# returns its (label, passed, detail) lines
+# returns the CheckResults it decides
 SUITES = {
-    "invariants": _suite_invariants,
-    "oracle": lambda: [_oracle_lines],
-    "mms": lambda: [functools.partial(_mms_order_lines, U_FORM),
-                    functools.partial(_mms_order_lines, W_FORM), _mms_constant_lines],
+    "invariants": lambda: [functools.partial(_case_checks, name, cfg)
+                           for name, cfg in shipped_cases()],
+    "oracle": lambda: [_oracle_checks],
+    "mms": lambda: [functools.partial(mms_order_checks, U_FORM),
+                    functools.partial(mms_order_checks, W_FORM),
+                    lambda: [mms_constant_check()]],
 }
+
+
+def verdict_line(check: diag.CheckResult) -> str:
+    """``verify``'s line for ``check``."""
+    return (f"[{'PASS' if check.passed else 'FAIL'}] {check.name}: "
+            f"worst {check.worst:.3e} tol {check.tol:.3e}")
 
 
 def cmd_verify(args) -> int:
@@ -523,10 +492,10 @@ def cmd_verify(args) -> int:
     jobs = [job for name in names for job in SUITES[name]()]
     all_ok = True
     with contextlib.closing(in_children(jobs)) as results:
-        for lines in results:
-            for label, ok, detail in lines:
-                print(f"[{'PASS' if ok else 'FAIL'}] {label}: {detail}")
-                all_ok = all_ok and ok
+        for checks in results:
+            for check in checks:
+                print(verdict_line(check))
+                all_ok = all_ok and check.passed
     return EXIT_OK if all_ok else EXIT_VERDICT
 
 

@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .grid import Grid, integrate
 from .model import ModelParams, State, U_FORM, W_FORM, w_to_u
 
-INIT_KINDS = ("cosine", "two_mode", "custom_csv")
+INIT_KINDS = ("cosine", "custom_csv")
 
 # cells x profile rows of one block of the custom_csv distance matrix
 RESAMPLE_BLOCK = 1 << 16
@@ -79,13 +79,6 @@ def build_profiles(recipe: InitRecipe, g: Grid):
     if recipe.kind == "cosine":
         rho = recipe.rho_mean + recipe.rho_amp * np.cos(2.0 * np.pi * x + recipe.phase)
         w = recipe.w_mean + recipe.w_amp * np.sin(2.0 * np.pi * x)
-    elif recipe.kind == "two_mode":
-        rho = recipe.rho_mean + recipe.rho_amp * (
-            np.cos(2.0 * np.pi * x + recipe.phase)
-            + 0.5 * np.cos(4.0 * np.pi * x + recipe.phase)
-        )
-        w = recipe.w_mean + recipe.w_amp * (
-            np.sin(2.0 * np.pi * x) + 0.5 * np.sin(4.0 * np.pi * x))
     else:
         xs, rhos, ws = _read_profile_csv(recipe.csv_path)
         # nearest-row resampling with periodic distance, a block of cells at
@@ -111,7 +104,8 @@ def validate_profiles(rho0, w0, gammas, g: Grid) -> None:
         raise ConfigError(
             f"initial density lower bound violated: min rho0 = {rho_min:.6g} <= 0"
         )
-    cap = 1.0 + 1.0 / gamma_max
+    # a Python float, so a subnormal gamma gives an inf cap without a warning
+    cap = 1.0 + 1.0 / float(gamma_max)
     rho_max = float(np.max(rho0))
     if rho_max > cap:
         raise ConfigError(

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from congestion_sim.config import (
     parse_config_text,
     resolve_run_config,
 )
-from congestion_sim.diagnostics import summarize_initial_data
+from congestion_sim.diagnostics import CheckResult, summarize_initial_data, trajectory_checks
 from congestion_sim.errors import ConfigError, LinearSolveError, SaturationError, VacuumError
 from congestion_sim.grid import Grid, ddx_central
 from congestion_sim.initial_data import InitRecipe, build_profiles, make_initial_data
@@ -123,17 +124,6 @@ def test_make_initial_data_cosine_extrema():
     assert summary.rho0_min == pytest.approx(0.75, abs=1e-4)
     assert summary.rho0_max == pytest.approx(0.95, abs=1e-4)
     assert summary.mean_rho0 == pytest.approx(0.85, abs=1e-12)
-
-
-def test_two_mode_recipe_adds_half_amplitude_harmonic():
-    g = Grid(512)
-    recipe = InitRecipe(kind="two_mode", rho_mean=0.8, rho_amp=0.05, w_amp=0.2)
-    rho, w = build_profiles(recipe, g)
-    want_rho = 0.8 + 0.05 * (np.cos(2 * np.pi * g.x)
-                             + 0.5 * np.cos(4 * np.pi * g.x))
-    want_w = 0.2 * (np.sin(2 * np.pi * g.x) + 0.5 * np.sin(4 * np.pi * g.x))
-    assert np.allclose(rho, want_rho, atol=1e-15)
-    assert np.allclose(w, want_w, atol=1e-15)
 
 
 def test_recipe_validation_errors():
@@ -966,6 +956,7 @@ def test_unfinishable_sweep_rows_fail_as_alone(tmp_path, capsys):
     ("time.t_end", "1e12"),         # never finished
     ("scheme.dt_max", "1e-300"),    # never finished
     ("grid.n_cells", "2000000000"),  # ended in a memory-error traceback, exit 1
+    ("init.kind", "two_mode"),      # retired
 ])
 def test_gamma_rules_are_config_errors(tmp_path, capsys, key, value):
     # every config rule, not only the gamma ones: exit 2 naming the key,
@@ -1030,6 +1021,18 @@ def test_one_key_edits_end_in_an_exit_code(command, edit):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_config(Path(tmp), "\n".join(lines) + f"\noutput.dir = {tmp}/out\n")
         assert cli.main([command, "--config", cfg]) in (0, 1, 2, 3)
+
+
+def test_subnormal_gamma_runs_without_a_warning(tmp_path):
+    # 1 / gamma overflowed in a numpy scalar divide, which printed a
+    # RuntimeWarning before the run went on to exit 0
+    text = "".join(f"{key} = {value}\n" for key, value in GRAMMAR_BASE.items()
+                   if key != "model.gamma")
+    text += f"model.gamma = 5e-324\noutput.dir = {tmp_path / 'out'}\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert resolve_run_config(parse_config_text(text)).gamma == 5e-324
+        assert cli.main(["simulate", "--config", write_config(tmp_path, text)]) == 0
 
 
 @pytest.mark.parametrize("command,blocked", [
@@ -1137,10 +1140,33 @@ def test_verify_runs_every_single_gamma_config(tmp_path, monkeypatch, capsys):
     assert cli.main(["verify", "--suite", "invariants"]) == 0
     labels = [line.rsplit(": ", 1)[0] for line in capsys.readouterr().out.splitlines()]
     # w0 = 0 never changes sign, so the W maximum principle is checked
-    assert labels == [f"[PASS] constant_state: {check}" for check in (
-        "mass conservation", "ke_w non-increasing", "energy residual band",
-        "W max principle", "rhoW2 conservation", "density lower bound",
-        "psi_periodicity", "psi_gradient", "positivity")]
+    traj = sweep_mod.run_config(load_run_config(str(tmp_path / "constant_state.cfg")))
+    assert labels == [f"[PASS] constant_state: {key}" for key in trajectory_checks(traj)]
+
+
+def test_verify_names_are_the_trajectory_check_keys(capsys):
+    # one definition of the verdict names: every line of a case is
+    # "[PASS] <case>: <key>: worst ... tol ...", its keys those of
+    # trajectory_checks in their order, W_max_principle left out only where
+    # w0 changes sign
+    assert cli.main(["verify", "--suite", "invariants"]) == 0
+    names = {}
+    for line in capsys.readouterr().out.splitlines():
+        head, key, numbers = line.split(": ")
+        status, case = head.split(" ")
+        assert status == "[PASS]" and numbers.startswith("worst ")
+        names.setdefault(case, []).append(key)
+    cases = cli.shipped_cases()
+    assert list(names) == [name for name, _ in cases]
+    signed = []
+    for name, cfg in cases:
+        keys = list(trajectory_checks(sweep_mod.run_config(cfg)))
+        _, w0 = build_profiles(cfg.recipe, Grid(cfg.n_cells))
+        if np.min(w0) * np.max(w0) < 0.0:
+            signed.append(name)
+            keys.remove("W_max_principle")
+        assert names[name] == keys, name
+    assert signed == ["standard_smooth"]
 
 
 @pytest.mark.parametrize("contents", ["missing", "sweep_only"])
@@ -1164,7 +1190,7 @@ def test_verify_oracle_suite():
 
 def test_verify_failure_exit_code(monkeypatch):
     monkeypatch.setitem(cli.SUITES, "oracle",
-                        lambda: [lambda: [("synthetic check", False, "forced failure")]])
+                        lambda: [lambda: [CheckResult("synthetic check", False, 1.0, 0.0)]])
     assert cli.main(["verify", "--suite", "oracle"]) == 1
 
 
@@ -1189,11 +1215,12 @@ def test_verify_prints_in_job_order_when_a_later_job_ends_first(monkeypatch, cap
 
     def slow():
         time.sleep(0.3)
-        return [("first", True, "slow")]
+        return [CheckResult("first", True, 1.0, 2.0)]
 
-    synthetic_suite(monkeypatch, slow, lambda: [("second", False, "fast")])
+    synthetic_suite(monkeypatch, slow, lambda: [CheckResult("second", False, 3.0, 2.0)])
     assert cli.main(["verify", "--suite", "oracle"]) == 1
-    assert capsys.readouterr().out == "[PASS] first: slow\n[FAIL] second: fast\n"
+    assert capsys.readouterr().out == ("[PASS] first: worst 1.000e+00 tol 2.000e+00\n"
+                                       "[FAIL] second: worst 3.000e+00 tol 2.000e+00\n")
     assert_no_child_left()
 
 
@@ -1217,13 +1244,14 @@ def test_verify_runs_at_most_one_child_per_core(monkeypatch, capsys):
 
     def job(k):
         time.sleep(0.1)
-        return [(f"job {k}", True, "")]
+        return [CheckResult(f"job {k}", True, float(k), 4.0)]
 
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(os, "waitpid", waitpid)
     synthetic_suite(monkeypatch, *(lambda k=k: job(k) for k in range(4)))
     assert cli.main(["verify", "--suite", "oracle"]) == 0
-    assert capsys.readouterr().out == "".join(f"[PASS] job {k}: \n" for k in range(4))
+    assert capsys.readouterr().out == "".join(
+        f"[PASS] job {k}: worst {k}.000e+00 tol 4.000e+00\n" for k in range(4))
     assert (len(forks), most[0], alive) == (4, 2, set())
     assert_no_child_left()
 
@@ -1239,7 +1267,7 @@ def test_failing_job_ends_verify_as_in_process(tmp_path, monkeypatch, capsys, er
 
     def first():
         time.sleep(0.1)
-        return [("first", True, "done")]
+        return [CheckResult("first", True, 0.0, 1.0)]
 
     def fails():
         raise error
@@ -1259,7 +1287,8 @@ def test_failing_job_ends_verify_as_in_process(tmp_path, monkeypatch, capsys, er
         seen.append(capsys.readouterr())
         assert_no_child_left()
     assert seen[0] == seen[1]
-    assert seen[0].out == "[PASS] first: done\n" and seen[0].err.count("\n") == 1
+    assert seen[0].out == "[PASS] first: worst 0.000e+00 tol 1.000e+00\n"
+    assert seen[0].err.count("\n") == 1
     assert not marker.exists()
 
 
@@ -1290,10 +1319,10 @@ def test_verify_job_killed_by_a_signal_is_runtime_failure(monkeypatch, capsys):
         assert os.getpid() != test_pid, "the job runs in the test's process"
         os.kill(os.getpid(), signal.SIGKILL)
 
-    synthetic_suite(monkeypatch, lambda: [("first", True, "done")], killed)
+    synthetic_suite(monkeypatch, lambda: [CheckResult("first", True, 0.0, 1.0)], killed)
     assert cli.main(["verify", "--suite", "oracle"]) == 3
     captured = capsys.readouterr()
-    assert captured.out == "[PASS] first: done\n"
+    assert captured.out == "[PASS] first: worst 0.000e+00 tol 1.000e+00\n"
     assert captured.err.count("\n") == 1 and "killed by signal 9" in captured.err
     assert_no_child_left()
 
@@ -1337,4 +1366,9 @@ def test_verify_prints_the_same_bytes_without_fork(monkeypatch, capsys):
         code = cli.main(["verify", "--suite", "mms"])
         seen.append((code, *capsys.readouterr()))
     assert seen[0] == seen[1]
-    assert seen[0][0] == 0 and seen[0][1].count("\n") == 3 and seen[0][2] == ""
+    assert seen[0][0] == 0 and seen[0][2] == ""
+    # both orders of each formulation, then the constant study
+    assert [line.split(": ")[0] for line in seen[0][1].splitlines()] == [
+        f"[PASS] mms travelling_wave {what} ({form})"
+        for form in (U_FORM, W_FORM) for what in ("order", "momentum order")
+    ] + ["[PASS] mms constant case exact"]

@@ -10,6 +10,7 @@ from congestion_sim.verify import (
     convergence_study,
     dense_oracle_checks,
     dense_step_oracle,
+    mms_constant_check,
     mms_order_checks,
 )
 
@@ -170,6 +171,10 @@ def test_convergence_study_constant_case_exact():
     assert study.exact
     assert max(study.rho_l1) <= 1e-12
     assert "exact" in study.table()
+    # verify's check of the same study has its verdict
+    check = mms_constant_check()
+    assert check.passed is study.exact
+    assert check.worst == max(study.rho_l1 + study.mom_l1)
 
 
 def test_convergence_study_validates_resolutions():
