@@ -190,7 +190,7 @@ def forked(sink):
     calls, which pickles each ``(g, params, snapshot)`` down a pipe to it;
     the writer runs ``sink`` on them in order while the run steps on.  A
     snapshot crosses without what ``snapshot_writer`` does not read: its
-    ``int_mass_flux`` and its fields' ``p`` and ``dxp`` arrive as None.
+    ``accums`` and its fields' ``p`` and ``dxp`` arrive as None.
 
     Leaving the block closes the pipe and waits for the writer, so every
     snapshot handed over is written when the block ends, however it ends.
@@ -229,8 +229,8 @@ def forked(sink):
     pipe = open(data_w, "wb")
 
     def hand_off(g: Grid, params: ModelParams, snap) -> None:
-        # only what the writer reads: p, dxp and the mass flux stay here
-        snap = dataclasses.replace(snap, int_mass_flux=None,
+        # only what the writer reads: p, dxp and the time integrals stay here
+        snap = dataclasses.replace(snap, accums=None,
                                    fields=snap.fields._replace(p=None, dxp=None))
         pickle.dump((g, params, snap), pipe, pickle.HIGHEST_PROTOCOL)
         pipe.flush()

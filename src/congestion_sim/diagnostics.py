@@ -98,29 +98,42 @@ class InitialDataSummary:
 
 def summarize_initial_data(state: State, fields: StateFields, g: Grid,
                            params: ModelParams) -> InitialDataSummary:
-    """The initial-data functionals of ``state`` and its ``fields``;
+    """The initial-data functionals of ``state`` and its ``fields``.
+
     NonFiniteError names the first cell whose kinetic energy density, in u
-    or in w, is not finite."""
+    or in w, or whose W0 is not finite; where each is finite but E1 or E2
+    is not, it names the cell with the largest kinetic energy density of
+    that energy.
+    """
     rho = as_field(state.rho, g)
     if not np.all(rho > 0.0):
         raise ValueError("initial density must be strictly positive")
     u, w = fields.u, fields.w
-    W0 = compute_W(rho, w, g)
     h0 = integrate(enthalpy_H(rho, params), g)
+    # overflow here is found by the checks below
     with np.errstate(over="ignore", invalid="ignore"):
+        W0 = compute_W(rho, w, g)
         ke_u, ke_w = rho * u * u, rho * w * w
+        E1, E2 = integrate(ke_u, g), integrate(ke_w, g) + h0
     bad = ~(np.isfinite(ke_u) & np.isfinite(ke_w))
     if bad.any():
         raise NonFiniteError("initial kinetic energy density is not finite",
                              cell=int(np.argmax(bad)))
+    if not np.all(np.isfinite(W0)):
+        raise NonFiniteError("initial W = dx(w)/rho is not finite",
+                             cell=int(np.argmin(np.isfinite(W0))))
+    for name, energy, density in (("E1", E1, ke_u), ("E2", E2, ke_w)):
+        if not np.isfinite(energy):
+            raise NonFiniteError(f"initial energy {name} is not finite",
+                                 cell=int(np.argmax(density)))
     return InitialDataSummary(
         M0=float(np.max(W0)),
         rho0_min=float(np.min(rho)),
         rho0_max=float(np.max(rho)),
         mean_rho0=integrate(rho, g),
         E0=norm(rho, g, "l1"),
-        E1=integrate(ke_u, g),
-        E2=integrate(ke_w, g) + h0,
+        E1=E1,
+        E2=E2,
         H0_total=h0,
     )
 
@@ -289,7 +302,7 @@ def psi_test_function(defects: PsiDefects | None, snap, g: Grid, mean_rho: float
 
     Psi(x, t) = int_0^x (rho0 - <rho>) dy - int_0^t (rho u)(x, s) ds, built
     from spatial prefix dx-sums of the first snapshot's density (``defects``
-    None) and the per-face rectangle sums of rho*u that ``snap`` carries.
+    None) and the per-face rectangle sums of rho*u in ``snap.accums``.
     Psi is periodic and ddx(Psi) = rho - <rho> up to first-order prefix
     error; the latter's defect is a max over snapshots, so folding them in
     one at a time is exact.  Returns (psi, defects).
@@ -301,7 +314,8 @@ def psi_test_function(defects: PsiDefects | None, snap, g: Grid, mean_rho: float
         defects = PsiDefects(g.dx * (np.cumsum(centred) - centred),
                              abs(g.dx * float(np.sum(centred))))
     # cell sample of int rho*u dt: mean of the two adjacent face sums
-    time_part = 0.5 * (snap.int_mass_flux + np.roll(snap.int_mass_flux, 1))
+    flux = snap.accums.int_mass_flux
+    time_part = 0.5 * (flux + np.roll(flux, 1))
     psi = defects.prefix - time_part
     defect = float(np.max(np.abs(ddx_central(psi, g) - (rho - mean_rho))))
     defects.gradient = max(defects.gradient, defect)
@@ -325,7 +339,8 @@ def trajectory_checks(trajectory) -> dict[str, CheckResult]:
     rise = float(np.max(np.diff(ke_w), initial=0.0))
     rise_tol = TOL.ke_w_rel * (1.0 + float(ke_w[0]))
     top, bottom = float(np.max(residual)), float(np.min(residual))
-    bottom_edge = -TOL.energy_frac * summary.E1
+    # 0.0 - x, not -x: a zero E1 gives the edge +0.0
+    bottom_edge = 0.0 - TOL.energy_frac * summary.E1
     margin = float(np.min(trajectory.series("lower_bound_margin")))
     margin_tol = -TOL.lower_bound_frac * summary.rho0_min
     rho_min = float(np.min(trajectory.series("rho_min")))

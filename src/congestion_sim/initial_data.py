@@ -70,6 +70,11 @@ def _read_profile_csv(path: str):
             raise ConfigError(f"custom_csv file {path} lacks column {col!r}")
     if rows.size == 0:
         raise ConfigError(f"custom_csv file {path} has no data rows")
+    for col in ("x", "rho", "w"):
+        # a NaN or infinite x would pick its row for every cell
+        if not np.all(np.isfinite(rows[col])):
+            raise ConfigError(f"custom_csv file {path} has a value in column "
+                              f"{col!r} that is not a finite number")
     return np.atleast_1d(rows["x"]), np.atleast_1d(rows["rho"]), np.atleast_1d(rows["w"])
 
 
@@ -77,8 +82,10 @@ def build_profiles(recipe: InitRecipe, g: Grid):
     """Return the (rho0, w0) cell samples of a recipe."""
     x = g.x
     if recipe.kind == "cosine":
-        rho = recipe.rho_mean + recipe.rho_amp * np.cos(2.0 * np.pi * x + recipe.phase)
-        w = recipe.w_mean + recipe.w_amp * np.sin(2.0 * np.pi * x)
+        # ``validate_profiles`` rejects a profile that overflows here
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho = recipe.rho_mean + recipe.rho_amp * np.cos(2.0 * np.pi * x + recipe.phase)
+            w = recipe.w_mean + recipe.w_amp * np.sin(2.0 * np.pi * x)
     else:
         xs, rhos, ws = _read_profile_csv(recipe.csv_path)
         # nearest-row resampling with periodic distance, a block of cells at

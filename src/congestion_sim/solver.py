@@ -46,7 +46,7 @@ output is reduced by BLAS, whose sums depend on its thread count.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -129,9 +129,8 @@ class Snapshot:
 
     ``fields`` are the run loop's ``state_fields`` of ``state``, copied out
     of a batch like the state.  ``pi`` and ``W`` are the cell fields that
-    ``record`` evaluated for ``rec``.  ``int_mass_flux`` carries the
-    rectangle sum over time of the total mass flux per face up to the
-    snapshot, from which Psi is built.
+    ``record`` evaluated for ``rec``.  ``accums`` are the time integrals up
+    to the snapshot, whose per-face ``int_mass_flux`` Psi is built from.
     """
 
     state: State
@@ -139,23 +138,41 @@ class Snapshot:
     rec: DiagnosticsRecord
     pi: np.ndarray
     W: np.ndarray
-    int_mass_flux: np.ndarray
+    accums: Accumulators
 
 
 @dataclass
 class Trajectory:
-    """What a run keeps: its snapshots' records, the last one's state, Psi's
-    defects folded over all of them, and the running time integrals."""
+    """What a run keeps: its snapshots' records, the last one's state and
+    time integrals, and Psi's defects folded over all of them.  ``take``
+    sets each of them; the run loop sets ``n_steps`` and ``wall_seconds``."""
 
     grid: Grid
     params: ModelParams
-    init_summary: InitialDataSummary
-    records: list[DiagnosticsRecord]
-    final_state: State
-    psi: PsiDefects
-    accums: Accumulators
-    n_steps: int
-    wall_seconds: float
+    init_summary: InitialDataSummary | None = None
+    records: list[DiagnosticsRecord] = field(default_factory=list)
+    final_state: State | None = None
+    psi: PsiDefects | None = None
+    accums: Accumulators | None = None
+    n_steps: int = 0
+    wall_seconds: float = 0.0
+
+    def take(self, state: State, fields: StateFields, accums: Accumulators,
+             sink=None) -> None:
+        """Take the snapshot of ``state``, its ``fields`` and the time
+        integrals ``accums`` up to it (the first also summarizes the initial
+        data) and hand it to ``sink(grid, params, snapshot)`` if given."""
+        args = (state, fields, self.grid, self.params)
+        if self.init_summary is None:
+            self.init_summary = summarize_initial_data(*args)
+        rec, pi, W = record(*args, accums, self.init_summary)
+        self.records.append(rec)
+        snap = Snapshot(state, fields, rec, pi, W, accums)
+        self.psi = psi_test_function(self.psi, snap, self.grid,
+                                     self.init_summary.mean_rho0)[1]
+        self.final_state, self.accums = state, accums
+        if sink is not None:
+            sink(self.grid, self.params, snap)
 
     def series(self, name: str) -> np.ndarray:
         return np.array([getattr(rec, name) for rec in self.records])
@@ -604,18 +621,6 @@ def _accumulate(accums: Accumulators, old: State, fields: StateFields,
     accums.int_mass_flux += np.multiply(s.mass_flux, _col(dt), out=du)
 
 
-@dataclass
-class _Row:
-    """What a run keeps outside the stacked arrays of its batch."""
-
-    index: int
-    params: ModelParams
-    records: list
-    summary: InitialDataSummary | None = None   # set by the first snapshot
-    psi: PsiDefects | None = None               # likewise
-    last: Snapshot | None = None                # the last snapshot
-
-
 def run_simulation(init: State, g: Grid, params: ModelParams,
                    config: SchemeConfig, t_end: float, sources=None, sink=None):
     """Advance the state to t_end, recording diagnostics along the way.
@@ -637,12 +642,13 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
     cannot reach t_end within ``step_budget(g.n_cells)`` steps fails, at
     the step that finds it so.
 
-    A snapshot is taken at the start, at the first step that reaches each
-    multiple of ``config.snapshot_every`` and at t_end; a step that crosses
-    several multiples takes one and restarts the cadence from its own time,
-    so a cadence shorter than a step takes a snapshot every step.  The
-    first snapshot also summarizes the initial data.  ``sink(g, params,
-    snapshot)``, if given, gets each row's snapshots as they are taken.
+    Each row's snapshots go through its ``Trajectory.take``: one at the
+    start, at the first step that reaches each multiple of
+    ``config.snapshot_every`` and at t_end; a step that crosses several
+    multiples takes one and restarts the cadence from its own time, so a
+    cadence shorter than a step takes a snapshot every step.  ``sink(g,
+    params, snapshot)``, if given, gets each row's snapshots as they are
+    taken.
     """
     if t_end < init.t:
         raise ValueError("t_end must not precede the initial time")
@@ -653,9 +659,9 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
 
     started = _time.perf_counter()
     batched = rho0.ndim > 1
-    rows = [_Row(index, params.row(index) if batched else params, [])
-            for index in range(len(rho0) if batched else 1)]
-    results = [None] * len(rows)
+    # one Trajectory per row, in row order; ``rows`` holds those still stepping
+    rows = results = [Trajectory(g, params.row(i) if batched else params)
+                      for i in range(len(rho0) if batched else 1)]
 
     # the stacked arrays of the rows still stepping; per-row values are
     # numpy scalars for a single run and have the shape (rows,) in a batch
@@ -676,7 +682,7 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
         accums = accums.select(keep)
         next_snap = next_snap[keep]
         fields = StateFields(*(f[keep] for f in fields))
-        params = ModelParams(np.array([[row.params.gamma] for row in rows]))
+        params = ModelParams(params.gamma[keep])
         scratch = StepScratch(g, state.rho.shape) if rows else None
 
     def take_snapshots(due) -> None:
@@ -689,30 +695,17 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
             if batched:
                 rho, mom = rho[i].copy(), mom[i].copy()
                 row_fields = StateFields(*(f[i].copy() for f in fields))
-            snap_state = State(float(state.t[at]), rho, mom, state.formulation)
-            row_accums = accums.select(at)
-            state_args = (snap_state, row_fields, g, row.params)
-            if row.summary is None:
-                row.summary = summarize_initial_data(*state_args)
-            rec, pi, W = record(*state_args, row_accums, row.summary)
-            row.records.append(rec)
-            row.last = Snapshot(snap_state, row_fields, rec, pi, W, row_accums.int_mass_flux)
-            row.psi = psi_test_function(row.psi, row.last, g, row.summary.mean_rho0)[1]
-            if sink is not None:
-                sink(g, row.params, row.last)
+            row.take(State(float(state.t[at]), rho, mom, state.formulation),
+                     row_fields, accums.select(at), sink)
             next_snap[at] += every
             if next_snap[at] <= state.t[at] + 1e-14:
                 next_snap[at] = state.t[at] + every
 
     def finish(done) -> None:
+        """Close the rows flagged in ``done``, which have reached t_end."""
         for pos, row in zip(np.ndindex(np.shape(done)), rows):
             if done[pos]:
-                results[row.index] = Trajectory(
-                    grid=g, params=row.params, init_summary=row.summary,
-                    records=row.records, final_state=row.last.state, psi=row.psi,
-                    accums=accums.select(pos), n_steps=n_steps,
-                    wall_seconds=_time.perf_counter() - started,
-                )
+                row.n_steps, row.wall_seconds = n_steps, _time.perf_counter() - started
 
     n_steps, budget = 0, step_budget(g.n_cells)
     try:

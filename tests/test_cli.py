@@ -641,6 +641,37 @@ def test_unreadable_custom_csv_is_config_error(tmp_path, capsys, profile):
     assert log[-1] == "failed " + err.removeprefix("configuration error: ").strip()
 
 
+def custom_csv_config(tmp_path, rows):
+    """BASE_CONFIG on a custom_csv profile of ``rows`` (after the header
+    ``x,rho,w``), on 8 cells, with its output in ``tmp_path / "out"``."""
+    path = tmp_path / "profile.csv"
+    path.write_text("x,rho,w\n" + "".join(row + "\n" for row in rows), encoding="utf-8")
+    text = BASE_CONFIG.replace("init.kind = cosine",
+                               f"init.kind = custom_csv\ninit.csv_path = {path}")
+    return write_config(tmp_path, text.replace("grid.n_cells = 64", "grid.n_cells = 8")
+                        + f"output.dir = {tmp_path / 'out'}\n"), str(path)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("row,column", [
+    ("nan,0.8,3", "x"),     # took over every cell: w = 3 throughout, exit 0
+    ("inf,0.8,3", "x"),     # likewise, after a RuntimeWarning
+    ("-inf,0.8,3", "x"),
+    ("0.5,nan,3", "rho"),
+    ("0.5,0.8,-inf", "w"),
+    ("0.5,abc,3", "rho"),   # a field that does not parse reads as nan
+])
+def test_non_finite_custom_csv_value_is_config_error(tmp_path, capsys, row, column):
+    cfg, path = custom_csv_config(tmp_path, ["0.0,0.8,0.1", "0.25,0.8,0.2", row,
+                                             "0.75,0.8,0.4"])
+    assert cli.main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"configuration error: custom_csv file {path} has a value in "
+                   f"column {column!r} that is not a finite number\n")
+    log = (tmp_path / "out" / "run.log").read_text().splitlines()
+    assert log[-1] == "failed " + err.removeprefix("configuration error: ").strip()
+
+
 @pytest.mark.parametrize("name", sorted(path.name for path in cli.CONFIG_DIR.glob("*.cfg")))
 def test_shipped_configs_load(name):
     cfg = load_run_config(str(cli.CONFIG_DIR / name))
@@ -905,6 +936,39 @@ def test_non_finite_state_is_runtime_failure(tmp_path, capsys):
     assert log[-1].startswith("failed ") and log[-1].endswith(context)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("changes,code,message", [
+    # overflowed in build_profiles before the profile check
+    ({"init.w_mean": "1e308", "init.w_amp": "1e308"}, 2,
+     "configuration error: initial data contain non-finite values"),
+    # each cell's energy is finite, E1 is not: the run went on to the step
+    # budget with E1 = inf, after three RuntimeWarnings
+    ({"init.w_amp": "1e154"}, 3,
+     "runtime failure (non-finite): initial energy E1 is not finite "
+     "[t=0.0, cell=61, gamma=10.0]"),
+], ids=["w_overflows", "E1_overflows"])
+def test_extreme_finite_initial_data_fail_without_a_warning(tmp_path, capsys, changes,
+                                                           code, message):
+    cfg = shipped_config(tmp_path, "standard_smooth", changes, tmp_path / "out")
+    assert cli.main(["simulate", "--config", cfg]) == code
+    assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rows,message", [
+    # dx(w) overflowed in compute_W before the energy check found cell 1
+    (["0.0,0.8,0.1", "0.25,0.8,1e308", "0.5,0.8,-1e308", "0.75,0.8,0.4"],
+     "initial kinetic energy density is not finite [t=0.0, cell=1, gamma=10.0]"),
+    # W0 = dx(w)/rho overflowed and the run ended with exit 0
+    (["0.0,0.8,0.1", "0.25,1e-310,0.5", "0.5,0.8,-0.3", "0.75,0.8,0.4"],
+     "initial W = dx(w)/rho is not finite [t=0.0, cell=1, gamma=10.0]"),
+], ids=["w_difference_overflows", "W_overflows"])
+def test_extreme_finite_custom_csv_fails_without_a_warning(tmp_path, capsys, rows, message):
+    cfg, _ = custom_csv_config(tmp_path, rows)
+    assert cli.main(["simulate", "--config", cfg]) == 3
+    assert capsys.readouterr().err == f"runtime failure (non-finite): {message}\n"
+
+
 @pytest.mark.parametrize("key,value", [
     ("scheme.cfl", "1e-300"),       # each hung: CFL steps of 2.7e-303,
     ("init.w_amp", "1e150"),        # 3.9e-154
@@ -1167,6 +1231,13 @@ def test_verify_names_are_the_trajectory_check_keys(capsys):
             keys.remove("W_max_principle")
         assert names[name] == keys, name
     assert signed == ["standard_smooth"]
+
+
+def test_constant_case_energy_band_edge_is_positive_zero():
+    # E1 = 0 made the band's lower edge -0.0: verify printed "tol -0.000e+00"
+    check = trajectory_checks(sweep_mod.run_config(CONSTANT))["energy_residual_min"]
+    assert cli.verdict_line(check) == (
+        "[PASS] energy_residual_min: worst 0.000e+00 tol 0.000e+00")
 
 
 @pytest.mark.parametrize("contents", ["missing", "sweep_only"])

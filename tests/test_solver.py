@@ -28,6 +28,7 @@ from congestion_sim.model import ModelParams, State, StateFields, U_FORM, W_FORM
 from congestion_sim.solver import (
     VELOCITY_FLOOR,
     SchemeConfig,
+    Trajectory,
     compute_dt,
     run_simulation,
     solve_cyclic_tridiagonal,
@@ -724,7 +725,7 @@ def test_non_finite_input_raises_the_non_finite_error_without_a_warning(
 
 def snapshot_arrays(snap):
     return [snap.state.rho, snap.state.mom, *snap.fields, snap.pi, snap.W,
-            snap.int_mass_flux]
+            snap.accums.int_mass_flux]
 
 
 def keeping_sink(kept):
@@ -765,6 +766,54 @@ def test_no_scratch_array_escapes_a_step(formulation):
     trajs = run_config(sweep, keeping_sink(kept))
     assert len({traj.n_steps for traj in trajs}) > 1
     assert_snapshots_unchanged(kept)
+
+
+# ------------------------------------------------------------- trajectory --
+
+def replayed(handed):
+    """A new Trajectory grown by ``take`` from the ``(g, params, snapshot)``
+    calls a run made to its sink."""
+    g, params, _ = handed[0]
+    traj = Trajectory(g, params)
+    for _, _, snap in handed:
+        traj.take(snap.state, snap.fields, snap.accums)
+    return traj
+
+
+def assert_same_record(got, want):
+    """The two Trajectories hold the same record bit for bit."""
+    # repr tells every float apart, -0.0 from 0.0 too
+    assert repr(got.records) == repr(want.records)
+    assert repr(got.init_summary) == repr(want.init_summary)
+    for name in ("final_state", "psi", "accums"):
+        a, b = getattr(got, name), getattr(want, name)
+        for field in dataclasses.fields(a):
+            x, y = np.asarray(getattr(a, field.name)), np.asarray(getattr(b, field.name))
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (name, field.name)
+
+
+def test_a_run_is_the_replay_of_its_snapshots():
+    # a run grows each row's Trajectory through ``Trajectory.take`` alone:
+    # taking the snapshots it handed its sink again, in order, gives its
+    # Trajectory bit for bit, for a single run and for a row of a batch
+    # whose rows leave it at different steps
+    def keeping(handed):
+        def sink(g, params, snap):
+            handed.setdefault(params.gamma, []).append((g, params, copy.deepcopy(snap)))
+        return sink
+
+    scheme = dataclasses.replace(SWEEP.scheme, snapshot_every=0.01)
+    handed = {}
+    single = run_config(dataclasses.replace(STANDARD, n_cells=64, t_end=0.05,
+                                            scheme=scheme), keeping(handed))
+    assert len(handed[STANDARD.gamma]) == len(single.records) > 2
+    assert_same_record(replayed(handed[STANDARD.gamma]), single)
+
+    handed = {}
+    batch = run_config(dataclasses.replace(SWEEP, gammas=(5.0, 20.0, 80.0), n_cells=64,
+                                           t_end=0.1, scheme=scheme), keeping(handed))
+    assert len({traj.n_steps for traj in batch}) > 1
+    assert_same_record(replayed(handed[20.0]), batch[1])
 
 
 def test_ptsv_argument_block_follows_the_bands_it_is_handed():

@@ -78,7 +78,7 @@ def assert_same_trajectory(got, want, got_snapshots, want_snapshots):
     assert np.array_equal(got.psi.prefix, want.psi.prefix)
     assert len(got_snapshots) == len(want_snapshots) == len(got.records)
     for a, b in zip(got_snapshots, want_snapshots):
-        assert np.array_equal(a.int_mass_flux, b.int_mass_flux)
+        assert np.array_equal(a.accums.int_mass_flux, b.accums.int_mass_flux)
 
 
 def largest_gamma_summary(recipe, gammas, g):
