@@ -101,9 +101,9 @@ def summarize_initial_data(state: State, fields: StateFields, g: Grid,
     """The initial-data functionals of ``state`` and its ``fields``.
 
     NonFiniteError names the first cell whose kinetic energy density, in u
-    or in w, or whose W0 is not finite; where each is finite but E1 or E2
-    is not, it names the cell with the largest kinetic energy density of
-    that energy.
+    or in w, or whose W0 is not finite; where each is finite but E1, E2 or
+    the integral of rho0 W0^2 is not, it names the cell with the largest
+    density of that integral.
     """
     rho = as_field(state.rho, g)
     if not np.all(rho > 0.0):
@@ -113,8 +113,9 @@ def summarize_initial_data(state: State, fields: StateFields, g: Grid,
     # overflow here is found by the checks below
     with np.errstate(over="ignore", invalid="ignore"):
         W0 = compute_W(rho, w, g)
-        ke_u, ke_w = rho * u * u, rho * w * w
+        ke_u, ke_w, rhoW2 = rho * u * u, rho * w * w, rho * W0 * W0
         E1, E2 = integrate(ke_u, g), integrate(ke_w, g) + h0
+        rhoW2_total = integrate(rhoW2, g)
     bad = ~(np.isfinite(ke_u) & np.isfinite(ke_w))
     if bad.any():
         raise NonFiniteError("initial kinetic energy density is not finite",
@@ -122,9 +123,10 @@ def summarize_initial_data(state: State, fields: StateFields, g: Grid,
     if not np.all(np.isfinite(W0)):
         raise NonFiniteError("initial W = dx(w)/rho is not finite",
                              cell=int(np.argmin(np.isfinite(W0))))
-    for name, energy, density in (("E1", E1, ke_u), ("E2", E2, ke_w)):
-        if not np.isfinite(energy):
-            raise NonFiniteError(f"initial energy {name} is not finite",
+    for name, total, density in (("energy E1", E1, ke_u), ("energy E2", E2, ke_w),
+                                 ("integral of rho W^2", rhoW2_total, rhoW2)):
+        if not np.isfinite(total):
+            raise NonFiniteError(f"initial {name} is not finite",
                                  cell=int(np.argmax(density)))
     return InitialDataSummary(
         M0=float(np.max(W0)),

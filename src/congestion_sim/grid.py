@@ -109,6 +109,20 @@ def ddx_central(f: Field, g: Grid) -> Field:
     return central_difference(as_field(f, g)) / (2.0 * g.dx)
 
 
+# The largest or smallest entry of each row, one value per row of a batch,
+# for the checks that compare it.  One field's goes through argmax or
+# argmin, which cost about a third of the ufunc reduce on a few hundred
+# cells and give the same value, or a nan where there is one (not always
+# the nan, with its payload, that the reduce gives).
+
+def row_max(f: Field):
+    return f[f.argmax()] if f.ndim == 1 else np.maximum.reduce(f, axis=-1)
+
+
+def row_min(f: Field):
+    return f[f.argmin()] if f.ndim == 1 else np.minimum.reduce(f, axis=-1)
+
+
 def _per_field(total):
     # a float for one field, an array with one entry per row for a batch
     return float(total) if np.ndim(total) == 0 else total

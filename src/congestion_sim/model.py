@@ -18,13 +18,14 @@ function here serves one run and a batch alike by broadcasting.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, SaturationError
-from .grid import Field, Grid, as_field, central_difference, ddx_central
+from .grid import Field, Grid, as_field, ddx_central, row_max, row_min
 
 # exp() overflows double precision just above this exponent
 OVERFLOW_EXPONENT = 700.0
@@ -85,7 +86,7 @@ def _shape(a) -> tuple:
 
 def _checked_log(rho, params: ModelParams):
     arr = np.asarray(rho, dtype=float)
-    if not np.minimum.reduce(arr, axis=None) > 0.0:
+    if not (row_min(arr) if arr.ndim == 1 else np.minimum.reduce(arr, axis=None)) > 0.0:
         raise DomainError("density must be strictly positive")
     return arr, np.log(arr)
 
@@ -125,7 +126,7 @@ def pressure(rho, params: ModelParams, lam_guard: bool = False):
     # one maximum of log(rho) per row decides both guards: for c > 0,
     # fl(c * x) is monotone in x, so c * max(log rho) is max(c * log rho)
     peak = (np.maximum.reduce(log_rho, axis=-1, keepdims=True) if log_rho.ndim > 1
-            else np.maximum.reduce(log_rho, axis=None))
+            else row_max(log_rho) if log_rho.ndim else log_rho)
     if _exceeds(gamma * peak):
         raise _saturation(gamma * log_rho, arr, params)
     if lam_guard and _exceeds((gamma + 1.0) * peak):
@@ -193,20 +194,95 @@ class StateFields(NamedTuple):
     w: Field
 
 
-def state_fields(state: State, g: Grid, params: ModelParams) -> StateFields:
+class StateBuffer:
+    """One state's rho and mom and its cell fields, for fields of one
+    shape, (n,) or (rows, n), each row with its periodic neighbours on both
+    sides: entry j + 1 of a row is cell j, and entries 0 and n + 1 repeat
+    cells n - 1 and 0.  So a neighbour is a view, and one column copy on
+    each side sets every wrap.
+
+    ``views`` are the fields as ``state_fields`` returns them, the same
+    object each time; ``hold`` makes the State whose rho and mom are this
+    buffer's, and the buffer is ``free`` to take another state once that
+    State is gone.
+    """
+
+    def __init__(self, shape) -> None:
+        shape = tuple(shape)
+        self.halo = halo = np.empty((7,) + shape[:-1] + (shape[-1] + 2,))
+        cells, nxt = halo[..., 1:-1], halo[..., 2:]
+        self.rho, self.mom, self.p, self.lam, self.u, self.w, self.dxp = cells
+        (self.rho_next, self.mom_next, self.p_next, self.lam_next, self.u_next,
+         self.w_next) = nxt[:6]
+        self.p_prev, self.u_prev = halo[2, ..., :-2], halo[4, ..., :-2]
+        self.views = StateFields(self.p, self.dxp, self.lam, self.u, self.w)
+        # (wrap entries, the cells they repeat) of every row, and of u and w
+        self.wraps, self.u_wraps, self.w_wraps = map(_wraps, (halo, halo[4], halo[5]))
+        self._tenant = _nobody
+
+    def holds(self, state: State) -> bool:
+        return state.rho is self.rho and state.mom is self.mom
+
+    def hold(self, t, formulation: str) -> State:
+        """The State at time ``t`` whose rho and mom are this buffer's."""
+        state = State(t, self.rho, self.mom, formulation)
+        self._tenant = weakref.ref(state)
+        return state
+
+    @property
+    def free(self) -> bool:
+        return self._tenant() is None
+
+
+def _nobody():
+    return None
+
+
+def _wraps(halo):
+    return (halo[..., 0], halo[..., -2]), (halo[..., -1], halo[..., 1])
+
+
+def set_wraps(wraps) -> None:
+    """Copy each row's first and last cell to its far side."""
+    for wrap, cells in wraps:
+        wrap[...] = cells
+
+
+def state_fields(state: State, g: Grid, params: ModelParams,
+                 out: StateBuffer | None = None) -> StateFields:
     """The one derivation of a state's cell fields: p, from one log and one
     exp of rho, then lambda = (rho * p) * gamma as in ``lambda_visc``, then
-    the rest."""
-    rho = as_field(state.rho, g)
-    carried = as_field(state.mom, g) / rho
-    p = pressure(rho, params, lam_guard=True)
-    lam = rho * p
+    the rest.
+
+    The fields are written into ``out`` (a new buffer when absent), with
+    the state's rho and mom, which are copied there unless ``out`` holds
+    them; the result is ``out.views``.
+    """
+    if out is None or not out.holds(state):
+        rho, mom = as_field(state.rho, g), as_field(state.mom, g)
+        if out is None:
+            out = StateBuffer(rho.shape)
+        out.rho[...] = rho
+        out.mom[...] = mom
+    # p first, so that its guards raise before rho divides anything
+    out.p[...] = pressure(out.rho, params, lam_guard=True)
+    # the wraps of rho, mom and p; the pointwise fields then take whole
+    # halo rows, wraps included, which a batch reads contiguously
+    set_wraps(out.wraps)
+    halo = out.halo
+    u_form = state.formulation == U_FORM
+    np.divide(halo[1], halo[0], out=halo[4 if u_form else 5])
+    lam = np.multiply(halo[0], halo[2], out=halo[3])
     lam *= params.gamma
-    dxp = central_difference(p)
+    dxp = np.subtract(out.p_next, out.p_prev, out=out.dxp)
     dxp /= 2.0 * g.dx
-    if state.formulation == U_FORM:
-        return StateFields(p, dxp, lam, carried, carried + dxp)
-    return StateFields(p, dxp, lam, carried - dxp, carried)
+    if u_form:
+        np.add(out.u, dxp, out=out.w)
+        set_wraps(out.w_wraps)
+    else:
+        np.subtract(out.w, dxp, out=out.u)
+        set_wraps(out.u_wraps)
+    return out.views
 
 
 def velocities(state: State, g: Grid, params: ModelParams) -> tuple[Field, Field]:

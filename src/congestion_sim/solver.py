@@ -32,16 +32,22 @@ On the grids of ``verify`` a step costs about its count of numpy calls,
 and on large grids about its count of array passes, so the step path
 keeps both low.  The run owns one ``StepScratch``: the step, its
 diffusion solve and the time integrals write their temporaries there,
-the old state's fields are copied once into a buffer that holds each
-cell's neighbours, so a neighbour is a view, and the solve packs its
-bands into the same buffer each step, whose LAPACK argument block
-``_lapack`` keeps.  The solve scans for non-finite input only on its way
-to an error.  Per-row flags are read as lists and reductions call the
-ufuncs' own ``reduce``, ``compute_dt`` reduces once, each flux takes
-three passes, the grid factors go into the dt and integral factors, the
-four time integrands are summed as one buffer, and the loop clips and
-lands a step only when a row reaches t_end.  No value that reaches an
-output is reduced by BLAS, whose sums depend on its thread count.
+and each state lives in one of its two ``model.StateBuffer``s, which
+hold rho, mom and the state's fields with each cell's neighbours, so a
+neighbour is a view.  The step writes the new rho and mom into the
+buffer that the old state does not use and ``state_fields`` writes the
+new fields beside them, so no field is copied and no state array is
+made; the run copies a state out only for its snapshot.  The solve
+packs the step's system into the same bands each step, without checking
+its operands again, and ``_lapack`` keeps their LAPACK argument block;
+it scans for non-finite input only on its way to an error.  Per-row
+flags are read as lists, reductions call the ufuncs' own ``reduce`` (one
+run's checks argmin and argmax, which cost less), ``compute_dt`` reduces
+once, each flux takes three passes, the grid factors go into the dt and
+integral factors, the four time integrands are summed as one buffer, and
+the loop clips and lands a step only when a row reaches t_end.  No value
+that reaches an output is reduced by BLAS, whose sums depend on its
+thread count.
 """
 from __future__ import annotations
 
@@ -73,6 +79,8 @@ from .grid import (
     as_field,
     backward_difference,
     forward_difference,
+    row_max,
+    row_min,
 )
 from .model import (
     U_FORM,
@@ -80,21 +88,29 @@ from .model import (
     FORMULATIONS,
     ModelParams,
     State,
+    StateBuffer,
     StateFields,
+    set_wraps,
     state_fields,
 )
 
 # guards the CFL formula in a quiescent fluid
 VELOCITY_FLOOR = 1e-12
 
-# the work budget of a run, in cell-steps: a step costs about 0.055 us x
-# (n_cells + STEP_OVERHEAD_CELLS) (2-core x86: 100 us at 256 cells, 300 us at
-# 4096), so a run within it takes at most about 4.5 minutes
+# the work budget of a run, in cell-steps: a step costs at most about
+# 0.055 us x (n_cells + STEP_OVERHEAD_CELLS) (2-core x86, in process: 84 us
+# at 256 cells, 327 us at 4096), so a run within it takes at most about 4.5
+# minutes
 MAX_CELL_STEPS = 5e9
 STEP_OVERHEAD_CELLS = 1600
 
 # dt halvings the positivity rescue tries before it raises a VacuumError
 MAX_HALVINGS = 20
+
+# 0.5 and 1.0 as 0-d arrays: an array operand skips the conversion that a
+# Python or numpy scalar takes in every ufunc call, with the same result
+_HALF, _ONE = np.array(0.5), np.array(1.0)
+_HALF.flags.writeable = _ONE.flags.writeable = False
 
 
 def step_budget(n_cells: int) -> float:
@@ -182,33 +198,31 @@ class StepScratch:
     """A run's step temporaries for fields of one shape, (n,) or (rows, n):
     the run loop builds one per run and again when a batch restacks.
 
-    The step, its diffusion solve and the time integrals write into it
-    instead of into new arrays; no array of it becomes part of a state, its
-    fields, a record or a snapshot.  The step copies the old state's fields
-    into one buffer with each row's periodic neighbours on both sides, so a
-    neighbour is a view and one column copy sets every wrap.  After a step,
-    entry i of ``mass_flux`` and ``lam_sum`` belongs to face i+1/2:
-    ``mass_flux`` is the step's total mass flux (the donor-cell flux of rho,
-    minus the implicit diffusive flux in the w-formulation), ``lam_sum`` the
-    sum of the old state's ``fields.lam`` over the face's two cells; and
-    ``u_next`` and ``u_prev`` are the old state's velocity shifted by one cell.
+    Two ``StateBuffer``s hold the states: a step reads the old state and
+    its fields from the one that holds them (copying them into a free one
+    first when none does) and writes the new rho and mom into the other,
+    where ``state_fields`` then writes the new state's fields.  So a step
+    copies no field, and the state it returns lives in the scratch; the
+    scratch writes into a buffer again only once the State that lives
+    there is gone, so a state keeps its bits for as long as it is held.
+    After a step, ``old`` and ``new`` are the buffers of its old and new
+    state.  The step, its diffusion solve and the time integrals write
+    their temporaries into the scratch; entry i of ``mass_flux`` and
+    ``lam_sum`` belongs to face i+1/2: ``mass_flux`` is the step's total
+    mass flux (the donor-cell flux of rho, minus the implicit diffusive
+    flux in the w-formulation), ``lam_sum`` the sum of the old state's
+    ``fields.lam`` over the face's two cells.
     """
 
     def __init__(self, g: Grid, shape) -> None:
-        shape = tuple(shape)
-        lead, n = shape[:-1], shape[-1]
-        # rows v (the carried velocity), rho, mom, lam, p and u: entry j + 1
-        # of a row is cell j, and entries 0 and n + 1 repeat cells n - 1 and 0
-        halo = np.empty((6,) + lead + (n + 2,))
-        self.v, self.rho, self.mom, self.lam, self.p, self.u = halo[..., 1:-1]
-        (self.v_next, self.rho_next, self.mom_next, self.lam_next, self.p_next,
-         self.u_next) = halo[..., 2:]
-        self.u_prev = halo[5, ..., :-2]
-        # (wrap entries, the cells they repeat)
-        self.halo_wraps = ((halo[..., 0], halo[..., -2]), (halo[..., -1], halo[..., 1]))
-        (self.mass_flux, self.flux_mom, self.lam_sum, self.diff_face, self.v_face,
-         self.vp, self.vm, self.flux_tmp, self.dflux, self.dpi, self.rhs, self.off,
-         self.diag, self.du) = np.empty((14,) + shape)
+        self.shape = shape = tuple(shape)
+        self.buffers = [StateBuffer(shape), StateBuffer(shape)]
+        self.old = self.new = None
+        # the donor fluxes of rho and mom, and their temporaries, as stacks
+        self.fluxes, self.flux_tmp = np.empty((2, 2) + shape)
+        self.mass_flux, self.flux_mom = self.fluxes
+        (self.lam_sum, self.diff_face, self.v_face, self.vp, self.vm, self.dflux,
+         self.rhs, self.off, self.diag, self.du) = np.empty((10,) + shape)
         # the four time integrands, summed as one buffer
         self.integrands = np.empty((4,) + shape)
         # the solve's packed bands, in the layout of ``_lapack.ptsv``
@@ -220,6 +234,38 @@ class StepScratch:
         # the cell centres, for the sources of a forced run
         self.x = g.x
         self.x.flags.writeable = False
+
+    def buffers_for(self, state: State, fields: StateFields | None, g: Grid,
+                    params: ModelParams) -> tuple[StateBuffer, StateBuffer]:
+        """The buffers of a step from ``state`` and its ``fields``, also set
+        as ``old`` and ``new``: the one that holds the state (or a free one
+        that it is copied into), with the fields there (evaluated when
+        absent), and a free one for the new state."""
+        for old in self.buffers:
+            if old.holds(state):
+                break
+        else:
+            old = self._free(0, state)
+        if fields is None:
+            state_fields(state, g, params, out=old)
+        elif fields is not old.views:
+            if not old.holds(state):
+                old.rho[...] = as_field(state.rho, g)
+                old.mom[...] = as_field(state.mom, g)
+            for cells, f in zip(old.views, fields):
+                cells[...] = f
+            set_wraps(old.wraps)
+        new = self._free(1 if old is self.buffers[0] else 0, state)
+        self.old, self.new = old, new
+        return old, new
+
+    def _free(self, i: int, state: State) -> StateBuffer:
+        """Buffer i, or a new one in its place while a State still lives in
+        it or it holds ``state``."""
+        buf = self.buffers[i]
+        if not buf.free or buf.holds(state):
+            buf = self.buffers[i] = StateBuffer(self.shape)
+        return buf
 
 
 # per-row helpers: on a handful of values a numpy wrapper costs more than
@@ -251,11 +297,12 @@ def compute_dt(state: State, g: Grid, params: ModelParams,
     """
     if fields is None:
         fields = state_fields(state, g, params)
-    # one reduction per row: max is exact, so the order of the maxima is free
+    # one reduction per row, from the floor: max is exact, so the order of
+    # the maxima is free
     speed = np.abs(fields.u)
-    speed = np.maximum.reduce(np.maximum(speed, np.abs(fields.w), out=speed), axis=-1)
-    return np.minimum(config.dt_max,
-                      config.cfl * g.dx / np.maximum(VELOCITY_FLOOR, speed))
+    speed = np.maximum.reduce(np.maximum(speed, np.abs(fields.w), out=speed), axis=-1,
+                              initial=VELOCITY_FLOOR)
+    return np.minimum(config.dt_max, config.cfl * g.dx / speed)
 
 
 def solve_cyclic_tridiagonal(diag, off, rhs, *, bands=None):
@@ -271,8 +318,11 @@ def solve_cyclic_tridiagonal(diag, off, rhs, *, bands=None):
     side.  Raises NonFiniteError, a ValueError, on non-finite input, and
     LinearSolveError if the factorization meets a non-positive pivot or
     the residual exceeds 1e-10 * (1 + max|rhs|).  ``bands``, a C-ordered
-    float64 array of shape (4, diag.size), receives the packed system; a
-    new one when absent.  x is a new array.
+    float64 array of shape (4, diag.size), receives the packed system, and
+    x is a view of its third row.  A caller that passes it, as the step
+    does with its scratch, passes float64 arrays of one shape with at least
+    3 unknowns a row, which are taken as they are; without it the operands
+    are checked and converted, and the bands are new.
 
     A batch passes (rows, n) arrays.  Its systems go to the one ``ptsv``
     call as a block-diagonal stack: the couplings between blocks are zero,
@@ -287,16 +337,14 @@ def solve_cyclic_tridiagonal(diag, off, rhs, *, bands=None):
     NonFiniteError.  The arithmetic runs under ``np.errstate``, so such
     input raises no RuntimeWarning on its way there.
     """
-    diag = np.asarray(diag, dtype=float)
-    off = np.asarray(off, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    shape = diag.shape
-    n = shape[-1]
-    if not (off.shape == rhs.shape == shape):
-        raise ValueError("diag, off and rhs must share one length")
-    if n < 3:
-        raise ValueError("periodic tridiagonal solve needs at least 3 unknowns")
     if bands is None:
+        diag = np.asarray(diag, dtype=float)
+        off = np.asarray(off, dtype=float)
+        rhs = np.asarray(rhs, dtype=float)
+        if not (off.shape == rhs.shape == diag.shape):
+            raise ValueError("diag, off and rhs must share one length")
+        if diag.shape[-1] < 3:
+            raise ValueError("periodic tridiagonal solve needs at least 3 unknowns")
         bands = np.empty((4, diag.size))
     # the first and last cell of each row; plain integers index one
     # system's elements more cheaply than a last-axis index
@@ -306,38 +354,35 @@ def solve_cyclic_tridiagonal(diag, off, rhs, *, bands=None):
         info = _lapack.ptsv(bands)
         if info != 0:
             # a failing pivot's position within its own system
-            _fail(LinearSolveError("tridiagonal factorization failed: ptsv info "
-                                   f"{(info - 1) % n + 1 if info > 0 else info}"),
+            at = (info - 1) % diag.shape[-1] + 1 if info > 0 else info
+            _fail(LinearSolveError(f"tridiagonal factorization failed: ptsv info {at}"),
                   diag, off, rhs, first, last)
 
         frac = wrap / gamma_p
         denom = 1.0 + z[first] + frac * z[last]
         size = abs(denom)
-        bad = ~((size > 0.0) & (size < np.inf))
-        if _any(bad):
+        if _any(~((size > 0.0) & (size < np.inf))):
             _fail(LinearSolveError("rank-one correction denominator vanished"),
                   diag, off, rhs, first, last)
         z *= _col((y[first] + frac * y[last]) / denom)
-        x = y - z
+        x = np.subtract(y, z, out=y)
 
         # A x - rhs, in the bands that the solve has spent: diag*x - rhs, then
         # off[i-1]*x[i-1] and off[i]*x[i+1].  These products are taken on the
-        # flat arrays, so one call covers every row of a batch; each row's
+        # flat band rows, so one call covers every row of a batch; each row's
         # entry whose flat neighbour lies in another row is then set from the
         # row's wrap coupling off[-1]
         residual = np.multiply(diag, x, out=d)
         residual -= rhs
-        o, v, t = off.ravel(), x.ravel(), z.ravel()
+        o, v, t = off.reshape(-1), bands[2], bands[3]
         np.multiply(o[:-1], v[:-1], out=t[1:])
-        z.T[0] = wrap * x.T[-1]
+        z[first] = wrap * x[last]
         residual += z
         np.multiply(o[:-1], v[1:], out=t[:-1])
-        z.T[-1] = wrap * x.T[0]
+        z[last] = wrap * x[first]
         residual += z
-        # |residual| and |rhs| in the bands d and z, reduced by one call
-        np.abs(residual, out=residual)
-        np.abs(rhs, out=z)
-        worst, rhs_max = np.maximum.reduce(bands[::3].reshape((2,) + shape), axis=-1)
+        worst = row_max(np.abs(residual, out=residual))
+        rhs_max = row_max(np.abs(rhs, out=z))
         bound = 1e-10 * (1.0 + rhs_max)
         # a non-finite entry of x makes its row's residual, and so ``worst``,
         # non-finite (0 * inf is nan; max keeps a nan)
@@ -355,13 +400,12 @@ def _pack(diag, off, rhs, bands, first, last):
     u = gamma_p e_0 + wrap e_{n-1}, each band row with diag's shape.
     off[-1] of each block becomes the zero coupling to the next block.
     Returns the band rows d, y and z, gamma_p and wrap."""
-    rows = bands.reshape((4,) + diag.shape) if diag.ndim > 1 else bands
-    d, e, y, z = rows[0], rows[1], rows[2], rows[3]
+    d, e, y, z = bands.reshape((4,) + diag.shape) if diag.ndim > 1 else bands
+    top, wrap = diag[first], off[last]
     # -diag[0], or 1 where diag[0] vanishes
-    gamma_p = -diag[first] + (diag[first] == 0.0)
-    wrap = off[last]
+    gamma_p = -top + (top == 0.0)
     d[...] = diag
-    d[first] -= gamma_p
+    d[first] = top - gamma_p
     d[last] -= wrap * wrap / gamma_p
     e[...] = off
     e[last] = 0.0
@@ -401,13 +445,13 @@ def _upwind_faces(v_cells: Field, v_next: Field, v_face: Field | None = None,
     bound as plain donor cell.
     """
     v_face = np.add(v_cells, v_next, out=v_face)
-    v_face *= 0.5
+    v_face *= _HALF
     a = np.abs(v_face, out=vm)
     spread = np.subtract(v_next, v_cells, out=vp)
     # max(|v_face|, spread) is max(|v_face|, max(spread, 0)): |v_face| >= 0
     np.maximum(a, spread, out=a)
     vp = np.add(v_face, a, out=spread)
-    vp *= 0.5
+    vp *= _HALF
     # 0.5 * (v_face - a) to rounding, and <= 0 exactly: fl(vp) >= v_face
     vm = np.subtract(v_face, vp, out=a)
     return v_face, vp, vm
@@ -431,7 +475,7 @@ def _implicit_diffusion_solve(mass_diag, coeff: Field, scale, rhs: Field,
     The system is symmetric: face i+1/2 couples cells i and i+1 by
     off[i] = -scale * coeff[i], and off[-1] is the wrap face.  A positive
     mass diagonal and a nonnegative coefficient make it positive definite.
-    The system is built in ``s``; x is a new array.
+    The system is built in ``s``, and x is a view of its bands.
     """
     off = np.multiply(coeff, -scale, out=s.off)
     # mass_diag minus both couplings of each cell
@@ -453,27 +497,18 @@ def _step(state: State, g: Grid, params: ModelParams, config: SchemeConfig,
     loses positivity halves only its own dt, and the density is redone for
     every row: a row whose dt did not change gets the same bits again.
     Each update takes the flux differences times dt/dx, so no divergence
-    array is formed.  The temporaries live in ``s`` (a new scratch when
-    absent); the new density and momentum are new arrays.
+    array is formed.  The old state is read from, and the new one written
+    into, the buffers of ``s`` (a new scratch when absent).
     """
-    if fields is None:
-        fields = state_fields(state, g, params)
-    rho, mom = as_field(state.rho, g), as_field(state.mom, g)
     if s is None:
-        s = StepScratch(g, rho.shape)
+        s = StepScratch(g, np.shape(state.rho))
+    old, new = s.buffers_for(state, fields, g, params)
     u_form = state.formulation == U_FORM
-    # the old state's fields with their neighbours: v is the carried velocity
-    s.v[...] = fields.u if u_form else fields.w
-    s.rho[...] = rho
-    s.mom[...] = mom
-    s.lam[...] = fields.lam
-    s.p[...] = fields.p
-    s.u[...] = fields.u
-    for wrap, cells in s.halo_wraps:
-        wrap[...] = cells
-    v_face, vp, vm = _upwind_faces(s.v, s.v_next, s.v_face, s.vp, s.vm)
-    flux_rho = _donor_flux(s.rho, s.rho_next, vp, vm, s.mass_flux, s.flux_tmp)
-    flux_mom = _donor_flux(s.mom, s.mom_next, vp, vm, s.flux_mom, s.flux_tmp)
+    # v is the carried velocity
+    v, v_next = (old.u, old.u_next) if u_form else (old.w, old.w_next)
+    v_face, vp, vm = _upwind_faces(v, v_next, s.v_face, s.vp, s.vm)
+    flux_rho = _donor_flux(old.rho, old.rho_next, vp, vm, s.mass_flux, s.flux_tmp[0])
+    flux_mom = _donor_flux(old.mom, old.mom_next, vp, vm, s.flux_mom, s.flux_tmp[1])
     dflux_rho = backward_difference(flux_rho, s.dflux)
     forcing = None if sources is None else sources(s.x, state.t)
     # lambda(rho_old) at faces, as the sum over the face's two cells (the
@@ -481,9 +516,9 @@ def _step(state: State, g: Grid, params: ModelParams, config: SchemeConfig,
     # weight of the viscous dissipation integral in both formulations), and
     # the same sum of p: the w-formulation's lagged diffusion coefficient
     # pi'(rho) = gamma p(rho) at faces, over dx, once scaled
-    np.add(s.lam, s.lam_next, out=s.lam_sum)
+    np.add(old.lam, old.lam_next, out=s.lam_sum)
     if not u_form:
-        diff_face = np.add(s.p, s.p_next, out=s.diff_face)
+        diff_face = np.add(old.p, old.p_next, out=s.diff_face)
         diff_face *= (0.5 / g.dx) * params.gamma
 
     # the positivity rescue: only the failing rows halve their dt.  The
@@ -492,13 +527,13 @@ def _step(state: State, g: Grid, params: ModelParams, config: SchemeConfig,
     for _ in range(MAX_HALVINGS + 1):
         d = _col(dt)
         rate = d / g.dx
-        rho_new = np.multiply(dflux_rho, -rate, out=None if u_form else s.rhs)
-        rho_new += rho
+        rho_new = np.multiply(dflux_rho, -rate, out=new.rho if u_form else s.rhs)
+        rho_new += old.rho
         if forcing is not None:
             rho_new += d * forcing[0]
         if not u_form:
-            rho_new = _implicit_diffusion_solve(1.0, diff_face, rate, rho_new, s)
-        bad = np.minimum.reduce(rho_new, axis=-1) <= 0.0
+            rho_new = _implicit_diffusion_solve(_ONE, diff_face, rate, rho_new, s)
+        bad = row_min(rho_new) <= 0.0
         if not _any(bad):
             break
         dt = _where(bad, 0.5 * dt, dt)
@@ -515,25 +550,27 @@ def _step(state: State, g: Grid, params: ModelParams, config: SchemeConfig,
 
     # the momentum, once per row at its accepted dt
     if not u_form:
-        # the diffusive flux the mass solve applied; the momentum cross flux
-        # w * dx(pi) at faces reuses it
-        dpi_face = forward_difference(rho_new, s.dpi)
+        new.rho[...] = rho_new
+        # the diffusive flux the mass solve applied, off the mass flux; the
+        # momentum cross flux w * dx(pi) at faces reuses it
+        corrections = s.flux_tmp
+        dpi_face = forward_difference(rho_new, corrections[0])
         dpi_face *= diff_face
-        flux_mom -= np.multiply(v_face, dpi_face, out=v_face)
-        flux_rho -= dpi_face
+        np.multiply(v_face, dpi_face, out=corrections[1])
+        s.fluxes -= corrections
     # the explicit momentum: the new one in the w-formulation, the
     # right-hand side of the velocity solve in the u-formulation
-    mom_new = backward_difference(flux_mom, s.rhs if u_form else None)
-    mom_new *= -rate
-    mom_new += mom
+    mom_new = np.multiply(backward_difference(flux_mom, s.dflux), -rate,
+                          out=s.rhs if u_form else new.mom)
+    mom_new += old.mom
     if forcing is not None:
         mom_new += d * forcing[1]
     if u_form:
         # the mean of the face's two cells: half their sum
         scale = d / (g.dx * g.dx) * 0.5
-        velocity = _implicit_diffusion_solve(rho_new, s.lam_sum, scale, mom_new, s)
-        mom_new = np.multiply(rho_new, velocity, out=velocity)
-    return State(state.t + dt, rho_new, mom_new, state.formulation)
+        velocity = _implicit_diffusion_solve(new.rho, s.lam_sum, scale, mom_new, s)
+        np.multiply(new.rho, velocity, out=new.mom)
+    return new.hold(state.t + dt, state.formulation)
 
 
 def step_u_form(state: State, g: Grid, params: ModelParams,
@@ -547,9 +584,10 @@ def step_u_form(state: State, g: Grid, params: ModelParams,
     the old density, solved as one periodic tridiagonal system in the new
     velocity.  Mass is conserved exactly by the conservative fluxes.
 
-    ``fields`` are the state's precomputed fields (evaluated when absent);
-    a given ``scratch`` holds the step's temporaries and receives its face
-    quantities.
+    ``fields`` are the state's precomputed fields (evaluated when absent).
+    With a given ``scratch`` the step keeps its temporaries and face
+    quantities there and returns a state that lives in it (see
+    ``StepScratch``); without one, its arrays are its own.
     """
     if state.formulation != U_FORM:
         raise ValueError("step_u_form requires a u-formulation state")
@@ -568,33 +606,35 @@ def step_w_form(state: State, g: Grid, params: ModelParams,
     flux reuses the exact discrete diffusive flux of the mass solve so a
     uniform desired velocity is preserved identically.
 
-    ``fields`` are the state's precomputed fields (evaluated when absent);
-    a given ``scratch`` holds the step's temporaries and receives its face
-    quantities.
+    ``fields`` are the state's precomputed fields (evaluated when absent).
+    With a given ``scratch`` the step keeps its temporaries and face
+    quantities there and returns a state that lives in it (see
+    ``StepScratch``); without one, its arrays are its own.
     """
     if state.formulation != W_FORM:
         raise ValueError("step_w_form requires a w-formulation state")
     return _step(state, g, params, config, dt, sources, fields, scratch)
 
 
-def _accumulate(accums: Accumulators, old: State, fields: StateFields,
-                new_fields: StateFields, s: StepScratch, g: Grid, dt) -> None:
-    """Advance the running time integrals over one step: the four that the
-    checks read (the viscous dissipation of the energy band, the offset
-    dissipation and work of the H balance, and the plain dissipation of the
-    rho*p balance) and the mass flux per face that Psi is built from.
+def _accumulate(accums: Accumulators, s: StepScratch, g: Grid, dt) -> None:
+    """Advance the running time integrals over the step that ``s`` took
+    last: the four that the checks read (the viscous dissipation of the
+    energy band, the offset dissipation and work of the H balance, and the
+    plain dissipation of the rho*p balance) and the mass flux per face that
+    Psi is built from.
 
     Rectangle rule in time with the integrand at the step start, except
     the viscous dissipation, whose velocity gradient is taken at the
     backward-Euler level (face differences of the new velocity against
     the lagged viscosity) so it accounts exactly for what the implicit
     solve removed; this keeps the discrete energy balance one-sided.
-    The fields of both states and the step's face quantities (in ``s``)
-    are evaluated once elsewhere; this only reduces them, per row in a
-    batch.  The grid factors of the differences go into each integral's
-    scalar factor.
+    The fields of both states (in the buffers ``s.old`` and ``s.new``) and
+    the step's face quantities are evaluated once elsewhere; this only
+    reduces them, per row in a batch.  The grid factors of the differences
+    go into each integral's scalar factor.
     """
-    du = forward_difference(new_fields.u, s.du)
+    old, new = s.old, s.new
+    du = np.subtract(new.u_next, new.u, out=s.du)
     # the four integrands, built in one buffer and reduced by one sum: each
     # row's sum has the bits of that row summed alone, and a sum takes
     # neither BLAS nor threads
@@ -602,12 +642,12 @@ def _accumulate(accums: Accumulators, old: State, fields: StateFields,
     np.multiply(s.lam_sum, du, out=f[0])
     f[0] *= du
     # rho * dxp, formed once for the offset dissipation and work
-    np.multiply(old.rho, fields.dxp, out=f[2])
-    np.multiply(f[2], fields.dxp, out=f[1])
-    f[2] *= fields.w
-    # the central difference of the old velocity, from the step's halo
-    np.subtract(s.u_next, s.u_prev, out=f[3])
-    f[3] *= fields.lam
+    np.multiply(old.rho, old.dxp, out=f[2])
+    np.multiply(f[2], old.dxp, out=f[1])
+    f[2] *= old.w
+    # the central difference of the old velocity
+    np.subtract(old.u_next, old.u_prev, out=f[3])
+    f[3] *= old.lam
     visc, offset, work, plain = np.add.reduce(f, axis=-1)
     # lam_sum is twice the face viscosity; du and the central difference
     # are dx and 2 dx times the velocity gradients
@@ -668,7 +708,7 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
     t_end = np.float64(t_end)
     state = State(np.full(rho0.shape[:-1], init.t)[()], rho0, mom0, init.formulation)
     accums = Accumulators.zeros(rho0.shape)
-    next_snap = np.full(rho0.shape[:-1], init.t)
+    next_snap = state.t
     step = step_u_form if config.formulation == U_FORM else step_w_form
     every = config.snapshot_every
     scratch = StepScratch(g, rho0.shape)
@@ -686,20 +726,18 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
         scratch = StepScratch(g, state.rho.shape) if rows else None
 
     def take_snapshots(due) -> None:
-        """Snapshot the rows flagged in ``due``."""
+        """Snapshot the rows flagged in ``due``, each copied out of the
+        stepping arrays, and move their next snapshot time on."""
+        nonlocal next_snap
         for i, row in enumerate(rows):
             at = i if batched else ()
-            if not due[at]:
-                continue
-            rho, mom, row_fields = state.rho, state.mom, fields
-            if batched:
-                rho, mom = rho[i].copy(), mom[i].copy()
-                row_fields = StateFields(*(f[i].copy() for f in fields))
-            row.take(State(float(state.t[at]), rho, mom, state.formulation),
-                     row_fields, accums.select(at), sink)
-            next_snap[at] += every
-            if next_snap[at] <= state.t[at] + 1e-14:
-                next_snap[at] = state.t[at] + every
+            if due[at]:
+                row.take(State(float(state.t[at]), state.rho[at].copy(),
+                               state.mom[at].copy(), state.formulation),
+                         StateFields(*(f[at].copy() for f in fields)),
+                         accums.select(at), sink)
+        next_snap = _where(due, next_snap + every, next_snap)
+        next_snap = _where(due & (next_snap <= state.t + 1e-14), state.t + every, next_snap)
 
     def finish(done) -> None:
         """Close the rows flagged in ``done``, which have reached t_end."""
@@ -710,9 +748,9 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
     n_steps, budget = 0, step_budget(g.n_cells)
     try:
         # each state's fields are evaluated once, for its snapshot and the
-        # step from it
-        fields = state_fields(state, g, params)
-        take_snapshots(np.full(state.t.shape, True))
+        # step from it; the first state's in the buffer its step reads
+        fields = state_fields(state, g, params, out=scratch.buffers[0])
+        take_snapshots(np.full(np.shape(state.t), True)[()])
         while _any(state.t < t_end):
             dt = compute_dt(state, g, params, config, fields)
             remaining = t_end - state.t
@@ -732,9 +770,9 @@ def run_simulation(init: State, g: Grid, params: ModelParams,
                 dt = _where(final_step, remaining, dt)
             new_state = step(state, g, params, config, dt, sources,
                              fields=fields, scratch=scratch)
-            new_fields = state_fields(new_state, g, params)
+            new_fields = state_fields(new_state, g, params, out=scratch.new)
             dt_actual = new_state.t - state.t
-            _accumulate(accums, state, fields, new_fields, scratch, g, dt_actual)
+            _accumulate(accums, scratch, g, dt_actual)
             # land exactly on t_end unless the positivity rescue halved the step
             if landing and _any(land := final_step & (dt_actual > 0.6 * dt)):
                 new_state = State(_where(land, t_end, new_state.t), new_state.rho,

@@ -10,7 +10,7 @@ defined here once, each returning ``diagnostics.CheckResult``s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,7 +25,26 @@ from .solver import (
     step_w_form,
 )
 
-Profile = Callable[[np.ndarray, float], np.ndarray]
+TWO_PI = 2.0 * np.pi
+
+
+def wave(x, t) -> tuple[np.ndarray, np.ndarray]:
+    """The sine and cosine of the phase 2 pi (x - t) that every profile of
+    a case is a function of."""
+    phase = TWO_PI * (x - t)
+    return np.sin(phase), np.cos(phase)
+
+
+class Profile(NamedTuple):
+    """A closed-form field of (x, t), given as a function ``of`` the sine
+    and cosine of ``wave(x, t)``, so that a caller evaluating several
+    profiles at one (x, t) takes the pair once."""
+
+    of: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    def __call__(self, x, t) -> np.ndarray:
+        return self.of(*wave(x, t))
+
 
 MACHINE_NOISE = 1e-12
 
@@ -71,31 +90,35 @@ class ManufacturedCase:
         return self.u(x, t) + gm * self.rho(x, t) ** (gm - 1.0) * self.drho_dx(x, t)
 
     # -- sources -----------------------------------------------------------
-    # each evaluates every profile it needs once
+    # each evaluates every profile it needs once, from one wave pair
+    def _partials(self, x, t):
+        """rho, u and their partials rx, rt, ux, ut at (x, t)."""
+        pair = wave(x, t)
+        return tuple(f.of(*pair) for f in (self.rho, self.u, self.drho_dx, self.drho_dt,
+                                            self.du_dx, self.du_dt)), pair
+
     def sources_u(self, x, t):
         """(S_rho, S_mom) for the forced velocity formulation."""
         gm = self.gamma
-        rho, u = self.rho(x, t), self.u(x, t)
-        rx, rt = self.drho_dx(x, t), self.drho_dt(x, t)
-        ux, ut = self.du_dx(x, t), self.du_dt(x, t)
+        (rho, u, rx, rt, ux, ut), pair = self._partials(x, t)
         s_rho = rt + rx * u + rho * ux
         lam = gm * rho ** (gm + 1.0)
         dlam = gm * (gm + 1.0) * rho ** gm * rx
-        diffusion = dlam * ux + lam * self.d2u_dx2(x, t)
+        diffusion = dlam * ux + lam * self.d2u_dx2.of(*pair)
         s_mom = rt * u + rho * ut + rx * u * u + 2.0 * rho * u * ux - diffusion
         return s_rho, s_mom
 
     def sources_w(self, x, t):
         """(S_rho, S_mom) for the forced desired-velocity formulation."""
         gm = self.gamma
-        rho, u = self.rho(x, t), self.u(x, t)
-        rx, rt = self.drho_dx(x, t), self.drho_dt(x, t)
-        ux, ut = self.du_dx(x, t), self.du_dt(x, t)
-        # w = u + p'(rho) dx rho and its partials, p'(rho) = gm rho^(gm - 1)
-        p1, p2 = rho ** (gm - 1.0), rho ** (gm - 2.0)
-        w = u + gm * p1 * rx
-        wx = ux + gm * (gm - 1.0) * p2 * rx * rx + gm * p1 * self.d2rho_dx2(x, t)
-        wt = ut + gm * (gm - 1.0) * p2 * rt * rx + gm * p1 * self.d2rho_dxdt(x, t)
+        (rho, u, rx, rt, ux, ut), pair = self._partials(x, t)
+        # w = u + p'(rho) dx rho and its partials, p'(rho) = gm rho^(gm - 1);
+        # p1 = gm rho^(gm - 1) and p2 = gm (gm - 1) rho^(gm - 2) are formed
+        # once, each the leading product of its terms, so the bits stay
+        p1, p2 = gm * rho ** (gm - 1.0), gm * (gm - 1.0) * rho ** (gm - 2.0)
+        w = u + p1 * rx
+        wx = ux + p2 * rx * rx + p1 * self.d2rho_dx2.of(*pair)
+        wt = ut + p2 * rt * rx + p1 * self.d2rho_dxdt.of(*pair)
         s_rho = rt + rx * u + rho * ux
         s_mom = rt * w + rho * wt + rx * w * u + rho * wx * u + rho * w * ux
         return s_rho, s_mom
@@ -105,11 +128,11 @@ class ManufacturedCase:
 
 
 def _constant(value: float) -> Profile:
-    return lambda x, t: np.full_like(np.asarray(x, dtype=float), value)
+    return Profile(lambda s, c: np.full_like(s, value))
 
 
 def _zero() -> Profile:
-    return lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
+    return Profile(lambda s, c: np.zeros_like(s))
 
 
 def _case_constant() -> ManufacturedCase:
@@ -124,43 +147,33 @@ def _case_constant() -> ManufacturedCase:
 
 def _case_travelling_velocity() -> ManufacturedCase:
     # rho fixed at 0.8, u = 0.1 sin(2 pi (x - t))
-    two_pi = 2.0 * np.pi
     amp = 0.1
-
-    def phase(x, t):
-        return two_pi * (x - t)
-
     return ManufacturedCase(
         name="travelling_velocity", gamma=4.0, t_end=0.25,
         rho=_constant(0.8),
-        u=lambda x, t: amp * np.sin(phase(x, t)),
+        u=Profile(lambda s, c: amp * s),
         drho_dx=_zero(), drho_dt=_zero(),
         d2rho_dx2=_zero(), d2rho_dxdt=_zero(),
-        du_dx=lambda x, t: amp * two_pi * np.cos(phase(x, t)),
-        du_dt=lambda x, t: -amp * two_pi * np.cos(phase(x, t)),
-        d2u_dx2=lambda x, t: -amp * two_pi ** 2 * np.sin(phase(x, t)),
+        du_dx=Profile(lambda s, c: amp * TWO_PI * c),
+        du_dt=Profile(lambda s, c: -amp * TWO_PI * c),
+        d2u_dx2=Profile(lambda s, c: -amp * TWO_PI ** 2 * s),
     )
 
 
 def _case_travelling_wave() -> ManufacturedCase:
     # joint density/velocity wave moving at unit speed
-    two_pi = 2.0 * np.pi
     ra, ua, u0 = 0.05, 0.05, 0.1
-
-    def phase(x, t):
-        return two_pi * (x - t)
-
     return ManufacturedCase(
         name="travelling_wave", gamma=4.0, t_end=0.25,
-        rho=lambda x, t: 0.85 + ra * np.cos(phase(x, t)),
-        u=lambda x, t: u0 + ua * np.sin(phase(x, t)),
-        drho_dx=lambda x, t: -ra * two_pi * np.sin(phase(x, t)),
-        drho_dt=lambda x, t: ra * two_pi * np.sin(phase(x, t)),
-        d2rho_dx2=lambda x, t: -ra * two_pi ** 2 * np.cos(phase(x, t)),
-        d2rho_dxdt=lambda x, t: ra * two_pi ** 2 * np.cos(phase(x, t)),
-        du_dx=lambda x, t: ua * two_pi * np.cos(phase(x, t)),
-        du_dt=lambda x, t: -ua * two_pi * np.cos(phase(x, t)),
-        d2u_dx2=lambda x, t: -ua * two_pi ** 2 * np.sin(phase(x, t)),
+        rho=Profile(lambda s, c: 0.85 + ra * c),
+        u=Profile(lambda s, c: u0 + ua * s),
+        drho_dx=Profile(lambda s, c: -ra * TWO_PI * s),
+        drho_dt=Profile(lambda s, c: ra * TWO_PI * s),
+        d2rho_dx2=Profile(lambda s, c: -ra * TWO_PI ** 2 * c),
+        d2rho_dxdt=Profile(lambda s, c: ra * TWO_PI ** 2 * c),
+        du_dx=Profile(lambda s, c: ua * TWO_PI * c),
+        du_dt=Profile(lambda s, c: -ua * TWO_PI * c),
+        d2u_dx2=Profile(lambda s, c: -ua * TWO_PI ** 2 * s),
     )
 
 

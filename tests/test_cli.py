@@ -955,6 +955,19 @@ def test_extreme_finite_initial_data_fail_without_a_warning(tmp_path, capsys, ch
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("w_amp", ["2e152", "5e152", "1e153"])
+def test_overflowing_initial_rhoW2_fails_at_t0_without_a_warning(tmp_path, capsys, w_amp):
+    # every cell, W0, E1 and E2 are finite, the integral of rho0 W0^2 is
+    # not: the first record held rhoW2 = inf after a RuntimeWarning, and the
+    # run ended on the step budget
+    cfg = shipped_config(tmp_path, "standard_smooth", {"init.w_amp": w_amp}, tmp_path / "out")
+    assert cli.main(["simulate", "--config", cfg]) == 3
+    assert capsys.readouterr().err == (
+        "runtime failure (non-finite): initial integral of rho W^2 is not finite "
+        "[t=0.0, cell=127, gamma=10.0]\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("rows,message", [
     # dx(w) overflowed in compute_W before the energy check found cell 1
     (["0.0,0.8,0.1", "0.25,0.8,1e308", "0.5,0.8,-1e308", "0.75,0.8,0.4"],

@@ -745,19 +745,56 @@ def assert_snapshots_unchanged(kept):
             assert now.tobytes() == then.tobytes()
 
 
+def state_bits(state):
+    return [np.asarray(a).tobytes() for a in (state.t, state.rho, state.mom)]
+
+
+def assert_run_unchanged(kept, trajs):
+    """Every snapshot in ``kept``, and each Trajectory's records and final
+    state, still hold what they held when the run handed them over."""
+    assert_snapshots_unchanged(kept)
+    for traj in trajs:
+        mine = [then for snap, then in kept if any(snap.rec is rec for rec in traj.records)]
+        assert traj.records == [then.rec for then in mine]
+        assert state_bits(traj.final_state) == state_bits(mine[-1].state)
+
+
 @pytest.mark.parametrize("formulation", [W_FORM, U_FORM])
 def test_no_scratch_array_escapes_a_step(formulation):
-    # every snapshot a sink keeps still holds, after the run, what it held
-    # when it was handed over: nothing the step reuses leaks into a state,
-    # its fields or a record, alone or in a batch whose rows leave it
-    kept = []
+    # a state that a step returns with a caller's scratch lives in that
+    # scratch and keeps its bits through the next steps on it while it is
+    # held; a bare step's arrays are its own, which no later step touches;
+    # and what a run hands out (every snapshot a sink keeps, the records and
+    # the final state) still holds, after the run, what it held when it was
+    # handed over, alone or in a batch whose rows leave it
     g = Grid(64)
     params = ModelParams(10.0)
     cfg = SchemeConfig(formulation=formulation, cfl=0.45, dt_max=0.01, snapshot_every=1e-3)
     init = make_initial_data(STANDARD.recipe, g, params, formulation)
+    step = step_u_form if formulation == U_FORM else step_w_form
+
+    scratch = solver_mod.StepScratch(g, init.rho.shape)
+    first = step(init, g, params, cfg, 1e-3, scratch=scratch)
+    assert first.rho is scratch.new.rho and first.mom is scratch.new.mom
+    at_first = state_bits(first)
+    second = step(first, g, params, cfg, 1e-3, scratch=scratch)
+    assert state_bits(first) == at_first
+    later = second
+    for _ in range(3):
+        later = step(later, g, params, cfg, 1e-3, scratch=scratch)
+    assert state_bits(first) == at_first
+
+    bare = step(init, g, params, cfg, 1e-3)
+    at_bare = state_bits(bare)
+    step(bare, g, params, cfg, 1e-3)
+    step(bare, g, params, cfg, 1e-3, scratch=scratch)
+    run_simulation(bare, g, params, cfg, 0.01)
+    assert state_bits(bare) == at_bare == at_first
+
+    kept = []
     traj = run_simulation(init, g, params, cfg, 0.03, sink=keeping_sink(kept))
     assert len(kept) == len(traj.records) == traj.n_steps + 1
-    assert_snapshots_unchanged(kept)
+    assert_run_unchanged(kept, [traj])
 
     kept.clear()
     sweep = dataclasses.replace(SWEEP, gammas=(5.0, 20.0, 80.0), n_cells=64, t_end=0.1,
@@ -765,7 +802,7 @@ def test_no_scratch_array_escapes_a_step(formulation):
                                                            snapshot_every=0.005))
     trajs = run_config(sweep, keeping_sink(kept))
     assert len({traj.n_steps for traj in trajs}) > 1
-    assert_snapshots_unchanged(kept)
+    assert_run_unchanged(kept, trajs)
 
 
 # ------------------------------------------------------------- trajectory --
